@@ -5,10 +5,10 @@ factorize into products of classical envelopes and the quantum expectation
 is exactly a classical average over pulse labels: positions uniform in the
 quantization cube, directions isotropic, polarization angle uniform.
 
-Sampling is split across a fixed number of logical workers, each with its
-own counter-based Philox stream keyed by (seed, worker index); merging the
-per-worker accumulators is associative, so results are deterministic for a
-given seed and worker partition regardless of execution order.
+Draws come from serial counter-based Philox streams keyed by (seed, stream
+index): the uniform sampler splits its draws over a fixed number of streams
+and every stratum has a stream of its own, so results are deterministic for
+a given seed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixturekit import WeightSpec, _LABEL_MEASURE
-from .pulsekit import PulseFamily, envelope_batch, transforms_direct
+# transforms_direct stays importable here: perfbench/tracing.py traces it
+# through this module as well as through pulsekit.
+from .pulsekit import (PulseFamily, envelope_batch, tail_coefficient,  # noqa: F401
+                       transforms_direct)
+
+# streams the uniform G1 sampler splits its draws over
+_N_STREAMS = 8
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,23 @@ def _transverse_frames(m_hat: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
 
 
-def draw_batch(omega: float, n: int, seed: int, worker: int = 0,
+def _isotropic_directions(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n unit vectors, uniform on the sphere (cos(theta), then azimuth)."""
+    mu = 2.0 * rng.random(n) - 1.0
+    phi = 2.0 * math.pi * rng.random(n)
+    st = np.sqrt(1.0 - mu**2)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), mu], axis=1)
+
+
+def _isotropic_frames(rng: np.random.Generator, n: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Isotropic m_hat and a uniform polarization angle for n_hat."""
+    m_hat = _isotropic_directions(rng, n)
+    psi = 2.0 * math.pi * rng.random(n)
+    return m_hat, _transverse_frames(m_hat, psi)
+
+
+def draw_batch(omega: float, n: int, seed: int, stream: int = 0,
                z_range: tuple[float, float] | None = None) -> SampleBatch:
     """Draw n pulse labels from the uniform-isotropic law over the cube.
 
@@ -62,17 +84,12 @@ def draw_batch(omega: float, n: int, seed: int, worker: int = 0,
     sampling); x and y stay uniform over the full side.
     """
     side = omega ** (1.0 / 3.0)
-    rng = np.random.Generator(np.random.Philox(key=[seed, worker]))
+    rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
     r0 = (rng.random((n, 3)) - 0.5) * side
     if z_range is not None:
         lo, hi = z_range
         r0[:, 2] = lo + rng.random(n) * (hi - lo)
-    mu = 2.0 * rng.random(n) - 1.0
-    phi = 2.0 * math.pi * rng.random(n)
-    st = np.sqrt(1.0 - mu**2)
-    m_hat = np.stack([st * np.cos(phi), st * np.sin(phi), mu], axis=1)
-    psi = 2.0 * math.pi * rng.random(n)
-    n_hat = _transverse_frames(m_hat, psi)
+    m_hat, n_hat = _isotropic_frames(rng, n)
     return SampleBatch(seed=seed, n_samples=n, r0=r0, m_hat=m_hat, n_hat=n_hat)
 
 
@@ -89,29 +106,19 @@ def _check_amplitude(family: PulseFamily, weights: WeightSpec) -> None:
         raise ValueError("family amplitude inconsistent with weights.alpha_sq")
 
 
-def _draw_shell(n: int, seed: int, worker: int, r: np.ndarray,
+def _draw_shell(n: int, seed: int, stream: int, r: np.ndarray,
                 a: float, b: float) -> SampleBatch:
     """Labels with |r0 - r| uniform-in-volume over the shell [a, b] meters."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, worker]))
+    rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
     rad = (a**3 + rng.random(n) * (b**3 - a**3)) ** (1.0 / 3.0)
-    mu_d = 2.0 * rng.random(n) - 1.0
-    ph_d = 2.0 * math.pi * rng.random(n)
-    st_d = np.sqrt(1.0 - mu_d**2)
-    dirs = np.stack([st_d * np.cos(ph_d), st_d * np.sin(ph_d), mu_d], axis=1)
-    r0 = r[None, :] - rad[:, None] * dirs
-    mu = 2.0 * rng.random(n) - 1.0
-    phi = 2.0 * math.pi * rng.random(n)
-    st = np.sqrt(1.0 - mu**2)
-    m_hat = np.stack([st * np.cos(phi), st * np.sin(phi), mu], axis=1)
-    psi = 2.0 * math.pi * rng.random(n)
-    return SampleBatch(seed=seed, n_samples=n, r0=r0, m_hat=m_hat,
-                       n_hat=_transverse_frames(m_hat, psi))
+    r0 = r[None, :] - rad[:, None] * _isotropic_directions(rng, n)
+    m_hat, n_hat = _isotropic_frames(rng, n)
+    return SampleBatch(seed=seed, n_samples=n, r0=r0, m_hat=m_hat, n_hat=n_hat)
 
 
 def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
                     r: np.ndarray, tau: float, n: int, seed: int,
-                    component: int = 2, n_workers: int = 8,
-                    k0: float | None = None) -> EstimateWithError:
+                    component: int = 2, k0: float | None = None) -> EstimateWithError:
     """MC estimate of the mixture first-order function G1_ii(r, r; tau).
 
     Averages conj(E_i(r, 0)) * E_i(r, tau) over pulse draws and applies the
@@ -121,7 +128,7 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     uniform cube sampling would spend almost every draw where the product
     vanishes.  Draws outside the support ball contribute exactly zero and
     are accounted for deterministically.  Accumulation is chunked per
-    stratum/worker with associative merging.
+    stratum or stream.
     """
     if n < 100:
         raise ValueError("n must be at least 100")
@@ -135,13 +142,13 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
                   and float(np.max(np.abs(r))) + support <= side / 2.0)
 
     if not stratified:
-        per = _split_counts(n, n_workers)
+        per = _split_counts(n, _N_STREAMS)
         tot = 0.0 + 0.0j
         m2 = 0.0
         for w, n_w in enumerate(per):
             if n_w == 0:
                 continue
-            batch = draw_batch(omega, n_w, seed, worker=w)
+            batch = draw_batch(omega, n_w, seed, stream=w)
             x = _g1_samples(family, batch, r, tau, component, k0)
             tot += x.sum()
             m2 += float(np.sum(np.abs(x) ** 2))
@@ -176,10 +183,10 @@ def _g1_samples(family: PulseFamily, batch: SampleBatch, r: np.ndarray,
     return np.conj(a[:, component]) * b[:, component]
 
 
-def _split_counts(n: int, n_workers: int) -> list[int]:
-    base = n // n_workers
-    counts = [base] * n_workers
-    for i in range(n - base * n_workers):
+def _split_counts(n: int, parts: int) -> list[int]:
+    base = n // parts
+    counts = [base] * parts
+    for i in range(n - base * parts):
         counts[i] += 1
     return counts
 
@@ -197,8 +204,14 @@ def estimate_g2_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     """
     if n < 100:
         raise ValueError("n must be at least 100")
-    if R < 0.0:
+    if n < n_strata:
+        raise ValueError(f"n = {n} leaves strata empty: need n >= n_strata "
+                         f"= {n_strata}")
+    if not R >= 0.0:
         raise ValueError("R must be nonnegative")
+    if family.kind != "thermal":
+        raise ValueError(f"estimate_g2_mix supports the thermal kind only, "
+                         f"not {family.kind!r}")
     _check_amplitude(family, weights)
     ctx = family.ctx
     side = omega ** (1.0 / 3.0)
@@ -212,7 +225,7 @@ def estimate_g2_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     variances = np.zeros(n_strata)
     for k in range(n_strata):
         n_k = per[k]
-        batch = draw_batch(omega, n_k, seed, worker=k,
+        batch = draw_batch(omega, n_k, seed, stream=k,
                            z_range=(float(edges[k]), float(edges[k + 1])))
         ea = envelope_batch(family, batch.m_hat, batch.n_hat,
                             ra[None, :] - batch.r0, 0.0, reach=reach)
@@ -232,25 +245,11 @@ def tail_intensity_bound(family: PulseFamily, dist: float,
     """Upper bound on the single-pulse intensity at dimensionless distance
     `dist` from the pulse center, SI (V/m)^2.
 
-    The envelope's momentum kernel is direction-dependent but finite at
-    k -> 0, which makes the position-space field fall off as 1/|delta|^3;
-    the coefficient is calibrated by direct quadrature on a far ring and
-    inflated by `safety`.
+    The position-space field falls off as 1/|delta|^3 (see
+    pulsekit.tail_coefficient); the calibrated coefficient is inflated by
+    `safety`.
     """
-    if family.kind != "thermal":
-        raise NotImplementedError("tail bound implemented for the thermal kind")
-    key = ("tailc3",)
-    if key not in family._cache:
-        c3 = 0.0
-        for d in (18.0, 25.0, 32.0):
-            for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-                zz = d * frac
-                pp = math.sqrt(max(d * d - zz * zz, 0.0))
-                ty, tz = transforms_direct(family, pp, zz,
-                                           nx=1200, nmu=3000)
-                c3 = max(c3, (abs(ty) + abs(tz)) * d**3)
-        family._cache[key] = c3
-    c3 = family._cache[key]
+    c3 = tail_coefficient(family)
     pref = abs(family.envelope_prefactor() * 2.0 * math.pi)
     return (pref * safety * c3 / dist**3) ** 2
 

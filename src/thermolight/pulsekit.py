@@ -37,6 +37,7 @@ Monte Carlo evaluation of the unreduced integral.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,6 +50,26 @@ from .specfun import ZETA3, PI4_OVER_15
 from .units import PhysicalContext
 
 _SIXTEEN_PI3 = 16.0 * math.pi**3
+
+# Envelope tables, radial profiles and tail coefficients depend only on a
+# family's dimensionless shape and the call's dimensionless arguments: lengths
+# scale with beta hbar c and amplitudes with alpha (see units.py), and both
+# enter through the SI prefactor alone.  One memo keyed on those values serves
+# every temperature and amplitude.  A default table, splines included, holds
+# about 70 MB, so only the most recently used few entries are kept.
+_MEMO_SIZE = 8
+_memo: OrderedDict = OrderedDict()
+
+
+def _memoized(key: tuple, build: Callable[[], object]):
+    """build() on the first request for key; the stored value afterwards."""
+    if key in _memo:
+        _memo.move_to_end(key)
+        return _memo[key]
+    value = _memo[key] = build()
+    if len(_memo) > _MEMO_SIZE:
+        _memo.popitem(last=False)
+    return value
 
 
 def upsilon_function(kind: str, param: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -155,6 +176,10 @@ class PulseFamily:
     profile upsilon; norm_N is a single number.  kind 'gaussian': lineshape
     exp(-|k - k0 m_hat|^2/2 sigma^2); the normalization depends on k0 and is
     exposed through norm_N(k0).
+
+    Envelope tables, the radial intensity profile (before its SI factor) and
+    the tail coefficient depend only on `shape`, so families at different
+    temperatures or amplitudes share them.
     """
 
     kind: str
@@ -163,7 +188,13 @@ class PulseFamily:
     sigma: float | None = None              # 1/m, gaussian kind
     upsilon_kind: str | None = None         # thermal kind
     upsilon_param: float | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def shape(self) -> tuple:
+        """Dimensionless parameters of the spectral shape: (kind, upsilon
+        kind, upsilon parameter, sigma * beta hbar c); free of T and alpha."""
+        s = None if self.sigma is None else self.sigma_x()
+        return (self.kind, self.upsilon_kind, self.upsilon_param, s)
 
     # -- spectral weights (dimensionless) ------------------------------
 
@@ -216,10 +247,14 @@ class PulseFamily:
 
     def table(self, u_delay: float = 0.0, reach: float = 16.0,
               k0: float | None = None) -> EnvelopeTable:
-        key = (round(u_delay, 12), round(reach, 6), k0)
-        if key not in self._cache:
-            self._cache[key] = _build_table(self, u_delay, reach, k0)
-        return self._cache[key]
+        """T_y, T_z on a (P, Z) grid reaching |Delta| = reach, at delay u."""
+        x0 = None
+        if self.kind == "gaussian":
+            if k0 is None:
+                raise ValueError("gaussian kind needs k0")
+            x0 = k0 * self.ctx.length_scale
+        return _memoized(("table", self.shape, u_delay, reach, x0),
+                         lambda: _build_table(self, u_delay, reach, k0))
 
 
 def make_thermal_family(ctx: PhysicalContext, upsilon_kind: str = "exp",
@@ -363,6 +398,7 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float,
     Ty = J0m @ Hy
     Tz = J1m @ Hz
 
+    Ty.flags.writeable = Tz.flags.writeable = False    # shared via the memo
     iy = RegularGridInterpolator((Pg, Zg), Ty, method="cubic",
                                  bounds_error=False, fill_value=0.0)
     iz = RegularGridInterpolator((Pg, Zg), Tz, method="cubic",
@@ -417,69 +453,32 @@ def transforms_direct(family: PulseFamily, P: float, Z: float,
 # envelope evaluation
 
 
-def _canonical_coords(params: PulseParams, delta: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cylindrical coordinates of delta in the (n, m x n, m) frame."""
-    m = params.m_hat
-    n = params.n_hat
-    e2 = np.cross(m, n)
-    dx = delta @ n
-    dy = delta @ e2
-    dz = delta @ m
-    return np.hypot(dx, dy), np.arctan2(dy, dx), dz
-
-
 def field_envelope(family: PulseFamily, params: PulseParams,
                    r: np.ndarray, t: float = 0.0,
                    direct: bool = False) -> FieldEnvelope:
     """Classical field envelope of one pulse at the point r and time t.
 
     By construction the result depends on r and r0 only through r - r0, has
-    no component along n_hat, and scales linearly in alpha.  direct=True
-    bypasses the interpolation table (slow, used for validation).
+    no component along n_hat, and scales linearly in alpha.  The table reach
+    grows with |r - r0| so the point is always covered.  direct=True
+    evaluates the transforms by direct quadrature instead, for every kind
+    (slow, used for validation).
     """
-    sigma_small = family.kind == "gaussian" and family.sigma_x() < 0.05
-    delta = (np.asarray(r, float) - params.r0) / family.ctx.length_scale
-    if sigma_small:
-        return _gaussian_narrow_envelope(family, params, delta, t)
-    u = t / family.ctx.time_scale
-    P, Phi, Z = _canonical_coords(params, delta[None, :])
+    delta = (np.asarray(r, float) - params.r0)[None, :]
+    m_hats, n_hats = params.m_hat[None, :], params.n_hat[None, :]
     if direct:
-        ty, tz = transforms_direct(family, float(P[0]), float(Z[0]), u, params.k0)
+        u = t / family.ctx.time_scale
+
+        def lookup(P, Z):
+            ty, tz = transforms_direct(family, float(P[0]), float(Z[0]), u, params.k0)
+            return np.array([ty]), np.array([tz])
+
+        value = _canonical_envelope(family, m_hats, n_hats, delta, params.k0, lookup)
     else:
-        dist = math.hypot(float(P[0]), float(Z[0]))
+        dist = float(np.linalg.norm(delta)) / family.ctx.length_scale
         reach = 16.0 if dist <= 15.8 else dist * 1.05 + 2.0
-        tab = family.table(u, reach=reach, k0=params.k0)
-        tyv, tzv = tab.lookup(P, Z)
-        ty, tz = tyv[0], tzv[0]
-    pref = family.envelope_prefactor(params.k0) * 2.0 * math.pi
-    e2 = np.cross(params.m_hat, params.n_hat)
-    vec = pref * (ty * e2 - 1j * math.sin(float(Phi[0])) * tz * params.m_hat)
-    return FieldEnvelope(value=vec)
-
-
-def _gaussian_narrow_envelope(family: PulseFamily, params: PulseParams,
-                              delta: np.ndarray, t: float) -> FieldEnvelope:
-    """Leading small-sigma form: carrier plane wave times a Gaussian ball.
-
-    Relative corrections are O(sigma/k0); the regime switch at
-    sigma*length_scale = 0.05 is covered by a cross-check test.
-    """
-    ctx = family.ctx
-    k0 = params.k0
-    if k0 is None:
-        raise ValueError("gaussian kind needs k0")
-    x0 = k0 * ctx.length_scale
-    s = family.sigma_x()
-    pref = 1j * family.alpha * family.norm_N(k0) * math.sqrt(
-        ctx.hbar * ctx.c * k0 / (_SIXTEEN_PI3 * ctx.epsilon0)) * k0
-    ct = ctx.c * t / ctx.length_scale
-    moving = delta - ct * params.m_hat
-    phase = np.exp(1j * x0 * (float(delta @ params.m_hat) - ct))
-    ball = math.exp(-s * s * float(moving @ moving) / 2.0)
-    amp_si = (2.0 * math.pi * family.sigma**2) ** 1.5
-    vec = pref * amp_si * phase * ball * np.cross(params.m_hat, params.n_hat)
-    return FieldEnvelope(value=vec.astype(complex))
+        value = envelope_batch(family, m_hats, n_hats, delta, t, reach, params.k0)
+    return FieldEnvelope(value=value[0])
 
 
 def envelope_batch(family: PulseFamily, m_hats: np.ndarray, n_hats: np.ndarray,
@@ -488,63 +487,48 @@ def envelope_batch(family: PulseFamily, m_hats: np.ndarray, n_hats: np.ndarray,
     """Vectorized envelopes for many pulses at once.
 
     m_hats, n_hats, deltas: (N, 3) arrays, deltas in meters (already r - r0).
-    Returns an (N, 3) complex array of lab-frame field vectors.  Thermal
-    families go through the interpolation table; narrow gaussian lineshapes
-    use the analytic carrier-times-ball form.
+    Returns an (N, 3) complex array of lab-frame field vectors.  Narrow
+    gaussian lineshapes (sigma * beta hbar c < 0.05) use the analytic
+    carrier-times-ball form, whose relative corrections are O(sigma/k0);
+    every other family goes through the interpolation table.
     """
     ctx = family.ctx
+    if not (family.kind == "gaussian" and family.sigma_x() < 0.05):
+        tab = family.table(t / ctx.time_scale, reach=reach, k0=k0)
+        return _canonical_envelope(family, m_hats, n_hats, deltas, k0, tab.lookup)
+    pref = 1j * family.alpha * family.norm_N(k0) * math.sqrt(
+        ctx.hbar * ctx.c * k0 / (_SIXTEEN_PI3 * ctx.epsilon0)) * k0
     d = deltas / ctx.length_scale
+    x0 = k0 * ctx.length_scale
+    s = family.sigma_x()
+    amp_si = (2.0 * math.pi * family.sigma**2) ** 1.5
+    ct = ctx.c * t / ctx.length_scale
+    dz = np.einsum("ij,ij->i", d, m_hats)
+    moving = d - ct * m_hats
+    ball = np.exp(-s * s * np.einsum("ij,ij->i", moving, moving) / 2.0)
+    phase = np.exp(1j * x0 * (dz - ct))
+    return (pref * amp_si) * (phase * ball)[:, None] * np.cross(m_hats, n_hats)
+
+
+def _canonical_envelope(family: PulseFamily, m_hats: np.ndarray,
+                        n_hats: np.ndarray, deltas: np.ndarray,
+                        k0: float | None, lookup) -> np.ndarray:
+    """E = pref 2 pi [T_y (m x n) - i sin(Phi) T_z m] with T_y, T_z from
+    lookup(P, Z) at the canonical-frame coordinates of each delta."""
+    pref = family.envelope_prefactor(k0) * 2.0 * math.pi
+    d = deltas / family.ctx.length_scale
     e2 = np.cross(m_hats, n_hats)
-    if family.kind == "gaussian":
-        if not family.sigma_x() < 0.05:
-            raise NotImplementedError("batch path needs the narrow-lineshape regime")
-        x0 = k0 * ctx.length_scale
-        s = family.sigma_x()
-        pref = 1j * family.alpha * family.norm_N(k0) * math.sqrt(
-            ctx.hbar * ctx.c * k0 / (_SIXTEEN_PI3 * ctx.epsilon0)) * k0
-        amp_si = (2.0 * math.pi * family.sigma**2) ** 1.5
-        ct = ctx.c * t / ctx.length_scale
-        dz = np.einsum("ij,ij->i", d, m_hats)
-        moving = d - ct * m_hats
-        ball = np.exp(-s * s * np.einsum("ij,ij->i", moving, moving) / 2.0)
-        phase = np.exp(1j * x0 * (dz - ct))
-        return (pref * amp_si) * (phase * ball)[:, None] * e2
-    u = t / ctx.time_scale
-    tab = family.table(u, reach=reach)
     dx = np.einsum("ij,ij->i", d, n_hats)
     dy = np.einsum("ij,ij->i", d, e2)
     dz = np.einsum("ij,ij->i", d, m_hats)
     P = np.hypot(dx, dy)
-    ty, tz = tab.lookup(P, dz)
+    ty, tz = lookup(P, dz)
     sphi = np.divide(dy, P, out=np.zeros_like(dy), where=P > 1e-300)
-    pref = family.envelope_prefactor() * 2.0 * math.pi
     return pref * (ty[:, None] * e2 - 1j * (sphi * tz)[:, None] * m_hats)
 
 
 # ---------------------------------------------------------------------------
 # intensity diagnostics
-
-
-def mean_intensity_radial(family: PulseFamily, delta_grid: np.ndarray,
-                          table: EnvelopeTable | None = None,
-                          n_theta: int = 200) -> np.ndarray:
-    """Orientation-averaged total intensity profile I(|delta|), SI (V/m)^2.
-
-    Averaging |E|^2 over the pulse orientation at fixed |delta| equals
-    averaging over the direction of delta in the canonical frame, with the
-    azimuthal average already analytic: <|E|^2> = |pref 2 pi|^2
-    (|T_y|^2 + |T_z|^2/2) averaged over cos(theta).
-    """
-    if table is None:
-        table = family.table(0.0)
-    cg, cw = leggauss(n_theta)
-    st = np.sqrt(1.0 - cg**2)
-    pref2 = abs(family.envelope_prefactor() * 2.0 * math.pi) ** 2
-    out = np.empty(len(delta_grid))
-    for i, dl in enumerate(delta_grid):
-        ty, tz = table.lookup(dl * st, dl * cg)
-        out[i] = 0.5 * float(np.sum(cw * (np.abs(ty) ** 2 + 0.5 * np.abs(tz) ** 2)))
-    return pref2 * out
 
 
 def total_intensity_integral(family: PulseFamily) -> float:
@@ -562,21 +546,32 @@ def total_intensity_integral(family: PulseFamily) -> float:
     return abs(family.alpha) ** 2 * ctx.hbar * ctx.c / (2.0 * ctx.epsilon0) * kmean
 
 
-def radial_intensity_profile(family: PulseFamily, n: int = 3000
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (grid, profile) of the orientation-averaged intensity.
+def radial_intensity_profile(family: PulseFamily) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, profile) of the orientation-averaged total intensity I(|delta|).
 
-    The grid is dimensionless |delta| up to the default table reach; the
-    profile is in SI (V/m)^2.
+    Averaging |E|^2 over the pulse orientation at fixed |delta| equals
+    averaging over the direction of delta in the canonical frame, with the
+    azimuthal average already analytic: <|E|^2> = |pref 2 pi|^2
+    (|T_y|^2 + |T_z|^2/2) averaged over cos(theta).  The grid is
+    dimensionless |delta| up to the default table reach; the profile is in
+    SI (V/m)^2.
     """
-    key = ("radial_profile", n)
-    if key not in family._cache:
-        table = family.table(0.0)
-        edge = table.support_radius * 0.995
-        grid = np.linspace(1e-4, edge, n)
-        prof = mean_intensity_radial(family, grid, table)
-        family._cache[key] = (grid, prof)
-    return family._cache[key]
+    grid, power = _memoized(("radial_profile", family.shape),
+                            lambda: _mean_transform_power(family.table(0.0)))
+    return grid, abs(family.envelope_prefactor() * 2.0 * math.pi) ** 2 * power
+
+
+def _mean_transform_power(table: EnvelopeTable) -> tuple[np.ndarray, np.ndarray]:
+    """|delta| grid, and (|T_y|^2 + |T_z|^2/2) averaged over cos(theta) on it."""
+    grid = np.linspace(1e-4, table.support_radius * 0.995, 3000)
+    grid.flags.writeable = False                      # shared via the memo
+    cg, cw = leggauss(200)
+    st = np.sqrt(1.0 - cg**2)
+    power = np.empty(len(grid))
+    for i, dl in enumerate(grid):
+        ty, tz = table.lookup(dl * st, dl * cg)
+        power[i] = 0.5 * float(np.sum(cw * (np.abs(ty) ** 2 + 0.5 * np.abs(tz) ** 2)))
+    return grid, power
 
 
 def pulse_extent(family: PulseFamily, fraction: float = 0.99,
@@ -609,11 +604,28 @@ def pulse_extent(family: PulseFamily, fraction: float = 0.99,
     return float(np.interp(target, cum, grid)) * ctx.length_scale
 
 
-def peak_intensity(family: PulseFamily) -> float:
-    """|E(r0, 0)|^2, SI (V/m)^2 (thermal kind)."""
-    table = family.table(0.0)
-    ty, _ = table.lookup(np.array([0.0]), np.array([0.0]))
-    return abs(family.envelope_prefactor() * 2.0 * math.pi * ty[0]) ** 2
+def tail_coefficient(family: PulseFamily) -> float:
+    """c3 with |T_y| + |T_z| ~ c3 / |Delta|^3 beyond the default table.
+
+    The momentum kernel is direction-dependent but finite at k -> 0, which
+    makes the position-space transforms fall off as 1/|Delta|^3; c3 is the
+    largest |Delta|^3 (|T_y| + |T_z|) over direct quadrature on a far ring
+    (thermal kind).
+    """
+    if family.kind != "thermal":
+        raise NotImplementedError("tail coefficient implemented for the thermal kind")
+    return _memoized(("tail_c3", family.shape), lambda: _calibrate_tail(family))
+
+
+def _calibrate_tail(family: PulseFamily) -> float:
+    c3 = 0.0
+    for d in (18.0, 25.0, 32.0):
+        for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+            zz = d * frac
+            pp = math.sqrt(max(d * d - zz * zz, 0.0))
+            ty, tz = transforms_direct(family, pp, zz, nx=1200, nmu=3000)
+            c3 = max(c3, (abs(ty) + abs(tz)) * d**3)
+    return c3
 
 
 def mu_integral(family: PulseFamily, m_hat, psi: float, r: np.ndarray,
@@ -648,12 +660,9 @@ def mu_integral(family: PulseFamily, m_hat, psi: float, r: np.ndarray,
     (gx, wx), (gy, wy), (gz, wz) = axes
     DX, DY, DZ = np.meshgrid(gx, gy, gz, indexing="ij")
     delta = np.stack([DX.ravel(), DY.ravel(), DZ.ravel()], axis=1)
-    P, Phi, Z = _canonical_coords(params, delta)
-    ty, tz = table.lookup(P, Z)
-    pref = family.envelope_prefactor() * 2.0 * math.pi
-    e2 = np.cross(params.m_hat, params.n_hat)
-    comp = (pref * ty)[:, None] * e2[None, :] \
-        - 1j * (pref * np.sin(Phi) * tz)[:, None] * params.m_hat[None, :]
+    comp = envelope_batch(family, np.broadcast_to(params.m_hat, delta.shape),
+                          np.broadcast_to(params.n_hat, delta.shape),
+                          delta * ctx.length_scale)
     w3 = (wx[:, None, None] * wy[None, :, None] * wz[None, None, :]).ravel()
     out = np.einsum("p,pi->i", w3, np.abs(comp) ** 2)
     return out * ctx.length_scale**3

@@ -139,7 +139,7 @@ def g2_equal_time(ctx: PhysicalContext, R: float,
     below the asymptote (thermal bunching) and equals twice the asymptote
     at R = 0.
     """
-    if R < 0.0:
+    if not R >= 0.0:
         raise ValueError(f"separation must be nonnegative, got {R}")
     if orientation not in ("parallel", "perpendicular"):
         raise ValueError(f"unknown orientation {orientation!r}")

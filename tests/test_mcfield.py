@@ -49,6 +49,21 @@ def test_estimators_reject_tiny_samples(ctx, thermal_family, matched_weights):
                         seed=1)
 
 
+def test_g2_rejects_inputs_it_cannot_estimate(ctx, thermal_family,
+                                              matched_weights):
+    om = _cube(ctx, 40.0)
+    with pytest.raises(ValueError, match="n_strata"):
+        estimate_g2_mix(thermal_family, matched_weights, om, 0.0, 100,
+                        seed=1, n_strata=200)
+    with pytest.raises(ValueError):
+        estimate_g2_mix(thermal_family, matched_weights, om, float("nan"),
+                        1000, seed=1)
+    gauss = pulsekit.make_gaussian_family(ctx, 0.04 / ctx.length_scale)
+    with pytest.raises(ValueError, match="thermal"):
+        estimate_g2_mix(gauss, make_unit_trace_weights(om), om, 0.0, 1000,
+                        seed=1)
+
+
 def test_amplitude_consistency_enforced(ctx, thermal_family):
     w = make_matched_improper_weights(ctx, alpha_sq=4.0)
     with pytest.raises(ValueError):

@@ -156,6 +156,30 @@ def test_gaussian_route_simulation(ctx, nnls_fits):
     assert rep.residual < 1e-3
 
 
+def test_angular_trace_frozen(ctx):
+    """The closed-form Psi/phi average reproduces the former triple
+    quadrature over mu, phi and Psi."""
+    for kind, param, frozen in (("exp", 20.0, 0.9629032793810555),
+                                ("power", 40.0, 0.9515736171906727)):
+        fam = pulsekit.make_thermal_family(ctx, upsilon_kind=kind,
+                                           upsilon_param=param)
+        assert math.isclose(mixturekit._angular_trace(fam), frozen,
+                            rel_tol=1e-14), kind
+
+
+def test_g1_improper_array_matches_scalar(ctx, thermal_family,
+                                          matched_weights, nnls_fits):
+    taus = np.linspace(-3e-15, 10e-15, 4)
+    gauss = pulsekit.make_gaussian_family(ctx, 1.0 / (C_LIGHT * 100e-15))
+    for fam, w in ((thermal_family, matched_weights),
+                   (gauss, gaussian_weights_to_spec(ctx, nnls_fits[100e-15]))):
+        arr = g1_improper(fam, w, taus)
+        assert arr.shape == taus.shape
+        np.testing.assert_array_equal(
+            arr, [g1_improper(fam, w, float(t)) for t in taus])
+        assert isinstance(g1_improper(fam, w, 0.0), complex)
+
+
 def test_g1_improper_requires_improper_kind(thermal_family):
     with pytest.raises(ValueError):
         g1_improper(thermal_family, make_unit_trace_weights(1e-18), 0.0)

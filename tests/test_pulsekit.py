@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from thermolight import pulsekit
+from thermolight.units import make_context
 from thermolight.pulsekit import (PulseParams, make_pulse_params,
                                   make_gaussian_family, field_envelope,
                                   envelope_batch, transforms_direct,
@@ -33,6 +34,27 @@ def test_table_matches_direct_quadrature(thermal_family):
         ty_d, tz_d = transforms_direct(thermal_family, P, Z, 0.0)
         err = max(abs(ty_t[0] - ty_d), abs(tz_t[0] - tz_d)) / peak
         assert err < 5e-4, (P, Z, err)
+
+
+def test_table_build_independent_of_temperature_and_amplitude():
+    """The build sees only dimensionless inputs, which is what lets families
+    at any T and alpha share one table."""
+    hot = pulsekit.make_thermal_family(make_context(5777.0))
+    cold = pulsekit.make_thermal_family(make_context(3000.0), alpha=2.0)
+    a = pulsekit._build_table(hot, 0.0, 2.0, None)
+    b = pulsekit._build_table(cold, 0.0, 2.0, None)
+    np.testing.assert_array_equal(a.Ty, b.Ty)
+    np.testing.assert_array_equal(a.Tz, b.Tz)
+
+
+def test_tables_shared_across_temperature_and_amplitude(thermal_family):
+    cold = pulsekit.make_thermal_family(make_context(3000.0), alpha=2.0)
+    assert cold.table(0.0) is thermal_family.table(0.0)
+    assert pulsekit.tail_coefficient(cold) \
+        == pulsekit.tail_coefficient(thermal_family)
+    other = pulsekit.make_thermal_family(make_context(3000.0),
+                                         upsilon_kind="power")
+    assert other.table(0.0, reach=2.0) is not cold.table(0.0, reach=2.0)
 
 
 def test_table_zero_outside_reach(thermal_family):
@@ -264,11 +286,14 @@ def test_gaussian_table_against_direct(ctx):
                                k0=k0)
     peak = np.linalg.norm(field_envelope(fam, params,
                                          np.array([0, 0, 1e-3]) * ls).value)
-    for d_units in ([0.0, 0.0, 0.5], [1.0, 0.0, 1.0], [0.0, 2.0, 3.0]):
-        d = np.array(d_units) * ls
+    ds = np.array([[0.0, 0.0, 0.5], [1.0, 0.0, 1.0], [0.0, 2.0, 3.0]]) * ls
+    batch = envelope_batch(fam, np.tile(params.m_hat, (3, 1)),
+                           np.tile(params.n_hat, (3, 1)), ds, k0=k0)
+    for d, b in zip(ds, batch):
         tabled = field_envelope(fam, params, d).value
         direct = field_envelope(fam, params, d, direct=True).value
         assert np.linalg.norm(tabled - direct) / peak < 5e-3
+        np.testing.assert_allclose(b, tabled, rtol=0, atol=1e-12 * peak)
 
 
 def test_gaussian_sigma_must_be_positive(ctx):

@@ -79,6 +79,11 @@ def test_g2_curve_matches_pointwise(ctx):
         assert math.isclose(ratio, g2.value / g2.asymptote, rel_tol=1e-12)
 
 
+def test_nan_separation_rejected(ctx):
+    with pytest.raises(ValueError):
+        thermal.g2_equal_time(ctx, float("nan"))
+
+
 def test_invalid_orientation_rejected(ctx):
     with pytest.raises(ValueError):
         thermal.g2_equal_time(ctx, 1e-7, "diagonal")
