@@ -26,12 +26,15 @@ with (P, Phi, Z) cylindrical coordinates of (r-r0)/(beta hbar c), giving
     E = pref * 2 pi * [ T_y * (m_hat x n_hat) - i sin(Phi) T_z * m_hat ].
 
 Envelope evaluation is needed at millions of points by the Monte Carlo
-estimators, so T_y and T_z are precomputed on a (P, Z) grid: substituting
-a = x st, b = x mu turns the mu-oscillation into a plain Fourier transform
-over b (done by FFT) and the P-dependence into Hankel transforms over a
-(done by dense Bessel matrices).  The table builder was validated against
-direct 2D Gauss-Legendre quadrature and against an importance-sampled 3D
-Monte Carlo evaluation of the unreduced integral.
+estimators, so T_y and T_z are precomputed on a uniform (P, Z) grid:
+substituting a = x st, b = x mu turns the mu-oscillation into a plain
+Fourier transform over b (done by FFT, a block of a-rows at a time) and the
+P-dependence into Hankel transforms over a (done by dense Bessel matrices).
+Lookups evaluate a cubic B-spline through the grid values; its coefficients
+come from the grid extended across P = 0 with the parity of each transform
+(J0 makes T_y even in P, J1 makes T_z odd).  The table builder was
+validated against direct 2D Gauss-Legendre quadrature and against an
+importance-sampled 3D Monte Carlo evaluation of the unreduced integral.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, special
-from scipy.interpolate import RegularGridInterpolator
+from scipy import integrate, ndimage, special
 
 from .specfun import ZETA3, PI4_OVER_15
 from .units import PhysicalContext
@@ -55,10 +57,18 @@ _SIXTEEN_PI3 = 16.0 * math.pi**3
 # family's dimensionless shape and the call's dimensionless arguments: lengths
 # scale with beta hbar c and amplitudes with alpha (see units.py), and both
 # enter through the SI prefactor alone.  One memo keyed on those values serves
-# every temperature and amplitude.  A default table, splines included, holds
-# about 70 MB, so only the most recently used few entries are kept.
+# every temperature and amplitude.  A default table (534 x 2087 grid values
+# and 542 x 2087 B-spline coefficients for each of T_y, T_z) retains 68.6 MB,
+# measured with tracemalloc, so only the most recently used few are kept.
 _MEMO_SIZE = 8
 _memo: OrderedDict = OrderedDict()
+
+# Table layout: the FFT over b runs on _ROW_BLOCK rows of a at a time, and the
+# B-spline prefilter sees the grid extended across P = 0 by _PAD rows, so its
+# mirror boundary lies _PAD rows below P = 0 and its effect there has decayed
+# by 0.268 per row (below 1e-7 of the peak).
+_ROW_BLOCK = 64
+_PAD = 8
 
 
 def _memoized(key: tuple, build: Callable[[], object]):
@@ -138,15 +148,21 @@ class FieldEnvelope:
 
 @dataclass(frozen=True)
 class EnvelopeTable:
-    """Interpolation table of the canonical-frame transforms T_y, T_z."""
+    """The canonical-frame transforms T_y, T_z on a uniform (P, Z) grid.
+
+    lookup evaluates the cubic B-spline through the grid values.  Its
+    coefficients coef_y, coef_z are prefiltered over the grid extended across
+    P = 0 by _PAD rows, evenly for T_y and oddly for T_z, so they start at
+    P = -_PAD dP.
+    """
 
     P_grid: np.ndarray
     Z_grid: np.ndarray
     Ty: np.ndarray
     Tz: np.ndarray
     u_delay: float
-    interp_y: RegularGridInterpolator = field(repr=False, compare=False, default=None)
-    interp_z: RegularGridInterpolator = field(repr=False, compare=False, default=None)
+    coef_y: np.ndarray = field(repr=False, compare=False)
+    coef_z: np.ndarray = field(repr=False, compare=False)
 
     @property
     def support_radius(self) -> float:
@@ -158,13 +174,18 @@ class EnvelopeTable:
         """T_y, T_z at arrays of cylindrical coordinates; zero outside range."""
         P = np.asarray(P, float)
         Z = np.asarray(Z, float)
-        ok = (P <= self.P_grid[-1]) & (Z >= self.Z_grid[0]) & (Z <= self.Z_grid[-1])
+        Pg, Zg = self.P_grid, self.Z_grid
+        ok = (P >= 0.0) & (P <= Pg[-1]) & (Z >= Zg[0]) & (Z <= Zg[-1])
         ty = np.zeros(P.shape, complex)
         tz = np.zeros(P.shape, complex)
         if np.any(ok):
-            pts = np.stack([P[ok], Z[ok]], axis=-1)
-            ty[ok] = self.interp_y(pts)
-            tz[ok] = self.interp_z(pts)
+            dP = Pg[1] - Pg[0]
+            dZ = (Zg[-1] - Zg[0]) / (len(Zg) - 1)
+            at = np.stack([P[ok] / dP + _PAD, (Z[ok] - Zg[0]) / dZ])
+            ty[ok] = ndimage.map_coordinates(self.coef_y, at, order=3,
+                                             mode="mirror", prefilter=False)
+            tz[ok] = ndimage.map_coordinates(self.coef_z, at, order=3,
+                                             mode="mirror", prefilter=False)
         return ty, tz
 
 
@@ -360,51 +381,53 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float,
 
     a = np.arange(0.0, amax + da / 2, da)
     b = np.arange(bmin, bmax + db / 2, db)
-    A, B = np.meshgrid(a, b, indexing="ij")
-    W = _table_weight_ab(family, A, B, k0)
-    if u_delay != 0.0:
-        W = W * np.exp(-1j * np.hypot(A, B) * u_delay)
-    X = np.hypot(A, B)
-    MU = np.divide(B, X, out=np.zeros_like(B), where=X > 0)
-    ST = np.divide(A, X, out=np.zeros_like(A), where=X > 0)
-
-    hy = W * MU
-    hz = W * ST
+    wa = np.full_like(a, da)
+    wa[0] *= 0.5
+    wa[-1] *= 0.5
 
     nfft = 16384
     while math.pi / db < 1.05 * reach * (16384.0 / nfft):
         nfft *= 2  # never triggers for the default grids; safety for big reach
-    # e^{+i b Z} convention: ifft * nfft
-    Hy = np.fft.ifft(hy, n=nfft, axis=1) * nfft
-    Hz = np.fft.ifft(hz, n=nfft, axis=1) * nfft
     Zk = 2.0 * math.pi * np.fft.fftfreq(nfft, d=db)
-    keep = np.abs(Zk) <= reach
-    Zg = Zk[keep]
-    phase = np.exp(1j * b[0] * Zg) * db
-    Hy = Hy[:, keep] * phase[None, :]
-    Hz = Hz[:, keep] * phase[None, :]
-    order = np.argsort(Zg)
-    Zg = Zg[order]
-    Hy = Hy[:, order]
-    Hz = Hz[:, order]
+    cols = np.flatnonzero(np.abs(Zk) <= reach)
+    cols = cols[np.argsort(Zk[cols])]
+    Zg = Zk[cols]
+    phase = np.exp(1j * b[0] * Zg) * db               # shift to start at b[0]
 
-    wa = np.full_like(a, da)
-    wa[0] *= 0.5
-    wa[-1] *= 0.5
     dP = 0.03
     Pg = np.arange(0.0, reach + dP / 2, dP)
-    J0m = special.j0(np.outer(Pg, a)) * wa[None, :]
-    J1m = special.j1(np.outer(Pg, a)) * wa[None, :]
-    Ty = J0m @ Hy
-    Tz = J1m @ Hz
+    Ty = np.zeros((len(Pg), len(Zg)), complex)
+    Tz = np.zeros_like(Ty)
+    for lo in range(0, len(a), _ROW_BLOCK):
+        ab = a[lo:lo + _ROW_BLOCK]
+        A, B = np.meshgrid(ab, b, indexing="ij")
+        W = _table_weight_ab(family, A, B, k0)
+        X = np.hypot(A, B)
+        if u_delay != 0.0:
+            W = W * np.exp(-1j * X * u_delay)
+        MU = np.divide(B, X, out=np.zeros_like(B), where=X > 0)
+        ST = np.divide(A, X, out=np.zeros_like(A), where=X > 0)
+        # e^{+i b Z} convention: ifft * nfft, kept at |Z| <= reach
+        Hy = np.fft.ifft(W * MU, n=nfft, axis=1, norm="forward").take(cols, axis=1) * phase
+        Hz = np.fft.ifft(W * ST, n=nfft, axis=1, norm="forward").take(cols, axis=1) * phase
+        Pa = np.outer(Pg, ab)
+        wb = wa[lo:lo + _ROW_BLOCK]
+        # real Bessel matrix times complex H as one real GEMM on H's float view
+        Ty += ((special.j0(Pa) * wb) @ Hy.view(float)).view(complex)
+        Tz += ((special.j1(Pa) * wb) @ Hz.view(float)).view(complex)
 
-    Ty.flags.writeable = Tz.flags.writeable = False    # shared via the memo
-    iy = RegularGridInterpolator((Pg, Zg), Ty, method="cubic",
-                                 bounds_error=False, fill_value=0.0)
-    iz = RegularGridInterpolator((Pg, Zg), Tz, method="cubic",
-                                 bounds_error=False, fill_value=0.0)
-    return EnvelopeTable(P_grid=Pg, Z_grid=Zg, Ty=Ty, Tz=Tz, u_delay=u_delay,
-                         interp_y=iy, interp_z=iz)
+    table = EnvelopeTable(P_grid=Pg, Z_grid=Zg, Ty=Ty, Tz=Tz, u_delay=u_delay,
+                          coef_y=_prefilter(Ty, 1.0), coef_z=_prefilter(Tz, -1.0))
+    for arr in (Ty, Tz, table.coef_y, table.coef_z):
+        arr.flags.writeable = False                   # shared via the memo
+    return table
+
+
+def _prefilter(T: np.ndarray, parity: float) -> np.ndarray:
+    """Cubic B-spline coefficients of T (rows P >= 0) extended across P = 0
+    by _PAD rows of the given parity (+1 even, -1 odd)."""
+    ext = np.concatenate([parity * T[_PAD:0:-1], T])
+    return ndimage.spline_filter(ext, order=3, output=complex, mode="mirror")
 
 
 def transforms_direct(family: PulseFamily, P: float, Z: float,
@@ -567,11 +590,8 @@ def _mean_transform_power(table: EnvelopeTable) -> tuple[np.ndarray, np.ndarray]
     grid.flags.writeable = False                      # shared via the memo
     cg, cw = leggauss(200)
     st = np.sqrt(1.0 - cg**2)
-    power = np.empty(len(grid))
-    for i, dl in enumerate(grid):
-        ty, tz = table.lookup(dl * st, dl * cg)
-        power[i] = 0.5 * float(np.sum(cw * (np.abs(ty) ** 2 + 0.5 * np.abs(tz) ** 2)))
-    return grid, power
+    ty, tz = table.lookup(np.outer(grid, st), np.outer(grid, cg))
+    return grid, 0.5 * ((np.abs(ty) ** 2 + 0.5 * np.abs(tz) ** 2) @ cw)
 
 
 def pulse_extent(family: PulseFamily, fraction: float = 0.99,

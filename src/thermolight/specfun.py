@@ -67,6 +67,11 @@ def bose_moment(n: int, u: float, m_explicit: int = 64) -> complex:
         The integral, accurate to ~1e-14 relative (validated against the
         quadrature oracle and a high-precision Hurwitz-zeta reference).
 
+    Raises
+    ------
+    ValueError
+        If n < 1, m_explicit < 8, or u is NaN or infinite.
+
     Notes
     -----
     bose_moment(n, -u) = conj(bose_moment(n, u)) holds exactly because the
@@ -76,6 +81,8 @@ def bose_moment(n: int, u: float, m_explicit: int = 64) -> complex:
         raise ValueError(f"order n must be >= 1, got {n}")
     if m_explicit < 8:
         raise ValueError("need at least 8 explicit terms for the tail expansion")
+    if not math.isfinite(u):
+        raise ValueError(f"delay u must be finite, got {u}")
     if u < 0.0:
         return np.conj(bose_moment(n, -u, m_explicit))
     m_explicit = max(m_explicit, int(2.0 * u) + 1)

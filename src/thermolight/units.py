@@ -10,6 +10,7 @@ coincidences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # CODATA-2018.  hbar, c and k_B are exact by SI definition; epsilon_0 is the
@@ -51,10 +52,11 @@ def make_context(temperature_K: float) -> PhysicalContext:
     Raises
     ------
     ValueError
-        If the temperature is not strictly positive.
+        If the temperature is not strictly positive and finite (T = inf
+        would give beta = 0 and zero length and time scales).
     """
-    if not temperature_K > 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature_K}")
+    if not 0.0 < temperature_K < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature_K}")
     beta = 1.0 / (K_BOLTZMANN * temperature_K)
     return PhysicalContext(temperature_K=float(temperature_K), beta=beta)
 

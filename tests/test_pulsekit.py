@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,49 @@ def test_delayed_table_matches_direct(thermal_family):
         ty_t, tz_t = tab.lookup(np.array([P]), np.array([Z]))
         ty_d, tz_d = transforms_direct(thermal_family, P, Z, u)
         assert max(abs(ty_t[0] - ty_d), abs(tz_t[0] - tz_d)) / peak < 5e-4
+
+
+def _table_error(family, points):
+    """Largest |table - direct| over (P, Z) points, relative to the peak."""
+    peak = abs(transforms_direct(family, 0.0, 0.0, 0.0)[0])
+    P, Z = np.array(points, float).T
+    ty, tz = family.table(0.0).lookup(P, Z)
+    worst = 0.0
+    for i, (p, z) in enumerate(points):
+        ty_d, tz_d = transforms_direct(family, p, z, 0.0)
+        worst = max(worst, abs(ty[i] - ty_d), abs(tz[i] - tz_d))
+    return worst / peak
+
+
+def test_table_near_axis_matches_direct(thermal_family):
+    """T_z is odd in P and T_y even; a spline that treats both alike misses
+    T_z next to the axis by more than this bound."""
+    pts = [(P, Z) for P in (0.0, 0.005, 0.01, 0.02, 0.05, 0.1)
+           for Z in (-3.0, 0.0, 0.5, 2.0)]
+    assert _table_error(thermal_family, pts) < 2e-4
+
+
+def test_table_edges_match_direct(thermal_family):
+    pts = [(15.9, 0.0), (0.5, 15.9), (0.5, -15.9), (11.2, 11.2), (11.2, -11.2)]
+    assert _table_error(thermal_family, pts) < 2e-4
+
+
+def test_table_tz_linear_off_axis_nodes(thermal_family):
+    """T_z is odd in P, so between the axis and the first grid row it rises
+    linearly; an even extension across P = 0 flattens it there."""
+    tab = thermal_family.table(0.0)
+    dP = tab.P_grid[1] - tab.P_grid[0]
+    Z = np.array([-3.0, -0.4, 0.3, 0.5, 2.0])
+    _, tz_half = tab.lookup(np.full_like(Z, dP / 2), Z)
+    _, tz_node = tab.lookup(np.full_like(Z, dP), Z)
+    assert np.allclose(tz_half / tz_node, 0.5, rtol=1e-2)
+
+
+def test_table_build_emits_no_warning(thermal_family):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in (0.0, 0.7):              # real and complex weights
+            pulsekit._build_table(thermal_family, u, 2.0, None)
 
 
 # ---------------------------------------------------------------------------

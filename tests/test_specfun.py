@@ -48,6 +48,12 @@ def test_order_zero_rejected():
         specfun.bose_moment(0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_delay_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        specfun.bose_moment(3, bad)
+
+
 @given(n=st.integers(min_value=1, max_value=5),
        u=st.floats(min_value=-40.0, max_value=40.0,
                    allow_nan=False, allow_infinity=False))

@@ -84,6 +84,11 @@ def test_nan_separation_rejected(ctx):
         thermal.g2_equal_time(ctx, float("nan"))
 
 
+def test_nan_delay_rejected(ctx):
+    with pytest.raises(ValueError, match="finite"):
+        thermal.g1_temporal(ctx, float("nan"))
+
+
 def test_invalid_orientation_rejected(ctx):
     with pytest.raises(ValueError):
         thermal.g2_equal_time(ctx, 1e-7, "diagonal")

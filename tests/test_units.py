@@ -38,7 +38,7 @@ def test_length_scale_inverse_in_temperature():
     assert math.isclose(a.length_scale, 2.0 * b.length_scale, rel_tol=1e-14)
 
 
-@pytest.mark.parametrize("bad", [0.0, -5.0, np.nan])
+@pytest.mark.parametrize("bad", [0.0, -5.0, np.nan, np.inf])
 def test_invalid_temperature_rejected(bad):
     with pytest.raises(ValueError):
         make_context(bad)
