@@ -14,17 +14,38 @@ positive sum of B coefficients.  The averages are realized here as exact
 finite grids (phases wrap exactly on the lattice), so the cancellation is
 exact rather than statistical; a free-phase Monte Carlo ensemble shows the
 complementary 1/sqrt(N) decay toward a fully diagonal matrix.
+
+A mixture is built from amplitude matrices.  The gammas of its N pulses
+stack into an N x M array, and the Fock amplitudes of all product coherent
+states follow at once in log space,
+
+    log <n|psi> = sum_j [n_j log gamma_j - log(n_j!) / 2 - |gamma_j|^2 / 2],
+
+one exponential per amplitude.  rho = Psi^T diag(p) Psi* then accumulates
+as one GEMM per block of _ROW_BLOCK pulses, so no N x dim matrix is ever
+held.  b_coefficient_sum takes the moduli of the same logs.  Ensembles draw
+their phases as arrays, and every pulse, from an ensemble, a mixture or
+DiscretePulse.validate, passes the same array check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import gammaln
 
 from .units import PhysicalContext
+
+# A mixture accumulates rho over _ROW_BLOCK pulses at a time, each block a
+# _ROW_BLOCK x dim amplitude matrix; entries below _DROP_TOL times the
+# largest are not stored.  Spectra must be normalized, and linear phase laws
+# hold, to _PULSE_TOL.
+_ROW_BLOCK = 256
+_DROP_TOL = 1e-16
+_PULSE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,6 +86,11 @@ class ModeSet:
         return list(itertools.product(range(self.cutoff + 1),
                                       repeat=self.n_modes))
 
+    def fock_array(self) -> np.ndarray:
+        """fock_tuples() as a dimension x n_modes integer array."""
+        shape = (self.cutoff + 1,) * self.n_modes
+        return np.indices(shape).reshape(self.n_modes, -1).T
+
 
 @dataclass(frozen=True)
 class DiscretePulse:
@@ -79,24 +105,79 @@ class DiscretePulse:
     phase_law: object = "free"
 
     def validate(self, modes: ModeSet) -> None:
-        F = np.asarray(self.spectrum_F, complex)
-        if len(F) != modes.n_modes:
-            raise ValueError("spectrum length must match the mode count")
-        if abs(float(np.sum(np.abs(F) ** 2)) - 1.0) > 1e-12:
-            raise ValueError("spectrum must be normalized to 1")
-        if self.phase_law != "free":
-            tag, a, b = self.phase_law
-            if tag != "linear":
-                raise ValueError(f"unknown phase law {tag!r}")
-            gam = self.amplitude_alpha * F
-            expect = a + modes.k_vectors @ np.asarray(b, float)
-            nz = np.abs(gam) > 0
-            mism = np.angle(gam[nz] * np.exp(-1j * expect[nz]))
-            if np.max(np.abs(mism), initial=0.0) > 1e-12:
-                raise ValueError("phases do not follow the declared linear law")
+        _pulse_gammas(modes, [self])
 
     def gammas(self) -> np.ndarray:
         return self.amplitude_alpha * np.asarray(self.spectrum_F, complex)
+
+
+def _check_pulses(modes: ModeSet, alpha: np.ndarray, F: np.ndarray,
+                  law: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    """Raise ValueError unless every row (alpha_s, F_s) is a pulse on modes.
+
+    alpha holds N amplitudes and F the N x M spectra.  With law = (a, b),
+    a of length N and b of shape N x 3, row s must also satisfy
+    arg(alpha_s F_sj) = a_s + b_s . k_j wherever F_sj != 0.
+    """
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("pulse amplitudes must be finite")
+    norm = np.sum(np.abs(F) ** 2, axis=1)
+    if not np.all(np.abs(norm - 1.0) <= _PULSE_TOL):
+        raise ValueError("spectrum must be normalized to 1")
+    if law is not None:
+        a, b = law
+        gam = alpha[:, None] * F
+        expect = a[:, None] + b @ modes.k_vectors.T
+        mism = np.angle(gam * np.exp(-1j * expect))[np.abs(gam) > 0]
+        if not np.all(np.abs(mism) <= _PULSE_TOL):
+            raise ValueError("phases do not follow the declared linear law")
+
+
+def _pulse_gammas(modes: ModeSet, pulses: list[DiscretePulse]) -> np.ndarray:
+    """N x M mode amplitudes alpha F of the pulses, checked in one pass."""
+    if any(len(p.spectrum_F) != modes.n_modes for p in pulses):
+        raise ValueError("spectrum length must match the mode count")
+    alpha = np.array([p.amplitude_alpha for p in pulses], complex)
+    F = np.array([p.spectrum_F for p in pulses], complex)
+    F = F.reshape(len(pulses), modes.n_modes)
+    _check_pulses(modes, alpha, F)
+    linear = [i for i, p in enumerate(pulses) if p.phase_law != "free"]
+    for i in linear:
+        law = pulses[i].phase_law
+        if not (isinstance(law, tuple) and len(law) == 3
+                and law[0] == "linear"):
+            raise ValueError(f"unknown phase law {law!r}")
+    if linear:
+        a = np.array([pulses[i].phase_law[1] for i in linear], float)
+        b = np.array([pulses[i].phase_law[2] for i in linear], float)
+        _check_pulses(modes, alpha[linear], F[linear], (a, b.reshape(-1, 3)))
+    return alpha[:, None] * F
+
+
+def _mixture_arrays(modes: ModeSet, pulses: list[tuple[DiscretePulse, float]]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Checked N x M mode amplitudes and N probabilities of a mixture."""
+    probs = np.array([p for _, p in pulses], float)
+    if not (np.all(probs >= 0.0) and abs(float(probs.sum()) - 1.0) <= 1e-12):
+        raise ValueError("pulse probabilities must be finite, nonnegative "
+                         "and sum to 1")
+    return _pulse_gammas(modes, [pulse for pulse, _ in pulses]), probs
+
+
+def _log_amplitudes(gammas: np.ndarray, fock: np.ndarray) -> np.ndarray:
+    """N x K logs of <n|psi_s>: psi_s the product coherent state of row s of
+    gammas (N x M), n row k of fock (K x M).
+
+    The real part is -inf where some gamma_j = 0 < n_j, so that exp gives an
+    exact 0 there.
+    """
+    mag = np.abs(gammas)[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_log = np.where(fock > 0, fock * np.log(mag), 0.0)
+    re = (n_log.sum(axis=2) - 0.5 * gammaln(fock + 1.0).sum(axis=1)
+          - 0.5 * (mag**2).sum(axis=2))
+    im = (fock * np.angle(gammas)[:, None, :]).sum(axis=2)
+    return re + 1j * im
 
 
 @dataclass(frozen=True)
@@ -110,9 +191,15 @@ class DenseDensityMatrix:
     def element(self, n: tuple[int, ...], m: tuple[int, ...]) -> complex:
         return self.elements.get((tuple(n), tuple(m)), 0.0 + 0.0j)
 
+    def diagonal(self) -> np.ndarray:
+        """Real parts of rho_nn in modes.fock_tuples() order."""
+        get = self.elements.get
+        return np.fromiter((get((n, n), 0.0).real
+                            for n in self.modes.fock_tuples()),
+                           float, count=self.modes.dimension)
+
     def trace(self) -> float:
-        return float(sum(self.elements.get((n, n), 0.0).real
-                         for n in self.modes.fock_tuples()))
+        return float(self.diagonal().sum())
 
     def dense(self) -> np.ndarray:
         tuples = self.modes.fock_tuples()
@@ -123,32 +210,14 @@ class DenseDensityMatrix:
         return out
 
 
-def _coherent_vector(gammas: np.ndarray, cutoff: int) -> np.ndarray:
-    """Fock amplitudes of the product coherent state, log-space factorials."""
-    ns = np.arange(cutoff + 1)
-    lg = [math.lgamma(k + 1) for k in ns]
-    per_mode = []
-    for g in gammas:
-        if abs(g) == 0.0:
-            v = np.zeros(cutoff + 1, complex)
-            v[0] = 1.0
-        else:
-            v = np.exp(ns * np.log(abs(g)) - 0.5 * np.array(lg)) \
-                * np.exp(1j * ns * np.angle(g))
-        per_mode.append(v)
-    psi = per_mode[0]
-    for v in per_mode[1:]:
-        psi = np.kron(psi, v)
-    return psi * math.exp(-0.5 * float(np.sum(np.abs(gammas) ** 2)))
-
-
 def build_rho_mixture(modes: ModeSet,
-                      pulses: list[tuple[DiscretePulse, float]],
-                      drop_tol: float = 1e-16) -> DenseDensityMatrix:
+                      pulses: list[tuple[DiscretePulse, float]]
+                      ) -> DenseDensityMatrix:
     """Density matrix of a probabilistic mixture of coherent pulses.
 
-    Each pulse contributes prob * |psi><psi| with psi the product coherent
-    vector; entries below drop_tol * max are not stored.  The probabilities
+    rho = Psi^T diag(p) Psi*, where row s of Psi holds the Fock amplitudes
+    of pulse s; it accumulates over blocks of _ROW_BLOCK pulses.  Entries
+    below _DROP_TOL times the largest are not stored.  The probabilities
     must be nonnegative and sum to 1.
     """
     dim = modes.dimension
@@ -156,21 +225,17 @@ def build_rho_mixture(modes: ModeSet,
         raise ValueError("Hilbert dimension exceeds 10^6; reduce cutoff or modes")
     if dim > 4096:
         raise ValueError("dense accumulation capped at dimension 4096")
-    probs = np.array([p for _, p in pulses], float)
-    if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-12:
-        raise ValueError("pulse probabilities must be nonnegative and sum to 1")
+    gammas, probs = _mixture_arrays(modes, pulses)
+    fock = modes.fock_array()
     acc = np.zeros((dim, dim), complex)
-    for pulse, prob in pulses:
-        pulse.validate(modes)
-        psi = _coherent_vector(pulse.gammas(), modes.cutoff)
-        acc += prob * np.outer(psi, np.conj(psi))
+    for lo in range(0, len(probs), _ROW_BLOCK):
+        psi = np.exp(_log_amplitudes(gammas[lo:lo + _ROW_BLOCK], fock))
+        acc += (psi * probs[lo:lo + _ROW_BLOCK, None]).T @ psi.conj()
+    mag = np.abs(acc)
+    rows, cols = np.nonzero(mag > _DROP_TOL * float(mag.max()))
     tuples = modes.fock_tuples()
-    cut = drop_tol * float(np.max(np.abs(acc)))
-    elements = {}
-    for i, n in enumerate(tuples):
-        row = acc[i]
-        for j in np.nonzero(np.abs(row) > cut)[0]:
-            elements[(n, tuples[j])] = complex(row[j])
+    elements = {(tuples[i], tuples[j]): v for i, j, v in
+                zip(rows.tolist(), cols.tolist(), acc[rows, cols].tolist())}
     return DenseDensityMatrix(modes=modes, elements=elements)
 
 
@@ -179,27 +244,16 @@ def b_coefficient_sum(modes: ModeSet,
                       n: tuple[int, ...], m: tuple[int, ...]) -> float:
     """sum_sigma B_{nm;sigma}: the positive magnitude part of rho_nm.
 
-    B = p e^{-|alpha|^2} prod_j |gamma_j|^{n_j + m_j} / sqrt(n_j! m_j!),
-    accumulated in log space.
+    B = p |<n|psi>| |<m|psi>| = p e^{-|alpha|^2}
+    prod_j |gamma_j|^{n_j + m_j} / sqrt(n_j! m_j!), from the same log
+    amplitudes as build_rho_mixture.
     """
-    total = 0.0
-    for pulse, prob in pulses:
-        if prob == 0.0:
-            continue
-        gam = np.abs(pulse.gammas())
-        logs = -abs(pulse.amplitude_alpha) ** 2 + math.log(prob)
-        ok = True
-        for g, nj, mj in zip(gam, n, m):
-            if g == 0.0:
-                if nj + mj > 0:
-                    ok = False
-                    break
-                continue
-            logs += (nj + mj) * math.log(g) \
-                - 0.5 * (math.lgamma(nj + 1) + math.lgamma(mj + 1))
-        if ok:
-            total += math.exp(logs)
-    return total
+    fock = np.array([n, m])
+    if fock.shape != (2, modes.n_modes) or np.any(fock < 0):
+        raise ValueError("n and m must be Fock tuples with one count per mode")
+    gammas, probs = _mixture_arrays(modes, pulses)
+    logs = _log_amplitudes(gammas, fock).real
+    return float(np.sum(probs * np.exp(logs[:, 0] + logs[:, 1])))
 
 
 def coherence_scan(rho: DenseDensityMatrix, tolerance: float
@@ -220,6 +274,7 @@ def thermal_rho_dis(modes: ModeSet, ctx: PhysicalContext,
     """
     if cutoff is None:
         cutoff = modes.cutoff
+    modes = replace(modes, cutoff=cutoff)
     kmag = np.linalg.norm(modes.k_vectors, axis=1)
     if np.any(kmag == 0.0):
         raise ValueError("zero wavevector has no occupation weight")
@@ -249,31 +304,41 @@ def thermal_rho_dis(modes: ModeSet, ctx: PhysicalContext,
 
 def mean_photon_numbers(rho: DenseDensityMatrix) -> np.ndarray:
     """Per-mode <n> of a density matrix (diagonal part only)."""
-    out = np.zeros(rho.modes.n_modes)
-    for n in rho.modes.fock_tuples():
-        w = rho.elements.get((n, n), 0.0).real
-        if w:
-            out += w * np.asarray(n, float)
-    return out
+    return rho.modes.fock_array().T @ rho.diagonal()
 
 
 # ---------------------------------------------------------------------------
 # ensembles
 
 
+def _unit_magnitudes(modes: ModeSet, magnitudes) -> np.ndarray:
+    """Per-mode spectral magnitudes scaled to unit norm."""
+    mags = np.asarray(magnitudes, float)
+    norm2 = float(np.sum(mags**2))
+    if mags.shape != (modes.n_modes,) or not 0.0 < norm2 < math.inf:
+        raise ValueError("magnitudes must be finite, one per mode and not "
+                         "all zero")
+    return mags / math.sqrt(norm2)
+
+
+def _linear_pulses(modes: ModeSet, a: np.ndarray, b: np.ndarray,
+                   mags: np.ndarray, alpha_abs: float) -> list[DiscretePulse]:
+    """Pulses s with arg(gamma_j) = a_s + b_s . k_j for a (N,), b (N x 3)."""
+    F = mags * np.exp(1j * (b @ modes.k_vectors.T))
+    alpha = alpha_abs * np.exp(1j * a)
+    _check_pulses(modes, alpha, F, (a, b))
+    return [DiscretePulse(amplitude_alpha=al, spectrum_F=tuple(f),
+                          phase_law=("linear", ai, tuple(bi)))
+            for al, f, ai, bi in zip(alpha.tolist(), F.tolist(),
+                                     a.tolist(), b.tolist())]
+
+
 def make_linear_phase_pulse(modes: ModeSet, a: float, b, magnitudes,
                             alpha_abs: float) -> DiscretePulse:
     """Pulse whose mode phases follow arg(gamma_j) = a + b . k_j exactly."""
-    mags = np.asarray(magnitudes, float)
-    mags = mags / math.sqrt(float(np.sum(mags**2)))
-    phases = modes.k_vectors @ np.asarray(b, float)
-    F = mags * np.exp(1j * phases)
-    alpha = alpha_abs * np.exp(1j * a)
-    pulse = DiscretePulse(amplitude_alpha=complex(alpha),
-                          spectrum_F=tuple(F),
-                          phase_law=("linear", float(a), tuple(np.asarray(b, float))))
-    pulse.validate(modes)
-    return pulse
+    return _linear_pulses(modes, np.array([float(a)]),
+                          np.asarray(b, float).reshape(1, 3),
+                          _unit_magnitudes(modes, magnitudes), alpha_abs)[0]
 
 
 def linear_phase_ensemble(modes: ModeSet, magnitudes, alpha_abs: float,
@@ -285,6 +350,7 @@ def linear_phase_ensemble(modes: ModeSet, magnitudes, alpha_abs: float,
     actually used by the modes, spanning the reciprocal unit cell so that
     every b . k phase wraps exactly.  Grid sizes must exceed the largest
     possible photon-number imbalance for the modular sums to be exact.
+    Pulses run over a slowest, then b_x, b_y, b_z.
     """
     side = modes.quant_volume_V ** (1.0 / 3.0)
     used_axes = [ax for ax in range(3)
@@ -292,35 +358,30 @@ def linear_phase_ensemble(modes: ModeSet, magnitudes, alpha_abs: float,
     a_vals = 2.0 * math.pi * np.arange(n_a) / n_a
     b_axis = side * np.arange(n_b) / n_b
     b_grids = [b_axis if ax in used_axes else np.array([0.0]) for ax in range(3)]
-    pulses = []
-    n_total = n_a * int(np.prod([len(g) for g in b_grids]))
-    for a in a_vals:
-        for bx in b_grids[0]:
-            for by in b_grids[1]:
-                for bz in b_grids[2]:
-                    pulses.append((make_linear_phase_pulse(
-                        modes, float(a), (float(bx), float(by), float(bz)),
-                        magnitudes, alpha_abs), 1.0 / n_total))
-    return pulses
+    grid = np.meshgrid(a_vals, *b_grids, indexing="ij")
+    b = np.stack([g.ravel() for g in grid[1:]], axis=1)
+    pulses = _linear_pulses(modes, grid[0].ravel(), b,
+                            _unit_magnitudes(modes, magnitudes), alpha_abs)
+    return [(pulse, 1.0 / len(pulses)) for pulse in pulses]
 
 
 def free_phase_ensemble(modes: ModeSet, magnitudes, alpha_abs: float,
                         n_samples: int, seed: int
                         ) -> list[tuple[DiscretePulse, float]]:
-    """Independent uniform phases on every mode (and on alpha)."""
+    """Independent uniform phases on every mode (and on alpha).
+
+    Pulse s takes row s of the draws: its n_modes mode phases, then the
+    phase of alpha.
+    """
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    mags = np.asarray(magnitudes, float)
-    mags = mags / math.sqrt(float(np.sum(mags**2)))
-    pulses = []
-    for _ in range(n_samples):
-        th = 2.0 * math.pi * rng.random(modes.n_modes)
-        a0 = 2.0 * math.pi * rng.random()
-        pulse = DiscretePulse(
-            amplitude_alpha=complex(alpha_abs * np.exp(1j * a0)),
-            spectrum_F=tuple(mags * np.exp(1j * th)),
-            phase_law="free")
-        pulses.append((pulse, 1.0 / n_samples))
-    return pulses
+    mags = _unit_magnitudes(modes, magnitudes)
+    phases = 2.0 * math.pi * rng.random((n_samples, modes.n_modes + 1))
+    F = mags * np.exp(1j * phases[:, :-1])
+    alpha = alpha_abs * np.exp(1j * phases[:, -1])
+    _check_pulses(modes, alpha, F)
+    return [(DiscretePulse(amplitude_alpha=al, spectrum_F=tuple(f),
+                           phase_law="free"), 1.0 / n_samples)
+            for al, f in zip(alpha.tolist(), F.tolist())]
 
 
 # ---------------------------------------------------------------------------

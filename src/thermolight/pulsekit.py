@@ -366,8 +366,12 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float,
                  k0: float | None) -> EnvelopeTable:
     """FFT-Hankel construction of T_y, T_z on a (P, Z) grid.
 
-    reach sets the largest |Delta| that must be representable; accuracy was
-    tuned to a few-times-1e-5 of the peak against direct quadrature.
+    reach sets the largest |Delta| that must be representable.  Against
+    transforms_direct (converged to 1e-8 relative), the grid errs by at most
+    about 9e-5 of the peak |T_y|.  Far out that is not small relative to the
+    field itself: on the rings |Delta| = 8 and 14 (default thermal table,
+    nine angles each) T_y is 0.4-3% off at 8 and 1-10% off at 14, most along
+    the axis and at Z = 0, while T_z stays within 0.2% away from the axis.
     """
     da = db = 0.025
     amax = 40.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from thermolight.fockdis import (ModeSet, DiscretePulse, build_rho_mixture,
                                  b_coefficient_sum, coherence_scan,
                                  thermal_rho_dis, mean_photon_numbers,
                                  linear_phase_ensemble, free_phase_ensemble,
+                                 make_linear_phase_pulse,
                                  linear_phase_selection_rules,
                                  three_mode_example)
 
@@ -28,6 +30,128 @@ def _textbook_vector(gam_abs, cutoff):
         col = np.exp(ns * np.log(g) - 0.5 * lg)
         v = col if v is None else np.kron(v, col)
     return v * math.exp(-0.5 * float(np.sum(np.asarray(gam_abs) ** 2)))
+
+
+def _outer_sum_reference(modes, pulses):
+    """Reference mixture: one np.outer per pulse of Fock vectors built mode by
+    mode with np.kron."""
+    ns = np.arange(modes.cutoff + 1)
+    lg = np.array([math.lgamma(k + 1) for k in ns])
+    acc = np.zeros((modes.dimension, modes.dimension), complex)
+    for pulse, prob in pulses:
+        gam = pulse.gammas()
+        psi = None
+        for g in gam:
+            v = np.zeros(modes.cutoff + 1, complex)
+            v[0] = 1.0
+            if g != 0.0:
+                v = np.exp(ns * np.log(abs(g)) - 0.5 * lg) \
+                    * np.exp(1j * ns * np.angle(g))
+            psi = v if psi is None else np.kron(psi, v)
+        psi = psi * math.exp(-0.5 * float(np.sum(np.abs(gam) ** 2)))
+        acc += prob * np.outer(psi, np.conj(psi))
+    return acc
+
+
+def _oracle_case(name):
+    if name == "linear-grid":
+        modes = three_mode_example(cutoff=3)
+        return modes, linear_phase_ensemble(modes, (1.0, 1.0, 1.0), 1.0,
+                                            n_a=16, n_b=64)
+    if name == "free-block-edge":
+        modes = three_mode_example(cutoff=3)
+        n = 2 * fockdis._ROW_BLOCK + 37
+        return modes, free_phase_ensemble(modes, (1.0, 2.0, 0.5), 0.9, n, 4)
+    modes = ModeSet(n_int=((1, 0, 0),), lambdas=(1,), quant_volume_V=1.0,
+                    cutoff=12)
+    return modes, free_phase_ensemble(modes, (1.0,), 1.3, 300, 9)
+
+
+@pytest.mark.parametrize("name", ["linear-grid", "free-block-edge",
+                                  "single-mode"])
+def test_build_matches_outer_product_oracle(name):
+    modes, pulses = _oracle_case(name)
+    want = _outer_sum_reference(modes, pulses)
+    got = build_rho_mixture(modes, pulses).dense()
+    assert float(np.max(np.abs(got - want))) < 1e-14
+
+
+def test_b_sum_matches_exact_sum():
+    """b_coefficient_sum equals the exactly rounded sum of its terms."""
+    modes = three_mode_example(cutoff=3)
+    for pulses in (linear_phase_ensemble(modes, (1.0, 1.0, 1.0), 0.8),
+                   free_phase_ensemble(modes, (1.0, 2.0, 0.5), 0.9, 3000, 4)):
+        for n, m in [((1, 0, 1), (0, 2, 0)), ((0, 0, 0), (0, 0, 0)),
+                     ((3, 3, 3), (2, 1, 0))]:
+            terms = []
+            for pulse, prob in pulses:
+                g = np.abs(pulse.gammas())
+                log_b = sum((nj + mj) * math.log(gj)
+                            - 0.5 * (math.lgamma(nj + 1) + math.lgamma(mj + 1))
+                            for gj, nj, mj in zip(g, n, m))
+                terms.append(prob * math.exp(log_b - float(np.sum(g**2))))
+            want = math.fsum(terms)
+            got = b_coefficient_sum(modes, pulses, n, m)
+            assert abs(got - want) <= 2e-15 * want
+
+
+def test_free_phase_ensemble_draws_frozen():
+    """The array draw reproduces the recorded per-pulse Philox sequence."""
+    modes = three_mode_example(cutoff=2)
+    ens = free_phase_ensemble(modes, (1.0, 2.0, 3.0), 0.8, 5, 7)
+    recorded = {
+        0: (-0.6627706762129666 + 0.4480346311974187j,
+            (0.18547547372455792 - 0.19242510250802067j,
+             -0.15030503513452267 + 0.5129548538882303j,
+             -0.7028453640435016 + 0.38583096959640306j)),
+        4: (-0.7448508240153888 + 0.2918856796137768j,
+            (0.24746651238799375 + 0.10094006476664437j,
+             -0.5279579837696402 - 0.08351438850989694j,
+             -0.3263775940059948 - 0.7323488301267375j)),
+    }
+    for i, (alpha, spectrum) in recorded.items():
+        pulse, prob = ens[i]
+        assert pulse.amplitude_alpha == alpha
+        assert pulse.spectrum_F == spectrum
+        assert pulse.phase_law == "free" and prob == 0.2
+
+
+def _ok_pulse():
+    s = 1.0 / math.sqrt(3.0)
+    return DiscretePulse(amplitude_alpha=1.0 + 0.0j, spectrum_F=(s, s, s))
+
+
+def _build_with(pulse, prob=1.0):
+    return build_rho_mixture(three_mode_example(cutoff=2), [(pulse, prob)])
+
+
+@pytest.mark.parametrize("case", [
+    "nan-probability", "nan-spectrum", "nan-alpha", "inf-alpha",
+    "zero-magnitudes-free", "zero-magnitudes-linear",
+    "zero-magnitudes-pulse"])
+def test_invalid_fock_inputs_rejected(case):
+    """Each of these used to give an empty rho with trace 0 or NaN spectra."""
+    modes = three_mode_example(cutoff=2)
+    s = 1.0 / math.sqrt(3.0)
+    calls = {
+        "nan-probability": lambda: _build_with(_ok_pulse(), math.nan),
+        "nan-spectrum": lambda: _build_with(DiscretePulse(
+            amplitude_alpha=1.0 + 0.0j, spectrum_F=(math.nan, s, s))),
+        "nan-alpha": lambda: _build_with(DiscretePulse(
+            amplitude_alpha=complex(math.nan, 0.0), spectrum_F=(s, s, s))),
+        "inf-alpha": lambda: _build_with(DiscretePulse(
+            amplitude_alpha=complex(math.inf, 0.0), spectrum_F=(s, s, s))),
+        "zero-magnitudes-free": lambda: free_phase_ensemble(
+            modes, (0.0, 0.0, 0.0), 1.0, 8, 1),
+        "zero-magnitudes-linear": lambda: linear_phase_ensemble(
+            modes, (0.0, 0.0, 0.0), 1.0, n_a=4, n_b=8),
+        "zero-magnitudes-pulse": lambda: make_linear_phase_pulse(
+            modes, 0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            calls[case]()
 
 
 def test_single_mode_coherent_state_elements():
@@ -126,6 +250,20 @@ def test_thermal_occupations_and_diagonality(ctx):
     np.testing.assert_allclose(mean_photon_numbers(rho), exact, rtol=1e-5)
     assert coherence_scan(rho, 0.0) == []
     assert math.isclose(rho.trace(), 1.0, rel_tol=1e-12)
+
+
+def test_thermal_cutoff_override_keeps_all_tuples(ctx):
+    """A cutoff above the ModeSet's describes the whole truncated state."""
+    small = three_mode_example((2e-6) ** 3, cutoff=3)
+    rho = thermal_rho_dis(small, ctx, cutoff=14)
+    full = thermal_rho_dis(ModeSet(n_int=small.n_int, lambdas=small.lambdas,
+                                   quant_volume_V=small.quant_volume_V,
+                                   cutoff=14), ctx)
+    assert rho.modes.cutoff == 14
+    assert rho.elements == full.elements
+    assert math.isclose(rho.trace(), 1.0, rel_tol=1e-12)
+    np.testing.assert_array_equal(mean_photon_numbers(rho),
+                                  mean_photon_numbers(full))
 
 
 def test_thermal_vacuum_limit(ctx):
