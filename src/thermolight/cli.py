@@ -30,41 +30,68 @@ from . import fockdis, mcfield, mixturekit, pulsekit, svgplot, thermal
 from .specfun import AccuracyError
 from .units import make_context
 
-EXPERIMENTS = ("fig1", "simcond-thermal", "gaussian-scan", "scaling",
-               "g2-contrast", "fock-demo", "coherence-time")
-
-_DEFAULTS: dict[str, dict] = {
-    "global": {"T": 5777.0, "seed": 12345, "out": "out"},
-    "fig1": {"rmax_um": 2.0, "n_points": 200, "flat_from_um": 0.4,
-             "tol_flat": 0.01, "tol_start": 1e-6, "orientation": "parallel"},
-    "simcond-thermal": {"n_tau": 50, "tau_max_fs": 10.0, "tol": 1e-6},
-    "gaussian-scan": {"durations": "10fs,100fs,1ps,10ps",
-                      "feasible_tol": 1e-3, "infeasible_level": 0.1},
-    "scaling": {"extent_lo": 10.0, "extent_hi": 100.0, "n_omega": 7,
-                "tol_slope": 0.01, "tol_flat": 0.01},
-    "g2-contrast": {"n": 100000, "n_g1": 200000, "n_strata": 64,
-                    "r_factor": 5.0, "tol_frac": 0.01, "g1_tol": 0.05},
-    "fock-demo": {"alpha_abs": 0.8, "cutoff": 3, "n_free": 10000,
-                  "side_um": 2.0, "tol_exact": 1e-10},
-    "coherence-time": {"lo_fs": 1.0, "hi_fs": 1.6},
+# One table per experiment, plus the global one: key -> (default, help).  The
+# default's type is the setting's type, in INI files and on the command line.
+# A setting with a help string is also the flag --key (with "-" for "_");
+# the others are set from an INI file only.
+_SETTINGS: dict[str, dict[str, tuple]] = {
+    "global": {"T": (5777.0, "temperature in kelvin"),
+               "seed": (12345, "RNG seed"),
+               "out": ("out", "output directory")},
+    "fig1": {"rmax_um": (2.0, "maximum separation in micrometers"),
+             "n_points": (200, "number of separations"),
+             "flat_from_um": (0.4, None),
+             "tol_flat": (0.01, None),
+             "tol_start": (1e-6, None),
+             "orientation": ("parallel", "detector-component orientation "
+                                         "relative to R")},
+    "simcond-thermal": {"n_tau": (50, "tau-grid size"),
+                        "tau_max_fs": (10.0, "tau-grid upper end [fs]"),
+                        "tol": (1e-6, None)},
+    "gaussian-scan": {"durations": ("10fs,100fs,1ps,10ps",
+                                    "comma list like 10fs,1ps"),
+                      "feasible_tol": (1e-3, None),
+                      "infeasible_level": (0.1, None)},
+    "scaling": {"extent_lo": (10.0, None),
+                "extent_hi": (100.0, None),
+                "n_omega": (7, "number of volumes"),
+                "tol_slope": (0.01, None),
+                "tol_flat": (0.01, None)},
+    "g2-contrast": {"n": (100000, "MC samples for G2"),
+                    "n_g1": (200000, "MC samples for the G1 match"),
+                    "n_strata": (64, "strata along the detector axis"),
+                    "r_factor": (5.0, "detector separation in pulse extents"),
+                    "tol_frac": (0.01, None),
+                    "g1_tol": (0.05, None)},
+    "fock-demo": {"cutoff": (3, "photons per mode"),
+                  "alpha_abs": (0.8, "|alpha| of the pulses"),
+                  "n_free": (10000, "free-phase MC ensemble size"),
+                  "side_um": (2.0, None),
+                  "tol_exact": (1e-10, None)},
+    "coherence-time": {"lo_fs": (1.0, None),
+                       "hi_fs": (1.6, None)},
 }
 
 _DURATION_UNITS = {"fs": 1e-15, "ps": 1e-12, "ns": 1e-9, "us": 1e-6,
                    "ms": 1e-3, "s": 1.0}
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
 def _parse_duration(token: str) -> float:
+    """Seconds in a token like '10fs'; positive and finite, or ConfigError."""
     token = token.strip()
     for suffix in sorted(_DURATION_UNITS, key=len, reverse=True):
         if token.endswith(suffix):
             try:
-                return float(token[: -len(suffix)]) * _DURATION_UNITS[suffix]
+                value = float(token[: -len(suffix)]) * _DURATION_UNITS[suffix]
             except ValueError:
                 break
+            if 0.0 < value < math.inf:
+                return value
+            raise ConfigError(f"duration {token!r} must be positive and finite")
     raise ConfigError(f"cannot parse duration {token!r}")
 
 
@@ -166,7 +193,7 @@ def _base_meta(cfg: dict, extra: dict | None = None) -> dict:
 
 def run_fig1(cfg: dict, rep: Reporter) -> None:
     ctx = make_context(cfg["T"])
-    n = int(cfg["n_points"])
+    n = cfg["n_points"]
     rs = np.linspace(0.0, cfg["rmax_um"] * 1e-6, n)
     asym = thermal.g2_asymptote(ctx)
     ratios = {o: thermal.g2_curve(ctx, rs, orientation=o)
@@ -201,7 +228,7 @@ def run_fig1(cfg: dict, rep: Reporter) -> None:
 
 def run_simcond_thermal(cfg: dict, rep: Reporter) -> None:
     ctx = make_context(cfg["T"])
-    taus = np.linspace(0.0, cfg["tau_max_fs"] * 1e-15, int(cfg["n_tau"]))
+    taus = np.linspace(0.0, cfg["tau_max_fs"] * 1e-15, cfg["n_tau"])
     weights = mixturekit.make_matched_improper_weights(ctx)
     reports = {}
     for label, kind, param in (("exp", "exp", 20.0), ("power", "power", 40.0)):
@@ -236,7 +263,7 @@ def run_simcond_thermal(cfg: dict, rep: Reporter) -> None:
 def run_gaussian_scan(cfg: dict, rep: Reporter) -> None:
     ctx = make_context(cfg["T"])
     durations = sorted(_parse_duration(t)
-                       for t in str(cfg["durations"]).split(","))
+                       for t in cfg["durations"].split(","))
     rows = []
     residuals = {}
     for dur in durations:
@@ -285,7 +312,7 @@ def run_scaling(cfg: dict, rep: Reporter) -> None:
     fam = pulsekit.make_thermal_family(ctx)
     extent = pulsekit.pulse_extent(fam, 0.99)
     sides = np.geomspace(cfg["extent_lo"], cfg["extent_hi"],
-                         int(cfg["n_omega"])) * extent
+                         cfg["n_omega"]) * extent
     omegas = sides**3
     weights = mixturekit.make_unit_trace_weights(float(omegas[0]))
     curve = mixturekit.unit_trace_scaling(fam, weights, omegas)
@@ -323,7 +350,7 @@ def run_g2_contrast(cfg: dict, rep: Reporter) -> None:
 
     side_g1 = 36.0 * ctx.length_scale
     est1 = mcfield.estimate_g1_mix(fam, weights, side_g1**3, np.zeros(3),
-                                   0.0, int(cfg["n_g1"]), int(cfg["seed"]))
+                                   0.0, cfg["n_g1"], cfg["seed"])
     g1_rel = abs(est1.mean.real / g1_th - 1.0)
     rep.check("g1_matches_thermal", g1_rel, 0.0, cfg["g1_tol"],
               g1_rel <= cfg["g1_tol"], "analytic", comparison="upper")
@@ -333,8 +360,8 @@ def run_g2_contrast(cfg: dict, rep: Reporter) -> None:
     r_units = R / ctx.length_scale
     reach = r_units / 2.0 + 1.0
     side = 2.0 * (R / 2.0 + (reach + 1.0) * ctx.length_scale)
-    est2 = mcfield.estimate_g2_mix(fam, weights, side**3, R, int(cfg["n"]),
-                                   int(cfg["seed"]), n_strata=int(cfg["n_strata"]),
+    est2 = mcfield.estimate_g2_mix(fam, weights, side**3, R, cfg["n"],
+                                   cfg["seed"], n_strata=cfg["n_strata"],
                                    reach=reach)
     bias = mcfield.g2_truncation_bias_bound(fam, weights, R, reach, g1_th)
     bound = (est2.mean + 2.0 * est2.std_error + bias) / asym
@@ -353,7 +380,7 @@ def run_g2_contrast(cfg: dict, rep: Reporter) -> None:
 def run_fock_demo(cfg: dict, rep: Reporter) -> None:
     ctx = make_context(cfg["T"])
     vol = (cfg["side_um"] * 1e-6) ** 3
-    modes = fockdis.three_mode_example(vol, cutoff=int(cfg["cutoff"]))
+    modes = fockdis.three_mode_example(vol, cutoff=cfg["cutoff"])
     mags = (1.0, 1.0, 1.0)
     tol = cfg["tol_exact"]
     n_tuple, m_tuple = (1, 0, 1), (0, 2, 0)
@@ -362,8 +389,7 @@ def run_fock_demo(cfg: dict, rep: Reporter) -> None:
     rho = fockdis.build_rho_mixture(modes, linear)
     elem = rho.element(n_tuple, m_tuple)
     bsum = fockdis.b_coefficient_sum(modes, linear, n_tuple, m_tuple)
-    summary = fockdis.linear_phase_selection_rules(modes, linear,
-                                                   tolerance=1e-12)
+    summary = fockdis.linear_phase_selection_rules(modes, linear)
     rows = [["survivor_element_re", elem.real, bsum, True],
             ["survivor_element_im", elem.imag, 0.0, True],
             ["b_sum", bsum, bsum, True]]
@@ -376,10 +402,10 @@ def run_fock_demo(cfg: dict, rep: Reporter) -> None:
     rep.info("n_satisfying_elements", len(summary.satisfying))
 
     free = fockdis.free_phase_ensemble(modes, mags, cfg["alpha_abs"],
-                                       int(cfg["n_free"]), int(cfg["seed"]))
+                                       cfg["n_free"], cfg["seed"])
     rho_free = fockdis.build_rho_mixture(modes, free)
     free_elem = abs(rho_free.element(n_tuple, m_tuple))
-    mc_err = bsum / math.sqrt(int(cfg["n_free"]))
+    mc_err = bsum / math.sqrt(cfg["n_free"])
     rows.append(["free_phase_element", free_elem, 0.0,
                  free_elem < 3.0 * mc_err])
     rep.check("free_phase_suppressed", free_elem, 0.0, 3.0 * mc_err,
@@ -421,74 +447,56 @@ _RUNNERS = {
     "coherence-time": run_coherence_time,
 }
 
+EXPERIMENTS = tuple(_RUNNERS)
+
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
 
-def _coerce(value: str, template):
-    if isinstance(template, bool):
-        return value.lower() in ("1", "true", "yes")
-    if isinstance(template, int):
-        return int(value)
-    if isinstance(template, float):
-        return float(value)
-    return value
-
-
 def load_config(experiment: str, args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS["global"])
-    cfg.update(_DEFAULTS[experiment])
+    """The experiment's settings: defaults, then the INI file, then flags."""
+    sections = ("global", experiment)
+    cfg = {key: default for section in sections
+           for key, (default, _) in _SETTINGS[section].items()}
     if args.config:
         parser = configparser.ConfigParser()
-        read = parser.read(args.config)
-        if not read:
+        parser.optionxform = str                      # keys keep their case: T
+        if not parser.read(args.config):
             raise ConfigError(f"cannot read config file {args.config}")
-        for section in ("global", experiment):
+        for section in sections:
             if parser.has_section(section):
                 for key, raw in parser.items(section):
                     if key not in cfg:
                         raise ConfigError(
                             f"unknown key {key!r} in section [{section}]")
-                    cfg[key] = _coerce(raw, cfg[key])
-    overrides = {"T": args.T, "seed": args.seed, "out": args.out}
-    for key, val in vars(args).items():
-        if key in ("experiment", "config", "T", "seed", "out"):
-            continue
-        overrides[key] = val
-    for key, val in overrides.items():
-        if val is not None:
-            if key not in cfg:
-                continue
-            cfg[key] = _coerce(str(val), cfg[key]) if isinstance(val, str) \
-                else val
+                    cfg[key] = type(cfg[key])(raw)
+    for key in cfg:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            cfg[key] = flag
     _validate_config(experiment, cfg)
     return cfg
 
 
 def _validate_config(experiment: str, cfg: dict) -> None:
-    if not cfg["T"] > 0.0:
-        raise ConfigError("temperature must be positive")
-    if int(cfg["seed"]) < 0:
+    """The checks no library call makes; the library rejects the rest."""
+    if cfg["seed"] < 0:
         raise ConfigError("seed must be nonnegative")
     for key, val in cfg.items():
         if (key.startswith("tol") or key.endswith("_tol")
-                or key.endswith("_level")) and not float(val) > 0.0:
+                or key.endswith("_level")) and not val > 0.0:
             raise ConfigError(f"tolerance {key} must be positive")
     if experiment == "fig1":
         if cfg["orientation"] not in ("parallel", "perpendicular"):
             raise ConfigError("orientation must be parallel or perpendicular")
-        if int(cfg["n_points"]) < 2 or not cfg["rmax_um"] > 0.0:
+        if cfg["n_points"] < 2 or not cfg["rmax_um"] > 0.0:
             raise ConfigError("fig1 grid must have >= 2 points, rmax > 0")
     if experiment == "gaussian-scan":
-        for token in str(cfg["durations"]).split(","):
+        for token in cfg["durations"].split(","):
             _parse_duration(token)
-    if experiment == "scaling":
-        if not 0 < cfg["extent_lo"] < cfg["extent_hi"]:
-            raise ConfigError("need 0 < extent_lo < extent_hi")
-    if experiment in ("g2-contrast",):
-        if int(cfg["n"]) < 100 or int(cfg["n_g1"]) < 100:
-            raise ConfigError("sample counts must be at least 100")
+    if experiment == "scaling" and cfg["n_omega"] < 2:
+        raise ConfigError("the log-log slope needs n_omega >= 2 volumes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,34 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "of coherent pulses.")
     p.add_argument("experiment", choices=EXPERIMENTS)
     p.add_argument("--config", help="INI config file ([global] + per-experiment)")
-    p.add_argument("--T", type=float, help="temperature in kelvin")
-    p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--rmax-um", dest="rmax_um", type=float,
-                   help="fig1: maximum separation in micrometers")
-    p.add_argument("--n-points", dest="n_points", type=int,
-                   help="fig1: number of separations")
-    p.add_argument("--orientation", choices=("parallel", "perpendicular"),
-                   help="fig1: detector-component orientation relative to R")
-    p.add_argument("--n-tau", dest="n_tau", type=int,
-                   help="simcond-thermal: tau-grid size")
-    p.add_argument("--tau-max-fs", dest="tau_max_fs", type=float,
-                   help="simcond-thermal: tau-grid upper end [fs]")
-    p.add_argument("--durations", help="gaussian-scan: comma list like 10fs,1ps")
-    p.add_argument("--n-omega", dest="n_omega", type=int,
-                   help="scaling: number of volumes")
-    p.add_argument("--n", type=int, help="g2-contrast: MC samples for G2")
-    p.add_argument("--n-g1", dest="n_g1", type=int,
-                   help="g2-contrast: MC samples for the G1 match")
-    p.add_argument("--n-strata", dest="n_strata", type=int,
-                   help="g2-contrast: strata along the detector axis")
-    p.add_argument("--r-factor", dest="r_factor", type=float,
-                   help="g2-contrast: detector separation in pulse extents")
-    p.add_argument("--cutoff", type=int, help="fock-demo: photons per mode")
-    p.add_argument("--alpha-abs", dest="alpha_abs", type=float,
-                   help="fock-demo: |alpha| of the pulses")
-    p.add_argument("--n-free", dest="n_free", type=int,
-                   help="fock-demo: free-phase MC ensemble size")
+    for section, settings in _SETTINGS.items():
+        prefix = "" if section == "global" else f"{section}: "
+        for key, (default, text) in settings.items():
+            if text is not None:
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               type=type(default), help=prefix + text)
     return p
 
 
@@ -535,11 +521,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.experiment, args)
         os.makedirs(cfg["out"], exist_ok=True)
-    except (ConfigError, OSError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    rep = Reporter(args.experiment, cfg, cfg["out"])
-    try:
+        rep = Reporter(args.experiment, cfg, cfg["out"])
         _RUNNERS[args.experiment](cfg, rep)
     except (AccuracyError, FloatingPointError) as exc:
         print(f"numerical accuracy failure: {exc}", file=sys.stderr)
@@ -547,6 +529,10 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (OSError, ValueError) as exc:
+        # the library raises ValueError for every value it cannot work with
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     rep.write_report()
     for c in rep.checks:
         if c["expected_source"] == "none":

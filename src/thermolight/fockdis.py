@@ -42,10 +42,12 @@ from .units import PhysicalContext
 # A mixture accumulates rho over _ROW_BLOCK pulses at a time, each block a
 # _ROW_BLOCK x dim amplitude matrix; entries below _DROP_TOL times the
 # largest are not stored.  Spectra must be normalized, and linear phase laws
-# hold, to _PULSE_TOL.
+# hold, to _PULSE_TOL.  linear_phase_selection_rules sorts the coherences
+# above _SCAN_TOL.
 _ROW_BLOCK = 256
 _DROP_TOL = 1e-16
 _PULSE_TOL = 1e-12
+_SCAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -397,12 +399,11 @@ class SelectionRuleSummary:
 
 
 def linear_phase_selection_rules(modes: ModeSet,
-                                 pulses: list[tuple[DiscretePulse, float]],
-                                 tolerance: float = 1e-12
+                                 pulses: list[tuple[DiscretePulse, float]]
                                  ) -> SelectionRuleSummary:
     """Check which off-diagonal survivors obey both phase sum rules.
 
-    Builds the mixture, scans coherences above `tolerance`, and sorts them
+    Builds the mixture, scans coherences above _SCAN_TOL, and sorts them
     by whether sum(n - m) = 0 and sum n_int (n - m) = 0 hold.  For exact
     grid ensembles the violating list must be empty and at least one
     satisfying element nonzero.
@@ -415,7 +416,7 @@ def linear_phase_selection_rules(modes: ModeSet,
     satisfying = []
     violating = []
     worst = 0.0
-    for (n, m) in coherence_scan(rho, tolerance):
+    for (n, m) in coherence_scan(rho, _SCAN_TOL):
         dn = np.asarray(n, int) - np.asarray(m, int)
         rule_tot = int(dn.sum()) == 0
         rule_k = bool(np.all(lattice.T @ dn == 0))

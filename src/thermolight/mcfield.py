@@ -21,11 +21,16 @@ import numpy as np
 from .mixturekit import WeightSpec, _LABEL_MEASURE
 # transforms_direct stays importable here: perfbench/tracing.py traces it
 # through this module as well as through pulsekit.
-from .pulsekit import (PulseFamily, envelope_batch, tail_coefficient,  # noqa: F401
-                       transforms_direct)
+from .pulsekit import (PulseFamily, _transverse_frames, envelope_batch,  # noqa: F401
+                       tail_coefficient, transforms_direct)
 
 # streams the uniform G1 sampler splits its draws over
 _N_STREAMS = 8
+# the Cartesian field component both estimators correlate: z, along which
+# the G2 detectors sit
+_COMPONENT = 2
+# factor inflating the calibrated tail coefficient in tail_intensity_bound
+_TAIL_SAFETY = 3.0
 
 
 @dataclass(frozen=True)
@@ -39,24 +44,9 @@ class EstimateWithError:
 class SampleBatch:
     """Pulse-label draws: positions in the cube, isotropic frames."""
 
-    seed: int
-    n_samples: int
     r0: np.ndarray       # (n, 3) meters
     m_hat: np.ndarray    # (n, 3)
     n_hat: np.ndarray    # (n, 3)
-
-
-def _transverse_frames(m_hat: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """n_hat at angle psi in the plane normal to each m_hat (vectorized)."""
-    n = len(m_hat)
-    ref = np.zeros((n, 3))
-    near_z = np.abs(m_hat[:, 2]) > 0.9
-    ref[near_z, 0] = 1.0
-    ref[~near_z, 2] = 1.0
-    e1 = np.cross(ref, m_hat)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(m_hat, e1)
-    return np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
 
 
 def _isotropic_directions(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -90,7 +80,7 @@ def draw_batch(omega: float, n: int, seed: int, stream: int = 0,
         lo, hi = z_range
         r0[:, 2] = lo + rng.random(n) * (hi - lo)
     m_hat, n_hat = _isotropic_frames(rng, n)
-    return SampleBatch(seed=seed, n_samples=n, r0=r0, m_hat=m_hat, n_hat=n_hat)
+    return SampleBatch(r0=r0, m_hat=m_hat, n_hat=n_hat)
 
 
 def _density_scale(weights: WeightSpec, omega: float) -> float:
@@ -113,12 +103,12 @@ def _draw_shell(n: int, seed: int, stream: int, r: np.ndarray,
     rad = (a**3 + rng.random(n) * (b**3 - a**3)) ** (1.0 / 3.0)
     r0 = r[None, :] - rad[:, None] * _isotropic_directions(rng, n)
     m_hat, n_hat = _isotropic_frames(rng, n)
-    return SampleBatch(seed=seed, n_samples=n, r0=r0, m_hat=m_hat, n_hat=n_hat)
+    return SampleBatch(r0=r0, m_hat=m_hat, n_hat=n_hat)
 
 
 def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
                     r: np.ndarray, tau: float, n: int, seed: int,
-                    component: int = 2, k0: float | None = None) -> EstimateWithError:
+                    k0: float | None = None) -> EstimateWithError:
     """MC estimate of the mixture first-order function G1_ii(r, r; tau).
 
     Averages conj(E_i(r, 0)) * E_i(r, tau) over pulse draws and applies the
@@ -149,7 +139,7 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
             if n_w == 0:
                 continue
             batch = draw_batch(omega, n_w, seed, stream=w)
-            x = _g1_samples(family, batch, r, tau, component, k0)
+            x = _g1_samples(family, batch, r, tau, k0)
             tot += x.sum()
             m2 += float(np.sum(np.abs(x) ** 2))
         mean = tot / n
@@ -166,7 +156,7 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     for k in range(n_sh):
         n_k = per[k]
         batch = _draw_shell(n_k, seed, k, r, float(edges[k]), float(edges[k + 1]))
-        x = _g1_samples(family, batch, r, tau, component, k0)
+        x = _g1_samples(family, batch, r, tau, k0)
         w_k = 4.0 * math.pi / 3.0 * (edges[k + 1] ** 3 - edges[k] ** 3) / omega
         mean += w_k * x.mean()
         var += w_k**2 * float(np.var(x)) / n_k
@@ -175,12 +165,12 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
 
 
 def _g1_samples(family: PulseFamily, batch: SampleBatch, r: np.ndarray,
-                tau: float, component: int, k0: float | None) -> np.ndarray:
+                tau: float, k0: float | None) -> np.ndarray:
     deltas = r[None, :] - batch.r0
     a = envelope_batch(family, batch.m_hat, batch.n_hat, deltas, 0.0, k0=k0)
     b = a if tau == 0.0 else envelope_batch(family, batch.m_hat,
                                             batch.n_hat, deltas, tau, k0=k0)
-    return np.conj(a[:, component]) * b[:, component]
+    return np.conj(a[:, _COMPONENT]) * b[:, _COMPONENT]
 
 
 def _split_counts(n: int, parts: int) -> list[int]:
@@ -192,7 +182,7 @@ def _split_counts(n: int, parts: int) -> list[int]:
 
 
 def estimate_g2_mix(family: PulseFamily, weights: WeightSpec, omega: float,
-                    R: float, n: int, seed: int, component: int = 2,
+                    R: float, n: int, seed: int,
                     n_strata: int = 64, reach: float | None = None
                     ) -> EstimateWithError:
     """Stratified MC estimate of the mixture G2 for detectors R apart.
@@ -231,7 +221,7 @@ def estimate_g2_mix(family: PulseFamily, weights: WeightSpec, omega: float,
                             ra[None, :] - batch.r0, 0.0, reach=reach)
         eb = envelope_batch(family, batch.m_hat, batch.n_hat,
                             rb[None, :] - batch.r0, 0.0, reach=reach)
-        x = np.abs(ea[:, component]) ** 2 * np.abs(eb[:, component]) ** 2
+        x = np.abs(ea[:, _COMPONENT]) ** 2 * np.abs(eb[:, _COMPONENT]) ** 2
         means[k] = float(x.mean())
         variances[k] = float(x.var(ddof=1)) / n_k if n_k > 1 else 0.0
     scale = _density_scale(weights, omega)
@@ -240,18 +230,17 @@ def estimate_g2_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     return EstimateWithError(mean=mean * scale, std_error=std_error * scale, n=n)
 
 
-def tail_intensity_bound(family: PulseFamily, dist: float,
-                         safety: float = 3.0) -> float:
+def tail_intensity_bound(family: PulseFamily, dist: float) -> float:
     """Upper bound on the single-pulse intensity at dimensionless distance
     `dist` from the pulse center, SI (V/m)^2.
 
     The position-space field falls off as 1/|delta|^3 (see
     pulsekit.tail_coefficient); the calibrated coefficient is inflated by
-    `safety`.
+    _TAIL_SAFETY.
     """
     c3 = tail_coefficient(family)
     pref = abs(family.envelope_prefactor() * 2.0 * math.pi)
-    return (pref * safety * c3 / dist**3) ** 2
+    return (pref * _TAIL_SAFETY * c3 / dist**3) ** 2
 
 
 def g2_truncation_bias_bound(family: PulseFamily, weights: WeightSpec,

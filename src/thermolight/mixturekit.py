@@ -40,6 +40,13 @@ from .units import PhysicalContext
 
 _LABEL_MEASURE = 8.0 * math.pi**2  # int dm_hat dPsi = 4pi * 2pi
 
+# Upper end of the x grid of the gaussian mixture spectral density, and the
+# grid the weight solver uses both for its k0 nodes and for the x points it
+# fits at; all in units of 1/(beta hbar c).
+_SPECTRAL_X_MAX = 25.0
+_FIT_GRID = np.geomspace(0.01, 20.0, 200)
+_FIT_GRID.flags.writeable = False
+
 
 def matched_product(ctx: PhysicalContext) -> float:
     """The product p |alpha|^2 [1/m^3] matching the improper mixture to
@@ -69,13 +76,10 @@ class WeightSpec:
     quant_volume: float | None = None
     k0_grid: np.ndarray | None = None
     p_of_k0: np.ndarray | None = None
-    direction_law: str = "isotropic"
 
     def validate(self) -> None:
         if self.kind not in ("UnitTrace", "TraceImproper"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.direction_law != "isotropic":
-            raise ValueError("only the isotropic direction law is supported")
         if self.alpha_sq < 0.0:
             raise ValueError("alpha_sq must be nonnegative")
         if self.p_of_k0 is not None and np.any(np.asarray(self.p_of_k0) < 0):
@@ -169,8 +173,7 @@ def g1_improper(family: PulseFamily, weights: WeightSpec,
     return complex(out) if out.ndim == 0 else out
 
 
-def _gaussian_spectral_density(family: PulseFamily, weights: WeightSpec,
-                               x_max: float = 25.0, dx: float | None = None
+def _gaussian_spectral_density(family: PulseFamily, weights: WeightSpec
                                ) -> tuple[np.ndarray, np.ndarray]:
     """Mixture spectral density (dimensionless) on a uniform x grid.
 
@@ -179,9 +182,8 @@ def _gaussian_spectral_density(family: PulseFamily, weights: WeightSpec,
     The step must resolve the kernel columns, whose width is sigma_x.
     """
     ctx = family.ctx
-    if dx is None:
-        dx = min(0.01, family.sigma_x() / 4.0)
-    x = np.arange(dx, x_max, dx)
+    dx = min(0.01, family.sigma_x() / 4.0)
+    x = np.arange(dx, _SPECTRAL_X_MAX, dx)
     x0 = np.asarray(weights.k0_grid, float) * ctx.length_scale
     M = _weight_kernel(x, x0, family.sigma_x())
     masses = np.asarray(weights.p_of_k0, float) * weights.alpha_sq \
@@ -247,9 +249,7 @@ class GaussianWeightFit:
     x_grid: np.ndarray
 
 
-def solve_gaussian_weights(ctx: PhysicalContext, sigma: float,
-                           k0_grid: np.ndarray | None = None,
-                           x_grid: np.ndarray | None = None) -> GaussianWeightFit:
+def solve_gaussian_weights(ctx: PhysicalContext, sigma: float) -> GaussianWeightFit:
     """Best nonnegative k0 weights for a Gaussian-lineshape mixture.
 
     sigma [1/m] is the lineshape width.  Solves min ||M w - t||_2, w >= 0
@@ -260,13 +260,9 @@ def solve_gaussian_weights(ctx: PhysicalContext, sigma: float,
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     bhc = ctx.length_scale
-    if k0_grid is None:
-        k0_grid = np.geomspace(0.01, 20.0, 200) / bhc
-    if x_grid is None:
-        x_grid = np.geomspace(0.01, 20.0, 200)
-    x0 = np.asarray(k0_grid, float) * bhc
-    M = _weight_kernel(np.asarray(x_grid, float), x0, sigma * bhc)
-    t = blackbody_spectral_target(x_grid)
+    k0_grid = _FIT_GRID / bhc
+    M = _weight_kernel(_FIT_GRID, k0_grid * bhc, sigma * bhc)
+    t = blackbody_spectral_target(_FIT_GRID)
     col = np.linalg.norm(M, axis=0)
     col[col == 0.0] = 1.0
     y, _ = nnls(M / col[None, :], t)
@@ -277,9 +273,8 @@ def solve_gaussian_weights(ctx: PhysicalContext, sigma: float,
     active = w > 0
     kkt = max(float(np.abs(grad[active]).max(initial=0.0)),
               float(-grad[~active].min(initial=0.0)))
-    return GaussianWeightFit(k0_grid=np.asarray(k0_grid, float), weights=w,
-                             residual=residual, kkt_violation=kkt,
-                             x_grid=np.asarray(x_grid, float))
+    return GaussianWeightFit(k0_grid=k0_grid, weights=w, residual=residual,
+                             kkt_violation=kkt, x_grid=_FIT_GRID)
 
 
 def gaussian_weights_to_spec(ctx: PhysicalContext, fit: GaussianWeightFit,
@@ -312,18 +307,15 @@ class ScalingCurve:
 
 
 def unit_trace_scaling(family: PulseFamily, weights: WeightSpec,
-                       omega_list: Sequence[float],
-                       method: str = "radial", n_dirs: int = 24,
-                       n_psi: int = 6) -> ScalingCurve:
+                       omega_list: Sequence[float]) -> ScalingCurve:
     """G1 of the proper mixture at the origin versus quantization volume.
 
-    method 'radial' integrates the orientation-isotropized intensity
-    profile against the exact in-cube sphere fraction (the full orientation
-    average of the per-component position integral reduces to this, since
-    averaging a fixed Cartesian component over all pulse orientations at
-    fixed |delta| gives one third of the radial total-intensity profile).
-    method 'grid' averages pulsekit.mu_integral over an explicit orientation
-    quadrature; it is slow and kept as a cross-check.
+    Integrates the orientation-isotropized intensity profile against the
+    exact in-cube sphere fraction: the full orientation average of the
+    per-component position integral reduces to this, since averaging a
+    fixed Cartesian component over all pulse orientations at fixed |delta|
+    gives one third of the radial total-intensity profile.  The tests check
+    it against an explicit orientation quadrature of pulsekit.mu_integral.
     """
     omegas = np.asarray(omega_list, float)
     if np.any(np.diff(omegas) <= 0.0):
@@ -332,27 +324,14 @@ def unit_trace_scaling(family: PulseFamily, weights: WeightSpec,
         raise ValueError("unit_trace_scaling requires UnitTrace weights")
     ctx = family.ctx
     vals = np.empty(len(omegas))
-    if method == "radial":
-        grid, prof = pulsekit.radial_intensity_profile(family)
-        base = grid**2 * prof
-        for i, om in enumerate(omegas):
-            L = om ** (1.0 / 3.0) / ctx.length_scale
-            frac = np.array([pulsekit.sphere_in_cube_fraction(2.0 * d / L)
-                             for d in grid])
-            inner = 4.0 * math.pi * np.trapezoid(base * frac, grid)
-            vals[i] = inner * ctx.length_scale**3 / (3.0 * om)
-    elif method == "grid":
-        m_nodes = pulsekit._fibonacci_sphere(n_dirs)
-        psis = 2.0 * math.pi * np.arange(n_psi) / n_psi
-        for i, om in enumerate(omegas):
-            acc = 0.0
-            for m in m_nodes:
-                for psi in psis:
-                    acc += pulsekit.mu_integral(family, m, float(psi),
-                                                np.zeros(3), om)[2]
-            vals[i] = acc / (len(m_nodes) * len(psis)) / om
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    grid, prof = pulsekit.radial_intensity_profile(family)
+    base = grid**2 * prof
+    for i, om in enumerate(omegas):
+        L = om ** (1.0 / 3.0) / ctx.length_scale
+        frac = np.array([pulsekit.sphere_in_cube_fraction(2.0 * d / L)
+                         for d in grid])
+        inner = 4.0 * math.pi * np.trapezoid(base * frac, grid)
+        vals[i] = inner * ctx.length_scale**3 / (3.0 * om)
     vals = vals * weights.alpha_sq
     comp = vals * omegas / omegas[0]
     return ScalingCurve(omegas=omegas, g1=vals, g1_compensated=comp)

@@ -70,6 +70,11 @@ _memo: OrderedDict = OrderedDict()
 _ROW_BLOCK = 64
 _PAD = 8
 
+# Gauss-Legendre nodes of the gaussian-kind radial normalization, and nodes
+# per unit length along each axis of mu_integral's position quadrature.
+_RADIAL_NODES = 600
+_MU_NODES_PER_UNIT = 6.0
+
 
 def _memoized(key: tuple, build: Callable[[], object]):
     """build() on the first request for key; the stored value afterwards."""
@@ -99,15 +104,17 @@ def upsilon_function(kind: str, param: float) -> Callable[[np.ndarray], np.ndarr
     raise ValueError(f"unknown upsilon kind {kind!r}")
 
 
-def _orthonormal_transverse(m_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic right-handed pair (e1, e2) perpendicular to m_hat."""
-    ref = np.array([0.0, 0.0, 1.0])
-    if abs(m_hat[2]) > 0.9:
-        ref = np.array([1.0, 0.0, 0.0])
+def _transverse_frames(m_hat: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """n_hat at angle psi in the plane normal to each m_hat (vectorized)."""
+    n = len(m_hat)
+    ref = np.zeros((n, 3))
+    near_z = np.abs(m_hat[:, 2]) > 0.9
+    ref[near_z, 0] = 1.0
+    ref[~near_z, 2] = 1.0
     e1 = np.cross(ref, m_hat)
-    e1 /= np.linalg.norm(e1)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(m_hat, e1)
-    return e1, e2
+    return np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
 
 
 @dataclass(frozen=True)
@@ -133,8 +140,7 @@ def make_pulse_params(m_hat, psi: float, r0, k0: float | None = None) -> PulsePa
     """Construct PulseParams with n_hat at angle psi in the plane normal to m_hat."""
     m = np.asarray(m_hat, float)
     m = m / np.linalg.norm(m)
-    e1, e2 = _orthonormal_transverse(m)
-    n = math.cos(psi) * e1 + math.sin(psi) * e2
+    n = _transverse_frames(m[None, :], np.array([float(psi)]))[0]
     return PulseParams(m_hat=m, n_hat=n, psi=float(psi),
                        r0=np.asarray(r0, float), k0=k0)
 
@@ -336,11 +342,11 @@ def gaussian_angular_kernel(x: np.ndarray, x0: np.ndarray, s: float) -> np.ndarr
     return np.exp(-(X - X0) ** 2 / (s * s)) * out
 
 
-def _log_radial_grid(x0: float, s: float, n: int = 600) -> tuple[np.ndarray, np.ndarray]:
+def _log_radial_grid(x0: float, s: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights covering the gaussian radial support."""
     lo = max(0.0, x0 - 10.0 * s)
     hi = x0 + 10.0 * s
-    xg, wg = leggauss(n)
+    xg, wg = leggauss(_RADIAL_NODES)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * xg, half * wg
 
@@ -653,7 +659,7 @@ def _calibrate_tail(family: PulseFamily) -> float:
 
 
 def mu_integral(family: PulseFamily, m_hat, psi: float, r: np.ndarray,
-                omega: float, nodes_per_unit: float = 6.0) -> np.ndarray:
+                omega: float) -> np.ndarray:
     """Position integral of per-component envelope intensity over a cube.
 
     mu_i = int_Omega |E_i(r; r0)|^2 d3r0 over the cube of volume omega [m^3]
@@ -677,7 +683,7 @@ def mu_integral(family: PulseFamily, m_hat, psi: float, r: np.ndarray,
         lo, hi = max(lo, -S), min(hi, S)
         if lo >= hi:
             return np.zeros(3)
-        n = int(max(32, nodes_per_unit * (hi - lo)))
+        n = int(max(32, _MU_NODES_PER_UNIT * (hi - lo)))
         xg, wg = leggauss(n)
         axes.append((0.5 * (hi + lo) + 0.5 * (hi - lo) * xg,
                      0.5 * (hi - lo) * wg))

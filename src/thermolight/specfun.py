@@ -29,6 +29,11 @@ ZETA3 = 1.2020569031595943
 #: int_0^inf x^3/(e^x - 1) dx = pi^4 / 15.
 PI4_OVER_15 = math.pi**4 / 15.0
 
+# Geometric-series terms bose_moment sums before the Euler-Maclaurin tail
+# takes over, at least; the count grows with |u| so the tail stays sharp when
+# phase cancellation shrinks the result.
+_M_EXPLICIT = 64
+
 
 class AccuracyError(RuntimeError):
     """Raised when a result cannot be certified to the requested accuracy.
@@ -42,12 +47,7 @@ class AccuracyError(RuntimeError):
         self.value = value
 
 
-def zeta3() -> float:
-    """Riemann zeta(3)."""
-    return ZETA3
-
-
-def bose_moment(n: int, u: float, m_explicit: int = 64) -> complex:
+def bose_moment(n: int, u: float) -> complex:
     """Evaluate int_0^inf x^n e^{-ixu}/(e^x - 1) dx.
 
     Parameters
@@ -56,10 +56,6 @@ def bose_moment(n: int, u: float, m_explicit: int = 64) -> complex:
         Power of x in the integrand, n >= 1.
     u : float
         Dimensionless conjugate variable (delay in units of beta*hbar).
-    m_explicit : int
-        Minimum number of geometric-series terms summed explicitly before
-        the Euler-Maclaurin tail takes over; the count grows with |u| so
-        the tail stays sharp when phase cancellation shrinks the result.
 
     Returns
     -------
@@ -70,7 +66,7 @@ def bose_moment(n: int, u: float, m_explicit: int = 64) -> complex:
     Raises
     ------
     ValueError
-        If n < 1, m_explicit < 8, or u is NaN or infinite.
+        If n < 1, or u is NaN or infinite.
 
     Notes
     -----
@@ -79,13 +75,11 @@ def bose_moment(n: int, u: float, m_explicit: int = 64) -> complex:
     """
     if n < 1:
         raise ValueError(f"order n must be >= 1, got {n}")
-    if m_explicit < 8:
-        raise ValueError("need at least 8 explicit terms for the tail expansion")
     if not math.isfinite(u):
         raise ValueError(f"delay u must be finite, got {u}")
     if u < 0.0:
-        return np.conj(bose_moment(n, -u, m_explicit))
-    m_explicit = max(m_explicit, int(2.0 * u) + 1)
+        return np.conj(bose_moment(n, -u))
+    m_explicit = max(_M_EXPLICIT, int(2.0 * u) + 1)
 
     s = n + 1
     fact = float(math.factorial(n))
@@ -104,8 +98,8 @@ def bose_moment(n: int, u: float, m_explicit: int = 64) -> complex:
     value = fact * (direct + t1 + t2 + t3 + t4 + t5)
 
     # The expansion is asymptotic; for it to be trustworthy the retained
-    # terms must be decreasing sharply.  With m_explicit >= 8 and real u
-    # this never triggers, but guard anyway.
+    # terms must be decreasing sharply.  With m_explicit >= _M_EXPLICIT and
+    # real u this never triggers, but guard anyway.
     if abs(t5) > 1e-12 * max(abs(value) / fact, 1e-300):
         raise AccuracyError(
             f"Euler-Maclaurin tail not converged for n={n}, u={u}; "

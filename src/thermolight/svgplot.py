@@ -8,28 +8,32 @@ from __future__ import annotations
 
 import math
 
+# canvas size in pixels, and ticks per axis
+_WIDTH = 720
+_HEIGHT = 480
+_N_TICKS = 5
+
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    step = (hi - lo) / (_N_TICKS - 1)
+    return [lo + i * step for i in range(_N_TICKS)]
 
 
 def write_svg(path: str, curves, xlabel: str, ylabel: str,
-              title: str = "", logx: bool = False, logy: bool = False,
-              width: int = 720, height: int = 480) -> None:
+              title: str = "", logx: bool = False, logy: bool = False) -> None:
     """Write polyline curves to an SVG file.
 
     curves: iterable of (x_values, y_values, label).  Log axes drop
     non-positive points.
     """
     ml, mr, mt, mb = 70, 20, 30, 50
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
     def tx(v):
         return math.log10(v) if logx else v
@@ -63,11 +67,11 @@ def write_svg(path: str, curves, xlabel: str, ylabel: str,
         return mt + ph - (v - y0) / (y1 - y0) * ph
 
     colors = ["#1f5fbf", "#bf3f3f", "#3f9f3f", "#9f3f9f", "#7f7f1f"]
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-           f'height="{height}" viewBox="0 0 {width} {height}">',
-           f'<rect width="{width}" height="{height}" fill="white"/>']
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+           f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+           f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>']
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        out.append(f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
                    f'font-size="14">{title}</text>')
     out.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
                'fill="none" stroke="black"/>')
@@ -85,7 +89,7 @@ def write_svg(path: str, curves, xlabel: str, ylabel: str,
                    f'y2="{Y:.1f}" stroke="black"/>')
         out.append(f'<text x="{ml - 8}" y="{Y + 4:.1f}" text-anchor="end" '
                    f'font-size="11">{label}</text>')
-    out.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" '
+    out.append(f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 10}" '
                f'text-anchor="middle" font-size="12">{xlabel}</text>')
     out.append(f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '
                f'font-size="12" transform="rotate(-90 18 {mt + ph / 2:.1f})">'

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,16 @@ import pytest
 from thermolight import cli
 from thermolight.specfun import AccuracyError
 
+# The subprocesses import thermolight from this checkout's src/, installed or not.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "thermolight.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=300,
+                          env=_ENV)
 
 
 def _csv_numbers(path: Path) -> list[float]:
@@ -35,7 +42,7 @@ def test_help_exits_zero():
 
 def test_pkg_main_entry():
     cp = subprocess.run([sys.executable, "-m", "thermolight", "--help"],
-                        capture_output=True, text=True, timeout=60)
+                        capture_output=True, text=True, timeout=60, env=_ENV)
     assert cp.returncode == 0, cp.stderr
 
 
@@ -140,10 +147,94 @@ def test_fock_demo_passes(tmp_path: Path):
     ("fig1", "--orientation", "diagonal"),
     ("gaussian-scan", "--durations", "10parsecs"),
     ("bogus-experiment",),
+    ("coherence-time", "--T", "inf"),
+    ("fock-demo", "--cutoff", "0"),
+    ("fock-demo", "--n-free", "0"),
+    ("simcond-thermal", "--n-tau", "0"),
+    ("gaussian-scan", "--durations", "0fs"),
+    ("scaling", "--n-omega", "1"),
 ])
 def test_bad_configuration_exits_two(tmp_path: Path, args):
     cp = run_cli(*args, "--out", str(tmp_path / "x"))
     assert cp.returncode == 2, (args, cp.stdout, cp.stderr)
+    assert "Traceback" not in cp.stderr, cp.stderr
+    if args[0] in cli.EXPERIMENTS:
+        assert cp.stderr.count("configuration error:") == 1, cp.stderr
+
+
+# Every flag's dest and help text, and each experiment's settings at their
+# defaults, written out literally so that no edit of cli._SETTINGS moves them
+# unnoticed.
+_FLAGS = {
+    "--config": ("config", "INI config file ([global] + per-experiment)"),
+    "--T": ("T", "temperature in kelvin"),
+    "--seed": ("seed", "RNG seed"),
+    "--out": ("out", "output directory"),
+    "--rmax-um": ("rmax_um", "fig1: maximum separation in micrometers"),
+    "--n-points": ("n_points", "fig1: number of separations"),
+    "--orientation": ("orientation",
+                      "fig1: detector-component orientation relative to R"),
+    "--n-tau": ("n_tau", "simcond-thermal: tau-grid size"),
+    "--tau-max-fs": ("tau_max_fs", "simcond-thermal: tau-grid upper end [fs]"),
+    "--durations": ("durations", "gaussian-scan: comma list like 10fs,1ps"),
+    "--n-omega": ("n_omega", "scaling: number of volumes"),
+    "--n": ("n", "g2-contrast: MC samples for G2"),
+    "--n-g1": ("n_g1", "g2-contrast: MC samples for the G1 match"),
+    "--n-strata": ("n_strata", "g2-contrast: strata along the detector axis"),
+    "--r-factor": ("r_factor",
+                   "g2-contrast: detector separation in pulse extents"),
+    "--cutoff": ("cutoff", "fock-demo: photons per mode"),
+    "--alpha-abs": ("alpha_abs", "fock-demo: |alpha| of the pulses"),
+    "--n-free": ("n_free", "fock-demo: free-phase MC ensemble size"),
+}
+
+_DEFAULT_CONFIGS = {
+    "fig1": {"rmax_um": 2.0, "n_points": 200, "flat_from_um": 0.4,
+             "tol_flat": 0.01, "tol_start": 1e-06, "orientation": "parallel"},
+    "simcond-thermal": {"n_tau": 50, "tau_max_fs": 10.0, "tol": 1e-06},
+    "gaussian-scan": {"durations": "10fs,100fs,1ps,10ps",
+                      "feasible_tol": 0.001, "infeasible_level": 0.1},
+    "scaling": {"extent_lo": 10.0, "extent_hi": 100.0, "n_omega": 7,
+                "tol_slope": 0.01, "tol_flat": 0.01},
+    "g2-contrast": {"n": 100000, "n_g1": 200000, "n_strata": 64,
+                    "r_factor": 5.0, "tol_frac": 0.01, "g1_tol": 0.05},
+    "fock-demo": {"alpha_abs": 0.8, "cutoff": 3, "n_free": 10000,
+                  "side_um": 2.0, "tol_exact": 1e-10},
+    "coherence-time": {"lo_fs": 1.0, "hi_fs": 1.6},
+}
+
+
+def _typed(cfg: dict) -> list:
+    return sorted((k, type(v).__name__, v) for k, v in cfg.items())
+
+
+def test_flags_keep_names_dests_and_help():
+    parser = cli.build_parser()
+    got = {a.option_strings[0]: (a.dest, a.help)
+           for a in parser._actions if a.option_strings and a.dest != "help"}
+    assert got == _FLAGS
+
+
+def test_default_configs_pinned():
+    parser = cli.build_parser()
+    assert set(cli.EXPERIMENTS) == set(_DEFAULT_CONFIGS)
+    for exp, want in _DEFAULT_CONFIGS.items():
+        cfg = cli.load_config(exp, parser.parse_args([exp]))
+        full = {"T": 5777.0, "seed": 12345, "out": "out", **want}
+        assert _typed(cfg) == _typed(full), exp
+
+
+def test_config_layers_merge_in_order(tmp_path: Path):
+    """Defaults, then the INI file (keys as documented, T included), then
+    flags."""
+    ini = tmp_path / "layers.ini"
+    ini.write_text("[global]\nT = 300\nseed = 5\n"
+                   "[fig1]\nn_points = 30\ntol_flat = 0.02\n")
+    args = cli.build_parser().parse_args(
+        ["fig1", "--config", str(ini), "--seed", "9"])
+    cfg = cli.load_config("fig1", args)
+    assert (cfg["T"], cfg["seed"], cfg["n_points"]) == (300.0, 9, 30)
+    assert (cfg["tol_flat"], cfg["rmax_um"]) == (0.02, 2.0)
 
 
 def test_unknown_config_key_exits_two(tmp_path: Path):
