@@ -354,6 +354,9 @@ def linear_phase_ensemble(modes: ModeSet, magnitudes, alpha_abs: float,
     possible photon-number imbalance for the modular sums to be exact.
     Pulses run over a slowest, then b_x, b_y, b_z.
     """
+    for name, count in (("n_a", n_a), ("n_b", n_b)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     side = modes.quant_volume_V ** (1.0 / 3.0)
     used_axes = [ax for ax in range(3)
                  if any(v[ax] != 0 for v in modes.n_int)]
@@ -375,6 +378,8 @@ def free_phase_ensemble(modes: ModeSet, magnitudes, alpha_abs: float,
     Pulse s takes row s of the draws: its n_modes mode phases, then the
     phase of alpha.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     mags = _unit_magnitudes(modes, magnitudes)
     phases = 2.0 * math.pi * rng.random((n_samples, modes.n_modes + 1))

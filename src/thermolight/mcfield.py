@@ -21,8 +21,8 @@ import numpy as np
 from .mixturekit import WeightSpec, _LABEL_MEASURE
 # transforms_direct stays importable here: perfbench/tracing.py traces it
 # through this module as well as through pulsekit.
-from .pulsekit import (PulseFamily, _transverse_frames, envelope_batch,  # noqa: F401
-                       tail_coefficient, transforms_direct)
+from .pulsekit import (_DEFAULT_REACH, PulseFamily, _transverse_frames,  # noqa: F401
+                       envelope_batch, tail_coefficient, transforms_direct)
 
 # streams the uniform G1 sampler splits its draws over
 _N_STREAMS = 8
@@ -37,7 +37,6 @@ _TAIL_SAFETY = 3.0
 class EstimateWithError:
     mean: complex
     std_error: float
-    n: int
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,7 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     ctx = family.ctx
     scale = _density_scale(weights, omega)
     side = omega ** (1.0 / 3.0)
-    support = 16.0 * ctx.length_scale
+    support = _DEFAULT_REACH * ctx.length_scale
     stratified = (family.kind == "thermal"
                   and float(np.max(np.abs(r))) + support <= side / 2.0)
 
@@ -145,9 +144,10 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
         mean = tot / n
         var = max(m2 / n - abs(mean) ** 2, 0.0)
         return EstimateWithError(mean=complex(mean) * scale,
-                                 std_error=math.sqrt(var / n) * scale, n=n)
+                                 std_error=math.sqrt(var / n) * scale)
 
-    edges = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 16.0]) \
+    # the last edge is the support radius, beyond which envelopes read zero
+    edges = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, _DEFAULT_REACH]) \
         * ctx.length_scale
     n_sh = len(edges) - 1
     per = _split_counts(n, n_sh)
@@ -161,7 +161,7 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
         mean += w_k * x.mean()
         var += w_k**2 * float(np.var(x)) / n_k
     return EstimateWithError(mean=complex(mean) * scale,
-                             std_error=math.sqrt(var) * scale, n=n)
+                             std_error=math.sqrt(var) * scale)
 
 
 def _g1_samples(family: PulseFamily, batch: SampleBatch, r: np.ndarray,
@@ -208,7 +208,7 @@ def estimate_g2_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     ra = np.array([0.0, 0.0, -R / 2.0])
     rb = np.array([0.0, 0.0, +R / 2.0])
     if reach is None:
-        reach = max(16.0, R / (2.0 * ctx.length_scale) + 1.0)
+        reach = max(_DEFAULT_REACH, R / (2.0 * ctx.length_scale) + 1.0)
     edges = np.linspace(-side / 2.0, side / 2.0, n_strata + 1)
     per = _split_counts(n, n_strata)
     means = np.zeros(n_strata)
@@ -227,7 +227,7 @@ def estimate_g2_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     scale = _density_scale(weights, omega)
     mean = float(np.mean(means))
     std_error = math.sqrt(float(np.sum(variances)) / n_strata**2)
-    return EstimateWithError(mean=mean * scale, std_error=std_error * scale, n=n)
+    return EstimateWithError(mean=mean * scale, std_error=std_error * scale)
 
 
 def tail_intensity_bound(family: PulseFamily, dist: float) -> float:

@@ -29,11 +29,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.optimize import nnls
 
 from . import pulsekit
-from .pulsekit import PulseFamily, gaussian_angular_kernel
+from .pulsekit import PulseFamily, _gauss_legendre, gaussian_angular_kernel
 from .specfun import ZETA3, bose_moment
 from .thermal import g1_temporal
 from .units import PhysicalContext
@@ -133,7 +132,7 @@ def _angular_trace(family: PulseFamily) -> float:
     and the azimuth of m_hat gives (1 + mu^2)/2, which leaves
     2 pi^2 int upsilon^2(mu) (1 + mu^2) dmu, done by Gauss-Legendre in mu.
     """
-    mu, w = leggauss(200)
+    mu, w = _gauss_legendre(200)
     return 2.0 * math.pi**2 * float(np.sum(w * family.upsilon(mu) ** 2 * (1.0 + mu * mu)))
 
 
@@ -198,7 +197,6 @@ def _gaussian_spectral_density(family: PulseFamily, weights: WeightSpec
 @dataclass(frozen=True)
 class SimulationReport:
     residual: float
-    tau_grid: np.ndarray
     g1_imp: np.ndarray
     g1_th: np.ndarray
 
@@ -214,7 +212,7 @@ def simulation_residual(family: PulseFamily, weights: WeightSpec,
     imp = g1_improper(family, weights, taus)
     th = np.array([g1_temporal(ctx, t) for t in taus])
     resid = float(np.linalg.norm(imp - th) / np.linalg.norm(th))
-    return SimulationReport(residual=resid, tau_grid=taus, g1_imp=imp, g1_th=th)
+    return SimulationReport(residual=resid, g1_imp=imp, g1_th=th)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +244,6 @@ class GaussianWeightFit:
     weights: np.ndarray        # node masses of p(k0) |alpha|^2 (beta hbar c)^3
     residual: float
     kkt_violation: float
-    x_grid: np.ndarray
 
 
 def solve_gaussian_weights(ctx: PhysicalContext, sigma: float) -> GaussianWeightFit:
@@ -274,7 +271,7 @@ def solve_gaussian_weights(ctx: PhysicalContext, sigma: float) -> GaussianWeight
     kkt = max(float(np.abs(grad[active]).max(initial=0.0)),
               float(-grad[~active].min(initial=0.0)))
     return GaussianWeightFit(k0_grid=k0_grid, weights=w, residual=residual,
-                             kkt_violation=kkt, x_grid=_FIT_GRID)
+                             kkt_violation=kkt)
 
 
 def gaussian_weights_to_spec(ctx: PhysicalContext, fit: GaussianWeightFit,

@@ -32,13 +32,14 @@ Fourier transform over b (done by FFT, a block of a-rows at a time) and the
 P-dependence into Hankel transforms over a (done by dense Bessel matrices).
 Lookups evaluate a cubic B-spline through the grid values; its coefficients
 come from the grid extended across P = 0 with the parity of each transform
-(J0 makes T_y even in P, J1 makes T_z odd).  The table builder was
-validated against direct 2D Gauss-Legendre quadrature and against an
-importance-sampled 3D Monte Carlo evaluation of the unreduced integral.
+(J0 makes T_y even in P, J1 makes T_z odd).  The tests check the table
+against direct 2D Gauss-Legendre quadrature (transforms_direct) at listed
+points, near the axis, at the grid edges, and for a delayed table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -74,6 +75,33 @@ _PAD = 8
 # per unit length along each axis of mu_integral's position quadrature.
 _RADIAL_NODES = 600
 _MU_NODES_PER_UNIT = 6.0
+
+# Largest |Delta| (dimensionless) of the default envelope table.  Envelopes
+# beyond it read as zero, so samplers that skip draws there use it too.
+_DEFAULT_REACH = 16.0
+
+# Node counts whose raw Gauss-Legendre rules are kept: leggauss(n) is an
+# O(n^3) eigen-solve, most of a transforms_direct call at nmu = 3000.
+_NODE_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_NODE_CACHE_SIZE)
+def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False      # shared by every call
+    return x, w
+
+
+def _gauss_legendre(n: int, lo: float = -1.0, hi: float = 1.0
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Legendre nodes and weights on [lo, hi], as fresh arrays.
+
+    On [-1, 1] they equal leggauss(n) bit for bit, since the map has
+    mid = 0 and half = 1.
+    """
+    x, w = _legendre_nodes(n)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    return mid + half * x, half * w
 
 
 def _memoized(key: tuple, build: Callable[[], object]):
@@ -166,7 +194,6 @@ class EnvelopeTable:
     Z_grid: np.ndarray
     Ty: np.ndarray
     Tz: np.ndarray
-    u_delay: float
     coef_y: np.ndarray = field(repr=False, compare=False)
     coef_z: np.ndarray = field(repr=False, compare=False)
 
@@ -249,9 +276,9 @@ class PulseFamily:
             if k0 is None:
                 raise ValueError("gaussian kind needs k0")
             x0 = k0 * bhc
-            s = self.sigma_x()
-            xg, wg = _log_radial_grid(x0, s)
-            phi = gaussian_angular_kernel(xg, np.array([x0]), s)[:, 0]
+            lo, hi = _support(self, x0)
+            xg, wg = _gauss_legendre(_RADIAL_NODES, max(0.0, lo), hi)
+            phi = gaussian_angular_kernel(xg, np.array([x0]), self.sigma_x())[:, 0]
             denom = math.pi * float(np.sum(wg * xg**4 * phi))
             # the gaussian amplitude carries an extra factor k, so the
             # squared-norm integral scales as (beta hbar c)^{-5}
@@ -272,7 +299,7 @@ class PulseFamily:
 
     # -- envelope tables ------------------------------------------------
 
-    def table(self, u_delay: float = 0.0, reach: float = 16.0,
+    def table(self, u_delay: float = 0.0, reach: float = _DEFAULT_REACH,
               k0: float | None = None) -> EnvelopeTable:
         """T_y, T_z on a (P, Z) grid reaching |Delta| = reach, at delay u."""
         x0 = None
@@ -281,7 +308,7 @@ class PulseFamily:
                 raise ValueError("gaussian kind needs k0")
             x0 = k0 * self.ctx.length_scale
         return _memoized(("table", self.shape, u_delay, reach, x0),
-                         lambda: _build_table(self, u_delay, reach, k0))
+                         lambda: _build_table(self, u_delay, reach, x0))
 
 
 def make_thermal_family(ctx: PhysicalContext, upsilon_kind: str = "exp",
@@ -335,41 +362,38 @@ def gaussian_angular_kernel(x: np.ndarray, x0: np.ndarray, s: float) -> np.ndarr
     ch = 1.0 + np.exp(-2.0 * ab)
     out[big] = sh / ab + ((ab * ab + 2.0) * sh - 2.0 * ab * ch) / ab**3
     if np.any(~big):
-        xg, wg = leggauss(48)
+        xg, wg = _gauss_legendre(48)
         asm = a[~big]
         out[~big] = np.exp(-asm) * np.array(
             [np.sum(wg * (1.0 + xg**2) * np.exp(av * xg)) for av in asm])
     return np.exp(-(X - X0) ** 2 / (s * s)) * out
 
 
-def _log_radial_grid(x0: float, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights covering the gaussian radial support."""
-    lo = max(0.0, x0 - 10.0 * s)
-    hi = x0 + 10.0 * s
-    xg, wg = leggauss(_RADIAL_NODES)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * xg, half * wg
+def _spectral_weight(family: PulseFamily, x: np.ndarray, mu: np.ndarray,
+                     x0: float | None) -> np.ndarray:
+    """w(x, mu) of T_y and T_z; x0 = k0 beta hbar c for the gaussian kind."""
+    if family.kind == "thermal":
+        return thermal_radial_weight(x) * family.upsilon(mu)
+    s = family.sigma_x()
+    return x**3.5 * np.exp(-(x**2 + x0**2 - 2.0 * x * x0 * mu) / (2.0 * s * s))
+
+
+def _support(family: PulseFamily, x0: float | None) -> tuple[float, float]:
+    """Band (lo, hi) outside which w is negligible: [0, 40] for the thermal
+    kind, x0 -+ 10 sigma for the gaussian kind.  Ranges of x clip lo at 0;
+    the table's range of b = x mu takes it as it stands."""
+    if family.kind == "thermal":
+        return 0.0, 40.0
+    s = family.sigma_x()
+    return x0 - 10.0 * s, x0 + 10.0 * s
 
 
 # ---------------------------------------------------------------------------
 # table construction
 
 
-def _table_weight_ab(family: PulseFamily, A: np.ndarray, B: np.ndarray,
-                     k0: float | None) -> np.ndarray:
-    """Scalar weight h(a,b) (without the mu / st vector factors)."""
-    X = np.hypot(A, B)
-    jac = np.divide(A, X * X, out=np.zeros_like(A), where=X > 0)
-    if family.kind == "thermal":
-        MU = np.divide(B, X, out=np.zeros_like(B), where=X > 0)
-        return thermal_radial_weight(X) * family.upsilon(MU) * jac
-    x0 = k0 * family.ctx.length_scale
-    s = family.sigma_x()
-    return X**3.5 * np.exp(-(A * A + (B - x0) ** 2) / (2.0 * s * s)) * jac
-
-
 def _build_table(family: PulseFamily, u_delay: float, reach: float,
-                 k0: float | None) -> EnvelopeTable:
+                 x0: float | None) -> EnvelopeTable:
     """FFT-Hankel construction of T_y, T_z on a (P, Z) grid.
 
     reach sets the largest |Delta| that must be representable.  Against
@@ -379,15 +403,15 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float,
     nine angles each) T_y is 0.4-3% off at 8 and 1-10% off at 14, most along
     the axis and at Z = 0, while T_z stays within 0.2% away from the axis.
     """
+    xlo, xhi = _support(family, x0)
     da = db = 0.025
-    amax = 40.0
-    bmin, bmax = -8.0, 40.0
+    bfloor = -8.0
     if family.kind == "gaussian":
-        x0 = k0 * family.ctx.length_scale
         s = family.sigma_x()
         da = db = min(0.025, s / 4.0)
-        amax = min(amax, x0 + 10.0 * s)
-        bmin, bmax = min(-4.0 * s, x0 - 10.0 * s), x0 + 10.0 * s
+        bfloor = -4.0 * s
+    amax = min(40.0, xhi)
+    bmin, bmax = min(bfloor, xlo), xhi
 
     a = np.arange(0.0, amax + da / 2, da)
     b = np.arange(bmin, bmax + db / 2, db)
@@ -411,12 +435,13 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float,
     for lo in range(0, len(a), _ROW_BLOCK):
         ab = a[lo:lo + _ROW_BLOCK]
         A, B = np.meshgrid(ab, b, indexing="ij")
-        W = _table_weight_ab(family, A, B, k0)
         X = np.hypot(A, B)
-        if u_delay != 0.0:
-            W = W * np.exp(-1j * X * u_delay)
         MU = np.divide(B, X, out=np.zeros_like(B), where=X > 0)
         ST = np.divide(A, X, out=np.zeros_like(A), where=X > 0)
+        jac = np.divide(A, X * X, out=np.zeros_like(A), where=X > 0)
+        W = _spectral_weight(family, X, MU, x0) * jac
+        if u_delay != 0.0:
+            W = W * np.exp(-1j * X * u_delay)
         # e^{+i b Z} convention: ifft * nfft, kept at |Z| <= reach
         Hy = np.fft.ifft(W * MU, n=nfft, axis=1, norm="forward").take(cols, axis=1) * phase
         Hz = np.fft.ifft(W * ST, n=nfft, axis=1, norm="forward").take(cols, axis=1) * phase
@@ -426,7 +451,7 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float,
         Ty += ((special.j0(Pa) * wb) @ Hy.view(float)).view(complex)
         Tz += ((special.j1(Pa) * wb) @ Hz.view(float)).view(complex)
 
-    table = EnvelopeTable(P_grid=Pg, Z_grid=Zg, Ty=Ty, Tz=Tz, u_delay=u_delay,
+    table = EnvelopeTable(P_grid=Pg, Z_grid=Zg, Ty=Ty, Tz=Tz,
                           coef_y=_prefilter(Ty, 1.0), coef_z=_prefilter(Tz, -1.0))
     for arr in (Ty, Tz, table.coef_y, table.coef_z):
         arr.flags.writeable = False                   # shared via the memo
@@ -451,27 +476,16 @@ def transforms_direct(family: PulseFamily, P: float, Z: float,
     check used in the tests.
     """
     dist = math.hypot(P, Z)
-    if family.kind == "thermal":
-        xlo, xhi = 0.0, 40.0
-    else:
-        x0 = k0 * family.ctx.length_scale
-        s = family.sigma_x()
-        xlo, xhi = max(0.0, x0 - 10 * s), x0 + 10 * s
+    x0 = None if k0 is None else k0 * family.ctx.length_scale
+    xlo, xhi = _support(family, x0)
     if nx is None:
         nx = int(max(300, 12 * dist))
     if nmu is None:
         nmu = int(max(1600, 24 * dist))
-    xg, xw = leggauss(nx)
-    x = 0.5 * (xhi + xlo) + 0.5 * (xhi - xlo) * xg
-    xw = xw * 0.5 * (xhi - xlo)
-    mg, mw = leggauss(nmu)
+    x, xw = _gauss_legendre(nx, max(0.0, xlo), xhi)
+    mg, mw = _gauss_legendre(nmu)
     st = np.sqrt(1.0 - mg**2)
-    if family.kind == "thermal":
-        wx = thermal_radial_weight(x)[:, None] * family.upsilon(mg)[None, :]
-    else:
-        wx = x[:, None] ** 3.5 * np.exp(
-            -(x[:, None] ** 2 + x0**2 - 2.0 * x[:, None] * x0 * mg[None, :])
-            / (2.0 * s * s))
+    wx = _spectral_weight(family, x[:, None], mg[None, :], x0)
     ph = np.exp(1j * np.outer(x, mg) * Z)
     if u_delay != 0.0:
         ph = ph * np.exp(-1j * x[:, None] * u_delay)
@@ -509,14 +523,16 @@ def field_envelope(family: PulseFamily, params: PulseParams,
         value = _canonical_envelope(family, m_hats, n_hats, delta, params.k0, lookup)
     else:
         dist = float(np.linalg.norm(delta)) / family.ctx.length_scale
-        reach = 16.0 if dist <= 15.8 else dist * 1.05 + 2.0
+        reach = (_DEFAULT_REACH if dist <= _DEFAULT_REACH - 0.2
+                 else dist * 1.05 + 2.0)
         value = envelope_batch(family, m_hats, n_hats, delta, t, reach, params.k0)
     return FieldEnvelope(value=value[0])
 
 
 def envelope_batch(family: PulseFamily, m_hats: np.ndarray, n_hats: np.ndarray,
                    deltas: np.ndarray, t: float = 0.0,
-                   reach: float = 16.0, k0: float | None = None) -> np.ndarray:
+                   reach: float = _DEFAULT_REACH, k0: float | None = None
+                   ) -> np.ndarray:
     """Vectorized envelopes for many pulses at once.
 
     m_hats, n_hats, deltas: (N, 3) arrays, deltas in meters (already r - r0).
@@ -598,7 +614,7 @@ def _mean_transform_power(table: EnvelopeTable) -> tuple[np.ndarray, np.ndarray]
     """|delta| grid, and (|T_y|^2 + |T_z|^2/2) averaged over cos(theta) on it."""
     grid = np.linspace(1e-4, table.support_radius * 0.995, 3000)
     grid.flags.writeable = False                      # shared via the memo
-    cg, cw = leggauss(200)
+    cg, cw = _gauss_legendre(200)
     st = np.sqrt(1.0 - cg**2)
     ty, tz = table.lookup(np.outer(grid, st), np.outer(grid, cg))
     return grid, 0.5 * ((np.abs(ty) ** 2 + 0.5 * np.abs(tz) ** 2) @ cw)
@@ -684,9 +700,7 @@ def mu_integral(family: PulseFamily, m_hat, psi: float, r: np.ndarray,
         if lo >= hi:
             return np.zeros(3)
         n = int(max(32, _MU_NODES_PER_UNIT * (hi - lo)))
-        xg, wg = leggauss(n)
-        axes.append((0.5 * (hi + lo) + 0.5 * (hi - lo) * xg,
-                     0.5 * (hi - lo) * wg))
+        axes.append(_gauss_legendre(n, lo, hi))
     (gx, wx), (gy, wy), (gz, wz) = axes
     DX, DY, DZ = np.meshgrid(gx, gy, gz, indexing="ij")
     delta = np.stack([DX.ravel(), DY.ravel(), DZ.ravel()], axis=1)

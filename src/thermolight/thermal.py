@@ -33,7 +33,7 @@ import numpy as np
 from scipy import integrate
 
 from .specfun import PI4_OVER_15, bose_moment
-from .units import PhysicalContext, to_dimensionless_time
+from .units import PhysicalContext
 
 # Series length for the spatial sums.  Tail ~ 1/(3 M^3) relative to the
 # rho=0 value, i.e. ~5e-12 at M=4000.
@@ -46,8 +46,6 @@ _ZETA4 = math.pi**4 / 90.0
 class G2Value:
     value: float            # (V/m)^4
     asymptote: float        # large-R limit, (V/m)^4
-    separation_R: float     # m
-    orientation: str        # field component relative to the separation
 
 
 def _g1_prefactor(ctx: PhysicalContext) -> float:
@@ -61,7 +59,7 @@ def g1_temporal(ctx: PhysicalContext, tau: float) -> complex:
     Returns int_0^inf (hbar c k^3 / 6 pi^2 eps0) e^{-i c k tau}/(e^{beta hbar c k}-1) dk.
     Real and positive at tau = 0; obeys g1(-tau) = conj(g1(tau)).
     """
-    u = to_dimensionless_time(ctx, tau)
+    u = tau / ctx.time_scale
     return _g1_prefactor(ctx) * bose_moment(3, u)
 
 
@@ -113,8 +111,7 @@ def g2_equal_time(ctx: PhysicalContext, R: float,
     g0 = g1_zero(ctx)
     g_r = g0 * s / _ZETA4
     value = g0 * g0 + g_r * g_r
-    return G2Value(value=value, asymptote=g0 * g0, separation_R=float(R),
-                   orientation=orientation)
+    return G2Value(value=value, asymptote=g0 * g0)
 
 
 def g2_curve(ctx: PhysicalContext, R_values: np.ndarray,

@@ -1,11 +1,11 @@
-"""Physical constants, temperature context, and dimensionless conversions.
+"""Physical constants and the temperature context.
 
 Everything downstream works in the dimensionless wavenumber x = beta*hbar*c*k
 and the dimensionless delay u = tau/(beta*hbar).  SI values enter and leave
-only through the converters here, so the integrand tables computed at one
-temperature are exact at every other temperature and the T-scaling laws of
-the correlation functions become testable statements instead of numerical
-coincidences.
+through the context's length_scale (beta*hbar*c) and time_scale (beta*hbar)
+alone, so the integrand tables computed at one temperature are exact at
+every other temperature and the T-scaling laws of the correlation functions
+become testable statements instead of numerical coincidences.
 """
 
 from __future__ import annotations
@@ -59,26 +59,3 @@ def make_context(temperature_K: float) -> PhysicalContext:
         raise ValueError(f"temperature must be positive and finite, got {temperature_K}")
     beta = 1.0 / (K_BOLTZMANN * temperature_K)
     return PhysicalContext(temperature_K=float(temperature_K), beta=beta)
-
-
-def to_dimensionless_k(ctx: PhysicalContext, k: float) -> float:
-    """Map a wavenumber k [1/m] to x = beta*hbar*c*k."""
-    if k < 0.0:
-        raise ValueError(f"wavenumber must be nonnegative, got {k}")
-    return k * ctx.length_scale
-
-
-def from_dimensionless_k(ctx: PhysicalContext, x: float) -> float:
-    """Inverse of to_dimensionless_k."""
-    if x < 0.0:
-        raise ValueError(f"dimensionless wavenumber must be nonnegative, got {x}")
-    return x / ctx.length_scale
-
-
-def to_dimensionless_time(ctx: PhysicalContext, tau: float) -> float:
-    """Map a delay tau [s] to u = tau/(beta*hbar).  Sign is preserved."""
-    return tau / ctx.time_scale
-
-
-def from_dimensionless_time(ctx: PhysicalContext, u: float) -> float:
-    return u * ctx.time_scale

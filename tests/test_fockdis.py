@@ -128,9 +128,11 @@ def _build_with(pulse, prob=1.0):
 @pytest.mark.parametrize("case", [
     "nan-probability", "nan-spectrum", "nan-alpha", "inf-alpha",
     "zero-magnitudes-free", "zero-magnitudes-linear",
-    "zero-magnitudes-pulse"])
+    "zero-magnitudes-pulse", "zero-free-samples", "negative-free-samples",
+    "zero-linear-a", "zero-linear-b"])
 def test_invalid_fock_inputs_rejected(case):
-    """Each of these used to give an empty rho with trace 0 or NaN spectra."""
+    """Each of these used to give an empty rho with trace 0, NaN spectra, an
+    empty ensemble or numpy's negative-dimension error."""
     modes = three_mode_example(cutoff=2)
     s = 1.0 / math.sqrt(3.0)
     calls = {
@@ -147,10 +149,20 @@ def test_invalid_fock_inputs_rejected(case):
             modes, (0.0, 0.0, 0.0), 1.0, n_a=4, n_b=8),
         "zero-magnitudes-pulse": lambda: make_linear_phase_pulse(
             modes, 0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0),
+        "zero-free-samples": lambda: free_phase_ensemble(
+            modes, (1.0, 2.0, 3.0), 1.0, 0, 1),
+        "negative-free-samples": lambda: free_phase_ensemble(
+            modes, (1.0, 2.0, 3.0), 1.0, -3, 1),
+        "zero-linear-a": lambda: linear_phase_ensemble(
+            modes, (1.0, 2.0, 3.0), 1.0, n_a=0, n_b=8),
+        "zero-linear-b": lambda: linear_phase_ensemble(
+            modes, (1.0, 2.0, 3.0), 1.0, n_a=4, n_b=0),
     }
+    names = {"zero-free-samples": "n_samples", "negative-free-samples":
+             "n_samples", "zero-linear-a": "n_a", "zero-linear-b": "n_b"}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=names.get(case)):
             calls[case]()
 
 

@@ -58,6 +58,20 @@ def test_tables_shared_across_temperature_and_amplitude(thermal_family):
     assert other.table(0.0, reach=2.0) is not cold.table(0.0, reach=2.0)
 
 
+def test_tail_coefficient_frozen(thermal_family):
+    """c3 sets the G2 truncation bound behind criterion 7; value recorded
+    before the quadrature nodes were cached."""
+    assert math.isclose(pulsekit.tail_coefficient(thermal_family),
+                        7.204959811181557, rel_tol=1e-12)
+    for span in ((0.0, 40.0), (-1.0, 1.0)):
+        x, w = pulsekit._gauss_legendre(1200, *span)
+        want = x.copy(), w.copy()
+        x[:] = 0.0
+        w[:] = 0.0
+        for got, ref in zip(pulsekit._gauss_legendre(1200, *span), want):
+            np.testing.assert_array_equal(got, ref)
+
+
 def test_table_zero_outside_reach(thermal_family):
     tab = thermal_family.table(0.0)
     ty, tz = tab.lookup(np.array([20.0]), np.array([5.0]))

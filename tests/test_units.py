@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermolight.units import (make_context, to_dimensionless_k,
-                               from_dimensionless_k, to_dimensionless_time,
-                               from_dimensionless_time)
+from thermolight.units import make_context
 
 
 def test_context_scales_at_5777K(ctx):
@@ -19,17 +17,6 @@ def test_context_constants(ctx):
     assert ctx.c == 299792458.0
     assert ctx.epsilon0 == 8.8541878128e-12
     assert math.isclose(ctx.beta, 1.0 / (1.380649e-23 * 5777.0), rel_tol=1e-15)
-
-
-def test_dimensionless_round_trips(ctx):
-    k = 2.0 * math.pi / 500e-9
-    x = to_dimensionless_k(ctx, k)
-    assert math.isclose(from_dimensionless_k(ctx, x), k, rel_tol=1e-15)
-    tau = 3.7e-15
-    u = to_dimensionless_time(ctx, tau)
-    assert math.isclose(from_dimensionless_time(ctx, u), tau, rel_tol=1e-15)
-    with pytest.raises(ValueError):
-        to_dimensionless_k(ctx, -1.0)
 
 
 def test_length_scale_inverse_in_temperature():
