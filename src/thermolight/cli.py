@@ -343,6 +343,8 @@ def run_g2_contrast(cfg: dict, rep: Reporter) -> None:
     ctx = make_context(cfg["T"])
     fam = pulsekit.make_thermal_family(ctx)
     weights = mixturekit.make_matched_improper_weights(ctx)
+    mcfield.check_sample_counts(cfg["n_g1"])
+    mcfield.check_sample_counts(cfg["n"], cfg["n_strata"])
     extent = pulsekit.pulse_extent(fam, 0.99)
     R = cfg["r_factor"] * extent
     g1_th = thermal.g1_zero(ctx)

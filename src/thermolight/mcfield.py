@@ -90,6 +90,21 @@ def _density_scale(weights: WeightSpec, omega: float) -> float:
     return 1.0
 
 
+def check_sample_counts(n: int, n_strata: int = 1) -> None:
+    """Raise ValueError unless n draws fill an estimator's n_strata strata.
+
+    Both estimators call it first; callers that build tables before
+    estimating call it sooner, so that bad counts fail before that work.
+    """
+    if n < 100:
+        raise ValueError("n must be at least 100")
+    if n_strata < 1:
+        raise ValueError(f"n_strata must be at least 1, got {n_strata}")
+    if n < n_strata:
+        raise ValueError(f"n = {n} leaves strata empty: need n >= n_strata "
+                         f"= {n_strata}")
+
+
 def _check_amplitude(family: PulseFamily, weights: WeightSpec) -> None:
     if abs(abs(family.alpha) ** 2 - weights.alpha_sq) > 1e-12 * weights.alpha_sq:
         raise ValueError("family amplitude inconsistent with weights.alpha_sq")
@@ -119,8 +134,7 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     are accounted for deterministically.  Accumulation is chunked per
     stratum or stream.
     """
-    if n < 100:
-        raise ValueError("n must be at least 100")
+    check_sample_counts(n)
     _check_amplitude(family, weights)
     r = np.asarray(r, float)
     ctx = family.ctx
@@ -192,11 +206,7 @@ def estimate_g2_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     live, so the error bar at large R is a genuine upper bound instead of
     a noisy zero.  Equal-probability strata make the merge a plain average.
     """
-    if n < 100:
-        raise ValueError("n must be at least 100")
-    if n < n_strata:
-        raise ValueError(f"n = {n} leaves strata empty: need n >= n_strata "
-                         f"= {n_strata}")
+    check_sample_counts(n, n_strata)
     if not R >= 0.0:
         raise ValueError("R must be nonnegative")
     if family.kind != "thermal":

@@ -474,6 +474,21 @@ def transforms_direct(family: PulseFamily, P: float, Z: float,
     Node counts scale with the phase x*Z across the radial range so the
     oscillatory far zone stays resolved; doubling them is the convergence
     check used in the tests.
+
+    The full nx x nmu rule is evaluated, folded on the parity of mu: the
+    Gauss-Legendre nodes are exactly symmetric, mu and -mu share
+    sqrt(1 - mu^2) and so both Bessel factors, and e^{-i x mu Z} is the
+    conjugate of e^{i x mu Z}.  With w+- = w(x, +-mu) and c, s the cosine
+    and sine of x mu Z, the sums run over mu >= 0 only,
+
+        T_y = sum_x xv sum_mu W mu J0 [(w+ - w-) c + i (w+ + w-) s]
+        T_z = sum_x xv sum_mu W st J1 [(w+ + w-) c + i (w+ - w-) s]
+
+    with W the mu-weight (halved at mu = 0 for odd nmu) and
+    xv = x-weight * e^{-i x u_delay}, in real blocks of _ROW_BLOCK rows of
+    x.  This halves the Bessel and trigonometric work and matches the
+    unfolded sum to about 1e-11 relative; on the axis (P = 0) T_z is
+    exactly zero.
     """
     dist = math.hypot(P, Z)
     x0 = None if k0 is None else k0 * family.ctx.length_scale
@@ -484,15 +499,25 @@ def transforms_direct(family: PulseFamily, P: float, Z: float,
         nmu = int(max(1600, 24 * dist))
     x, xw = _gauss_legendre(nx, max(0.0, xlo), xhi)
     mg, mw = _gauss_legendre(nmu)
-    st = np.sqrt(1.0 - mg**2)
-    wx = _spectral_weight(family, x[:, None], mg[None, :], x0)
-    ph = np.exp(1j * np.outer(x, mg) * Z)
-    if u_delay != 0.0:
-        ph = ph * np.exp(-1j * x[:, None] * u_delay)
-    jy = special.j0(np.outer(x, st) * P)
-    jz = special.j1(np.outer(x, st) * P)
-    ty = np.einsum("i,j,ij->", xw, mw * mg, wx * jy * ph)
-    tz = np.einsum("i,j,ij->", xw, mw * st, wx * jz * ph)
+    mu, wmu = mg[nmu // 2:], mw[nmu // 2:]
+    if nmu % 2:
+        wmu[0] *= 0.5                       # mu = 0 enters once, half per side
+    st = np.sqrt(1.0 - mu**2)
+    wy, wz = wmu * mu, wmu * st
+    xv = xw * np.exp(-1j * x * u_delay)
+    ty = tz = 0j
+    for lo in range(0, nx, _ROW_BLOCK):
+        xb = x[lo:lo + _ROW_BLOCK, None]
+        w_pos = _spectral_weight(family, xb, mu, x0)
+        w_neg = _spectral_weight(family, xb, -mu, x0)
+        even, odd = w_pos + w_neg, w_pos - w_neg
+        phase = xb * mu * Z
+        c, s = np.cos(phase), np.sin(phase)
+        rho = xb * st * P
+        jy, jz = special.j0(rho), special.j1(rho)
+        xb_v = xv[lo:lo + _ROW_BLOCK]
+        ty += xb_v @ ((jy * odd * c) @ wy + 1j * ((jy * even * s) @ wy))
+        tz += xb_v @ ((jz * even * c) @ wz + 1j * ((jz * odd * s) @ wz))
     return complex(ty), complex(tz)
 
 
@@ -654,9 +679,12 @@ def tail_coefficient(family: PulseFamily) -> float:
     """c3 with |T_y| + |T_z| ~ c3 / |Delta|^3 beyond the default table.
 
     The momentum kernel is direction-dependent but finite at k -> 0, which
-    makes the position-space transforms fall off as 1/|Delta|^3; c3 is the
-    largest |Delta|^3 (|T_y| + |T_z|) over direct quadrature on a far ring
-    (thermal kind).
+    makes the position-space transforms fall off as 1/|Delta|^3.  c3 is the
+    largest d^3 (|T_y| + |T_z|) over 15 direct-quadrature points, five
+    angles on each of the rings d = 18, 25 and 32 (thermal kind).  It is
+    not a supremum: the coefficient keeps rising beyond the rings, to about
+    7.63 at d = 1000 against c3 = 7.205, and the factor
+    mcfield._TAIL_SAFETY = 3 covers that gap.
     """
     if family.kind != "thermal":
         raise NotImplementedError("tail coefficient implemented for the thermal kind")

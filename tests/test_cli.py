@@ -153,6 +153,8 @@ def test_fock_demo_passes(tmp_path: Path):
     ("simcond-thermal", "--n-tau", "0"),
     ("gaussian-scan", "--durations", "0fs"),
     ("scaling", "--n-omega", "1"),
+    ("g2-contrast", "--n", "50"),
+    ("g2-contrast", "--n-strata", "0"),
 ])
 def test_bad_configuration_exits_two(tmp_path: Path, args):
     cp = run_cli(*args, "--out", str(tmp_path / "x"))
@@ -257,6 +259,17 @@ def test_missing_config_file_exits_two(tmp_path: Path):
     cp = run_cli("fig1", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "w"))
     assert cp.returncode == 2
+
+
+def test_g2_contrast_counts_checked_before_table(tmp_path: Path, monkeypatch):
+    """Bad sample counts exit 2 before pulse_extent builds the table."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("table work before the sample counts were checked")
+
+    monkeypatch.setattr(cli.pulsekit, "pulse_extent", no_table)
+    for flags in (("--n", "50"), ("--n-g1", "50"),
+                  ("--n", "100", "--n-strata", "101")):
+        assert cli.main(["g2-contrast", *flags, "--out", str(tmp_path / "g")]) == 2
 
 
 def test_numerical_failure_exits_three(tmp_path: Path, monkeypatch):

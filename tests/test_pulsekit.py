@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from thermolight import pulsekit
 from thermolight.units import make_context
@@ -86,6 +87,66 @@ def test_delayed_table_matches_direct(thermal_family):
         ty_t, tz_t = tab.lookup(np.array([P]), np.array([Z]))
         ty_d, tz_d = transforms_direct(thermal_family, P, Z, u)
         assert max(abs(ty_t[0] - ty_d), abs(tz_t[0] - tz_d)) / peak < 5e-4
+
+
+def _transforms_full_grid(family, P, Z, u_delay=0.0, k0=None, nx=None,
+                          nmu=None):
+    """transforms_direct before its mu-parity fold: the whole nx x nmu grid
+    as complex arrays, summed by einsum (slow oracle)."""
+    dist = math.hypot(P, Z)
+    x0 = None if k0 is None else k0 * family.ctx.length_scale
+    xlo, xhi = pulsekit._support(family, x0)
+    if nx is None:
+        nx = int(max(300, 12 * dist))
+    if nmu is None:
+        nmu = int(max(1600, 24 * dist))
+    x, xw = pulsekit._gauss_legendre(nx, max(0.0, xlo), xhi)
+    mg, mw = pulsekit._gauss_legendre(nmu)
+    st = np.sqrt(1.0 - mg**2)
+    wx = pulsekit._spectral_weight(family, x[:, None], mg[None, :], x0)
+    ph = np.exp(1j * np.outer(x, mg) * Z)
+    if u_delay != 0.0:
+        ph = ph * np.exp(-1j * x[:, None] * u_delay)
+    jy = special.j0(np.outer(x, st) * P)
+    jz = special.j1(np.outer(x, st) * P)
+    ty = np.einsum("i,j,ij->", xw, mw * mg, wx * jy * ph)
+    tz = np.einsum("i,j,ij->", xw, mw * st, wx * jz * ph)
+    return complex(ty), complex(tz)
+
+
+@pytest.mark.parametrize("kind, P, Z, u, nmu", [
+    ("thermal", 3.0, 2.0, 0.0, 1600),
+    ("thermal", 3.0, 2.0, 0.0, 1601),
+    ("thermal", 0.0, 4.0, 0.0, 1600),
+    ("thermal", 0.0, 4.0, 0.0, 1601),
+    ("thermal", 5.0, 0.0, 0.0, 1601),
+    ("thermal", 2.0, -3.0, 1.5, 1600),
+    ("thermal", 2.0, -3.0, 1.5, 1601),
+    ("power", 3.0, 2.0, 0.0, 1601),
+    ("power", 2.0, -3.0, 1.5, 1601),
+    ("gaussian", 1.0, 1.0, 0.0, 1601),
+    ("gaussian", 0.5, -2.0, 0.0, 1601),
+])
+def test_transforms_direct_matches_full_grid(ctx, thermal_family, kind, P, Z,
+                                             u, nmu):
+    """The mu-parity fold sums the same nodes as the full grid; odd nmu puts
+    a node at mu = 0, which the fold must count exactly once.  The default
+    thermal profile is e^{-20} there, so the power profile and a broad
+    gaussian are the cases that weigh that node."""
+    fam, k0 = thermal_family, None
+    if kind == "power":
+        fam = pulsekit.make_thermal_family(ctx, upsilon_kind="power",
+                                           upsilon_param=2.0)
+    if kind == "gaussian":
+        fam = make_gaussian_family(ctx, 1.0 / ctx.length_scale, alpha=1.0)
+        k0 = 2.0 / ctx.length_scale
+    folded = transforms_direct(fam, P, Z, u, k0, nmu=nmu)
+    full = _transforms_full_grid(fam, P, Z, u, k0, nmu=nmu)
+    if P == 0.0:                          # J1(0) = 0: T_z vanishes on the axis
+        assert folded[1] == 0.0 and full[1] == 0.0
+        folded, full = folded[:1], full[:1]
+    for got, want in zip(folded, full):
+        assert abs(got - want) <= 1e-10 * abs(want), (got, want)
 
 
 def _table_error(family, points):
