@@ -497,8 +497,13 @@ def _validate_config(experiment: str, cfg: dict) -> None:
     if experiment == "gaussian-scan":
         for token in cfg["durations"].split(","):
             _parse_duration(token)
-    if experiment == "scaling" and cfg["n_omega"] < 2:
-        raise ConfigError("the log-log slope needs n_omega >= 2 volumes")
+    if experiment == "scaling":
+        if cfg["n_omega"] < 2:
+            raise ConfigError("the log-log slope needs n_omega >= 2 volumes")
+        if not 0.0 < cfg["extent_lo"] < cfg["extent_hi"] < math.inf:
+            raise ConfigError("scaling needs 0 < extent_lo < extent_hi < inf")
+    if experiment == "g2-contrast" and not 0.0 < cfg["r_factor"] < math.inf:
+        raise ConfigError("r_factor must be positive and finite")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,7 +22,8 @@ from .mixturekit import WeightSpec, _LABEL_MEASURE
 # transforms_direct stays importable here: perfbench/tracing.py traces it
 # through this module as well as through pulsekit.
 from .pulsekit import (_DEFAULT_REACH, PulseFamily, _transverse_frames,  # noqa: F401
-                       envelope_batch, tail_coefficient, transforms_direct)
+                       check_reach, envelope_batch, tail_coefficient,
+                       transforms_direct)
 
 # streams the uniform G1 sampler splits its draws over
 _N_STREAMS = 8
@@ -136,7 +137,11 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     """
     check_sample_counts(n)
     _check_amplitude(family, weights)
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     r = np.asarray(r, float)
+    if not (math.isfinite(tau) and np.isfinite(r).all()):
+        raise ValueError(f"tau and r must be finite, got {tau} and {r}")
     ctx = family.ctx
     scale = _density_scale(weights, omega)
     side = omega ** (1.0 / 3.0)
@@ -207,8 +212,12 @@ def estimate_g2_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     a noisy zero.  Equal-probability strata make the merge a plain average.
     """
     check_sample_counts(n, n_strata)
-    if not R >= 0.0:
-        raise ValueError("R must be nonnegative")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega}")
+    if not 0.0 <= R < math.inf:
+        raise ValueError(f"R must be nonnegative and finite, got {R}")
+    if reach is not None:
+        check_reach(reach)
     if family.kind != "thermal":
         raise ValueError(f"estimate_g2_mix supports the thermal kind only, "
                          f"not {family.kind!r}")

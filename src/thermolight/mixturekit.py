@@ -79,21 +79,22 @@ class WeightSpec:
     def validate(self) -> None:
         if self.kind not in ("UnitTrace", "TraceImproper"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.alpha_sq < 0.0:
-            raise ValueError("alpha_sq must be nonnegative")
+        if not 0.0 <= self.alpha_sq < math.inf:
+            raise ValueError(f"alpha_sq must be nonnegative and finite, "
+                             f"got {self.alpha_sq}")
         if self.p_of_k0 is not None and np.any(np.asarray(self.p_of_k0) < 0):
             raise ValueError("k0 weights must be nonnegative")
         if self.kind == "TraceImproper":
             if self.p_const is None or self.calV is None:
                 raise ValueError("TraceImproper needs p_const and calV")
             target = 1.0 / self.calV
-            if abs(self.p_const * _LABEL_MEASURE - target) > 1e-10 * abs(target):
+            if not abs(self.p_const * _LABEL_MEASURE - target) <= 1e-10 * abs(target):
                 raise ValueError("p_const and calV are inconsistent")
         else:
             if self.p_const is None or self.quant_volume is None:
                 raise ValueError("UnitTrace needs p_const and quant_volume")
             total = self.p_const * self.quant_volume * _LABEL_MEASURE
-            if abs(total - 1.0) > 1e-10:
+            if not abs(total - 1.0) <= 1e-10:
                 raise ValueError(f"UnitTrace weights integrate to {total}, not 1")
 
 
@@ -103,6 +104,9 @@ def make_matched_improper_weights(ctx: PhysicalContext,
     """TraceImproper weights with p |alpha|^2 = product (matched by default)."""
     if product is None:
         product = matched_product(ctx)
+    if not (0.0 < alpha_sq < math.inf and 0.0 < product < math.inf):
+        raise ValueError(f"alpha_sq and product must be positive and finite, "
+                         f"got {alpha_sq} and {product}")
     p = product / alpha_sq
     spec = WeightSpec(kind="TraceImproper", alpha_sq=alpha_sq, p_const=p,
                       calV=1.0 / (_LABEL_MEASURE * p))
@@ -112,8 +116,8 @@ def make_matched_improper_weights(ctx: PhysicalContext,
 
 def make_unit_trace_weights(omega: float, alpha_sq: float = 1.0) -> WeightSpec:
     """Proper mixture weights, normalized over the volume omega [m^3]."""
-    if not omega > 0.0:
-        raise ValueError("omega must be positive")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     spec = WeightSpec(kind="UnitTrace", alpha_sq=alpha_sq,
                       p_const=1.0 / (omega * _LABEL_MEASURE), quant_volume=omega)
     spec.validate()
@@ -158,8 +162,7 @@ def g1_improper(family: PulseFamily, weights: WeightSpec,
         pref = (pa2 * n_sq * (2.0 * math.pi) ** 3 * 4.0 * math.pi
                 * ctx.hbar * ctx.c / (16.0 * math.pi**3 * ctx.epsilon0)
                 * (tr_ang / 3.0) / ctx.length_scale**4)
-        moments = [bose_moment(3, float(v)) for v in u.ravel()]
-        out = pref * np.array(moments, complex).reshape(u.shape)
+        out = pref * bose_moment(3, u)
     elif family.kind == "gaussian":
         if weights.k0_grid is None or weights.p_of_k0 is None:
             raise ValueError("gaussian kind needs k0_grid and p_of_k0 masses")
@@ -169,7 +172,7 @@ def g1_improper(family: PulseFamily, weights: WeightSpec,
                * ctx.hbar * ctx.c / (ctx.epsilon0 * ctx.length_scale**4))
     else:
         raise ValueError(f"unknown family kind {family.kind!r}")
-    return complex(out) if out.ndim == 0 else out
+    return out if np.ndim(out) else complex(out)
 
 
 def _gaussian_spectral_density(family: PulseFamily, weights: WeightSpec
@@ -210,7 +213,7 @@ def simulation_residual(family: PulseFamily, weights: WeightSpec,
         raise ValueError("tau_grid must be non-empty")
     ctx = family.ctx
     imp = g1_improper(family, weights, taus)
-    th = np.array([g1_temporal(ctx, t) for t in taus])
+    th = g1_temporal(ctx, taus)
     resid = float(np.linalg.norm(imp - th) / np.linalg.norm(th))
     return SimulationReport(residual=resid, g1_imp=imp, g1_th=th)
 
@@ -325,8 +328,7 @@ def unit_trace_scaling(family: PulseFamily, weights: WeightSpec,
     base = grid**2 * prof
     for i, om in enumerate(omegas):
         L = om ** (1.0 / 3.0) / ctx.length_scale
-        frac = np.array([pulsekit.sphere_in_cube_fraction(2.0 * d / L)
-                         for d in grid])
+        frac = pulsekit.sphere_in_cube_fraction(2.0 * grid / L)
         inner = 4.0 * math.pi * np.trapezoid(base * frac, grid)
         vals[i] = inner * ctx.length_scale**3 / (3.0 * om)
     vals = vals * weights.alpha_sq

@@ -67,9 +67,14 @@ _memo: OrderedDict = OrderedDict()
 # Table layout: the FFT over b runs on _ROW_BLOCK rows of a at a time, and the
 # B-spline prefilter sees the grid extended across P = 0 by _PAD rows, so its
 # mirror boundary lies _PAD rows below P = 0 and its effect there has decayed
-# by 0.268 per row (below 1e-7 of the peak).
+# by 0.268 per row (below 1e-7 of the peak).  Rows of P are _P_STEP apart.
 _ROW_BLOCK = 64
 _PAD = 8
+_P_STEP = 0.03
+
+# gaussian_angular_kernel sums its 48-node rule over _KERNEL_BLOCK small-a
+# entries at a time, so each temporary holds 96 kB.
+_KERNEL_BLOCK = 256
 
 # Gauss-Legendre nodes of the gaussian-kind radial normalization, and nodes
 # per unit length along each axis of mu_integral's position quadrature.
@@ -122,12 +127,12 @@ def upsilon_function(kind: str, param: float) -> Callable[[np.ndarray], np.ndarr
     'power' : ((1 + mu)/2)^q
     """
     if kind == "exp":
-        if param <= 0:
-            raise ValueError("kappa must be positive")
+        if not 0.0 < param < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {param}")
         return lambda mu: np.exp(param * (np.asarray(mu) - 1.0))
     if kind == "power":
-        if param <= 0:
-            raise ValueError("q must be positive")
+        if not 0.0 < param < math.inf:
+            raise ValueError(f"q must be positive and finite, got {param}")
         return lambda mu: ((1.0 + np.asarray(mu)) / 2.0) ** param
     raise ValueError(f"unknown upsilon kind {kind!r}")
 
@@ -302,6 +307,9 @@ class PulseFamily:
     def table(self, u_delay: float = 0.0, reach: float = _DEFAULT_REACH,
               k0: float | None = None) -> EnvelopeTable:
         """T_y, T_z on a (P, Z) grid reaching |Delta| = reach, at delay u."""
+        if not math.isfinite(u_delay):
+            raise ValueError(f"delay u must be finite, got {u_delay}")
+        check_reach(reach)
         x0 = None
         if self.kind == "gaussian":
             if k0 is None:
@@ -309,6 +317,18 @@ class PulseFamily:
             x0 = k0 * self.ctx.length_scale
         return _memoized(("table", self.shape, u_delay, reach, x0),
                          lambda: _build_table(self, u_delay, reach, x0))
+
+
+def check_reach(reach: float) -> None:
+    """Raise ValueError unless a table reaching |Delta| = reach is finite
+    and has the _PAD + 1 rows of P its prefilter mirrors across P = 0; a
+    shorter table would be read with shifted B-spline coefficients."""
+    # np.arange(0, reach + _P_STEP / 2, _P_STEP) in _build_table has this
+    # many rows
+    if not (math.isfinite(reach)
+            and math.ceil((reach + _P_STEP / 2) / _P_STEP) > _PAD):
+        raise ValueError(f"reach must be finite and span {_PAD + 1} rows of "
+                         f"P, {_P_STEP} apart, got {reach}")
 
 
 def make_thermal_family(ctx: PhysicalContext, upsilon_kind: str = "exp",
@@ -328,8 +348,8 @@ def make_thermal_family(ctx: PhysicalContext, upsilon_kind: str = "exp",
 def make_gaussian_family(ctx: PhysicalContext, sigma: float,
                          alpha: complex = 1.0 + 0.0j) -> PulseFamily:
     """Family of Gaussian-lineshape pulses with width sigma [1/m]."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     return PulseFamily(kind="gaussian", ctx=ctx, alpha=complex(alpha),
                        sigma=float(sigma))
 
@@ -364,8 +384,12 @@ def gaussian_angular_kernel(x: np.ndarray, x0: np.ndarray, s: float) -> np.ndarr
     if np.any(~big):
         xg, wg = _gauss_legendre(48)
         asm = a[~big]
-        out[~big] = np.exp(-asm) * np.array(
-            [np.sum(wg * (1.0 + xg**2) * np.exp(av * xg)) for av in asm])
+        raw = np.empty_like(asm)
+        for lo in range(0, asm.size, _KERNEL_BLOCK):
+            ab = asm[lo:lo + _KERNEL_BLOCK, None]
+            raw[lo:lo + _KERNEL_BLOCK] = np.sum(
+                wg * (1.0 + xg**2) * np.exp(ab * xg), axis=1)
+        out[~big] = np.exp(-asm) * raw
     return np.exp(-(X - X0) ** 2 / (s * s)) * out
 
 
@@ -428,7 +452,7 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float,
     Zg = Zk[cols]
     phase = np.exp(1j * b[0] * Zg) * db               # shift to start at b[0]
 
-    dP = 0.03
+    dP = _P_STEP
     Pg = np.arange(0.0, reach + dP / 2, dP)
     Ty = np.zeros((len(Pg), len(Zg)), complex)
     Tz = np.zeros_like(Ty)
@@ -740,20 +764,22 @@ def mu_integral(family: PulseFamily, m_hat, psi: float, r: np.ndarray,
     return out * ctx.length_scale**3
 
 
-def sphere_in_cube_fraction(d: float) -> float:
+def sphere_in_cube_fraction(d: float | np.ndarray) -> float | np.ndarray:
     """Fraction of a sphere's surface (radius*d = half-side) inside a cube.
 
-    Argument d = radius / (L/2).  Exact for the face-cap band; the edge
-    band uses a deterministic spherical average.
+    Argument d = radius / (L/2), a number or an array; the result has d's
+    shape.  Exact for the face-cap band; the edge band uses a deterministic
+    spherical average: the share of 20000 Fibonacci points whose largest
+    coordinate is at most 1/d, counted in the points' sorted maxima.
     """
-    if d <= 1.0:
-        return 1.0
-    if d >= math.sqrt(3.0):
-        return 0.0
-    if d <= math.sqrt(2.0):
-        return 3.0 / d - 2.0
-    pts = _fibonacci_sphere(20000)
-    return float(np.mean(np.max(np.abs(pts), axis=1) <= 1.0 / d))
+    d = np.asarray(d, dtype=float)
+    out = np.where(d <= math.sqrt(2.0), 3.0 / np.maximum(d, 1.0) - 2.0, 0.0)
+    edge = (d > math.sqrt(2.0)) & (d < math.sqrt(3.0))
+    if np.any(edge):
+        maxima = np.sort(np.max(np.abs(_fibonacci_sphere(20000)), axis=1))
+        inside = np.searchsorted(maxima, 1.0 / d[edge], side="right")
+        out[edge] = inside / maxima.size
+    return out[()]
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:

@@ -155,8 +155,21 @@ def test_fock_demo_passes(tmp_path: Path):
     ("scaling", "--n-omega", "1"),
     ("g2-contrast", "--n", "50"),
     ("g2-contrast", "--n-strata", "0"),
+    ("g2-contrast", "--r-factor", "0"),
+    ("g2-contrast", "--r-factor", "-2"),
+    ("g2-contrast", "--r-factor", "nan"),
+    ("scaling", "--config", "[scaling]\nextent_lo = 0\n"),
+    ("scaling", "--config", "[scaling]\nextent_lo = -5\n"),
+    ("scaling", "--config", "[scaling]\nextent_lo = 100\n"),
+    ("scaling", "--config", "[scaling]\nextent_hi = inf\n"),
 ])
 def test_bad_configuration_exits_two(tmp_path: Path, args):
+    """A --config argument here is the INI text; it is written to a file."""
+    if "--config" in args:
+        at = args.index("--config") + 1
+        ini = tmp_path / "bad.ini"
+        ini.write_text(args[at])
+        args = (*args[:at], str(ini), *args[at + 1:])
     cp = run_cli(*args, "--out", str(tmp_path / "x"))
     assert cp.returncode == 2, (args, cp.stdout, cp.stderr)
     assert "Traceback" not in cp.stderr, cp.stderr
@@ -270,6 +283,25 @@ def test_g2_contrast_counts_checked_before_table(tmp_path: Path, monkeypatch):
     for flags in (("--n", "50"), ("--n-g1", "50"),
                   ("--n", "100", "--n-strata", "101")):
         assert cli.main(["g2-contrast", *flags, "--out", str(tmp_path / "g")]) == 2
+
+
+def test_extents_and_r_factor_checked_before_table(tmp_path: Path,
+                                                   monkeypatch):
+    """Bad scaling extents and g2-contrast r_factor exit 2 before
+    pulse_extent builds the table."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("table work before the geometry was checked")
+
+    monkeypatch.setattr(cli.pulsekit, "pulse_extent", no_table)
+    ini = tmp_path / "extents.ini"
+    for body in ("extent_lo = 0", "extent_lo = -1", "extent_lo = 100",
+                 "extent_hi = nan", "extent_hi = inf"):
+        ini.write_text(f"[scaling]\n{body}\n")
+        assert cli.main(["scaling", "--config", str(ini),
+                         "--out", str(tmp_path / "s")]) == 2, body
+    for value in ("0", "-1", "nan", "inf"):
+        assert cli.main(["g2-contrast", "--r-factor", value,
+                         "--out", str(tmp_path / "g")]) == 2, value
 
 
 def test_numerical_failure_exits_three(tmp_path: Path, monkeypatch):

@@ -64,6 +64,53 @@ def test_g2_rejects_inputs_it_cannot_estimate(ctx, thermal_family,
                         seed=1)
 
 
+@pytest.mark.parametrize("case", [
+    "g1-omega-zero", "g1-omega-negative", "g1-omega-nan", "g1-tau-nan",
+    "g1-r-nan", "g2-omega-negative", "g2-R-inf", "g2-reach-zero",
+    "g2-reach-nan", "table-delay-nan", "table-reach-nan", "table-reach-zero",
+    "table-reach-short", "g2-reach-short"])
+def test_bad_geometry_rejected_before_any_work(ctx, thermal_family,
+                                               matched_weights, monkeypatch,
+                                               case):
+    """Each of these used to raise a stray TypeError, build (and keep) a NaN
+    table or one too short to read, or return a NaN or zero estimate."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("drew labels or built a table before checking")
+
+    monkeypatch.setattr(mcfield, "draw_batch", no_work)
+    monkeypatch.setattr(mcfield, "_draw_shell", no_work)
+    monkeypatch.setattr(pulsekit, "_build_table", no_work)
+    fam, w, nan, origin = thermal_family, matched_weights, math.nan, np.zeros(3)
+    om = _cube(ctx, 40.0)
+    calls = {
+        "g1-omega-zero": lambda: estimate_g1_mix(fam, w, 0.0, origin, 0.0,
+                                                 1000, 1),
+        "g1-omega-negative": lambda: estimate_g1_mix(fam, w, -om, origin,
+                                                     0.0, 1000, 1),
+        "g1-omega-nan": lambda: estimate_g1_mix(fam, w, nan, origin, 0.0,
+                                                1000, 1),
+        "g1-tau-nan": lambda: estimate_g1_mix(fam, w, om, origin, nan,
+                                              1000, 1),
+        "g1-r-nan": lambda: estimate_g1_mix(fam, w, om, np.array(
+            [0.0, nan, 0.0]), 0.0, 1000, 1),
+        "g2-omega-negative": lambda: estimate_g2_mix(fam, w, -om, 0.0,
+                                                     1000, 1),
+        "g2-R-inf": lambda: estimate_g2_mix(fam, w, om, math.inf, 1000, 1),
+        "g2-reach-zero": lambda: estimate_g2_mix(fam, w, om, 0.0, 1000, 1,
+                                                 reach=0.0),
+        "g2-reach-nan": lambda: estimate_g2_mix(fam, w, om, 0.0, 1000, 1,
+                                                reach=nan),
+        "table-delay-nan": lambda: fam.table(nan),
+        "table-reach-nan": lambda: fam.table(0.0, reach=nan),
+        "table-reach-zero": lambda: fam.table(0.0, reach=0.0),
+        "table-reach-short": lambda: fam.table(0.0, reach=0.2),
+        "g2-reach-short": lambda: estimate_g2_mix(fam, w, om, 0.0, 1000, 1,
+                                                  reach=0.2),
+    }
+    with pytest.raises(ValueError):
+        calls[case]()
+
+
 def test_amplitude_consistency_enforced(ctx, thermal_family):
     w = make_matched_improper_weights(ctx, alpha_sq=4.0)
     with pytest.raises(ValueError):

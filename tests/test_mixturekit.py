@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,42 @@ def test_weight_spec_validation(ctx):
         make_unit_trace_weights(0.0)
     ok = make_unit_trace_weights(1e-18, alpha_sq=2.0)
     ok.validate()
+
+
+@pytest.mark.parametrize("case", [
+    "upsilon-exp-nan", "upsilon-power-inf", "thermal-family-inf",
+    "gaussian-sigma-inf", "unit-trace-inf", "improper-alpha-zero",
+    "improper-alpha-nan", "improper-product-nan", "spec-alpha-nan",
+    "spec-p-const-nan"])
+def test_invalid_builder_inputs_rejected(ctx, case):
+    """Each of these used to give a NaN normalization, a ZeroDivisionError,
+    or weights that passed validation."""
+    nan, inf = math.nan, math.inf
+    improper_p = 1.0 / mixturekit._LABEL_MEASURE        # with calV = 1
+    calls = {
+        "upsilon-exp-nan": lambda: pulsekit.upsilon_function("exp", nan),
+        "upsilon-power-inf": lambda: pulsekit.upsilon_function("power", inf),
+        "thermal-family-inf": lambda: pulsekit.make_thermal_family(
+            ctx, upsilon_param=inf),
+        "gaussian-sigma-inf": lambda: pulsekit.make_gaussian_family(ctx, inf),
+        "unit-trace-inf": lambda: make_unit_trace_weights(inf),
+        "improper-alpha-zero": lambda: make_matched_improper_weights(
+            ctx, alpha_sq=0.0),
+        "improper-alpha-nan": lambda: make_matched_improper_weights(
+            ctx, alpha_sq=nan),
+        "improper-product-nan": lambda: make_matched_improper_weights(
+            ctx, product=nan),
+        "spec-alpha-nan": lambda: WeightSpec(
+            kind="TraceImproper", alpha_sq=nan, p_const=improper_p,
+            calV=1.0).validate(),
+        "spec-p-const-nan": lambda: WeightSpec(
+            kind="UnitTrace", alpha_sq=1.0, p_const=nan,
+            quant_volume=1.0).validate(),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            calls[case]()
 
 
 def test_blackbody_spectral_target_totals():

@@ -337,6 +337,55 @@ def test_sphere_in_cube_fraction_regimes():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def test_sphere_in_cube_fraction_array_frozen():
+    """One array call across the three bands returns, in d's shape, the
+    values the scalar implementation gave (recorded from it)."""
+    recorded = {0.0: 1.0, 0.5: 1.0, 1.0: 1.0, 1.2: 0.5,
+                math.sqrt(2.0): 0.12132034355964239, 1.42: 0.11345,
+                1.45: 0.08245, 1.5: 0.04805, 1.55: 0.0263, 1.6: 0.01235,
+                1.65: 0.00425, 1.7: 0.00075, 1.73: 0.0, math.sqrt(3.0): 0.0,
+                2.0: 0.0, 7.5: 0.0}
+    ds = np.array(list(recorded)).reshape(4, 4)
+    got = sphere_in_cube_fraction(ds)
+    assert got.shape == (4, 4)
+    np.testing.assert_array_equal(got.ravel(), list(recorded.values()))
+    assert sphere_in_cube_fraction(math.nan) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# gaussian angular kernel
+
+
+def _angular_kernel_per_entry(x, x0, s):
+    """The kernel with its small-a rule summed one entry at a time, as it
+    was before that branch took arrays; kept as the reference."""
+    X, X0 = np.meshgrid(np.asarray(x, float), np.asarray(x0, float), indexing="ij")
+    a = 2.0 * X * X0 / (s * s)
+    out = np.empty_like(a)
+    big = a >= 0.5
+    ab = a[big]
+    sh = 1.0 - np.exp(-2.0 * ab)
+    ch = 1.0 + np.exp(-2.0 * ab)
+    out[big] = sh / ab + ((ab * ab + 2.0) * sh - 2.0 * ab * ch) / ab**3
+    xg, wg = pulsekit._gauss_legendre(48)
+    asm = a[~big]
+    out[~big] = np.exp(-asm) * np.array(
+        [np.sum(wg * (1.0 + xg**2) * np.exp(av * xg)) for av in asm])
+    return np.exp(-(X - X0) ** 2 / (s * s)) * out
+
+
+@pytest.mark.parametrize("block", [7, None])
+def test_gaussian_angular_kernel_matches_per_entry_sum(monkeypatch, block):
+    """Both rules, block seams included: bit for bit the per-entry sum."""
+    if block is not None:
+        monkeypatch.setattr(pulsekit, "_KERNEL_BLOCK", block)
+    x = np.linspace(0.01, 25.0, 240)
+    x0 = np.linspace(0.02, 20.0, 30)
+    for s in (0.3, 4.0, 30.0):
+        got = pulsekit.gaussian_angular_kernel(x, x0, s)
+        np.testing.assert_array_equal(got, _angular_kernel_per_entry(x, x0, s))
+
+
 # ---------------------------------------------------------------------------
 # gaussian lineshapes
 

@@ -52,6 +52,26 @@ def test_order_zero_rejected():
 def test_nonfinite_delay_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         specfun.bose_moment(3, bad)
+    with pytest.raises(ValueError, match="finite"):
+        specfun.bose_moment(3, np.array([0.5, bad, 2.0]))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_array_matches_scalar_calls(n):
+    """An array call has the shape of u and, element by element, the bits of
+    the scalar call, for delays that sum the minimum number of terms
+    (|u| < 31.5) and for delays that each sum more."""
+    rng = np.random.default_rng(11)
+    shared = rng.uniform(-31.4, 31.4, (9, 11))
+    mixed = np.concatenate([rng.uniform(-300.0, 300.0, 40),
+                            [0.0, -0.0, 31.5, -31.5, 64.25]])
+    for us in (shared, mixed, np.array([2.5])):
+        got = specfun.bose_moment(n, us)
+        assert got.shape == us.shape and got.dtype == complex
+        want = [specfun.bose_moment(n, float(u)) for u in us.ravel()]
+        np.testing.assert_array_equal(got.ravel(), want)
+    assert specfun.bose_moment(n, np.empty((0, 3))).shape == (0, 3)
+    assert specfun.bose_moment(n, np.array(1.5)) == specfun.bose_moment(n, 1.5)
 
 
 @given(n=st.integers(min_value=1, max_value=5),

@@ -82,6 +82,21 @@ def test_g2_curve_matches_pointwise(ctx):
 def test_nan_separation_rejected(ctx):
     with pytest.raises(ValueError):
         thermal.g2_equal_time(ctx, float("nan"))
+    with pytest.raises(ValueError):
+        thermal.g2_equal_time(ctx, np.array([1e-7, float("nan")]))
+
+
+@pytest.mark.parametrize("orientation", ["parallel", "perpendicular"])
+def test_g2_equal_time_array_matches_scalar(ctx, orientation):
+    """More separations than one block of the spatial sums, in a 2-D shape:
+    each value has the bits of the scalar call."""
+    rs = np.linspace(0.0, 3e-6, 3 * thermal._ROW_BLOCK + 5).reshape(-1, 1)
+    g2 = thermal.g2_equal_time(ctx, rs, orientation)
+    assert g2.value.shape == rs.shape
+    assert g2.asymptote == thermal.g2_asymptote(ctx)
+    want = [thermal.g2_equal_time(ctx, float(r), orientation).value
+            for r in rs.ravel()]
+    np.testing.assert_array_equal(g2.value.ravel(), want)
 
 
 def test_nan_delay_rejected(ctx):
