@@ -141,6 +141,33 @@ def test_fock_demo_passes(tmp_path: Path):
     assert "free_phase_suppressed" in names
 
 
+def _fock_checks(out: Path) -> dict:
+    report = json.loads((out / "report.json").read_text())
+    return {c["name"]: c for c in report["checks"]}
+
+
+def test_fock_demo_free_phase_seed_at_3_sigma_passes(tmp_path: Path):
+    """This seed's free-phase element sits 3.09 sigma out, which is a
+    chance of e^-9.5 on correct code, not a surviving coherence."""
+    out = tmp_path / "fock"
+    assert cli.main(["fock-demo", "--seed", "4944246525788589698",
+                     "--out", str(out)]) == 0
+    assert _fock_checks(out)["free_phase_suppressed"]["passed"] is True
+
+
+def test_fock_demo_catches_unsuppressed_coherence(tmp_path: Path,
+                                                  monkeypatch):
+    """Linear phases in place of free ones leave the survivor b_sum, 100
+    sigma at the default n_free, and the check fails."""
+    def linear_instead(modes, mags, alpha_abs, n_samples, seed):
+        return cli.fockdis.linear_phase_ensemble(modes, mags, alpha_abs)
+
+    monkeypatch.setattr(cli.fockdis, "free_phase_ensemble", linear_instead)
+    out = tmp_path / "fock"
+    assert cli.main(["fock-demo", "--out", str(out)]) == 1
+    assert _fock_checks(out)["free_phase_suppressed"]["passed"] is False
+
+
 @pytest.mark.parametrize("args", [
     ("fig1", "--T", "-10"),
     ("fig1", "--n-points", "1"),
@@ -302,6 +329,21 @@ def test_extents_and_r_factor_checked_before_table(tmp_path: Path,
     for value in ("0", "-1", "nan", "inf"):
         assert cli.main(["g2-contrast", "--r-factor", value,
                          "--out", str(tmp_path / "g")]) == 2, value
+
+
+def test_g2_contrast_short_r_rejected_before_monte_carlo(tmp_path: Path,
+                                                        monkeypatch):
+    """An R shorter than twice the envelope unit leaves no reach below R, so
+    r_factor 0.1 exits 2 before either estimator runs."""
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("Monte Carlo before the reach was checked")
+
+    monkeypatch.setattr(cli.pulsekit, "pulse_extent",
+                        lambda *args, **kwargs: 3.17677e-6)
+    monkeypatch.setattr(cli.mcfield, "estimate_g1_mix", no_estimate)
+    monkeypatch.setattr(cli.mcfield, "estimate_g2_mix", no_estimate)
+    assert cli.main(["g2-contrast", "--r-factor", "0.1",
+                     "--out", str(tmp_path / "g")]) == 2
 
 
 def test_numerical_failure_exits_three(tmp_path: Path, monkeypatch):

@@ -1,12 +1,13 @@
 """Series evaluator for the occupation-weighted moments, against quadrature.
 
 The evaluator computes int_0^inf x^n e^{-i x u} / (e^x - 1) dx.  Exact
-anchor values and an adaptive-quadrature oracle pin it down; the symmetry
-and smoothness properties are sampled with hypothesis.
+anchor values, mpmath's Hurwitz zeta and an adaptive-quadrature oracle pin
+it down; the symmetry and smoothness properties are sampled with hypothesis.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,8 +60,7 @@ def test_nonfinite_delay_rejected(bad):
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_array_matches_scalar_calls(n):
     """An array call has the shape of u and, element by element, the bits of
-    the scalar call, for delays that sum the minimum number of terms
-    (|u| < 31.5) and for delays that each sum more."""
+    the scalar call, for a 2-D array of delays and for a wide 1-D one."""
     rng = np.random.default_rng(11)
     shared = rng.uniform(-31.4, 31.4, (9, 11))
     mixed = np.concatenate([rng.uniform(-300.0, 300.0, 40),
@@ -92,6 +92,40 @@ def test_series_matches_quadrature(n, u):
     series = specfun.bose_moment(n, u)
     quad = specfun.bose_moment_quad(n, u)
     assert abs(series - quad) <= 1e-9 * max(abs(quad), 1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_matches_hurwitz_zeta(n):
+    """bose_moment(n, u) = n! zeta(n+1, 1+iu), from u = 0 to 1e8, densely
+    where the explicit terms and the Euler-Maclaurin tail are of one size."""
+    us = np.concatenate([np.arange(0.0, 100.0, 0.5),
+                         np.geomspace(100.0, 1e8, 60)])
+    got = specfun.bose_moment(n, us)
+    with mpmath.workdps(30):
+        for u, g in zip(us, got):
+            want = math.factorial(n) * mpmath.zeta(n + 1, 1 + 1j * u)
+            assert abs(g - want) <= 1e-14 * abs(want), u
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 40])
+def test_finite_at_extreme_delay(n):
+    # RuntimeWarnings are errors under pytest, so this is also warning-free
+    us = np.array([2.0**64, 1e12, 1e300, -1e300, np.finfo(float).max])
+    got = specfun.bose_moment(n, us)
+    assert np.all(np.isfinite(got))
+    # leading behaviour (n-1)!/(iu)^n; the next term is n/(2u) of it
+    for u, g in zip(us[:2], got):
+        want = math.factorial(n - 1) * (-1j / u) ** n
+        assert abs(g - want) <= n / u * abs(want), u
+    if n == 1:
+        assert got[2] == -1e-300j and got[3] == 1e-300j
+
+
+def test_accuracy_guard_still_raises():
+    # at n = 20 the five Euler-Maclaurin tail terms are not enough near u = 60
+    with pytest.raises(specfun.AccuracyError) as info:
+        specfun.bose_moment(20, 60.0)
+    assert np.isfinite(info.value.value)
 
 
 def test_modulus_decays_with_delay():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -43,9 +44,67 @@ def test_spatial_sums_frozen():
         assert math.isclose(got_t, st, rel_tol=1e-9, abs_tol=1e-12)
 
 
+def _sums_nsum(rho):
+    """The two defining series at rho, summed by mpmath to 30 digits.
+
+    The transverse terms change sign at m = rho, which misleads nsum's
+    extrapolation, so the terms up to well past it are added exactly."""
+    a2 = mpmath.mpf(rho) ** 2
+    head = int(2 * rho) + 10
+    out = []
+    for term in (lambda m: 1 / (m * m + a2) ** 2,
+                 lambda m: (m * m - a2) / (m * m + a2) ** 3):
+        out.append(mpmath.fsum(term(m) for m in range(1, head))
+                   + mpmath.nsum(term, [head, mpmath.inf],
+                                 method="euler-maclaurin"))
+    return out
+
+
+def _sums_closed_form(rho):
+    """s_long and s_trans from the coth closed forms, to 50 digits."""
+    a = mpmath.mpf(rho)
+    pi, c, h = mpmath.pi, mpmath.coth(mpmath.pi * a), mpmath.csch(mpmath.pi * a) ** 2
+    s2 = (pi * c / (2 * a**3) + pi**2 * h / (2 * a**2) - a**-4) / 2
+    s3 = (3 * pi * c / (8 * a**5) + 3 * pi**2 * h / (8 * a**4)
+          + pi**3 * h * c / (4 * a**3) - a**-6) / 2
+    return s2, s2 - 2 * a * a * s3
+
+
+def test_spatial_sums_match_nsum():
+    """Both branches, and the switch between them at rho = 0.6, against the
+    series themselves; s_trans changes sign between rho = 1 and 2, so its
+    error is measured against s_long."""
+    with mpmath.workdps(30):
+        for rho in (0.0, 0.05, 0.3, 0.59, 0.6, 0.61, 1.0, 1.7, 2.0, 5.05,
+                    12.5, 30.0):
+            want_l, want_t = _sums_nsum(rho)
+            got_l, got_t = _spatial_sums(rho)
+            assert abs(got_l - want_l) <= 1e-14 * want_l, rho
+            assert abs(got_t - want_t) <= 1e-14 * want_l, rho
+
+
+def test_spatial_sums_match_closed_form_up_to_1e8():
+    rhos = np.concatenate([np.geomspace(1e-3, 1e8, 300),
+                           np.linspace(0.55, 0.65, 21)])
+    got_l, got_t = _spatial_sums(rhos)
+    with mpmath.workdps(50):
+        for rho, gl, gt in zip(rhos, got_l, got_t):
+            want_l, want_t = _sums_closed_form(rho)
+            assert abs(gl - want_l) <= 1e-14 * want_l, rho
+            assert abs(gt - want_t) <= 1e-14 * want_l, rho
+
+
+def test_spatial_sums_finite_at_extreme_separation():
+    # RuntimeWarnings are errors under pytest, so this is also warning-free
+    rhos = np.array([0.0, 1e300, np.finfo(float).max])
+    s_long, s_trans = _spatial_sums(rhos)
+    assert np.all(np.isfinite(s_long)) and np.all(np.isfinite(s_trans))
+    assert s_long[1] == s_long[2] == 0.0 and s_trans[1] == s_trans[2] == 0.0
+
+
 def test_g2_ratio_doubles_at_contact(ctx):
     g2 = thermal.g2_equal_time(ctx, 0.0)
-    assert math.isclose(g2.value / g2.asymptote, 2.0, rel_tol=1e-10)
+    assert g2.value / g2.asymptote == 2.0
 
 
 def test_g2_asymptote_is_g1_squared(ctx):
@@ -88,9 +147,9 @@ def test_nan_separation_rejected(ctx):
 
 @pytest.mark.parametrize("orientation", ["parallel", "perpendicular"])
 def test_g2_equal_time_array_matches_scalar(ctx, orientation):
-    """More separations than one block of the spatial sums, in a 2-D shape:
+    """Separations on both sides of the Taylor switch, in a 2-D shape:
     each value has the bits of the scalar call."""
-    rs = np.linspace(0.0, 3e-6, 3 * thermal._ROW_BLOCK + 5).reshape(-1, 1)
+    rs = np.linspace(0.0, 3e-6, 17).reshape(-1, 1)
     g2 = thermal.g2_equal_time(ctx, rs, orientation)
     assert g2.value.shape == rs.shape
     assert g2.asymptote == thermal.g2_asymptote(ctx)
