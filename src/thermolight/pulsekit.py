@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy import integrate, ndimage, special
+from numpy.polynomial.legendre import legder, legval
+from scipy import integrate, linalg, ndimage, special
 
 from .specfun import ZETA3, PI4_OVER_15
 from .units import PhysicalContext
@@ -85,14 +85,48 @@ _MU_NODES_PER_UNIT = 6.0
 # beyond it read as zero, so samplers that skip draws there use it too.
 _DEFAULT_REACH = 16.0
 
-# Node counts whose raw Gauss-Legendre rules are kept: leggauss(n) is an
-# O(n^3) eigen-solve, most of a transforms_direct call at nmu = 3000.
+# Node counts whose raw Gauss-Legendre rules are kept.  _legendre_nodes builds
+# leggauss's rule bit for bit from an O(n^2) tridiagonal eigen-solve; cold,
+# the 3000-node rule of transforms_direct's far ring still takes about 0.3 s,
+# as long as the quadrature itself.
 _NODE_CACHE_SIZE = 32
+
+
+def _node_count(n, name: str = "n") -> int:
+    """n as a Python int, or ValueError unless it is an integer >= 1."""
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1:
+        return int(n)
+    raise ValueError(f"{name} must be an integer node count >= 1, got {n!r}")
 
 
 @functools.lru_cache(maxsize=_NODE_CACHE_SIZE)
 def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = leggauss(n)
+    """numpy's leggauss(n), with the eigenvalues found in O(n^2).
+
+    leggauss takes the eigenvalues of legcompanion's symmetric tridiagonal
+    (Jacobi) matrix with eigvalsh, a dense O(n^3) solve (Golub & Welsch,
+    Math. Comp. 23, 1969, 221).  Its LAPACK routine reduces the matrix to
+    tridiagonal form first, which leaves an already tridiagonal matrix
+    unchanged, and then runs the root-free QL iteration dsterf on it; here
+    dsterf gets the diagonal and off-diagonal directly.  The Newton step,
+    weight formula, symmetrization and rescale are leggauss's own, so nodes
+    and weights equal leggauss(n) bit for bit (the tests hold them to it).
+    """
+    c = np.array([0] * n + [1])
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]    # as in legcompanion
+    x = linalg.eigvalsh_tridiagonal(np.zeros(n), off, lapack_driver="sterf")
+    # one Newton step, then weights scaled against overflow
+    dy = legval(x, c)
+    df = legval(x, legder(c))
+    x -= dy / df
+    fm = legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
     x.flags.writeable = w.flags.writeable = False      # shared by every call
     return x, w
 
@@ -101,10 +135,11 @@ def _gauss_legendre(n: int, lo: float = -1.0, hi: float = 1.0
                     ) -> tuple[np.ndarray, np.ndarray]:
     """n Gauss-Legendre nodes and weights on [lo, hi], as fresh arrays.
 
-    On [-1, 1] they equal leggauss(n) bit for bit, since the map has
-    mid = 0 and half = 1.
+    The rule comes from _legendre_nodes' tridiagonal eigen-solve, and on
+    [-1, 1] it equals leggauss(n) bit for bit, since the map has mid = 0
+    and half = 1.  A count that is not an integer >= 1 raises ValueError.
     """
-    x, w = _legendre_nodes(n)
+    x, w = _legendre_nodes(_node_count(n))
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -521,6 +556,7 @@ def transforms_direct(family: PulseFamily, P: float, Z: float,
         nx = int(max(300, 12 * dist))
     if nmu is None:
         nmu = int(max(1600, 24 * dist))
+    nx, nmu = _node_count(nx, "nx"), _node_count(nmu, "nmu")
     x, xw = _gauss_legendre(nx, max(0.0, xlo), xhi)
     mg, mw = _gauss_legendre(nmu)
     mu, wmu = mg[nmu // 2:], mw[nmu // 2:]

@@ -15,12 +15,13 @@ u.  Against mpmath's Hurwitz zeta the relative error is at most 1.1e-15 for
 n = 1..5 and |u| from 0 to 1e8 (the tests hold it to 1e-14), and the
 result stays finite up to the largest float.
 
-An independent adaptive-quadrature evaluation (QUADPACK, with the
-oscillatory cos/sin weighting for u != 0) is kept alongside as an oracle.
+An independent adaptive-quadrature evaluation (QUADPACK, along a ray
+into the lower right quadrant for u != 0) is kept alongside as an oracle.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -131,29 +132,38 @@ def _moment_at(n: int, u: float) -> complex:
 
 
 def bose_moment_quad(n: int, u: float) -> complex:
-    """Quadrature oracle for bose_moment.
+    """Quadrature oracle for bose_moment, accurate to 1e-11 relative.
 
-    Uses plain adaptive quadrature for u = 0 and QUADPACK's oscillatory
-    cos/sin rules otherwise.  Slower and slightly less accurate than the
-    series (1e-11-ish near the large-u end), but entirely independent of it.
+    For u > 0 the integrand x^n e^{-iux} / (e^x - 1) is integrated along
+    the ray x = t e^{-i pi/4} instead of the real axis (u = 0 stays on the
+    real axis, and u < 0 is the conjugate).  Its poles 2 pi i k
+    lie on the imaginary axis and it decays in the quadrant between the two
+    paths, so by Cauchy's theorem the integrals agree, but on the ray
+    e^{-iux} decays instead of oscillating: QUADPACK then reaches relative
+    accuracy where the oscillatory cos/sin rules on the real axis stall at
+    about 1e-14 absolute (1e-9 of the value at n = 4, u = 30).  Slower than
+    the series but entirely independent of it.  Raises AccuracyError if
+    QUADPACK's error estimate exceeds 1e-11 of the value.
     """
     if n < 1:
         raise ValueError(f"order n must be >= 1, got {n}")
     if u < 0.0:
         return np.conj(bose_moment_quad(n, -u))
+    rot = cmath.exp(-0.25j * math.pi) if u > 0.0 else 1.0
 
-    def f(x):
-        # x^n/(e^x - 1) -> x^(n-1) as x -> 0, finite for n >= 1
-        if x == 0.0:
-            return 1.0 if n == 1 else 0.0
-        return x**n / np.expm1(x)
+    def f(t):
+        # x^n / (e^x - 1) -> x^(n-1) as x -> 0, finite for n >= 1; written
+        # with e^{-x} so that nothing overflows on the way to t = inf
+        if t == 0.0:
+            return rot if n == 1 else 0.0
+        x = t * rot
+        return -rot * x**n * np.exp(-(1.0 + 1j * u) * x) / np.expm1(-x)
 
-    upper = 60.0 + 10.0 * n  # integrand < 1e-22 of peak past here
-    if u == 0.0:
-        re, _ = integrate.quad(f, 0.0, upper, epsabs=1e-14, epsrel=1e-13, limit=400)
-        return complex(re, 0.0)
-    re, _ = integrate.quad(f, 0.0, upper, weight="cos", wvar=u,
-                           epsabs=1e-14, epsrel=1e-13, limit=2000)
-    im, _ = integrate.quad(f, 0.0, upper, weight="sin", wvar=u,
-                           epsabs=1e-14, epsrel=1e-13, limit=2000)
-    return complex(re, -im)
+    value, err, _ = integrate.quad(f, 0.0, np.inf, complex_func=True,
+                                   epsabs=0.0, epsrel=1e-12, limit=200,
+                                   full_output=1)
+    if abs(err) > 1e-11 * abs(value):
+        raise AccuracyError(
+            f"quadrature not converged for n={n}, u={u}; "
+            f"error estimate {abs(err):.3e} of {abs(value):.3e}", value)
+    return complex(value)

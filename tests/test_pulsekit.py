@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy import special
 
 from thermolight import pulsekit
@@ -71,6 +73,40 @@ def test_tail_coefficient_frozen(thermal_family):
         w[:] = 0.0
         for got, ref in zip(pulsekit._gauss_legendre(1200, *span), want):
             np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 47, 48, 200, 600, 1200, 1600, 1601,
+                               3000])
+def test_legendre_nodes_equal_leggauss(n):
+    """The tridiagonal build reproduces numpy's dense-eigensolve rule bit for
+    bit, which is what keeps c3 and every quadrature pin where it is."""
+    x, w = pulsekit._legendre_nodes(n)
+    want_x, want_w = leggauss(n)
+    np.testing.assert_array_equal(x, want_x)
+    np.testing.assert_array_equal(w, want_w)
+
+
+def test_legendre_nodes_cold_build_memory():
+    """leggauss(3000) allocates a 72 MB companion matrix; the tridiagonal
+    build needs only a few vectors of n."""
+    tracemalloc.start()
+    try:
+        pulsekit._legendre_nodes.__wrapped__(3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+
+
+@pytest.mark.parametrize("name, n", [("nmu", 0), ("nmu", -3), ("nx", 2.5),
+                                     ("nx", True)])
+def test_invalid_node_count_raises(thermal_family, monkeypatch, name, n):
+    def no_rule(count):
+        raise AssertionError("a rule was built before the check")
+
+    monkeypatch.setattr(pulsekit, "_legendre_nodes", no_rule)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        transforms_direct(thermal_family, 1.0, 1.0, **{name: n})
 
 
 def test_table_zero_outside_reach(thermal_family):

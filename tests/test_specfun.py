@@ -94,6 +94,26 @@ def test_series_matches_quadrature(n, u):
     assert abs(series - quad) <= 1e-9 * max(abs(quad), 1e-3)
 
 
+@pytest.mark.parametrize("n, u", [(1, 30.0), (2, 0.0), (3, 1e-3), (4, 29.9),
+                                  (4, 30.0), (5, 100.0)])
+def test_quadrature_matches_hurwitz_zeta(n, u):
+    """The oracle's own 1e-11 claim.  On the real axis QUADPACK's oscillatory
+    rules were 1e-9 off at n = 4 near u = 30."""
+    with mpmath.workdps(30):
+        want = complex(math.factorial(n) * mpmath.zeta(n + 1, 1 + 1j * u))
+    assert abs(specfun.bose_moment_quad(n, u) - want) <= 1e-11 * abs(want)
+
+
+def test_quadrature_raises_when_not_converged(monkeypatch):
+    def loose_quad(f, a, b, **kwargs):
+        return 2.0 + 0j, 1e-9 + 0j, {}
+
+    monkeypatch.setattr(specfun.integrate, "quad", loose_quad)
+    with pytest.raises(specfun.AccuracyError, match="not converged") as info:
+        specfun.bose_moment_quad(3, 1.0)
+    assert info.value.value == 2.0
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_matches_hurwitz_zeta(n):
     """bose_moment(n, u) = n! zeta(n+1, 1+iu), from u = 0 to 1e8, densely
