@@ -510,8 +510,12 @@ def _validate_config(experiment: str, cfg: dict) -> None:
             raise ConfigError("the log-log slope needs n_omega >= 2 volumes")
         if not 0.0 < cfg["extent_lo"] < cfg["extent_hi"] < math.inf:
             raise ConfigError("scaling needs 0 < extent_lo < extent_hi < inf")
-    if experiment == "g2-contrast" and not 0.0 < cfg["r_factor"] < math.inf:
-        raise ConfigError("r_factor must be positive and finite")
+    # pulse_extent lies inside the default table, so R is below r_factor *
+    # _DEFAULT_REACH envelope units, and reach = R/2 + 1 < R needs R > 2
+    lowest = 2.0 / pulsekit._DEFAULT_REACH
+    if experiment == "g2-contrast" and not lowest < cfg["r_factor"] < math.inf:
+        raise ConfigError(f"r_factor must be finite and above {lowest}: a "
+                          f"smaller one leaves no table reach below R")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -354,6 +354,8 @@ def linear_phase_ensemble(modes: ModeSet, magnitudes, alpha_abs: float,
     possible photon-number imbalance for the modular sums to be exact.
     Pulses run over a slowest, then b_x, b_y, b_z.
     """
+    if not 0.0 <= alpha_abs < math.inf:
+        raise ValueError(f"alpha_abs must be nonnegative and finite, got {alpha_abs}")
     for name, count in (("n_a", n_a), ("n_b", n_b)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
@@ -378,6 +380,8 @@ def free_phase_ensemble(modes: ModeSet, magnitudes, alpha_abs: float,
     Pulse s takes row s of the draws: its n_modes mode phases, then the
     phase of alpha.
     """
+    if not 0.0 <= alpha_abs < math.inf:
+        raise ValueError(f"alpha_abs must be nonnegative and finite, got {alpha_abs}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))

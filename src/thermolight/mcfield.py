@@ -21,9 +21,9 @@ import numpy as np
 from .mixturekit import WeightSpec, _LABEL_MEASURE
 # transforms_direct stays importable here: perfbench/tracing.py traces it
 # through this module as well as through pulsekit.
-from .pulsekit import (_DEFAULT_REACH, PulseFamily, _transverse_frames,  # noqa: F401
-                       check_reach, envelope_batch, tail_coefficient,
-                       transforms_direct)
+from .pulsekit import (_DEFAULT_REACH, PulseFamily, check_reach,  # noqa: F401
+                       envelope_batch, tail_coefficient, transforms_direct,
+                       transverse_frames)
 
 # streams the uniform G1 sampler splits its draws over
 _N_STREAMS = 8
@@ -62,7 +62,7 @@ def _isotropic_frames(rng: np.random.Generator, n: int
     """Isotropic m_hat and a uniform polarization angle for n_hat."""
     m_hat = _isotropic_directions(rng, n)
     psi = 2.0 * math.pi * rng.random(n)
-    return m_hat, _transverse_frames(m_hat, psi)
+    return m_hat, transverse_frames(m_hat, psi)
 
 
 def draw_batch(omega: float, n: int, seed: int, stream: int = 0,
@@ -122,8 +122,8 @@ def _draw_shell(n: int, seed: int, stream: int, r: np.ndarray,
 
 
 def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
-                    r: np.ndarray, tau: float, n: int, seed: int,
-                    k0: float | None = None) -> EstimateWithError:
+                    r: np.ndarray, tau: float, n: int, seed: int
+                    ) -> EstimateWithError:
     """MC estimate of the mixture first-order function G1_ii(r, r; tau).
 
     Averages conj(E_i(r, 0)) * E_i(r, tau) over pulse draws and applies the
@@ -159,7 +159,7 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
             if n_w == 0:
                 continue
             batch = draw_batch(omega, n_w, seed, stream=w)
-            x = _g1_samples(family, batch, r, tau, k0)
+            x = _g1_samples(family, batch, r, tau)
             tot += x.sum()
             m2 += float(np.sum(np.abs(x) ** 2))
         mean = tot / n
@@ -177,7 +177,7 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     for k in range(n_sh):
         n_k = per[k]
         batch = _draw_shell(n_k, seed, k, r, float(edges[k]), float(edges[k + 1]))
-        x = _g1_samples(family, batch, r, tau, k0)
+        x = _g1_samples(family, batch, r, tau)
         w_k = 4.0 * math.pi / 3.0 * (edges[k + 1] ** 3 - edges[k] ** 3) / omega
         mean += w_k * x.mean()
         var += w_k**2 * float(np.var(x)) / n_k
@@ -186,11 +186,11 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
 
 
 def _g1_samples(family: PulseFamily, batch: SampleBatch, r: np.ndarray,
-                tau: float, k0: float | None) -> np.ndarray:
+                tau: float) -> np.ndarray:
     deltas = r[None, :] - batch.r0
-    a = envelope_batch(family, batch.m_hat, batch.n_hat, deltas, 0.0, k0=k0)
+    a = envelope_batch(family, batch.m_hat, batch.n_hat, deltas, 0.0)
     b = a if tau == 0.0 else envelope_batch(family, batch.m_hat,
-                                            batch.n_hat, deltas, tau, k0=k0)
+                                            batch.n_hat, deltas, tau)
     return np.conj(a[:, _COMPONENT]) * b[:, _COMPONENT]
 
 

@@ -1,9 +1,9 @@
 """Coherent pulse families and their classical field envelopes.
 
 A pulse is labeled by a propagation direction m_hat, a transverse vector
-n_hat (polarization reference, perpendicular to m_hat), a nominal position
-r0, and for the Gaussian-lineshape kind a central wavenumber k0.  Its
-momentum-space kernel is
+n_hat (polarization reference, perpendicular to m_hat) and a nominal
+position r0; a Gaussian-lineshape family also fixes a central wavenumber k0
+for all its pulses.  Its momentum-space kernel is
 
     K = N * radial(k) * upsilon(k_hat . m_hat) * (e*_{k,lambda} . (k x n_hat))
 
@@ -25,8 +25,9 @@ with (P, Phi, Z) cylindrical coordinates of (r-r0)/(beta hbar c), giving
 
     E = pref * 2 pi * [ T_y * (m_hat x n_hat) - i sin(Phi) T_z * m_hat ].
 
-Envelope evaluation is needed at millions of points by the Monte Carlo
-estimators, so T_y and T_z are precomputed on a uniform (P, Z) grid:
+envelope_batch is the one way to a field: it evaluates this for arrays of
+(m_hat, n_hat, r - r0) at once.  The Monte Carlo estimators need millions of
+points, so T_y and T_z are precomputed on a uniform (P, Z) grid:
 substituting a = x st, b = x mu turns the mu-oscillation into a plain
 Fourier transform over b (done by FFT, a block of a-rows at a time) and the
 P-dependence into Hankel transforms over a (done by dense Bessel matrices).
@@ -35,6 +36,10 @@ come from the grid extended across P = 0 with the parity of each transform
 (J0 makes T_y even in P, J1 makes T_z odd).  The tests check the table
 against direct 2D Gauss-Legendre quadrature (transforms_direct) at listed
 points, near the axis, at the grid edges, and for a delayed table.
+
+The one other branch of envelope_batch is the closed form of a narrow
+Gaussian lineshape (sigma beta hbar c < 0.05), whose 99% radius exceeds 47
+length scales (60 at 0.04): no affordable table reaches that far.
 """
 
 from __future__ import annotations
@@ -172,7 +177,7 @@ def upsilon_function(kind: str, param: float) -> Callable[[np.ndarray], np.ndarr
     raise ValueError(f"unknown upsilon kind {kind!r}")
 
 
-def _transverse_frames(m_hat: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def transverse_frames(m_hat: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """n_hat at angle psi in the plane normal to each m_hat (vectorized)."""
     n = len(m_hat)
     ref = np.zeros((n, 3))
@@ -183,41 +188,6 @@ def _transverse_frames(m_hat: np.ndarray, psi: np.ndarray) -> np.ndarray:
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(m_hat, e1)
     return np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
-
-
-@dataclass(frozen=True)
-class PulseParams:
-    """Labels of one pulse: orientation frame, nominal position, optional k0."""
-
-    m_hat: np.ndarray
-    n_hat: np.ndarray
-    psi: float
-    r0: np.ndarray
-    k0: float | None = None
-
-    def __post_init__(self):
-        m = np.asarray(self.m_hat, float)
-        n = np.asarray(self.n_hat, float)
-        if abs(np.linalg.norm(m) - 1.0) > 1e-12 or abs(np.linalg.norm(n) - 1.0) > 1e-12:
-            raise ValueError("m_hat and n_hat must be unit vectors")
-        if abs(float(np.dot(m, n))) > 1e-12:
-            raise ValueError("n_hat must be perpendicular to m_hat")
-
-
-def make_pulse_params(m_hat, psi: float, r0, k0: float | None = None) -> PulseParams:
-    """Construct PulseParams with n_hat at angle psi in the plane normal to m_hat."""
-    m = np.asarray(m_hat, float)
-    m = m / np.linalg.norm(m)
-    n = _transverse_frames(m[None, :], np.array([float(psi)]))[0]
-    return PulseParams(m_hat=m, n_hat=n, psi=float(psi),
-                       r0=np.asarray(r0, float), k0=k0)
-
-
-@dataclass(frozen=True)
-class FieldEnvelope:
-    """Complex field vector [V/m] of one pulse at a query point."""
-
-    value: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -267,9 +237,10 @@ class PulseFamily:
     """A normalized family of coherent pulses sharing one spectral shape.
 
     kind 'thermal': radial lineshape 1/(k sqrt(e^x - 1)) with directional
-    profile upsilon; norm_N is a single number.  kind 'gaussian': lineshape
-    exp(-|k - k0 m_hat|^2/2 sigma^2); the normalization depends on k0 and is
-    exposed through norm_N(k0).
+    profile upsilon.  kind 'gaussian': lineshape exp(-|k - k0 m_hat|^2/2
+    sigma^2).  Its k0 may be None for spectral-side use (mixturekit reads
+    only sigma), but every position-space quantity needs it; x0() is where
+    its absence raises.
 
     Envelope tables, the radial intensity profile (before its SI factor) and
     the tail coefficient depend only on `shape`, so families at different
@@ -282,13 +253,16 @@ class PulseFamily:
     sigma: float | None = None              # 1/m, gaussian kind
     upsilon_kind: str | None = None         # thermal kind
     upsilon_param: float | None = None
+    k0: float | None = None                 # 1/m, gaussian kind
 
     @property
     def shape(self) -> tuple:
-        """Dimensionless parameters of the spectral shape: (kind, upsilon
-        kind, upsilon parameter, sigma * beta hbar c); free of T and alpha."""
-        s = None if self.sigma is None else self.sigma_x()
-        return (self.kind, self.upsilon_kind, self.upsilon_param, s)
+        """Dimensionless spectral shape, free of T and alpha: (kind, upsilon
+        kind and parameter, sigma and k0 times beta hbar c).  The memo keys
+        on it, so a gaussian family without k0 raises here, before any work."""
+        if self.kind == "gaussian":
+            return (self.kind, None, None, self.sigma_x(), self.x0())
+        return (self.kind, self.upsilon_kind, self.upsilon_param, None, None)
 
     # -- spectral weights (dimensionless) ------------------------------
 
@@ -299,6 +273,12 @@ class PulseFamily:
         """sigma in dimensionless units."""
         return self.sigma * self.ctx.length_scale
 
+    def x0(self) -> float:
+        """k0 in dimensionless units; ValueError for a family without k0."""
+        if self.k0 is None:
+            raise ValueError("a gaussian family needs k0 for position-space work")
+        return self.k0 * self.ctx.length_scale
+
     def angular_second_moment(self) -> float:
         """J = int_{-1}^{1} upsilon(mu)^2 (1 + mu^2) dmu (thermal kind)."""
         ups = upsilon_function(self.upsilon_kind, self.upsilon_param)
@@ -306,26 +286,24 @@ class PulseFamily:
                                   -1.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
         return val
 
-    def norm_N(self, k0: float | None = None) -> float:
+    def norm_N(self) -> float:
         """Normalization constant N (SI, m^{3/2}) making sum_lambda int |K|^2 = 1."""
         bhc = self.ctx.length_scale
         if self.kind == "thermal":
             J = self.angular_second_moment()
             return math.sqrt(bhc**3 / (2.0 * ZETA3 * math.pi * J))
         if self.kind == "gaussian":
-            if k0 is None:
-                raise ValueError("gaussian kind needs k0")
-            x0 = k0 * bhc
-            lo, hi = _support(self, x0)
+            lo, hi = _support(self)
             xg, wg = _gauss_legendre(_RADIAL_NODES, max(0.0, lo), hi)
-            phi = gaussian_angular_kernel(xg, np.array([x0]), self.sigma_x())[:, 0]
+            phi = gaussian_angular_kernel(xg, np.array([self.x0()]),
+                                          self.sigma_x())[:, 0]
             denom = math.pi * float(np.sum(wg * xg**4 * phi))
             # the gaussian amplitude carries an extra factor k, so the
             # squared-norm integral scales as (beta hbar c)^{-5}
             return math.sqrt(bhc**5 / denom)
         raise ValueError(f"unknown family kind {self.kind!r}")
 
-    def envelope_prefactor(self, k0: float | None = None) -> complex:
+    def envelope_prefactor(self) -> complex:
         """i N alpha sqrt(hbar c / 16 pi^3 eps0) (beta hbar c)^p, SI V/m.
 
         p is -3.5 for the thermal weight x^{5/2}/sqrt(e^x-1) and -4.5 for
@@ -333,25 +311,19 @@ class PulseFamily:
         """
         ctx = self.ctx
         base = 1j * self.alpha * math.sqrt(ctx.hbar * ctx.c / (_SIXTEEN_PI3 * ctx.epsilon0))
-        if self.kind == "thermal":
-            return base * self.norm_N() * ctx.length_scale ** (-3.5)
-        return base * self.norm_N(k0) * ctx.length_scale ** (-4.5)
+        p = -3.5 if self.kind == "thermal" else -4.5
+        return base * self.norm_N() * ctx.length_scale ** p
 
     # -- envelope tables ------------------------------------------------
 
-    def table(self, u_delay: float = 0.0, reach: float = _DEFAULT_REACH,
-              k0: float | None = None) -> EnvelopeTable:
+    def table(self, u_delay: float = 0.0, reach: float = _DEFAULT_REACH
+              ) -> EnvelopeTable:
         """T_y, T_z on a (P, Z) grid reaching |Delta| = reach, at delay u."""
         if not math.isfinite(u_delay):
             raise ValueError(f"delay u must be finite, got {u_delay}")
         check_reach(reach)
-        x0 = None
-        if self.kind == "gaussian":
-            if k0 is None:
-                raise ValueError("gaussian kind needs k0")
-            x0 = k0 * self.ctx.length_scale
-        return _memoized(("table", self.shape, u_delay, reach, x0),
-                         lambda: _build_table(self, u_delay, reach, x0))
+        return _memoized(("table", self.shape, u_delay, reach),
+                         lambda: _build_table(self, u_delay, reach))
 
 
 def check_reach(reach: float) -> None:
@@ -381,12 +353,16 @@ def make_thermal_family(ctx: PhysicalContext, upsilon_kind: str = "exp",
 
 
 def make_gaussian_family(ctx: PhysicalContext, sigma: float,
-                         alpha: complex = 1.0 + 0.0j) -> PulseFamily:
-    """Family of Gaussian-lineshape pulses with width sigma [1/m]."""
+                         alpha: complex = 1.0 + 0.0j,
+                         k0: float | None = None) -> PulseFamily:
+    """Family of Gaussian-lineshape pulses with width sigma and central
+    wavenumber k0 [1/m].  k0 may stay None for spectral-side use only."""
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if k0 is not None and not 0.0 < k0 < math.inf:
+        raise ValueError(f"k0 must be positive and finite, got {k0}")
     return PulseFamily(kind="gaussian", ctx=ctx, alpha=complex(alpha),
-                       sigma=float(sigma))
+                       sigma=float(sigma), k0=None if k0 is None else float(k0))
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +378,15 @@ def thermal_radial_weight(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gaussian_angular_kernel(x: np.ndarray, x0: np.ndarray, s: float) -> np.ndarray:
-    """Phi[x, x0] = int_{-1}^{1} (1+mu^2) exp(-(x^2+x0^2-2 x x0 mu)/s^2) dmu.
+def gaussian_angular_kernel(x: np.ndarray, xc: np.ndarray, s: float) -> np.ndarray:
+    """Phi[x, xc] = int_{-1}^{1} (1+mu^2) exp(-(x^2+xc^2-2 x xc mu)/s^2) dmu,
+    for carriers xc = k0 beta hbar c.
 
-    Evaluated in factored form exp(-(x-x0)^2/s^2) * e^{-a} * raw(a) with
-    a = 2 x x0 / s^2, which stays finite for arbitrarily small s.
+    Evaluated in factored form exp(-(x-xc)^2/s^2) * e^{-a} * raw(a) with
+    a = 2 x xc / s^2, which stays finite for arbitrarily small s.
     """
-    X, X0 = np.meshgrid(np.asarray(x, float), np.asarray(x0, float), indexing="ij")
-    a = 2.0 * X * X0 / (s * s)
+    X, XC = np.meshgrid(np.asarray(x, float), np.asarray(xc, float), indexing="ij")
+    a = 2.0 * X * XC / (s * s)
     out = np.empty_like(a)
     big = a >= 0.5
     ab = a[big]
@@ -425,25 +402,25 @@ def gaussian_angular_kernel(x: np.ndarray, x0: np.ndarray, s: float) -> np.ndarr
             raw[lo:lo + _KERNEL_BLOCK] = np.sum(
                 wg * (1.0 + xg**2) * np.exp(ab * xg), axis=1)
         out[~big] = np.exp(-asm) * raw
-    return np.exp(-(X - X0) ** 2 / (s * s)) * out
+    return np.exp(-(X - XC) ** 2 / (s * s)) * out
 
 
-def _spectral_weight(family: PulseFamily, x: np.ndarray, mu: np.ndarray,
-                     x0: float | None) -> np.ndarray:
-    """w(x, mu) of T_y and T_z; x0 = k0 beta hbar c for the gaussian kind."""
+def _spectral_weight(family: PulseFamily, x: np.ndarray, mu: np.ndarray
+                     ) -> np.ndarray:
+    """w(x, mu) of T_y and T_z."""
     if family.kind == "thermal":
         return thermal_radial_weight(x) * family.upsilon(mu)
-    s = family.sigma_x()
+    s, x0 = family.sigma_x(), family.x0()
     return x**3.5 * np.exp(-(x**2 + x0**2 - 2.0 * x * x0 * mu) / (2.0 * s * s))
 
 
-def _support(family: PulseFamily, x0: float | None) -> tuple[float, float]:
+def _support(family: PulseFamily) -> tuple[float, float]:
     """Band (lo, hi) outside which w is negligible: [0, 40] for the thermal
     kind, x0 -+ 10 sigma for the gaussian kind.  Ranges of x clip lo at 0;
     the table's range of b = x mu takes it as it stands."""
     if family.kind == "thermal":
         return 0.0, 40.0
-    s = family.sigma_x()
+    s, x0 = family.sigma_x(), family.x0()
     return x0 - 10.0 * s, x0 + 10.0 * s
 
 
@@ -451,8 +428,8 @@ def _support(family: PulseFamily, x0: float | None) -> tuple[float, float]:
 # table construction
 
 
-def _build_table(family: PulseFamily, u_delay: float, reach: float,
-                 x0: float | None) -> EnvelopeTable:
+def _build_table(family: PulseFamily, u_delay: float, reach: float
+                 ) -> EnvelopeTable:
     """FFT-Hankel construction of T_y, T_z on a (P, Z) grid.
 
     reach sets the largest |Delta| that must be representable.  Against
@@ -462,7 +439,7 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float,
     nine angles each) T_y is 0.4-3% off at 8 and 1-10% off at 14, most along
     the axis and at Z = 0, while T_z stays within 0.2% away from the axis.
     """
-    xlo, xhi = _support(family, x0)
+    xlo, xhi = _support(family)
     da = db = 0.025
     bfloor = -8.0
     if family.kind == "gaussian":
@@ -498,7 +475,7 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float,
         MU = np.divide(B, X, out=np.zeros_like(B), where=X > 0)
         ST = np.divide(A, X, out=np.zeros_like(A), where=X > 0)
         jac = np.divide(A, X * X, out=np.zeros_like(A), where=X > 0)
-        W = _spectral_weight(family, X, MU, x0) * jac
+        W = _spectral_weight(family, X, MU) * jac
         if u_delay != 0.0:
             W = W * np.exp(-1j * X * u_delay)
         # e^{+i b Z} convention: ifft * nfft, kept at |Z| <= reach
@@ -525,7 +502,7 @@ def _prefilter(T: np.ndarray, parity: float) -> np.ndarray:
 
 
 def transforms_direct(family: PulseFamily, P: float, Z: float,
-                      u_delay: float = 0.0, k0: float | None = None,
+                      u_delay: float = 0.0,
                       nx: int | None = None, nmu: int | None = None
                       ) -> tuple[complex, complex]:
     """T_y, T_z by direct 2D Gauss-Legendre quadrature (oracle path).
@@ -550,8 +527,7 @@ def transforms_direct(family: PulseFamily, P: float, Z: float,
     exactly zero.
     """
     dist = math.hypot(P, Z)
-    x0 = None if k0 is None else k0 * family.ctx.length_scale
-    xlo, xhi = _support(family, x0)
+    xlo, xhi = _support(family)
     if nx is None:
         nx = int(max(300, 12 * dist))
     if nmu is None:
@@ -568,8 +544,8 @@ def transforms_direct(family: PulseFamily, P: float, Z: float,
     ty = tz = 0j
     for lo in range(0, nx, _ROW_BLOCK):
         xb = x[lo:lo + _ROW_BLOCK, None]
-        w_pos = _spectral_weight(family, xb, mu, x0)
-        w_neg = _spectral_weight(family, xb, -mu, x0)
+        w_pos = _spectral_weight(family, xb, mu)
+        w_neg = _spectral_weight(family, xb, -mu)
         even, odd = w_pos + w_neg, w_pos - w_neg
         phase = xb * mu * Z
         c, s = np.cos(phase), np.sin(phase)
@@ -585,78 +561,43 @@ def transforms_direct(family: PulseFamily, P: float, Z: float,
 # envelope evaluation
 
 
-def field_envelope(family: PulseFamily, params: PulseParams,
-                   r: np.ndarray, t: float = 0.0,
-                   direct: bool = False) -> FieldEnvelope:
-    """Classical field envelope of one pulse at the point r and time t.
-
-    By construction the result depends on r and r0 only through r - r0, has
-    no component along n_hat, and scales linearly in alpha.  The table reach
-    grows with |r - r0| so the point is always covered.  direct=True
-    evaluates the transforms by direct quadrature instead, for every kind
-    (slow, used for validation).
-    """
-    delta = (np.asarray(r, float) - params.r0)[None, :]
-    m_hats, n_hats = params.m_hat[None, :], params.n_hat[None, :]
-    if direct:
-        u = t / family.ctx.time_scale
-
-        def lookup(P, Z):
-            ty, tz = transforms_direct(family, float(P[0]), float(Z[0]), u, params.k0)
-            return np.array([ty]), np.array([tz])
-
-        value = _canonical_envelope(family, m_hats, n_hats, delta, params.k0, lookup)
-    else:
-        dist = float(np.linalg.norm(delta)) / family.ctx.length_scale
-        reach = (_DEFAULT_REACH if dist <= _DEFAULT_REACH - 0.2
-                 else dist * 1.05 + 2.0)
-        value = envelope_batch(family, m_hats, n_hats, delta, t, reach, params.k0)
-    return FieldEnvelope(value=value[0])
-
-
 def envelope_batch(family: PulseFamily, m_hats: np.ndarray, n_hats: np.ndarray,
                    deltas: np.ndarray, t: float = 0.0,
-                   reach: float = _DEFAULT_REACH, k0: float | None = None
-                   ) -> np.ndarray:
-    """Vectorized envelopes for many pulses at once.
+                   reach: float = _DEFAULT_REACH) -> np.ndarray:
+    """Classical field envelopes of many pulses at once, at time t.
 
     m_hats, n_hats, deltas: (N, 3) arrays, deltas in meters (already r - r0).
-    Returns an (N, 3) complex array of lab-frame field vectors.  Narrow
-    gaussian lineshapes (sigma * beta hbar c < 0.05) use the analytic
-    carrier-times-ball form, whose relative corrections are O(sigma/k0);
-    every other family goes through the interpolation table.
+    Returns an (N, 3) complex array of lab-frame field vectors,
+    E = pref 2 pi [T_y (m x n) - i sin(Phi) T_z m], with T_y, T_z read from
+    the family's table reaching |Delta| = reach (zero beyond it).  Each
+    field depends on r and r0 only through delta, has no component along
+    its n_hat, and scales linearly in alpha.
+
+    Narrow gaussian lineshapes (sigma beta hbar c < 0.05) use the analytic
+    carrier-times-ball form instead, with relative corrections O(sigma/k0)
+    and no reach: such a pulse spans more length scales than any affordable
+    table (see the module docstring).
     """
     ctx = family.ctx
-    if not (family.kind == "gaussian" and family.sigma_x() < 0.05):
-        tab = family.table(t / ctx.time_scale, reach=reach, k0=k0)
-        return _canonical_envelope(family, m_hats, n_hats, deltas, k0, tab.lookup)
-    pref = 1j * family.alpha * family.norm_N(k0) * math.sqrt(
-        ctx.hbar * ctx.c * k0 / (_SIXTEEN_PI3 * ctx.epsilon0)) * k0
     d = deltas / ctx.length_scale
-    x0 = k0 * ctx.length_scale
-    s = family.sigma_x()
-    amp_si = (2.0 * math.pi * family.sigma**2) ** 1.5
-    ct = ctx.c * t / ctx.length_scale
-    dz = np.einsum("ij,ij->i", d, m_hats)
-    moving = d - ct * m_hats
-    ball = np.exp(-s * s * np.einsum("ij,ij->i", moving, moving) / 2.0)
-    phase = np.exp(1j * x0 * (dz - ct))
-    return (pref * amp_si) * (phase * ball)[:, None] * np.cross(m_hats, n_hats)
-
-
-def _canonical_envelope(family: PulseFamily, m_hats: np.ndarray,
-                        n_hats: np.ndarray, deltas: np.ndarray,
-                        k0: float | None, lookup) -> np.ndarray:
-    """E = pref 2 pi [T_y (m x n) - i sin(Phi) T_z m] with T_y, T_z from
-    lookup(P, Z) at the canonical-frame coordinates of each delta."""
-    pref = family.envelope_prefactor(k0) * 2.0 * math.pi
-    d = deltas / family.ctx.length_scale
     e2 = np.cross(m_hats, n_hats)
+    dz = np.einsum("ij,ij->i", d, m_hats)
+    if family.kind == "gaussian" and family.sigma_x() < 0.05:
+        x0, s, k0 = family.x0(), family.sigma_x(), family.k0
+        pref = 1j * family.alpha * family.norm_N() * math.sqrt(
+            ctx.hbar * ctx.c * k0 / (_SIXTEEN_PI3 * ctx.epsilon0)) * k0
+        amp_si = (2.0 * math.pi * family.sigma**2) ** 1.5
+        ct = ctx.c * t / ctx.length_scale
+        moving = d - ct * m_hats
+        ball = np.exp(-s * s * np.einsum("ij,ij->i", moving, moving) / 2.0)
+        phase = np.exp(1j * x0 * (dz - ct))
+        return (pref * amp_si) * (phase * ball)[:, None] * e2
+    tab = family.table(t / ctx.time_scale, reach=reach)
+    pref = family.envelope_prefactor() * 2.0 * math.pi
     dx = np.einsum("ij,ij->i", d, n_hats)
     dy = np.einsum("ij,ij->i", d, e2)
-    dz = np.einsum("ij,ij->i", d, m_hats)
     P = np.hypot(dx, dy)
-    ty, tz = lookup(P, dz)
+    ty, tz = tab.lookup(P, dz)
     sphi = np.divide(dy, P, out=np.zeros_like(dy), where=P > 1e-300)
     return pref * (ty[:, None] * e2 - 1j * (sphi * tz)[:, None] * m_hats)
 
@@ -705,8 +646,7 @@ def _mean_transform_power(table: EnvelopeTable) -> tuple[np.ndarray, np.ndarray]
     return grid, 0.5 * ((np.abs(ty) ** 2 + 0.5 * np.abs(tz) ** 2) @ cw)
 
 
-def pulse_extent(family: PulseFamily, fraction: float = 0.99,
-                 k0: float | None = None) -> float:
+def pulse_extent(family: PulseFamily, fraction: float = 0.99) -> float:
     """Radius [m] of the sphere around r0 holding `fraction` of int |E|^2 d3r.
 
     The quantile is taken against the spectral-side (Parseval) total, so
@@ -718,8 +658,7 @@ def pulse_extent(family: PulseFamily, fraction: float = 0.99,
         raise ValueError("fraction must be in (0, 0.9999)")
     ctx = family.ctx
     if family.kind == "gaussian":
-        if k0 is None:
-            raise ValueError("gaussian kind needs k0")
+        family.x0()           # raises without k0, as every field path does
         if family.sigma_x() < 0.05:
             # |E|^2 ~ exp(-sigma^2 |r|^2) in the narrow limit
             return math.sqrt(special.gammaincinv(1.5, fraction)) / family.sigma
@@ -775,7 +714,8 @@ def mu_integral(family: PulseFamily, m_hat, psi: float, r: np.ndarray,
     if not omega > 0.0:
         raise ValueError("omega must be positive")
     ctx = family.ctx
-    params = make_pulse_params(m_hat, psi, np.zeros(3))
+    m_hat = np.asarray(m_hat, float)[None, :] / np.linalg.norm(m_hat)
+    n_hat = transverse_frames(m_hat, np.array([float(psi)]))
     L = omega ** (1.0 / 3.0) / ctx.length_scale
     rd = np.asarray(r, float) / ctx.length_scale
     table = family.table(0.0)
@@ -792,8 +732,8 @@ def mu_integral(family: PulseFamily, m_hat, psi: float, r: np.ndarray,
     (gx, wx), (gy, wy), (gz, wz) = axes
     DX, DY, DZ = np.meshgrid(gx, gy, gz, indexing="ij")
     delta = np.stack([DX.ravel(), DY.ravel(), DZ.ravel()], axis=1)
-    comp = envelope_batch(family, np.broadcast_to(params.m_hat, delta.shape),
-                          np.broadcast_to(params.n_hat, delta.shape),
+    comp = envelope_batch(family, np.broadcast_to(m_hat, delta.shape),
+                          np.broadcast_to(n_hat, delta.shape),
                           delta * ctx.length_scale)
     w3 = (wx[:, None, None] * wy[None, :, None] * wz[None, None, :]).ravel()
     out = np.einsum("p,pi->i", w3, np.abs(comp) ** 2)

@@ -177,6 +177,7 @@ def test_fock_demo_catches_unsuppressed_coherence(tmp_path: Path,
     ("coherence-time", "--T", "inf"),
     ("fock-demo", "--cutoff", "0"),
     ("fock-demo", "--n-free", "0"),
+    ("fock-demo", "--alpha-abs=-0.8"),
     ("simcond-thermal", "--n-tau", "0"),
     ("gaussian-scan", "--durations", "0fs"),
     ("scaling", "--n-omega", "1"),
@@ -315,7 +316,8 @@ def test_g2_contrast_counts_checked_before_table(tmp_path: Path, monkeypatch):
 def test_extents_and_r_factor_checked_before_table(tmp_path: Path,
                                                    monkeypatch):
     """Bad scaling extents and g2-contrast r_factor exit 2 before
-    pulse_extent builds the table."""
+    pulse_extent builds the table.  The extent lies inside the default
+    table, so r_factor <= 2 / _DEFAULT_REACH can never give R > 2 units."""
     def no_table(*args, **kwargs):
         raise AssertionError("table work before the geometry was checked")
 
@@ -326,7 +328,7 @@ def test_extents_and_r_factor_checked_before_table(tmp_path: Path,
         ini.write_text(f"[scaling]\n{body}\n")
         assert cli.main(["scaling", "--config", str(ini),
                          "--out", str(tmp_path / "s")]) == 2, body
-    for value in ("0", "-1", "nan", "inf"):
+    for value in ("0", "-1", "nan", "inf", "0.1"):
         assert cli.main(["g2-contrast", "--r-factor", value,
                          "--out", str(tmp_path / "g")]) == 2, value
 
@@ -334,7 +336,8 @@ def test_extents_and_r_factor_checked_before_table(tmp_path: Path,
 def test_g2_contrast_short_r_rejected_before_monte_carlo(tmp_path: Path,
                                                         monkeypatch):
     """An R shorter than twice the envelope unit leaves no reach below R, so
-    r_factor 0.1 exits 2 before either estimator runs."""
+    r_factor 0.2 of the mocked 8.01-unit extent exits 2 before either
+    estimator runs."""
     def no_estimate(*args, **kwargs):
         raise AssertionError("Monte Carlo before the reach was checked")
 
@@ -342,7 +345,7 @@ def test_g2_contrast_short_r_rejected_before_monte_carlo(tmp_path: Path,
                         lambda *args, **kwargs: 3.17677e-6)
     monkeypatch.setattr(cli.mcfield, "estimate_g1_mix", no_estimate)
     monkeypatch.setattr(cli.mcfield, "estimate_g2_mix", no_estimate)
-    assert cli.main(["g2-contrast", "--r-factor", "0.1",
+    assert cli.main(["g2-contrast", "--r-factor", "0.2",
                      "--out", str(tmp_path / "g")]) == 2
 
 

@@ -129,7 +129,8 @@ def _build_with(pulse, prob=1.0):
     "nan-probability", "nan-spectrum", "nan-alpha", "inf-alpha",
     "zero-magnitudes-free", "zero-magnitudes-linear",
     "zero-magnitudes-pulse", "zero-free-samples", "negative-free-samples",
-    "zero-linear-a", "zero-linear-b"])
+    "zero-linear-a", "zero-linear-b", "negative-alpha-abs-linear",
+    "negative-alpha-abs-free", "nan-alpha-abs-linear", "inf-alpha-abs-free"])
 def test_invalid_fock_inputs_rejected(case):
     """Each of these used to give an empty rho with trace 0, NaN spectra, an
     empty ensemble or numpy's negative-dimension error."""
@@ -157,9 +158,18 @@ def test_invalid_fock_inputs_rejected(case):
             modes, (1.0, 2.0, 3.0), 1.0, n_a=0, n_b=8),
         "zero-linear-b": lambda: linear_phase_ensemble(
             modes, (1.0, 2.0, 3.0), 1.0, n_a=4, n_b=0),
+        "negative-alpha-abs-linear": lambda: linear_phase_ensemble(
+            modes, (1.0, 2.0, 3.0), -0.8, n_a=4, n_b=8),
+        "negative-alpha-abs-free": lambda: free_phase_ensemble(
+            modes, (1.0, 2.0, 3.0), -0.8, 8, 1),
+        "nan-alpha-abs-linear": lambda: linear_phase_ensemble(
+            modes, (1.0, 2.0, 3.0), math.nan, n_a=4, n_b=8),
+        "inf-alpha-abs-free": lambda: free_phase_ensemble(
+            modes, (1.0, 2.0, 3.0), math.inf, 8, 1),
     }
     names = {"zero-free-samples": "n_samples", "negative-free-samples":
-             "n_samples", "zero-linear-a": "n_a", "zero-linear-b": "n_b"}
+             "n_samples", "zero-linear-a": "n_a", "zero-linear-b": "n_b",
+             **{c: "alpha_abs" for c in calls if "alpha-abs" in c}}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=names.get(case)):

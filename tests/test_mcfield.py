@@ -28,12 +28,13 @@ def test_g1_seed_determinism(ctx, thermal_family, matched_weights):
 
 
 def test_g1_uniform_path_determinism(ctx):
-    fam = pulsekit.make_gaussian_family(ctx, 0.04 / ctx.length_scale)
+    fam = pulsekit.make_gaussian_family(ctx, 0.04 / ctx.length_scale,
+                                        k0=8.0 / ctx.length_scale)
     om = _cube(ctx, 160.0)
     w = make_unit_trace_weights(om)
     args = (fam, w, om, np.zeros(3), 0.0, 2000)
-    a = estimate_g1_mix(*args, seed=12, k0=8.0 / ctx.length_scale)
-    b = estimate_g1_mix(*args, seed=12, k0=8.0 / ctx.length_scale)
+    a = estimate_g1_mix(*args, seed=12)
+    b = estimate_g1_mix(*args, seed=12)
     assert a.mean == b.mean and a.std_error == b.std_error
 
 
@@ -68,12 +69,16 @@ def test_g2_rejects_inputs_it_cannot_estimate(ctx, thermal_family,
     "g1-omega-zero", "g1-omega-negative", "g1-omega-nan", "g1-tau-nan",
     "g1-r-nan", "g2-omega-negative", "g2-R-inf", "g2-reach-zero",
     "g2-reach-nan", "table-delay-nan", "table-reach-nan", "table-reach-zero",
-    "table-reach-short", "g2-reach-short"])
+    "table-reach-short", "g2-reach-short", "no-k0-narrow-envelope",
+    "no-k0-wide-envelope", "no-k0-table", "no-k0-transforms-direct",
+    "no-k0-pulse-extent"])
 def test_bad_geometry_rejected_before_any_work(ctx, thermal_family,
                                                matched_weights, monkeypatch,
                                                case):
     """Each of these used to raise a stray TypeError, build (and keep) a NaN
-    table or one too short to read, or return a NaN or zero estimate."""
+    table or one too short to read, or return a NaN or zero estimate.  A
+    gaussian family without k0 fails the same way wherever it meets a
+    position-space field."""
     def no_work(*args, **kwargs):
         raise AssertionError("drew labels or built a table before checking")
 
@@ -82,6 +87,9 @@ def test_bad_geometry_rejected_before_any_work(ctx, thermal_family,
     monkeypatch.setattr(pulsekit, "_build_table", no_work)
     fam, w, nan, origin = thermal_family, matched_weights, math.nan, np.zeros(3)
     om = _cube(ctx, 40.0)
+    wide = pulsekit.make_gaussian_family(ctx, 0.2 / ctx.length_scale)
+    narrow = pulsekit.make_gaussian_family(ctx, 0.04 / ctx.length_scale)
+    frame = np.array([[0.0, 0.0, 1.0]]), np.array([[1.0, 0.0, 0.0]])
     calls = {
         "g1-omega-zero": lambda: estimate_g1_mix(fam, w, 0.0, origin, 0.0,
                                                  1000, 1),
@@ -106,6 +114,14 @@ def test_bad_geometry_rejected_before_any_work(ctx, thermal_family,
         "table-reach-short": lambda: fam.table(0.0, reach=0.2),
         "g2-reach-short": lambda: estimate_g2_mix(fam, w, om, 0.0, 1000, 1,
                                                   reach=0.2),
+        "no-k0-narrow-envelope": lambda: pulsekit.envelope_batch(
+            narrow, *frame, np.zeros((1, 3))),
+        "no-k0-wide-envelope": lambda: pulsekit.envelope_batch(
+            wide, *frame, np.zeros((1, 3))),
+        "no-k0-table": lambda: wide.table(0.0),
+        "no-k0-transforms-direct": lambda: pulsekit.transforms_direct(
+            wide, 1.0, 1.0),
+        "no-k0-pulse-extent": lambda: pulsekit.pulse_extent(narrow),
     }
     with pytest.raises(ValueError):
         calls[case]()
@@ -132,18 +148,17 @@ def test_toy_gaussian_mixture_is_unbiased(ctx):
     estimator must straddle it with 1/sqrt(n) error bars."""
     ls = ctx.length_scale
     sig = 0.04 / ls
-    fam = pulsekit.make_gaussian_family(ctx, sig)
-    k0 = 8.0 / ls
+    fam = pulsekit.make_gaussian_family(ctx, sig, k0=8.0 / ls)
     om = _cube(ctx, 160.0)
     w = make_unit_trace_weights(om)
-    params = pulsekit.make_pulse_params(np.array([0.0, 0.0, 1.0]), 0.3,
-                                        np.zeros(3), k0=k0)
-    peak = pulsekit.field_envelope(fam, params, np.zeros(3)).value
+    peak = pulsekit.envelope_batch(fam, np.array([[0.0, 0.0, 1.0]]),
+                                   np.array([[1.0, 0.0, 0.0]]),
+                                   np.zeros((1, 3)))[0]
     expect = float(np.vdot(peak, peak).real) \
         * (math.pi / sig**2) ** 1.5 / (3.0 * om)
     errs = {}
     for n in (1000, 10_000):
-        est = estimate_g1_mix(fam, w, om, np.zeros(3), 0.0, n, 99, k0=k0)
+        est = estimate_g1_mix(fam, w, om, np.zeros(3), 0.0, n, 99)
         assert abs(est.mean.real - expect) <= 3.0 * est.std_error, n
         errs[n] = est.std_error
     assert 2.0 < errs[1000] / errs[10_000] < 5.0

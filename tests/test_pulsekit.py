@@ -9,9 +9,8 @@ from scipy import special
 
 from thermolight import pulsekit
 from thermolight.units import make_context
-from thermolight.pulsekit import (PulseParams, make_pulse_params,
-                                  make_gaussian_family, field_envelope,
-                                  envelope_batch, transforms_direct,
+from thermolight.pulsekit import (make_gaussian_family, envelope_batch,
+                                  transforms_direct, transverse_frames,
                                   pulse_extent, total_intensity_integral,
                                   mu_integral, sphere_in_cube_fraction)
 
@@ -22,6 +21,13 @@ ZETA3 = 1.2020569031595943
 def _unit(v):
     v = np.asarray(v, float)
     return v / np.linalg.norm(v)
+
+
+def _frames(m_hat, psi, n):
+    """m_hat and its n_hat at angle psi, each repeated as n rows."""
+    m = _unit(m_hat)[None, :]
+    return (np.repeat(m, n, axis=0),
+            np.repeat(transverse_frames(m, np.array([psi])), n, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +51,8 @@ def test_table_build_independent_of_temperature_and_amplitude():
     at any T and alpha share one table."""
     hot = pulsekit.make_thermal_family(make_context(5777.0))
     cold = pulsekit.make_thermal_family(make_context(3000.0), alpha=2.0)
-    a = pulsekit._build_table(hot, 0.0, 2.0, None)
-    b = pulsekit._build_table(cold, 0.0, 2.0, None)
+    a = pulsekit._build_table(hot, 0.0, 2.0)
+    b = pulsekit._build_table(cold, 0.0, 2.0)
     np.testing.assert_array_equal(a.Ty, b.Ty)
     np.testing.assert_array_equal(a.Tz, b.Tz)
 
@@ -125,13 +131,11 @@ def test_delayed_table_matches_direct(thermal_family):
         assert max(abs(ty_t[0] - ty_d), abs(tz_t[0] - tz_d)) / peak < 5e-4
 
 
-def _transforms_full_grid(family, P, Z, u_delay=0.0, k0=None, nx=None,
-                          nmu=None):
+def _transforms_full_grid(family, P, Z, u_delay=0.0, nx=None, nmu=None):
     """transforms_direct before its mu-parity fold: the whole nx x nmu grid
     as complex arrays, summed by einsum (slow oracle)."""
     dist = math.hypot(P, Z)
-    x0 = None if k0 is None else k0 * family.ctx.length_scale
-    xlo, xhi = pulsekit._support(family, x0)
+    xlo, xhi = pulsekit._support(family)
     if nx is None:
         nx = int(max(300, 12 * dist))
     if nmu is None:
@@ -139,7 +143,7 @@ def _transforms_full_grid(family, P, Z, u_delay=0.0, k0=None, nx=None,
     x, xw = pulsekit._gauss_legendre(nx, max(0.0, xlo), xhi)
     mg, mw = pulsekit._gauss_legendre(nmu)
     st = np.sqrt(1.0 - mg**2)
-    wx = pulsekit._spectral_weight(family, x[:, None], mg[None, :], x0)
+    wx = pulsekit._spectral_weight(family, x[:, None], mg[None, :])
     ph = np.exp(1j * np.outer(x, mg) * Z)
     if u_delay != 0.0:
         ph = ph * np.exp(-1j * x[:, None] * u_delay)
@@ -169,15 +173,15 @@ def test_transforms_direct_matches_full_grid(ctx, thermal_family, kind, P, Z,
     a node at mu = 0, which the fold must count exactly once.  The default
     thermal profile is e^{-20} there, so the power profile and a broad
     gaussian are the cases that weigh that node."""
-    fam, k0 = thermal_family, None
+    fam = thermal_family
     if kind == "power":
         fam = pulsekit.make_thermal_family(ctx, upsilon_kind="power",
                                            upsilon_param=2.0)
     if kind == "gaussian":
-        fam = make_gaussian_family(ctx, 1.0 / ctx.length_scale, alpha=1.0)
-        k0 = 2.0 / ctx.length_scale
-    folded = transforms_direct(fam, P, Z, u, k0, nmu=nmu)
-    full = _transforms_full_grid(fam, P, Z, u, k0, nmu=nmu)
+        fam = make_gaussian_family(ctx, 1.0 / ctx.length_scale, alpha=1.0,
+                                   k0=2.0 / ctx.length_scale)
+    folded = transforms_direct(fam, P, Z, u, nmu=nmu)
+    full = _transforms_full_grid(fam, P, Z, u, nmu=nmu)
     if P == 0.0:                          # J1(0) = 0: T_z vanishes on the axis
         assert folded[1] == 0.0 and full[1] == 0.0
         folded, full = folded[:1], full[:1]
@@ -225,7 +229,7 @@ def test_table_build_emits_no_warning(thermal_family):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for u in (0.0, 0.7):              # real and complex weights
-            pulsekit._build_table(thermal_family, u, 2.0, None)
+            pulsekit._build_table(thermal_family, u, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,61 +237,39 @@ def test_table_build_emits_no_warning(thermal_family):
 
 
 def test_envelope_orthogonal_to_reference_direction(thermal_family, ctx):
-    m_hat = _unit([0.2, -0.4, 0.7])
-    params = make_pulse_params(m_hat, 0.9, np.zeros(3))
-    delta = np.array([0.3, 1.1, -0.8]) * ctx.length_scale
-    env = field_envelope(thermal_family, params, delta)
-    assert abs(env.value @ params.n_hat) <= 1e-12 * np.linalg.norm(env.value)
-
-
-def test_translation_covariance(thermal_family, ctx):
-    m_hat = _unit([0.0, 0.6, 0.8])
-    shift = np.array([1.0, -2.0, 0.5]) * ctx.length_scale
-    at = np.array([0.4, 0.2, -0.9]) * ctx.length_scale
-    a = field_envelope(thermal_family,
-                       make_pulse_params(m_hat, 0.3, np.zeros(3)), at)
-    b = field_envelope(thermal_family,
-                       make_pulse_params(m_hat, 0.3, shift), at + shift)
-    np.testing.assert_allclose(b.value, a.value, rtol=0, atol=1e-12 * np.linalg.norm(a.value))
+    m_hats, n_hats = _frames([0.2, -0.4, 0.7], 0.9, 2)
+    deltas = np.array([[0.3, 1.1, -0.8], [2.0, -0.5, 4.0]]) * ctx.length_scale
+    env = envelope_batch(thermal_family, m_hats, n_hats, deltas)
+    for e, n in zip(env, n_hats):
+        assert abs(e @ n) <= 1e-12 * np.linalg.norm(e)
 
 
 def test_amplitude_linearity(ctx, thermal_family):
     fam3 = pulsekit.make_thermal_family(ctx, alpha=3.0)
-    params = make_pulse_params(np.array([0.0, 0.0, 1.0]), 0.0, np.zeros(3))
-    d = np.array([0.5, 0.0, 1.0]) * ctx.length_scale
-    one = field_envelope(thermal_family, params, d, direct=True)
-    three = field_envelope(fam3, params, d, direct=True)
-    np.testing.assert_allclose(three.value, 3.0 * one.value, rtol=1e-12)
+    m_hats, n_hats = _frames([0.0, 0.0, 1.0], 0.0, 1)
+    d = np.array([[0.5, 0.0, 1.0]]) * ctx.length_scale
+    one = envelope_batch(thermal_family, m_hats, n_hats, d)
+    three = envelope_batch(fam3, m_hats, n_hats, d)
+    np.testing.assert_allclose(three, 3.0 * one, rtol=1e-12)
 
 
 def test_envelope_batch_matches_single(thermal_family, ctx):
+    """Every row of a batch is the envelope of that pulse on its own."""
     rng = np.random.default_rng(3)
     n = 40
     mu = 2 * rng.random(n) - 1
     ph = 2 * math.pi * rng.random(n)
     st = np.sqrt(1 - mu**2)
     m_hats = np.stack([st * np.cos(ph), st * np.sin(ph), mu], axis=1)
-    psis = 2 * math.pi * rng.random(n)
+    n_hats = transverse_frames(m_hats, 2 * math.pi * rng.random(n))
     deltas = (rng.random((n, 3)) - 0.5) * 10 * ctx.length_scale
-    n_hats = []
-    for m, psi in zip(m_hats, psis):
-        n_hats.append(make_pulse_params(m, float(psi), np.zeros(3)).n_hat)
-    n_hats = np.array(n_hats)
     batch = envelope_batch(thermal_family, m_hats, n_hats, deltas)
     for i in range(0, n, 7):
-        params = make_pulse_params(m_hats[i], float(psis[i]), np.zeros(3))
-        single = field_envelope(thermal_family, params, deltas[i])
-        np.testing.assert_allclose(batch[i], single.value, rtol=0,
-                                   atol=1e-10 * np.linalg.norm(single.value))
-
-
-def test_pulse_params_validation():
-    with pytest.raises(ValueError):
-        PulseParams(m_hat=np.array([0.0, 0.0, 2.0]),
-                    n_hat=np.array([1.0, 0.0, 0.0]), psi=0.0, r0=np.zeros(3))
-    with pytest.raises(ValueError):
-        PulseParams(m_hat=np.array([0.0, 0.0, 1.0]),
-                    n_hat=np.array([0.0, 0.0, 1.0]), psi=0.0, r0=np.zeros(3))
+        row = slice(i, i + 1)
+        single = envelope_batch(thermal_family, m_hats[row], n_hats[row],
+                                deltas[row])[0]
+        np.testing.assert_allclose(batch[i], single, rtol=0,
+                                   atol=1e-10 * np.linalg.norm(single))
 
 
 def test_upsilon_validation():
@@ -426,78 +408,63 @@ def test_gaussian_angular_kernel_matches_per_entry_sum(monkeypatch, block):
 # gaussian lineshapes
 
 
-def test_gaussian_narrow_extent_closed_form(ctx):
+def _gaussian(ctx, sigma_units, k0_units=8.0):
     ls = ctx.length_scale
-    fam = make_gaussian_family(ctx, 0.04 / ls, alpha=1.0)
-    k0 = 8.0 / ls
-    ext = pulse_extent(fam, 0.99, k0=k0)
+    return make_gaussian_family(ctx, sigma_units / ls, alpha=1.0,
+                                k0=k0_units / ls)
+
+
+def test_gaussian_narrow_extent_closed_form(ctx):
+    ext = pulse_extent(_gaussian(ctx, 0.04), 0.99)
     # quantile of r^2 exp(-sigma^2 r^2) via brute cumulative integration
     assert math.isclose(ext, 2.36012999e-05, rel_tol=1e-6)
-    half = make_gaussian_family(ctx, 0.02 / ls, alpha=1.0)
-    assert math.isclose(pulse_extent(half, 0.99, k0=k0), 2.0 * ext,
+    assert math.isclose(pulse_extent(_gaussian(ctx, 0.02), 0.99), 2.0 * ext,
                         rel_tol=1e-12)
 
 
 def test_gaussian_broad_extent_unsupported(ctx):
-    fam = make_gaussian_family(ctx, 0.2 / ctx.length_scale)
     with pytest.raises(NotImplementedError):
-        pulse_extent(fam, 0.99, k0=8.0 / ctx.length_scale)
+        pulse_extent(_gaussian(ctx, 0.2), 0.99)
 
 
 def test_gaussian_requires_k0(ctx):
     fam = make_gaussian_family(ctx, 0.04 / ctx.length_scale)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k0"):
         pulse_extent(fam, 0.99)
+    with pytest.raises(ValueError, match="k0"):
+        make_gaussian_family(ctx, 0.04 / ctx.length_scale, k0=-1.0)
 
 
 def test_gaussian_narrow_parseval(ctx):
     """Peak amplitude and ball volume recover the spectral-side intensity."""
-    ls = ctx.length_scale
-    fam = make_gaussian_family(ctx, 0.04 / ls, alpha=1.0)
-    k0 = 8.0 / ls
-    params = make_pulse_params(np.array([0.0, 0.0, 1.0]), 0.7, np.zeros(3),
-                               k0=k0)
-    peak = field_envelope(fam, params, np.zeros(3)).value
+    fam = _gaussian(ctx, 0.04)
+    peak = envelope_batch(fam, *_frames([0.0, 0.0, 1.0], 0.7, 1),
+                          np.zeros((1, 3)))[0]
     integral = float(np.vdot(peak, peak).real) * (math.pi / fam.sigma**2) ** 1.5
-    want = ctx.hbar * ctx.c * k0 / (2.0 * ctx.epsilon0)
+    want = ctx.hbar * ctx.c * fam.k0 / (2.0 * ctx.epsilon0)
     assert math.isclose(integral, want, rel_tol=1e-4)
 
 
 def test_gaussian_narrow_against_direct_quadrature(ctx):
-    ls = ctx.length_scale
-    fam = make_gaussian_family(ctx, 0.049 / ls, alpha=1.0)
-    k0 = 8.0 / ls
-    params = make_pulse_params(np.array([0.0, 0.0, 1.0]), 0.7, np.zeros(3),
-                               k0=k0)
-    peak = np.linalg.norm(field_envelope(fam, params, np.zeros(3)).value)
-    e2 = np.cross(params.m_hat, params.n_hat)
-    for d_units in ([0.0, 0.0, 0.5], [0.5, 0.0, 1.5]):
-        du = np.array(d_units)
-        analytic = field_envelope(fam, params, du * ls).value
-        dx, dy, dz = du @ params.n_hat, du @ e2, du @ params.m_hat
-        ty, tz = transforms_direct(fam, math.hypot(dx, dy), dz, 0.0, k0)
-        pref = fam.envelope_prefactor(k0) * 2.0 * math.pi
+    fam = _gaussian(ctx, 0.049)
+    m_hats, n_hats = _frames([0.0, 0.0, 1.0], 0.7, 3)
+    du = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.5, 0.0, 1.5]])
+    analytic = envelope_batch(fam, m_hats, n_hats, du * ctx.length_scale)
+    peak = np.linalg.norm(analytic[0])
+    m, n = m_hats[0], n_hats[0]
+    e2 = np.cross(m, n)
+    pref = fam.envelope_prefactor() * 2.0 * math.pi
+    for d, got in zip(du[1:], analytic[1:]):
+        dx, dy, dz = d @ n, d @ e2, d @ m
+        ty, tz = transforms_direct(fam, math.hypot(dx, dy), dz, 0.0)
         phi = math.atan2(dy, dx)
-        direct = pref * (ty * e2 - 1j * math.sin(phi) * tz * params.m_hat)
-        assert np.linalg.norm(analytic - direct) / peak < 3e-3
+        direct = pref * (ty * e2 - 1j * math.sin(phi) * tz * m)
+        assert np.linalg.norm(got - direct) / peak < 3e-3
 
 
 def test_gaussian_table_against_direct(ctx):
-    ls = ctx.length_scale
-    fam = make_gaussian_family(ctx, 0.2 / ls, alpha=1.0)
-    k0 = 8.0 / ls
-    params = make_pulse_params(np.array([0.0, 0.0, 1.0]), 0.7, np.zeros(3),
-                               k0=k0)
-    peak = np.linalg.norm(field_envelope(fam, params,
-                                         np.array([0, 0, 1e-3]) * ls).value)
-    ds = np.array([[0.0, 0.0, 0.5], [1.0, 0.0, 1.0], [0.0, 2.0, 3.0]]) * ls
-    batch = envelope_batch(fam, np.tile(params.m_hat, (3, 1)),
-                           np.tile(params.n_hat, (3, 1)), ds, k0=k0)
-    for d, b in zip(ds, batch):
-        tabled = field_envelope(fam, params, d).value
-        direct = field_envelope(fam, params, d, direct=True).value
-        assert np.linalg.norm(tabled - direct) / peak < 5e-3
-        np.testing.assert_allclose(b, tabled, rtol=0, atol=1e-12 * peak)
+    assert _table_error(_gaussian(ctx, 0.2),
+                        [(0.0, 0.5), (1.0, 1.0), (2.0, 3.0)]) < 5e-3
 
 
 def test_gaussian_sigma_must_be_positive(ctx):
