@@ -33,9 +33,13 @@ Fourier transform over b (done by FFT, a block of a-rows at a time) and the
 P-dependence into Hankel transforms over a (done by dense Bessel matrices).
 Lookups evaluate a cubic B-spline through the grid values; its coefficients
 come from the grid extended across P = 0 with the parity of each transform
-(J0 makes T_y even in P, J1 makes T_z odd).  The tests check the table
-against direct 2D Gauss-Legendre quadrature (transforms_direct) at listed
-points, near the axis, at the grid edges, and for a delayed table.
+(J0 makes T_y even in P, J1 makes T_z odd).  The real and imaginary parts of
+both sit as four channels of one real array, so one gather of the 4 x 4
+neighbouring nodes and one set of spline weights per point give T_y and T_z
+together.  The tests check the table against direct 2D Gauss-Legendre
+quadrature (transforms_direct) at listed points, near the axis, at the grid
+edges, and for a delayed table, and the lookup against scipy's
+map_coordinates.
 
 The one other branch of envelope_batch is the closed form of a narrow
 Gaussian lineshape (sigma beta hbar c < 0.05), whose 99% radius exceeds 47
@@ -63,9 +67,10 @@ _SIXTEEN_PI3 = 16.0 * math.pi**3
 # family's dimensionless shape and the call's dimensionless arguments: lengths
 # scale with beta hbar c and amplitudes with alpha (see units.py), and both
 # enter through the SI prefactor alone.  One memo keyed on those values serves
-# every temperature and amplitude.  A default table (534 x 2087 grid values
-# and 542 x 2087 B-spline coefficients for each of T_y, T_z) retains 68.6 MB,
-# measured with tracemalloc, so only the most recently used few are kept.
+# every temperature and amplitude.  A default table (534 x 2087 complex grid
+# values for each of T_y, T_z, and 545 x 2090 x 4 real B-spline coefficients)
+# retains 68.8 MB (of 2^20 bytes), measured with tracemalloc, so only the most
+# recently used few are kept.
 _MEMO_SIZE = 8
 _memo: OrderedDict = OrderedDict()
 
@@ -77,6 +82,10 @@ _ROW_BLOCK = 64
 _PAD = 8
 _P_STEP = 0.03
 
+# lookup reads _LOOKUP_BLOCK points at a time: its gather of 16 nodes x 4
+# channels then holds 2 MB.
+_LOOKUP_BLOCK = 4096
+
 # gaussian_angular_kernel sums its 48-node rule over _KERNEL_BLOCK small-a
 # entries at a time, so each temporary holds 96 kB.
 _KERNEL_BLOCK = 256
@@ -86,15 +95,25 @@ _KERNEL_BLOCK = 256
 _RADIAL_NODES = 600
 _MU_NODES_PER_UNIT = 6.0
 
+# Half-width, in sigma, of the gaussian kind's radial band.
+_GAUSS_BAND = 10.0
+
 # Largest |Delta| (dimensionless) of the default envelope table.  Envelopes
 # beyond it read as zero, so samplers that skip draws there use it too.
 _DEFAULT_REACH = 16.0
+
+# How far from 1, 1 and 0 envelope_batch lets |m_hat|, |n_hat| and
+# m_hat . n_hat be: frames from transverse_frames are off by a few ulps.
+_FRAME_TOL = 1e-12
 
 # Node counts whose raw Gauss-Legendre rules are kept.  _legendre_nodes builds
 # leggauss's rule bit for bit from an O(n^2) tridiagonal eigen-solve; cold,
 # the 3000-node rule of transforms_direct's far ring still takes about 0.3 s,
 # as long as the quadrature itself.
 _NODE_CACHE_SIZE = 32
+
+# Family shapes whose normalization integral is kept (a float each).
+_NORM_CACHE_SIZE = 64
 
 
 def _node_count(n, name: str = "n") -> int:
@@ -195,17 +214,21 @@ class EnvelopeTable:
     """The canonical-frame transforms T_y, T_z on a uniform (P, Z) grid.
 
     lookup evaluates the cubic B-spline through the grid values.  Its
-    coefficients coef_y, coef_z are prefiltered over the grid extended across
-    P = 0 by _PAD rows, evenly for T_y and oddly for T_z, so they start at
-    P = -_PAD dP.
+    coefficients are prefiltered over the grid extended across P = 0 by
+    _PAD rows, evenly for T_y and oddly for T_z, so they start at
+    P = -_PAD dP.  coef holds them as one real (rows, columns, 4) array with
+    channels (Re c_y, Im c_y, Re c_z, Im c_z), padded with the spline's
+    mirror boundary (1 row and column below, 2 above) so that every tap of
+    an in-range point lies inside it.  For the default table that is
+    545 x 2090 x 4 values, 34.8 MB (of 2^20 bytes), next to 34.0 MB for Ty
+    and Tz.
     """
 
     P_grid: np.ndarray
     Z_grid: np.ndarray
     Ty: np.ndarray
     Tz: np.ndarray
-    coef_y: np.ndarray = field(repr=False, compare=False)
-    coef_z: np.ndarray = field(repr=False, compare=False)
+    coef: np.ndarray = field(repr=False, compare=False)
 
     @property
     def support_radius(self) -> float:
@@ -214,22 +237,51 @@ class EnvelopeTable:
                    float(-self.Z_grid[0]))
 
     def lookup(self, P: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """T_y, T_z at arrays of cylindrical coordinates; zero outside range."""
+        """T_y, T_z at arrays of cylindrical coordinates; zero outside range.
+
+        Per point: the node below it and four cubic B-spline weights per
+        axis, one gather of the 16 neighbouring coefficient rows and one
+        weighted sum over them for all four channels (Unser, Aldroubi &
+        Eden, IEEE Trans. Signal Process. 41, 1993, 821).  Points outside
+        the grid, NaN included, read exactly zero.
+        """
         P = np.asarray(P, float)
         Z = np.asarray(Z, float)
         Pg, Zg = self.P_grid, self.Z_grid
         ok = (P >= 0.0) & (P <= Pg[-1]) & (Z >= Zg[0]) & (Z <= Zg[-1])
         ty = np.zeros(P.shape, complex)
         tz = np.zeros(P.shape, complex)
-        if np.any(ok):
-            dP = Pg[1] - Pg[0]
-            dZ = (Zg[-1] - Zg[0]) / (len(Zg) - 1)
-            at = np.stack([P[ok] / dP + _PAD, (Z[ok] - Zg[0]) / dZ])
-            ty[ok] = ndimage.map_coordinates(self.coef_y, at, order=3,
-                                             mode="mirror", prefilter=False)
-            tz[ok] = ndimage.map_coordinates(self.coef_z, at, order=3,
-                                             mode="mirror", prefilter=False)
+        dP = Pg[1] - Pg[0]
+        dZ = (Zg[-1] - Zg[0]) / (len(Zg) - 1)
+        ncol = self.coef.shape[1]
+        flat = self.coef.reshape(-1, 4)
+        taps = (np.arange(4)[:, None] * ncol + np.arange(4)).ravel()
+        P, Z, ok = P.reshape(-1), Z.reshape(-1), ok.reshape(-1)
+        ty_flat, tz_flat = ty.reshape(-1), tz.reshape(-1)
+        for lo in range(0, P.size, _LOOKUP_BLOCK):
+            sel = lo + np.flatnonzero(ok[lo:lo + _LOOKUP_BLOCK])
+            wp, i = _bspline_weights(P[sel] / dP + _PAD)
+            wz, j = _bspline_weights((Z[sel] - Zg[0]) / dZ)
+            w = np.einsum("na,nb->nab", wp, wz).reshape(-1, 1, 16)
+            nodes = flat.take((i * ncol + j)[:, None] + taps, axis=0)
+            both = (w @ nodes).view(complex)              # (n, 1, 2)
+            ty_flat[sel] = both[:, 0, 0]
+            tz_flat[sel] = both[:, 0, 1]
         return ty, tz
+
+
+def _bspline_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The four cubic B-spline weights of nodes floor(x) - 1 .. floor(x) + 2
+    at coordinates x >= 0, as an (n, 4) array, and floor(x)."""
+    i = x.astype(np.intp)
+    t = x - i
+    s = 1.0 - t
+    w = np.empty((x.size, 4))
+    w[:, 0] = s * s * s / 6.0
+    w[:, 1] = (t * t * (t - 2.0) * 3.0 + 4.0) / 6.0
+    w[:, 2] = (s * s * (s - 2.0) * 3.0 + 4.0) / 6.0
+    w[:, 3] = t * t * t / 6.0
+    return w, i
 
 
 @dataclass(frozen=True)
@@ -279,28 +331,16 @@ class PulseFamily:
             raise ValueError("a gaussian family needs k0 for position-space work")
         return self.k0 * self.ctx.length_scale
 
-    def angular_second_moment(self) -> float:
-        """J = int_{-1}^{1} upsilon(mu)^2 (1 + mu^2) dmu (thermal kind)."""
-        ups = upsilon_function(self.upsilon_kind, self.upsilon_param)
-        val, err = integrate.quad(lambda mu: ups(mu) ** 2 * (1.0 + mu * mu),
-                                  -1.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-        return val
-
     def norm_N(self) -> float:
         """Normalization constant N (SI, m^{3/2}) making sum_lambda int |K|^2 = 1."""
         bhc = self.ctx.length_scale
         if self.kind == "thermal":
-            J = self.angular_second_moment()
+            J = _norm_integral(self.shape)
             return math.sqrt(bhc**3 / (2.0 * ZETA3 * math.pi * J))
         if self.kind == "gaussian":
-            lo, hi = _support(self)
-            xg, wg = _gauss_legendre(_RADIAL_NODES, max(0.0, lo), hi)
-            phi = gaussian_angular_kernel(xg, np.array([self.x0()]),
-                                          self.sigma_x())[:, 0]
-            denom = math.pi * float(np.sum(wg * xg**4 * phi))
             # the gaussian amplitude carries an extra factor k, so the
             # squared-norm integral scales as (beta hbar c)^{-5}
-            return math.sqrt(bhc**5 / denom)
+            return math.sqrt(bhc**5 / _norm_integral(self.shape))
         raise ValueError(f"unknown family kind {self.kind!r}")
 
     def envelope_prefactor(self) -> complex:
@@ -324,6 +364,26 @@ class PulseFamily:
         check_reach(reach)
         return _memoized(("table", self.shape, u_delay, reach),
                          lambda: _build_table(self, u_delay, reach))
+
+
+@functools.lru_cache(maxsize=_NORM_CACHE_SIZE)
+def _norm_integral(shape: tuple) -> float:
+    """The dimensionless integral under norm_N, once per family shape.
+
+    Thermal kind: J = int_{-1}^{1} upsilon(mu)^2 (1 + mu^2) dmu.  Gaussian
+    kind: pi int x^4 Phi(x, x0) dx over _support's band, by the
+    _RADIAL_NODES-point rule.  norm_N applies the temperature.
+    """
+    kind, ups_kind, ups_param, s, x0 = shape
+    if kind == "thermal":
+        ups = upsilon_function(ups_kind, ups_param)
+        val, err = integrate.quad(lambda mu: ups(mu) ** 2 * (1.0 + mu * mu),
+                                  -1.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
+        return val
+    xg, wg = _gauss_legendre(_RADIAL_NODES, max(0.0, x0 - _GAUSS_BAND * s),
+                             x0 + _GAUSS_BAND * s)
+    phi = gaussian_angular_kernel(xg, np.array([x0]), s)[:, 0]
+    return math.pi * float(np.sum(wg * xg**4 * phi))
 
 
 def check_reach(reach: float) -> None:
@@ -416,12 +476,12 @@ def _spectral_weight(family: PulseFamily, x: np.ndarray, mu: np.ndarray
 
 def _support(family: PulseFamily) -> tuple[float, float]:
     """Band (lo, hi) outside which w is negligible: [0, 40] for the thermal
-    kind, x0 -+ 10 sigma for the gaussian kind.  Ranges of x clip lo at 0;
-    the table's range of b = x mu takes it as it stands."""
+    kind, x0 -+ _GAUSS_BAND sigma for the gaussian kind.  Ranges of x clip
+    lo at 0; the table's range of b = x mu takes it as it stands."""
     if family.kind == "thermal":
         return 0.0, 40.0
     s, x0 = family.sigma_x(), family.x0()
-    return x0 - 10.0 * s, x0 + 10.0 * s
+    return x0 - _GAUSS_BAND * s, x0 + _GAUSS_BAND * s
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +548,35 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float
         Tz += ((special.j1(Pa) * wb) @ Hz.view(float)).view(complex)
 
     table = EnvelopeTable(P_grid=Pg, Z_grid=Zg, Ty=Ty, Tz=Tz,
-                          coef_y=_prefilter(Ty, 1.0), coef_z=_prefilter(Tz, -1.0))
-    for arr in (Ty, Tz, table.coef_y, table.coef_z):
+                          coef=_prefilter(Ty, Tz))
+    for arr in (Ty, Tz, table.coef):
         arr.flags.writeable = False                   # shared via the memo
     return table
 
 
-def _prefilter(T: np.ndarray, parity: float) -> np.ndarray:
-    """Cubic B-spline coefficients of T (rows P >= 0) extended across P = 0
-    by _PAD rows of the given parity (+1 even, -1 odd)."""
-    ext = np.concatenate([parity * T[_PAD:0:-1], T])
-    return ndimage.spline_filter(ext, order=3, output=complex, mode="mirror")
+def _prefilter(Ty: np.ndarray, Tz: np.ndarray) -> np.ndarray:
+    """Cubic B-spline coefficients of Ty, Tz (rows P >= 0), each extended
+    across P = 0 by _PAD rows of its parity (T_y even, T_z odd), as the
+    channels (Re c_y, Im c_y, Re c_z, Im c_z) of one real array.
+
+    Each channel is filtered in place, one at a time, inside a frame of 1
+    row and column below and 2 above that then takes ndimage's "mirror"
+    boundary (np.pad's "reflect"): those hold every tap lookup can reach.
+    """
+    coef = np.empty((Ty.shape[0] + _PAD + 3, Ty.shape[1] + 3, 4))
+    inner = coef[1:-2, 1:-2]
+    channels = ((Ty.real, 1.0), (Ty.imag, 1.0), (Tz.real, -1.0), (Tz.imag, -1.0))
+    for c, (part, parity) in enumerate(channels):
+        ext = inner[:, :, c]
+        ext[:_PAD] = parity * part[_PAD:0:-1]
+        ext[_PAD:] = part
+        ndimage.spline_filter(ext, order=3, output=ext, mode="mirror")
+    # mirror about the first and last node: index -1 reads 1, n reads n - 2
+    # and n + 1 reads n - 3, as np.pad's "reflect" would fill them
+    for axis in (0, 1):
+        c = np.moveaxis(coef, axis, 0)
+        c[0], c[-2], c[-1] = c[2], c[-4], c[-5]
+    return coef
 
 
 def transforms_direct(family: PulseFamily, P: float, Z: float,
@@ -577,11 +655,20 @@ def envelope_batch(family: PulseFamily, m_hats: np.ndarray, n_hats: np.ndarray,
     carrier-times-ball form instead, with relative corrections O(sigma/k0)
     and no reach: such a pulse spans more length scales than any affordable
     table (see the module docstring).
+
+    Before any table work, a non-finite delta, or a frame whose |m_hat|,
+    |n_hat| or m_hat . n_hat is off from 1, 1, 0 by more than _FRAME_TOL,
+    raises ValueError.
     """
     ctx = family.ctx
+    if not np.isfinite(deltas).all():
+        raise ValueError("deltas must be finite")
     d = deltas / ctx.length_scale
     e2 = np.cross(m_hats, n_hats)
-    dz = np.einsum("ij,ij->i", d, m_hats)
+    mm, nn, mn, dx, dy, dz = _row_dots(
+        (m_hats, m_hats), (n_hats, n_hats), (m_hats, n_hats),
+        (d, n_hats), (d, e2), (d, m_hats))
+    _check_frames(mm, nn, mn)
     if family.kind == "gaussian" and family.sigma_x() < 0.05:
         x0, s, k0 = family.x0(), family.sigma_x(), family.k0
         pref = 1j * family.alpha * family.norm_N() * math.sqrt(
@@ -594,12 +681,35 @@ def envelope_batch(family: PulseFamily, m_hats: np.ndarray, n_hats: np.ndarray,
         return (pref * amp_si) * (phase * ball)[:, None] * e2
     tab = family.table(t / ctx.time_scale, reach=reach)
     pref = family.envelope_prefactor() * 2.0 * math.pi
-    dx = np.einsum("ij,ij->i", d, n_hats)
-    dy = np.einsum("ij,ij->i", d, e2)
     P = np.hypot(dx, dy)
     ty, tz = tab.lookup(P, dz)
     sphi = np.divide(dy, P, out=np.zeros_like(dy), where=P > 1e-300)
     return pref * (ty[:, None] * e2 - 1j * (sphi * tz)[:, None] * m_hats)
+
+
+def _row_dots(*pairs) -> np.ndarray:
+    """a_i . b_i for each pair (a, b) of (N, 3) arrays, as the rows of one
+    (len(pairs), N) array.  The products share one buffer and one
+    matrix-vector sum, about half the time of an einsum per pair."""
+    prod = np.empty((len(pairs),) + np.broadcast(*pairs[0]).shape)
+    for k, (a, b) in enumerate(pairs):
+        np.multiply(a, b, out=prod[k])
+    return prod @ np.ones(3)
+
+
+def _check_frames(mm: np.ndarray, nn: np.ndarray, mn: np.ndarray) -> None:
+    """ValueError unless every frame is orthonormal: the row dots
+    mm = |m_hat|^2 and nn = |n_hat|^2 within 2 _FRAME_TOL of 1 (so the
+    norms within _FRAME_TOL) and mn = m_hat . n_hat within _FRAME_TOL of
+    0.  NaN fails."""
+    for dot, want, tol in ((mm, 1.0, 2.0 * _FRAME_TOL),
+                           (nn, 1.0, 2.0 * _FRAME_TOL),
+                           (mn, 0.0, _FRAME_TOL)):
+        if not (want - tol <= dot.min(initial=want)
+                <= dot.max(initial=want) <= want + tol):
+            raise ValueError(f"m_hats and n_hats must be orthonormal frames: "
+                             f"|m_hat|, |n_hat| within {_FRAME_TOL} of 1 and "
+                             f"m_hat . n_hat within {_FRAME_TOL} of 0")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy import special
+from scipy import ndimage, special
 
 from thermolight import pulsekit
 from thermolight.units import make_context
@@ -225,6 +225,95 @@ def test_table_tz_linear_off_axis_nodes(thermal_family):
     assert np.allclose(tz_half / tz_node, 0.5, rtol=1e-2)
 
 
+def _map_coordinates_lookup(tab, P, Z):
+    """The lookup as it was before the four coefficient channels were fused:
+    per-part complex B-spline coefficients read by scipy's map_coordinates
+    (oracle)."""
+    Pg, Zg = tab.P_grid, tab.Z_grid
+    ok = (P >= 0.0) & (P <= Pg[-1]) & (Z >= Zg[0]) & (Z <= Zg[-1])
+    dP = Pg[1] - Pg[0]
+    dZ = (Zg[-1] - Zg[0]) / (len(Zg) - 1)
+    at = np.stack([P[ok] / dP + pulsekit._PAD, (Z[ok] - Zg[0]) / dZ])
+    out = []
+    for T, parity in ((tab.Ty, 1.0), (tab.Tz, -1.0)):
+        ext = np.concatenate([parity * T[pulsekit._PAD:0:-1], T])
+        coef = ndimage.spline_filter(ext, order=3, output=complex, mode="mirror")
+        t = np.zeros(P.shape, complex)
+        t[ok] = ndimage.map_coordinates(coef, at, order=3, mode="mirror",
+                                        prefilter=False)
+        out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("which", ["default", "delayed", "gaussian"])
+def test_lookup_matches_map_coordinates(ctx, thermal_family, which):
+    """The fused gather reads the same spline as map_coordinates: at 1e5
+    random points, on the four edges and at the corners of the grid, for a
+    real weight, a complex (delayed) one and a gaussian table."""
+    fam = _gaussian(ctx, 0.2) if which == "gaussian" else thermal_family
+    tab = fam.table(1.5 if which == "delayed" else 0.0)
+    Pmax, Zlo, Zhi = tab.P_grid[-1], tab.Z_grid[0], tab.Z_grid[-1]
+    rng = np.random.default_rng(14)
+    n = 100_000
+    P = rng.random(n) * Pmax
+    Z = Zlo + rng.random(n) * (Zhi - Zlo)
+    P[:100], P[100:200] = 0.0, Pmax
+    Z[200:300], Z[300:400] = Zlo, Zhi
+    P[400:404], Z[400:404] = [0.0, 0.0, Pmax, Pmax], [Zlo, Zhi, Zlo, Zhi]
+    ty, tz = tab.lookup(P, Z)
+    want_y, want_z = _map_coordinates_lookup(tab, P, Z)
+    peak = max(np.abs(tab.Ty).max(), np.abs(tab.Tz).max())
+    worst = max(np.abs(ty - want_y).max(), np.abs(tz - want_z).max())
+    assert worst <= 1e-14 * peak, worst / peak
+
+    # a 2D grid of points keeps its shape and its values
+    ty2, tz2 = tab.lookup(P[:1000].reshape(25, 40), Z[:1000].reshape(25, 40))
+    assert ty2.shape == tz2.shape == (25, 40)
+    np.testing.assert_array_equal(ty2.ravel(), ty[:1000])
+    np.testing.assert_array_equal(tz2.ravel(), tz[:1000])
+
+    # beyond the grid by one ulp, or NaN: exact zeros
+    out_P = [np.nextafter(0.0, -1.0), np.nextafter(Pmax, np.inf), 1.0, 1.0,
+             np.nan, 1.0, np.inf]
+    out_Z = [0.0, 0.0, np.nextafter(Zlo, -np.inf), np.nextafter(Zhi, np.inf),
+             0.0, np.nan, 0.0]
+    ty, tz = tab.lookup(np.array(out_P), np.array(out_Z))
+    assert np.all(ty == 0.0) and np.all(tz == 0.0)
+
+
+def test_build_table_memory(thermal_family):
+    """The default build peaks below 90 MB and keeps below 70 MB: Ty, Tz and
+    the one four-channel coefficient array."""
+    tracemalloc.start()
+    try:
+        tab = pulsekit._build_table(thermal_family, 0.0, 16.0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tab.coef.shape == (tab.Ty.shape[0] + pulsekit._PAD + 3,
+                              tab.Ty.shape[1] + 3, 4)
+    assert peak <= 90 * 2**20, peak / 2**20
+    assert retained <= 70 * 2**20, retained / 2**20
+
+
+def test_lookup_transient_memory(thermal_family):
+    """Reading 2e5 in-range points allocates the two outputs (6.4 MB) and a
+    few MB of block temporaries, not per-point copies of the coefficients."""
+    tab = thermal_family.table(0.0)
+    rng = np.random.default_rng(5)
+    P = rng.random(200_000) * 15.0
+    Z = (rng.random(200_000) - 0.5) * 30.0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = tab.lookup(P, Z)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out[0].shape == P.shape
+    assert peak <= 12.5 * 2**20, peak / 2**20
+
+
 def test_table_build_emits_no_warning(thermal_family):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -270,6 +359,75 @@ def test_envelope_batch_matches_single(thermal_family, ctx):
                                 deltas[row])[0]
         np.testing.assert_allclose(batch[i], single, rtol=0,
                                    atol=1e-10 * np.linalg.norm(single))
+
+
+@pytest.mark.parametrize("kind", ["thermal", "narrow-gaussian"])
+@pytest.mark.parametrize("case", ["delta-nan", "delta-inf", "m-long",
+                                  "n-short", "not-perpendicular", "frame-nan"])
+def test_envelope_batch_rejects_bad_input(ctx, monkeypatch, kind, case):
+    """Both branches refuse a non-finite delta or a frame that is not
+    orthonormal, before any table work; the table path read a NaN delta as
+    an exact zero field and m_hat = (0, 0, 2) as twice the field."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("built a table before checking")
+
+    monkeypatch.setattr(pulsekit, "_build_table", no_work)
+    fam = (_gaussian(ctx, 0.04) if kind == "narrow-gaussian" else
+           pulsekit.make_thermal_family(ctx, upsilon_param=11.0))
+    m = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]])
+    n = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    d = np.ones((2, 3)) * ctx.length_scale
+    bad, match = {
+        "delta-nan": ((m, n, np.where(np.eye(2, 3) > 0, np.nan, d)), "deltas"),
+        "delta-inf": ((m, n, np.where(np.eye(2, 3) > 0, np.inf, d)), "deltas"),
+        "m-long": ((m * [[2.0], [1.0]], n, d), "orthonormal"),
+        "n-short": ((m, n * (1.0 - 1e-11), d), "orthonormal"),
+        "not-perpendicular": ((m, n + [[0.0, 0.0, 2e-12], [0.0] * 3], d),
+                              "orthonormal"),
+        "frame-nan": ((m, np.where(np.eye(2, 3) > 0, np.nan, n), d),
+                      "orthonormal"),
+    }[case]
+    with pytest.raises(ValueError, match=match):
+        envelope_batch(fam, *bad)
+
+
+@pytest.mark.parametrize("shape, want_N, want_pref", [
+    ("thermal", 4.111382758552278e-10, 28131.178700295j),
+    ("power", 1.1631053013433924e-10, 7958.2770568588j),
+    ("gaussian", 5.85659205708422e-17, 10109.595516628182j),
+    ("narrow-gaussian", 6.549832995097432e-16, 113062.61668303206j),
+])
+def test_norm_frozen(ctx, shape, want_N, want_pref):
+    """norm_N and the envelope prefactor, bit for bit as recorded before the
+    normalization integral was cached per shape."""
+    fam = {"thermal": lambda: pulsekit.make_thermal_family(ctx),
+           "power": lambda: pulsekit.make_thermal_family(
+               ctx, upsilon_kind="power", upsilon_param=2.0),
+           "gaussian": lambda: _gaussian(ctx, 0.2),
+           "narrow-gaussian": lambda: _gaussian(ctx, 0.04)}[shape]()
+    for _ in range(2):                    # cold, then from the cache
+        assert fam.norm_N() == want_N
+        assert fam.envelope_prefactor() == want_pref
+
+
+def test_envelope_batch_second_call_reuses_norm_and_table(ctx, monkeypatch):
+    """A second call on a shape runs no quadrature for the normalization,
+    and that cache takes no slot of the table memo."""
+    fam = pulsekit.make_thermal_family(ctx, upsilon_kind="power",
+                                       upsilon_param=3.0)
+    m_hats, n_hats = _frames([0.1, 0.2, 0.9], 0.4, 3)
+    d = np.array([[0.3, 0.1, 0.2], [0.0, 0.0, 0.0], [-0.5, 0.4, 1.0]]) \
+        * ctx.length_scale
+    first = envelope_batch(fam, m_hats, n_hats, d, reach=2.0)
+    tables = [key for key in pulsekit._memo if key[0] == "table"]
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("integrate.quad ran on a second call")
+
+    monkeypatch.setattr(pulsekit.integrate, "quad", no_quad)
+    second = envelope_batch(fam, m_hats, n_hats, d, reach=2.0)
+    np.testing.assert_array_equal(first, second)
+    assert all(key in pulsekit._memo for key in tables)
 
 
 def test_upsilon_validation():
