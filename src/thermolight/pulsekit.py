@@ -28,18 +28,20 @@ with (P, Phi, Z) cylindrical coordinates of (r-r0)/(beta hbar c), giving
 envelope_batch is the one way to a field: it evaluates this for arrays of
 (m_hat, n_hat, r - r0) at once.  The Monte Carlo estimators need millions of
 points, so T_y and T_z are precomputed on a uniform (P, Z) grid:
-substituting a = x st, b = x mu turns the mu-oscillation into a plain
-Fourier transform over b (done by FFT, a block of a-rows at a time) and the
-P-dependence into Hankel transforms over a (done by dense Bessel matrices).
-Lookups evaluate a cubic B-spline through the grid values; its coefficients
-come from the grid extended across P = 0 with the parity of each transform
-(J0 makes T_y even in P, J1 makes T_z odd).  The real and imaginary parts of
-both sit as four channels of one real array, so one gather of the 4 x 4
-neighbouring nodes and one set of spline weights per point give T_y and T_z
-together.  The tests check the table against direct 2D Gauss-Legendre
-quadrature (transforms_direct) at listed points, near the axis, at the grid
-edges, and for a delayed table, and the lookup against scipy's
-map_coordinates.
+substituting a = x st, b = x mu turns the P-dependence into Hankel
+transforms over a and the mu-oscillation into a plain Fourier transform
+over b.  The Hankel sums run first, as dense real Bessel matrices times the
+weights, one GEMM per block of a-rows, onto (P, b); then one FFT per row of
+P and transform, 2 len(P) in all, takes b to Z.  Lookups evaluate a cubic
+B-spline through the grid values; its coefficients come from the grid
+extended across P = 0 with the parity of each transform (J0 makes T_y even
+in P, J1 makes T_z odd).  The real and imaginary parts of both sit as four
+channels of one real array, so one gather of the 4 x 4 neighbouring nodes
+and one set of spline weights per point give T_y and T_z together.  The
+tests check the table against direct 2D Gauss-Legendre quadrature
+(transforms_direct) at listed points, near the axis, at the grid edges, and
+for a delayed table, its grid against the former FFT-then-Hankel order, and
+the lookup against scipy's map_coordinates.
 
 The one other branch of envelope_batch is the closed form of a narrow
 Gaussian lineshape (sigma beta hbar c < 0.05), whose 99% radius exceeds 47
@@ -74,10 +76,12 @@ _SIXTEEN_PI3 = 16.0 * math.pi**3
 _MEMO_SIZE = 8
 _memo: OrderedDict = OrderedDict()
 
-# Table layout: the FFT over b runs on _ROW_BLOCK rows of a at a time, and the
-# B-spline prefilter sees the grid extended across P = 0 by _PAD rows, so its
-# mirror boundary lies _PAD rows below P = 0 and its effect there has decayed
-# by 0.268 per row (below 1e-7 of the peak).  Rows of P are _P_STEP apart.
+# Table layout: the Hankel GEMM runs on _ROW_BLOCK rows of a at a time, and
+# the FFT over b on _ROW_BLOCK rows of P at a time (16 MB of padded transform
+# each).  The B-spline prefilter sees the grid extended across P = 0 by _PAD
+# rows, so its mirror boundary lies _PAD rows below P = 0 and its effect there
+# has decayed by 0.268 per row (below 1e-7 of the peak).  Rows of P are
+# _P_STEP apart.
 _ROW_BLOCK = 64
 _PAD = 8
 _P_STEP = 0.03
@@ -203,10 +207,23 @@ def transverse_frames(m_hat: np.ndarray, psi: np.ndarray) -> np.ndarray:
     near_z = np.abs(m_hat[:, 2]) > 0.9
     ref[near_z, 0] = 1.0
     ref[~near_z, 2] = 1.0
-    e1 = np.cross(ref, m_hat)
+    e1 = _cross(ref, m_hat)
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(m_hat, e1)
+    e2 = _cross(m_hat, e1)
     return np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of (N, 3) arrays (either may be a broadcast
+    view), equal to np.cross bit for bit: the same two products and one
+    difference per component, without np.cross's axis moves and
+    temporaries, 4-5x faster on a few thousand rows."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        np.multiply(a[:, i], b[:, j], out=out[:, k])
+        out[:, k] -= a[:, j] * b[:, i]
+    return out
 
 
 @dataclass(frozen=True)
@@ -490,7 +507,18 @@ def _support(family: PulseFamily) -> tuple[float, float]:
 
 def _build_table(family: PulseFamily, u_delay: float, reach: float
                  ) -> EnvelopeTable:
-    """FFT-Hankel construction of T_y, T_z on a (P, Z) grid.
+    """Hankel-then-FFT construction of T_y, T_z on a (P, Z) grid.
+
+    With a = x st and b = x mu on uniform grids (trapezoid in a, plain sum
+    in b), T_y(P, Z) = sum_b e^{i b Z} G_y(P, b) with
+    G_y(P, b) = sum_a J0(P a) w_a W(a, b) mu, and T_z alike with J1 and st.
+    Both sums are linear, so their order is free: the Hankel sums run first,
+    as one real GEMM per _ROW_BLOCK rows of a and transform (on the complex
+    weight's float view for a delayed table), accumulating G_y and G_z on
+    the b-grid; then one zero-padded FFT per row of P and transform,
+    2 len(P) in all, takes them to Z.  Summing Fourier-first, a-row by
+    a-row, would take 2 len(a) FFTs and run the GEMM on the wider Z-grid;
+    the tests keep that order as the oracle.
 
     reach sets the largest |Delta| that must be representable.  Against
     transforms_direct (converged to 1e-8 relative), the grid errs by at most
@@ -526,8 +554,8 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float
 
     dP = _P_STEP
     Pg = np.arange(0.0, reach + dP / 2, dP)
-    Ty = np.zeros((len(Pg), len(Zg)), complex)
-    Tz = np.zeros_like(Ty)
+    Gy = np.zeros((len(Pg), len(b)), float if u_delay == 0.0 else complex)
+    Gz = np.zeros_like(Gy)
     for lo in range(0, len(a), _ROW_BLOCK):
         ab = a[lo:lo + _ROW_BLOCK]
         A, B = np.meshgrid(ab, b, indexing="ij")
@@ -538,20 +566,36 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float
         W = _spectral_weight(family, X, MU) * jac
         if u_delay != 0.0:
             W = W * np.exp(-1j * X * u_delay)
-        # e^{+i b Z} convention: ifft * nfft, kept at |Z| <= reach
-        Hy = np.fft.ifft(W * MU, n=nfft, axis=1, norm="forward").take(cols, axis=1) * phase
-        Hz = np.fft.ifft(W * ST, n=nfft, axis=1, norm="forward").take(cols, axis=1) * phase
         Pa = np.outer(Pg, ab)
         wb = wa[lo:lo + _ROW_BLOCK]
-        # real Bessel matrix times complex H as one real GEMM on H's float view
-        Ty += ((special.j0(Pa) * wb) @ Hy.view(float)).view(complex)
-        Tz += ((special.j1(Pa) * wb) @ Hz.view(float)).view(complex)
+        # real Bessel matrix times W as one real GEMM on W's float view
+        Gy += ((special.j0(Pa) * wb) @ (W * MU).view(float)).view(Gy.dtype)
+        Gz += ((special.j1(Pa) * wb) @ (W * ST).view(float)).view(Gz.dtype)
 
+    # one accumulator at a time, so a delayed build peaks no higher than a
+    # real one
+    Ty = _fourier_rows(Gy, nfft, cols, phase)
+    del Gy
+    Tz = _fourier_rows(Gz, nfft, cols, phase)
+    del Gz
     table = EnvelopeTable(P_grid=Pg, Z_grid=Zg, Ty=Ty, Tz=Tz,
                           coef=_prefilter(Ty, Tz))
     for arr in (Ty, Tz, table.coef):
         arr.flags.writeable = False                   # shared via the memo
     return table
+
+
+def _fourier_rows(G: np.ndarray, nfft: int, cols: np.ndarray,
+                  phase: np.ndarray) -> np.ndarray:
+    """sum_b e^{i b Z} G[:, b] db at the Z of cols, one zero-padded FFT per
+    row of G, _ROW_BLOCK rows at a time."""
+    T = np.empty((len(G), len(cols)), complex)
+    for lo in range(0, len(G), _ROW_BLOCK):
+        # e^{+i b Z} convention: ifft * nfft, kept at |Z| <= reach
+        T[lo:lo + _ROW_BLOCK] = np.fft.ifft(
+            G[lo:lo + _ROW_BLOCK], n=nfft, axis=1, norm="forward"
+        ).take(cols, axis=1) * phase
+    return T
 
 
 def _prefilter(Ty: np.ndarray, Tz: np.ndarray) -> np.ndarray:
@@ -664,7 +708,7 @@ def envelope_batch(family: PulseFamily, m_hats: np.ndarray, n_hats: np.ndarray,
     if not np.isfinite(deltas).all():
         raise ValueError("deltas must be finite")
     d = deltas / ctx.length_scale
-    e2 = np.cross(m_hats, n_hats)
+    e2 = _cross(m_hats, n_hats)
     mm, nn, mn, dx, dy, dz = _row_dots(
         (m_hats, m_hats), (n_hats, n_hats), (m_hats, n_hats),
         (d, n_hats), (d, e2), (d, m_hats))
@@ -747,13 +791,23 @@ def radial_intensity_profile(family: PulseFamily) -> tuple[np.ndarray, np.ndarra
 
 
 def _mean_transform_power(table: EnvelopeTable) -> tuple[np.ndarray, np.ndarray]:
-    """|delta| grid, and (|T_y|^2 + |T_z|^2/2) averaged over cos(theta) on it."""
+    """|delta| grid, and (|T_y|^2 + |T_z|^2/2) averaged over cos(theta) on it.
+
+    The average, half the integral over cos(theta) in [-1, 1], is taken as
+    the integral over [0, 1] on the 100 positive nodes of a 200-node rule.
+    That fold holds for an undelayed table only: with a real weight w, e^{-i x mu Z} is the conjugate of
+    e^{i x mu Z}, so T(P, -Z) = conj(T(P, Z)) and both powers are even in
+    cos(theta); a delay u != 0 makes w complex and breaks it.  The table's
+    Z-grid is symmetric, so the fold moves the profile only at rounding
+    level.
+    """
     grid = np.linspace(1e-4, table.support_radius * 0.995, 3000)
     grid.flags.writeable = False                      # shared via the memo
     cg, cw = _gauss_legendre(200)
+    cg, cw = cg[100:], cw[100:]
     st = np.sqrt(1.0 - cg**2)
     ty, tz = table.lookup(np.outer(grid, st), np.outer(grid, cg))
-    return grid, 0.5 * ((np.abs(ty) ** 2 + 0.5 * np.abs(tz) ** 2) @ cw)
+    return grid, (np.abs(ty) ** 2 + 0.5 * np.abs(tz) ** 2) @ cw
 
 
 def pulse_extent(family: PulseFamily, fraction: float = 0.99) -> float:

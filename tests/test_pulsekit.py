@@ -225,6 +225,67 @@ def test_table_tz_linear_off_axis_nodes(thermal_family):
     assert np.allclose(tz_half / tz_node, 0.5, rtol=1e-2)
 
 
+def _fourier_first_grid(family, u_delay, reach):
+    """Ty, Tz summed in the build's former order (oracle): two zero-padded
+    FFTs over b per row of a and transform, then the Bessel GEMM over a on
+    the Z-columns.  Same grids, same weights; only the order differs."""
+    xlo, xhi = pulsekit._support(family)
+    da = db = 0.025
+    bfloor = -8.0
+    if family.kind == "gaussian":
+        s = family.sigma_x()
+        da = db = min(0.025, s / 4.0)
+        bfloor = -4.0 * s
+    a = np.arange(0.0, min(40.0, xhi) + da / 2, da)
+    b = np.arange(min(bfloor, xlo), xhi + db / 2, db)
+    wa = np.full_like(a, da)
+    wa[0] *= 0.5
+    wa[-1] *= 0.5
+    nfft = 16384
+    while math.pi / db < 1.05 * reach * (16384.0 / nfft):
+        nfft *= 2
+    Zk = 2.0 * math.pi * np.fft.fftfreq(nfft, d=db)
+    cols = np.flatnonzero(np.abs(Zk) <= reach)
+    cols = cols[np.argsort(Zk[cols])]
+    phase = np.exp(1j * b[0] * Zk[cols]) * db
+    Pg = np.arange(0.0, reach + pulsekit._P_STEP / 2, pulsekit._P_STEP)
+    Ty = np.zeros((len(Pg), len(cols)), complex)
+    Tz = np.zeros_like(Ty)
+    for lo in range(0, len(a), pulsekit._ROW_BLOCK):
+        ab = a[lo:lo + pulsekit._ROW_BLOCK]
+        A, B = np.meshgrid(ab, b, indexing="ij")
+        X = np.hypot(A, B)
+        MU = np.divide(B, X, out=np.zeros_like(B), where=X > 0)
+        ST = np.divide(A, X, out=np.zeros_like(A), where=X > 0)
+        jac = np.divide(A, X * X, out=np.zeros_like(A), where=X > 0)
+        W = pulsekit._spectral_weight(family, X, MU) * jac
+        if u_delay != 0.0:
+            W = W * np.exp(-1j * X * u_delay)
+        Hy = np.fft.ifft(W * MU, n=nfft, axis=1, norm="forward").take(cols, axis=1) * phase
+        Hz = np.fft.ifft(W * ST, n=nfft, axis=1, norm="forward").take(cols, axis=1) * phase
+        Pa = np.outer(Pg, ab)
+        wb = wa[lo:lo + pulsekit._ROW_BLOCK]
+        Ty += ((special.j0(Pa) * wb) @ Hy.view(float)).view(complex)
+        Tz += ((special.j1(Pa) * wb) @ Hz.view(float)).view(complex)
+    return Ty, Tz
+
+
+@pytest.mark.parametrize("which", ["default", "delayed", "reach2", "gaussian"])
+def test_table_matches_fourier_first_order(ctx, thermal_family, which):
+    """Hankel-then-FFT sums the same terms as FFT-then-Hankel: the grids
+    agree to 1e-14 of the peak for a real weight, a complex (delayed) one,
+    a short reach and a gaussian table."""
+    fam = _gaussian(ctx, 0.2) if which == "gaussian" else thermal_family
+    u = 0.7 if which == "delayed" else 0.0
+    reach = 2.0 if which == "reach2" else pulsekit._DEFAULT_REACH
+    tab = fam.table(u, reach)
+    want_y, want_z = _fourier_first_grid(fam, u, reach)
+    assert tab.Ty.shape == want_y.shape and tab.Tz.shape == want_z.shape
+    peak = max(np.abs(want_y).max(), np.abs(want_z).max())
+    worst = max(np.abs(tab.Ty - want_y).max(), np.abs(tab.Tz - want_z).max())
+    assert worst <= 1e-14 * peak, worst / peak
+
+
 def _map_coordinates_lookup(tab, P, Z):
     """The lookup as it was before the four coefficient channels were fused:
     per-part complex B-spline coefficients read by scipy's map_coordinates
@@ -281,12 +342,13 @@ def test_lookup_matches_map_coordinates(ctx, thermal_family, which):
     assert np.all(ty == 0.0) and np.all(tz == 0.0)
 
 
-def test_build_table_memory(thermal_family):
-    """The default build peaks below 90 MB and keeps below 70 MB: Ty, Tz and
-    the one four-channel coefficient array."""
+@pytest.mark.parametrize("u", [0.0, 0.7])
+def test_build_table_memory(thermal_family, u):
+    """The default build, real or delayed, peaks below 90 MB and keeps below
+    70 MB: Ty, Tz and the one four-channel coefficient array."""
     tracemalloc.start()
     try:
-        tab = pulsekit._build_table(thermal_family, 0.0, 16.0)
+        tab = pulsekit._build_table(thermal_family, u, 16.0)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -323,6 +385,16 @@ def test_table_build_emits_no_warning(thermal_family):
 
 # ---------------------------------------------------------------------------
 # envelope geometry
+
+
+def test_cross_equals_numpy_cross():
+    """_cross is np.cross bit for bit, on random rows and on a broadcast
+    operand (mu_integral passes broadcast frames)."""
+    rng = np.random.default_rng(15)
+    a, b = rng.standard_normal((2, 6250, 3))
+    assert np.array_equal(pulsekit._cross(a, b), np.cross(a, b))
+    row = np.broadcast_to(b[0], a.shape)
+    assert np.array_equal(pulsekit._cross(row, a), np.cross(row, a))
 
 
 def test_envelope_orthogonal_to_reference_direction(thermal_family, ctx):
@@ -477,6 +549,17 @@ def test_table_captures_nearly_all_intensity(thermal_family, ctx):
     captured = 4.0 * math.pi * np.trapezoid(grid**2 * prof, grid) \
         * ctx.length_scale**3
     assert 0.995 < captured / total < 0.999
+
+
+def test_radial_profile_fold_matches_full_rule(thermal_family):
+    """The profile folded onto cos(theta) > 0 equals the full 200-node rule
+    to rounding: an undelayed table has |T(P, -Z)| = |T(P, Z)|."""
+    tab = thermal_family.table(0.0)
+    grid, power = pulsekit._mean_transform_power(tab)
+    cg, cw = pulsekit._gauss_legendre(200)
+    ty, tz = tab.lookup(np.outer(grid, np.sqrt(1.0 - cg**2)), np.outer(grid, cg))
+    full = 0.5 * ((np.abs(ty) ** 2 + 0.5 * np.abs(tz) ** 2) @ cw)
+    np.testing.assert_allclose(power, full, rtol=1e-13, atol=0.0)
 
 
 def test_mu_integral_saturates_to_total(thermal_family, ctx):
