@@ -315,7 +315,8 @@ def unit_trace_scaling(family: PulseFamily, weights: WeightSpec,
     per-component position integral reduces to this, since averaging a
     fixed Cartesian component over all pulse orientations at fixed |delta|
     gives one third of the radial total-intensity profile.  The tests check
-    it against an explicit orientation quadrature of pulsekit.mu_integral.
+    it against an explicit orientation quadrature of the per-component
+    position integral (mu_integral in tests/oracles.py).
     """
     omegas = np.asarray(omega_list, float)
     if np.any(np.diff(omegas) <= 0.0):

@@ -31,16 +31,18 @@ points, so T_y and T_z are precomputed on a uniform (P, Z) grid:
 substituting a = x st, b = x mu turns the P-dependence into Hankel
 transforms over a and the mu-oscillation into a plain Fourier transform
 over b.  The Hankel sums run first, as dense real Bessel matrices times the
-weights, one GEMM per block of a-rows, onto (P, b); then one FFT per row of
-P and transform, 2 len(P) in all, takes b to Z.  Lookups evaluate a cubic
-B-spline through the grid values; its coefficients come from the grid
-extended across P = 0 with the parity of each transform (J0 makes T_y even
-in P, J1 makes T_z odd).  The real and imaginary parts of both sit as four
-channels of one real array, so one gather of the 4 x 4 neighbouring nodes
-and one set of spline weights per point give T_y and T_z together.  The
-tests check the table against direct 2D Gauss-Legendre quadrature
-(transforms_direct) at listed points, near the axis, at the grid edges, and
-for a delayed table, its grid against the former FFT-then-Hankel order, and
+weights, one GEMM per block of a-rows, onto (P, b); then one real FFT per
+row of P and transform (two for a delayed table's complex rows) takes b to
+Z.  Lookups evaluate a cubic B-spline through the grid values; its
+coefficients come from the grid extended across P = 0 with the parity of
+each transform (J0 makes T_y even in P, J1 makes T_z odd), through the
+spline's recursive prefilter, run in place.  The real and imaginary parts
+of both sit as four channels of one real array, so one gather of the 4 x 4
+neighbouring nodes and one set of spline weights per point give T_y and
+T_z together.  The tests check the table against direct 2D Gauss-Legendre
+quadrature (transforms_direct) at listed points, near the axis, at the grid
+edges, and for a delayed table, its grid against the former
+FFT-then-Hankel order, its coefficients against scipy's spline_filter, and
 the lookup against scipy's map_coordinates.
 
 The one other branch of envelope_batch is the closed form of a narrow
@@ -58,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import legder, legval
-from scipy import integrate, linalg, ndimage, special
+from scipy import fft, integrate, linalg, special
 
 from .specfun import ZETA3, PI4_OVER_15
 from .units import PhysicalContext
@@ -76,15 +78,24 @@ _SIXTEEN_PI3 = 16.0 * math.pi**3
 _MEMO_SIZE = 8
 _memo: OrderedDict = OrderedDict()
 
-# Table layout: the Hankel GEMM runs on _ROW_BLOCK rows of a at a time, and
-# the FFT over b on _ROW_BLOCK rows of P at a time (16 MB of padded transform
-# each).  The B-spline prefilter sees the grid extended across P = 0 by _PAD
-# rows, so its mirror boundary lies _PAD rows below P = 0 and its effect there
-# has decayed by 0.268 per row (below 1e-7 of the peak).  Rows of P are
-# _P_STEP apart.
+# Table layout: the Hankel GEMM runs on _ROW_BLOCK rows of a at a time.  The
+# FFT over b takes _FFT_LINES real lines at a time (rows of P, or the Re and
+# Im halves of a delayed table's rows): their spectra (8193 bins each for the
+# default table) then hold 1 MB, which stays in a core's L2 cache; 64 lines
+# at a time ran up to a quarter slower.  The B-spline prefilter sees the grid
+# extended across P = 0 by _PAD rows, in a frame that holds every tap of a
+# lookup: 1 row and column below, 2 above.  Its mirror boundary lies _PAD
+# rows below P = 0, and its effect there has decayed by |_SPLINE_POLE| =
+# 0.268 per row (below 1e-7 of the peak).  Rows of P are _P_STEP apart.
 _ROW_BLOCK = 64
+_FFT_LINES = 8
 _PAD = 8
 _P_STEP = 0.03
+
+# The cubic B-spline prefilter's pole z, and its gain (1 - z)(1 - 1/z) per
+# axis (Unser, Aldroubi & Eden, IEEE Trans. Signal Process. 41, 1993, 821).
+_SPLINE_POLE = math.sqrt(3.0) - 2.0
+_SPLINE_GAIN = 6.0
 
 # lookup reads _LOOKUP_BLOCK points at a time: its gather of 16 nodes x 4
 # channels then holds 2 MB.
@@ -94,10 +105,8 @@ _LOOKUP_BLOCK = 4096
 # entries at a time, so each temporary holds 96 kB.
 _KERNEL_BLOCK = 256
 
-# Gauss-Legendre nodes of the gaussian-kind radial normalization, and nodes
-# per unit length along each axis of mu_integral's position quadrature.
+# Gauss-Legendre nodes of the gaussian-kind radial normalization.
 _RADIAL_NODES = 600
-_MU_NODES_PER_UNIT = 6.0
 
 # Half-width, in sigma, of the gaussian kind's radial band.
 _GAUSS_BAND = 10.0
@@ -515,10 +524,12 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float
     Both sums are linear, so their order is free: the Hankel sums run first,
     as one real GEMM per _ROW_BLOCK rows of a and transform (on the complex
     weight's float view for a delayed table), accumulating G_y and G_z on
-    the b-grid; then one zero-padded FFT per row of P and transform,
-    2 len(P) in all, takes them to Z.  Summing Fourier-first, a-row by
-    a-row, would take 2 len(a) FFTs and run the GEMM on the wider Z-grid;
-    the tests keep that order as the oracle.
+    the b-grid; then one zero-padded real FFT per row of P and transform,
+    2 len(P) in all (twice that for a delayed table, whose rows have Re and
+    Im halves), takes them to Z.  Summing Fourier-first, a-row by a-row,
+    would take 2 len(a) FFTs and run the GEMM on the wider Z-grid; the tests
+    keep that order as the oracle.  Last, _prefilter turns the grid values
+    into B-spline coefficients, in place in their frame.
 
     reach sets the largest |Delta| that must be representable.  Against
     transforms_direct (converged to 1e-8 relative), the grid errs by at most
@@ -587,14 +598,28 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float
 
 def _fourier_rows(G: np.ndarray, nfft: int, cols: np.ndarray,
                   phase: np.ndarray) -> np.ndarray:
-    """sum_b e^{i b Z} G[:, b] db at the Z of cols, one zero-padded FFT per
-    row of G, _ROW_BLOCK rows at a time."""
+    """sum_b e^{i b Z} G[:, b] db at the Z of cols, for a real or a complex
+    (delayed) G, by one zero-padded real FFT per real line.
+
+    A real row is one line; a complex row is two, the Re and Im halves of
+    its float view, recombined as Re + i Im.  For a real line x,
+    sum_b x_b e^{+2 pi i b k / nfft} is the conjugate of rfft bin k at
+    Z >= 0, and rfft bin nfft - k as it stands at Z < 0.  For a real G,
+    T(P, -Z) is then conj T(P, Z) bit for bit: the phase at -Z is the
+    conjugate of the phase at Z, and IEEE complex products commute with
+    conjugation.  The FFTs run _FFT_LINES lines at a time.
+    """
+    parts = G.view(float).reshape(len(G), G.shape[1], -1)   # (rows, b, 1|2)
+    unit = np.array([1.0, 1j])[:parts.shape[2]]
+    pos = cols <= nfft // 2                                  # Z >= 0
+    bins = np.where(pos, cols, nfft - cols)
+    rows = _FFT_LINES // parts.shape[2]
     T = np.empty((len(G), len(cols)), complex)
-    for lo in range(0, len(G), _ROW_BLOCK):
-        # e^{+i b Z} convention: ifft * nfft, kept at |Z| <= reach
-        T[lo:lo + _ROW_BLOCK] = np.fft.ifft(
-            G[lo:lo + _ROW_BLOCK], n=nfft, axis=1, norm="forward"
-        ).take(cols, axis=1) * phase
+    for lo in range(0, len(G), rows):
+        F = fft.rfft(parts[lo:lo + rows], n=nfft, axis=1).take(bins, axis=1)
+        np.conjugate(F, out=F, where=pos[:, None])
+        np.matmul(F, unit, out=T[lo:lo + rows])
+        T[lo:lo + rows] *= phase
     return T
 
 
@@ -603,24 +628,64 @@ def _prefilter(Ty: np.ndarray, Tz: np.ndarray) -> np.ndarray:
     across P = 0 by _PAD rows of its parity (T_y even, T_z odd), as the
     channels (Re c_y, Im c_y, Re c_z, Im c_z) of one real array.
 
-    Each channel is filtered in place, one at a time, inside a frame of 1
-    row and column below and 2 above that then takes ndimage's "mirror"
-    boundary (np.pad's "reflect"): those hold every tap lookup can reach.
+    The filter is ndimage.spline_filter's with its "mirror" boundary (the
+    tests keep that as the oracle), written out: per axis, the gain
+    _SPLINE_GAIN and one causal and one anticausal recursion with pole
+    _SPLINE_POLE.  Both axes' gains scale the channels as they are copied
+    into the frame's interior; each recursion then runs in place there, one
+    vector step per row of P across every column and channel, then one per
+    column of Z across every row and channel.  No step allocates more than
+    one row.  The frame of 1 row and column below and 2 above then takes
+    the mirror boundary too (np.pad's "reflect"): it holds every tap lookup
+    can reach.
     """
     coef = np.empty((Ty.shape[0] + _PAD + 3, Ty.shape[1] + 3, 4))
     inner = coef[1:-2, 1:-2]
-    channels = ((Ty.real, 1.0), (Ty.imag, 1.0), (Tz.real, -1.0), (Tz.imag, -1.0))
-    for c, (part, parity) in enumerate(channels):
-        ext = inner[:, :, c]
-        ext[:_PAD] = parity * part[_PAD:0:-1]
-        ext[_PAD:] = part
-        ndimage.spline_filter(ext, order=3, output=ext, mode="mirror")
+    gain = _SPLINE_GAIN ** 2
+    pairs = inner.view(complex)                         # (c_y, c_z)
+    for c, (T, parity) in enumerate(((Ty, 1.0), (Tz, -1.0))):
+        np.multiply(T[_PAD:0:-1], parity * gain, out=pairs[:_PAD, :, c])
+        np.multiply(T, gain, out=pairs[_PAD:, :, c])
+    _spline_recursions(inner)                           # along P
+    _spline_recursions(np.moveaxis(inner, 1, 0))        # along Z
     # mirror about the first and last node: index -1 reads 1, n reads n - 2
     # and n + 1 reads n - 3, as np.pad's "reflect" would fill them
     for axis in (0, 1):
         c = np.moveaxis(coef, axis, 0)
         c[0], c[-2], c[-1] = c[2], c[-4], c[-5]
     return coef
+
+
+def _spline_recursions(lines: np.ndarray) -> None:
+    """The cubic B-spline recursions along axis 0 of lines, in place, with
+    ndimage's "mirror" boundary; lines[i] is one vector step.
+
+    Causal: c+[i] = c[i] + z c+[i-1], from ndimage's mirror sum
+    c+[0] = sum_k z^k c[m(k)] over the mirror extension of period 2n - 2,
+    summed in closed form over one period.  Its terms below float64
+    rounding are left out: for a long line, those from k = 28 on.
+    Anticausal: c[n-1] = z/(z^2 - 1) (c+[n-1] + z c+[n-2]) in closed form,
+    then c[i] = z (c[i+1] - c+[i]).
+    """
+    z, n = _SPLINE_POLE, len(lines)
+    k = np.arange(n)
+    w = z ** k
+    w[1:-1] += z ** (2 * n - 2 - k[1:-1])       # the period's mirrored half
+    w /= 1.0 - z ** (2 * n - 2)
+    step = np.empty_like(lines[0])
+    lines[0] *= w[0]
+    for i in 1 + np.flatnonzero(np.abs(w[1:]) >= np.finfo(float).eps):
+        np.multiply(lines[i], w[i], out=step)
+        lines[0] += step
+    for i in range(1, n):
+        np.multiply(lines[i - 1], z, out=step)
+        lines[i] += step
+    np.multiply(lines[n - 2], z, out=step)
+    lines[n - 1] += step
+    lines[n - 1] *= z / (z * z - 1.0)
+    for i in range(n - 2, -1, -1):
+        np.subtract(lines[i + 1], lines[i], out=lines[i])
+        lines[i] *= z
 
 
 def transforms_direct(family: PulseFamily, P: float, Z: float,
@@ -795,11 +860,14 @@ def _mean_transform_power(table: EnvelopeTable) -> tuple[np.ndarray, np.ndarray]
 
     The average, half the integral over cos(theta) in [-1, 1], is taken as
     the integral over [0, 1] on the 100 positive nodes of a 200-node rule.
-    That fold holds for an undelayed table only: with a real weight w, e^{-i x mu Z} is the conjugate of
-    e^{i x mu Z}, so T(P, -Z) = conj(T(P, Z)) and both powers are even in
-    cos(theta); a delay u != 0 makes w complex and breaks it.  The table's
-    Z-grid is symmetric, so the fold moves the profile only at rounding
-    level.
+    That fold holds for an undelayed table only: with a real weight w,
+    e^{-i x mu Z} is the conjugate of e^{i x mu Z}, so T(P, -Z) =
+    conj(T(P, Z)) and both powers are even in cos(theta); a delay u != 0
+    makes w complex and breaks it.  The grid itself is exactly symmetric:
+    its Z-grid is, and _fourier_rows makes T(P, -Z) = conj(T(P, Z)) bit for
+    bit.  Only the spline read (the prefilter's recursions run from -Z to
+    +Z) is symmetric to rounding, so the fold moves the profile only at
+    rounding level.
     """
     grid = np.linspace(1e-4, table.support_radius * 0.995, 3000)
     grid.flags.writeable = False                      # shared via the memo
@@ -863,45 +931,6 @@ def _calibrate_tail(family: PulseFamily) -> float:
             ty, tz = transforms_direct(family, pp, zz, nx=1200, nmu=3000)
             c3 = max(c3, (abs(ty) + abs(tz)) * d**3)
     return c3
-
-
-def mu_integral(family: PulseFamily, m_hat, psi: float, r: np.ndarray,
-                omega: float) -> np.ndarray:
-    """Position integral of per-component envelope intensity over a cube.
-
-    mu_i = int_Omega |E_i(r; r0)|^2 d3r0 over the cube of volume omega [m^3]
-    centered at the origin, for a pulse of fixed orientation.  Coherent
-    pulses factorize their correlation functions, so this is also the
-    diagonal first-order function integrated over pulse positions.  Returns
-    the three Cartesian components [V^2/m^2 * m^3].
-    """
-    if not omega > 0.0:
-        raise ValueError("omega must be positive")
-    ctx = family.ctx
-    m_hat = np.asarray(m_hat, float)[None, :] / np.linalg.norm(m_hat)
-    n_hat = transverse_frames(m_hat, np.array([float(psi)]))
-    L = omega ** (1.0 / 3.0) / ctx.length_scale
-    rd = np.asarray(r, float) / ctx.length_scale
-    table = family.table(0.0)
-    S = table.support_radius * 0.999
-
-    axes = []
-    for i in range(3):
-        lo, hi = rd[i] - L / 2.0, rd[i] + L / 2.0
-        lo, hi = max(lo, -S), min(hi, S)
-        if lo >= hi:
-            return np.zeros(3)
-        n = int(max(32, _MU_NODES_PER_UNIT * (hi - lo)))
-        axes.append(_gauss_legendre(n, lo, hi))
-    (gx, wx), (gy, wy), (gz, wz) = axes
-    DX, DY, DZ = np.meshgrid(gx, gy, gz, indexing="ij")
-    delta = np.stack([DX.ravel(), DY.ravel(), DZ.ravel()], axis=1)
-    comp = envelope_batch(family, np.broadcast_to(m_hat, delta.shape),
-                          np.broadcast_to(n_hat, delta.shape),
-                          delta * ctx.length_scale)
-    w3 = (wx[:, None, None] * wy[None, :, None] * wz[None, None, :]).ravel()
-    out = np.einsum("p,pi->i", w3, np.abs(comp) ** 2)
-    return out * ctx.length_scale**3
 
 
 def sphere_in_cube_fraction(d: float | np.ndarray) -> float | np.ndarray:

@@ -1,0 +1,49 @@
+"""Slow reference computations that only the tests call."""
+
+import numpy as np
+
+from thermolight.pulsekit import (PulseFamily, _gauss_legendre,
+                                  envelope_batch, transverse_frames)
+
+# Nodes per unit length along each axis of mu_integral's position quadrature.
+_MU_NODES_PER_UNIT = 6.0
+
+
+def mu_integral(family: PulseFamily, m_hat, psi: float, r: np.ndarray,
+                omega: float) -> np.ndarray:
+    """Position integral of per-component envelope intensity over a cube.
+
+    mu_i = int_Omega |E_i(r; r0)|^2 d3r0 over the cube of volume omega [m^3]
+    centered at the origin, for a pulse of fixed orientation.  Coherent
+    pulses factorize their correlation functions, so this is also the
+    diagonal first-order function integrated over pulse positions.  Returns
+    the three Cartesian components [V^2/m^2 * m^3].  Averaged over
+    orientations, it is the oracle of mixturekit.unit_trace_scaling.
+    """
+    if not omega > 0.0:
+        raise ValueError("omega must be positive")
+    ctx = family.ctx
+    m_hat = np.asarray(m_hat, float)[None, :] / np.linalg.norm(m_hat)
+    n_hat = transverse_frames(m_hat, np.array([float(psi)]))
+    L = omega ** (1.0 / 3.0) / ctx.length_scale
+    rd = np.asarray(r, float) / ctx.length_scale
+    table = family.table(0.0)
+    S = table.support_radius * 0.999
+
+    axes = []
+    for i in range(3):
+        lo, hi = rd[i] - L / 2.0, rd[i] + L / 2.0
+        lo, hi = max(lo, -S), min(hi, S)
+        if lo >= hi:
+            return np.zeros(3)
+        n = int(max(32, _MU_NODES_PER_UNIT * (hi - lo)))
+        axes.append(_gauss_legendre(n, lo, hi))
+    (gx, wx), (gy, wy), (gz, wz) = axes
+    DX, DY, DZ = np.meshgrid(gx, gy, gz, indexing="ij")
+    delta = np.stack([DX.ravel(), DY.ravel(), DZ.ravel()], axis=1)
+    comp = envelope_batch(family, np.broadcast_to(m_hat, delta.shape),
+                          np.broadcast_to(n_hat, delta.shape),
+                          delta * ctx.length_scale)
+    w3 = (wx[:, None, None] * wy[None, :, None] * wz[None, None, :]).ravel()
+    out = np.einsum("p,pi->i", w3, np.abs(comp) ** 2)
+    return out * ctx.length_scale**3

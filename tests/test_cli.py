@@ -34,6 +34,19 @@ def _csv_numbers(path: Path) -> list[float]:
     return out
 
 
+def test_library_import_leaves_out_scipy_ndimage():
+    """Importing every thermolight module loads no scipy.ndimage, which
+    costs 50-80 ms at start-up; only the tests use it, as an oracle."""
+    code = ("import importlib, pkgutil, sys, thermolight\n"
+            "for m in pkgutil.iter_modules(thermolight.__path__):\n"
+            "    importlib.import_module('thermolight.' + m.name)\n"
+            "print('scipy.ndimage' in sys.modules)")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                        text=True, timeout=300, env=_ENV)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "False", cp.stdout
+
+
 def test_help_exits_zero():
     cp = run_cli("--help")
     assert cp.returncode == 0, cp.stderr

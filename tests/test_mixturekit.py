@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from oracles import mu_integral
 from thermolight import mixturekit, pulsekit, thermal
 from thermolight.mixturekit import (WeightSpec, make_matched_improper_weights,
                                     make_unit_trace_weights, g1_improper,
@@ -248,7 +249,7 @@ def test_scaling_inverse_volume_at_saturation(thermal_family, ctx):
 
 
 def _orientation_grid_reference(family, weights, omega_list, n_dirs, n_psi):
-    """Reference scaling curve: pulsekit.mu_integral averaged over an explicit
+    """Reference scaling curve: mu_integral averaged over an explicit
     orientation quadrature (n_dirs Fibonacci directions times n_psi
     polarization angles)."""
     omegas = np.asarray(omega_list, float)
@@ -259,7 +260,7 @@ def _orientation_grid_reference(family, weights, omega_list, n_dirs, n_psi):
         acc = 0.0
         for m in m_nodes:
             for psi in psis:
-                acc += pulsekit.mu_integral(family, m, float(psi),
+                acc += mu_integral(family, m, float(psi),
                                             np.zeros(3), om)[2]
         vals[i] = acc / (len(m_nodes) * len(psis)) / om
     return vals * weights.alpha_sq

@@ -7,12 +7,13 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import ndimage, special
 
+from oracles import mu_integral
 from thermolight import pulsekit
 from thermolight.units import make_context
 from thermolight.pulsekit import (make_gaussian_family, envelope_batch,
                                   transforms_direct, transverse_frames,
                                   pulse_extent, total_intensity_integral,
-                                  mu_integral, sphere_in_cube_fraction)
+                                  sphere_in_cube_fraction)
 
 
 ZETA3 = 1.2020569031595943
@@ -286,6 +287,79 @@ def test_table_matches_fourier_first_order(ctx, thermal_family, which):
     assert worst <= 1e-14 * peak, worst / peak
 
 
+@pytest.mark.parametrize("u", [0.0, 0.7])
+def test_fft_block_leaves_table_unchanged(thermal_family, monkeypatch, u):
+    """_FFT_LINES sets only how many lines each real FFT call takes: five
+    (two rows of a delayed table, whose rows are two lines each), with a
+    short last block, give the same table bit for bit."""
+    want = pulsekit._build_table(thermal_family, u, 2.0)
+    monkeypatch.setattr(pulsekit, "_FFT_LINES", 5)
+    got = pulsekit._build_table(thermal_family, u, 2.0)
+    for name in ("Ty", "Tz", "coef"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("which", ["default", "gaussian"])
+def test_undelayed_grid_is_hermitian(ctx, thermal_family, which):
+    """A real weight gives T(P, -Z) = conj T(P, Z), and the real-FFT fold
+    keeps it bit for bit on the exactly symmetric Z-grid."""
+    fam = _gaussian(ctx, 0.2) if which == "gaussian" else thermal_family
+    tab = fam.table(0.0)
+    np.testing.assert_array_equal(tab.Z_grid[::-1], -tab.Z_grid)
+    np.testing.assert_array_equal(tab.Ty[:, ::-1], tab.Ty.conj())
+    np.testing.assert_array_equal(tab.Tz[:, ::-1], tab.Tz.conj())
+
+
+def _prefilter_ndimage(Ty, Tz):
+    """_prefilter as it was before its recursions were written out: one
+    scipy spline_filter per channel, in place in the frame (oracle)."""
+    pad = pulsekit._PAD
+    coef = np.empty((Ty.shape[0] + pad + 3, Ty.shape[1] + 3, 4))
+    inner = coef[1:-2, 1:-2]
+    channels = ((Ty.real, 1.0), (Ty.imag, 1.0), (Tz.real, -1.0),
+                (Tz.imag, -1.0))
+    for c, (part, parity) in enumerate(channels):
+        ext = inner[:, :, c]
+        ext[:pad] = parity * part[pad:0:-1]
+        ext[pad:] = part
+        ndimage.spline_filter(ext, order=3, output=ext, mode="mirror")
+    for axis in (0, 1):
+        c = np.moveaxis(coef, axis, 0)
+        c[0], c[-2], c[-1] = c[2], c[-4], c[-5]
+    return coef
+
+
+@pytest.mark.parametrize("which", ["default", "delayed", "reach2", "shortest",
+                                   "gaussian"])
+def test_prefilter_matches_spline_filter(ctx, thermal_family, which):
+    """The in-place recursions give spline_filter's mirror-boundary
+    coefficients, frame included, to 1e-14 of each channel's peak: for a
+    real weight, a complex (delayed) one, a short reach, the shortest
+    lines of P check_reach allows (whose mirror sum keeps every term) and a
+    gaussian table.  They allocate at most 2 MB beyond the coefficients."""
+    fam = _gaussian(ctx, 0.2) if which == "gaussian" else thermal_family
+    reach = {"reach2": 2.0, "shortest": 0.24}.get(which,
+                                                  pulsekit._DEFAULT_REACH)
+    tab = fam.table(0.7 if which == "delayed" else 0.0, reach)
+    if which == "shortest":
+        assert tab.coef.shape[0] - 3 == 2 * pulsekit._PAD + 1
+    want = _prefilter_ndimage(tab.Ty, tab.Tz)
+    assert tab.coef.shape == want.shape
+    worst = np.abs(tab.coef - want).max(axis=(0, 1))
+    peak = np.abs(want).max(axis=(0, 1))
+    assert np.all(worst <= 1e-14 * peak), worst / peak
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        coef = pulsekit._prefilter(tab.Ty, tab.Tz)
+        allocated = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    extra = allocated - coef.nbytes
+    assert extra <= 2 * 2**20, extra / 2**20
+
+
 def _map_coordinates_lookup(tab, P, Z):
     """The lookup as it was before the four coefficient channels were fused:
     per-part complex B-spline coefficients read by scipy's map_coordinates
@@ -389,7 +463,7 @@ def test_table_build_emits_no_warning(thermal_family):
 
 def test_cross_equals_numpy_cross():
     """_cross is np.cross bit for bit, on random rows and on a broadcast
-    operand (mu_integral passes broadcast frames)."""
+    operand (the mu_integral oracle passes broadcast frames)."""
     rng = np.random.default_rng(15)
     a, b = rng.standard_normal((2, 6250, 3))
     assert np.array_equal(pulsekit._cross(a, b), np.cross(a, b))
