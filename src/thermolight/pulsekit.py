@@ -33,17 +33,18 @@ transforms over a and the mu-oscillation into a plain Fourier transform
 over b.  The Hankel sums run first, as dense real Bessel matrices times the
 weights, one GEMM per block of a-rows, onto (P, b); then one real FFT per
 row of P and transform (two for a delayed table's complex rows) takes b to
-Z.  Lookups evaluate a cubic B-spline through the grid values; its
-coefficients come from the grid extended across P = 0 with the parity of
-each transform (J0 makes T_y even in P, J1 makes T_z odd), through the
-spline's recursive prefilter, run in place.  The real and imaginary parts
-of both sit as four channels of one real array, so one gather of the 4 x 4
-neighbouring nodes and one set of spline weights per point give T_y and
-T_z together.  The tests check the table against direct 2D Gauss-Legendre
-quadrature (transforms_direct) at listed points, near the axis, at the grid
-edges, and for a delayed table, its grid against the former
-FFT-then-Hankel order, its coefficients against scipy's spline_filter, and
-the lookup against scipy's map_coordinates.
+Z, written straight into the table's coefficient array.  Lookups evaluate
+a cubic B-spline through the grid values; its coefficients come from the
+grid extended across P = 0 with the parity of each transform (J0 makes T_y
+even in P, J1 makes T_z odd), through the spline's recursive prefilter,
+run in place there.  The real and imaginary parts of both sit as four
+channels of one real array, so one gather of the 4 x 4 neighbouring nodes
+and one set of spline weights per point give T_y and T_z together.  A table
+keeps only that array.  The tests check the table against direct 2D
+Gauss-Legendre quadrature (transforms_direct) at listed points, near the
+axis, at the grid edges, and for a delayed table, its grid against the
+former FFT-then-Hankel order, its coefficients against scipy's
+spline_filter, and the lookup against scipy's map_coordinates.
 
 The one other branch of envelope_batch is the closed form of a narrow
 Gaussian lineshape (sigma beta hbar c < 0.05), whose 99% radius exceeds 47
@@ -71,10 +72,9 @@ _SIXTEEN_PI3 = 16.0 * math.pi**3
 # family's dimensionless shape and the call's dimensionless arguments: lengths
 # scale with beta hbar c and amplitudes with alpha (see units.py), and both
 # enter through the SI prefactor alone.  One memo keyed on those values serves
-# every temperature and amplitude.  A default table (534 x 2087 complex grid
-# values for each of T_y, T_z, and 545 x 2090 x 4 real B-spline coefficients)
-# retains 68.8 MB (of 2^20 bytes), measured with tracemalloc, so only the most
-# recently used few are kept.
+# every temperature and amplitude.  A default table (545 x 2090 x 4 real
+# B-spline coefficients, no grid values) retains 34.8 MB (of 2^20 bytes),
+# measured with tracemalloc, so only the most recently used few are kept.
 _MEMO_SIZE = 8
 _memo: OrderedDict = OrderedDict()
 
@@ -96,6 +96,10 @@ _P_STEP = 0.03
 # axis (Unser, Aldroubi & Eden, IEEE Trans. Signal Process. 41, 1993, 821).
 _SPLINE_POLE = math.sqrt(3.0) - 2.0
 _SPLINE_GAIN = 6.0
+
+# Parity in P of the four coefficient channels (Re, Im of T_y, then of T_z):
+# J0 makes T_y even, J1 makes T_z odd.
+_PARITY = np.array([1.0, 1.0, -1.0, -1.0])
 
 # lookup reads _LOOKUP_BLOCK points at a time: its gather of 16 nodes x 4
 # channels then holds 2 MB.
@@ -246,14 +250,13 @@ class EnvelopeTable:
     channels (Re c_y, Im c_y, Re c_z, Im c_z), padded with the spline's
     mirror boundary (1 row and column below, 2 above) so that every tap of
     an in-range point lies inside it.  For the default table that is
-    545 x 2090 x 4 values, 34.8 MB (of 2^20 bytes), next to 34.0 MB for Ty
-    and Tz.
+    545 x 2090 x 4 values, 34.8 MB (of 2^20 bytes), and the table stores
+    nothing else of size: no grid values.  Ty and Tz rebuild those from
+    coef on each access.
     """
 
     P_grid: np.ndarray
     Z_grid: np.ndarray
-    Ty: np.ndarray
-    Tz: np.ndarray
     coef: np.ndarray = field(repr=False, compare=False)
 
     @property
@@ -261,6 +264,34 @@ class EnvelopeTable:
         """Largest |Delta| (dimensionless) the table can evaluate."""
         return min(float(self.P_grid[-1]), float(self.Z_grid[-1]),
                    float(-self.Z_grid[0]))
+
+    @property
+    def Ty(self) -> np.ndarray:
+        """T_y at the grid nodes, a fresh (len(P), len(Z)) complex array."""
+        return self._nodes(0)
+
+    @property
+    def Tz(self) -> np.ndarray:
+        """T_z at the grid nodes, a fresh (len(P), len(Z)) complex array."""
+        return self._nodes(1)
+
+    def _nodes(self, which: int) -> np.ndarray:
+        """The spline at the grid nodes, for T_y (0) or T_z (1): at a node
+        the cubic B-spline weighs its coefficient and the two beside it
+        (1, 4, 1)/6 along each axis.  It equals the grid value up to the
+        prefilter's rounding."""
+        n, m = len(self.P_grid), len(self.Z_grid)
+        c = self.coef[_PAD:_PAD + n + 2, :m + 2, 2 * which:2 * which + 2]
+        along_p = c[1:-1] * 4.0
+        along_p += c[:-2]
+        along_p += c[2:]
+        out = np.empty((n, m), complex)
+        t = out.view(float).reshape(n, m, 2)
+        np.multiply(along_p[:, 1:-1], 4.0, out=t)
+        t += along_p[:, :-2]
+        t += along_p[:, 2:]
+        t /= 36.0
+        return out
 
     def lookup(self, P: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """T_y, T_z at arrays of cylindrical coordinates; zero outside range.
@@ -516,7 +547,24 @@ def _support(family: PulseFamily) -> tuple[float, float]:
 
 def _build_table(family: PulseFamily, u_delay: float, reach: float
                  ) -> EnvelopeTable:
+    """The envelope table: _grid's values of T_y, T_z, turned into B-spline
+    coefficients in place in their frame by _prefilter.  The table keeps
+    only the coefficients (34.8 MB for the default table)."""
+    Pg, Zg, coef = _grid(family, u_delay, reach)
+    _prefilter(coef)
+    coef.flags.writeable = False                      # shared via the memo
+    return EnvelopeTable(P_grid=Pg, Z_grid=Zg, coef=coef)
+
+
+def _grid(family: PulseFamily, u_delay: float, reach: float
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hankel-then-FFT construction of T_y, T_z on a (P, Z) grid.
+
+    Returns P_grid, Z_grid and the table's coefficient frame, a real
+    (len(P) + _PAD + 3, len(Z) + 3, 4) array whose rows 1 + _PAD .. -3 and
+    columns 1 .. -3 hold T_y and T_z as the complex channel pairs
+    (Re T_y, Im T_y, Re T_z, Im T_z).  Every other entry is left unset for
+    _prefilter to fill.
 
     With a = x st and b = x mu on uniform grids (trapezoid in a, plain sum
     in b), T_y(P, Z) = sum_b e^{i b Z} G_y(P, b) with
@@ -526,10 +574,9 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float
     weight's float view for a delayed table), accumulating G_y and G_z on
     the b-grid; then one zero-padded real FFT per row of P and transform,
     2 len(P) in all (twice that for a delayed table, whose rows have Re and
-    Im halves), takes them to Z.  Summing Fourier-first, a-row by a-row,
-    would take 2 len(a) FFTs and run the GEMM on the wider Z-grid; the tests
-    keep that order as the oracle.  Last, _prefilter turns the grid values
-    into B-spline coefficients, in place in their frame.
+    Im halves), takes them to Z, written straight into the frame.  Summing
+    Fourier-first, a-row by a-row, would take 2 len(a) FFTs and run the
+    GEMM on the wider Z-grid; the tests keep that order as the oracle.
 
     reach sets the largest |Delta| that must be representable.  Against
     transforms_direct (converged to 1e-8 relative), the grid errs by at most
@@ -583,23 +630,22 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float
         Gy += ((special.j0(Pa) * wb) @ (W * MU).view(float)).view(Gy.dtype)
         Gz += ((special.j1(Pa) * wb) @ (W * ST).view(float)).view(Gz.dtype)
 
+    # T_y and T_z go straight into the coefficient frame's complex channels,
     # one accumulator at a time, so a delayed build peaks no higher than a
     # real one
-    Ty = _fourier_rows(Gy, nfft, cols, phase)
+    coef = np.empty((len(Pg) + _PAD + 3, len(Zg) + 3, 4))
+    grid = coef[1 + _PAD:-2, 1:-2].view(complex)       # (P, Z, (T_y, T_z))
+    _fourier_rows(Gy, nfft, cols, phase, out=grid[:, :, 0])
     del Gy
-    Tz = _fourier_rows(Gz, nfft, cols, phase)
+    _fourier_rows(Gz, nfft, cols, phase, out=grid[:, :, 1])
     del Gz
-    table = EnvelopeTable(P_grid=Pg, Z_grid=Zg, Ty=Ty, Tz=Tz,
-                          coef=_prefilter(Ty, Tz))
-    for arr in (Ty, Tz, table.coef):
-        arr.flags.writeable = False                   # shared via the memo
-    return table
+    return Pg, Zg, coef
 
 
 def _fourier_rows(G: np.ndarray, nfft: int, cols: np.ndarray,
-                  phase: np.ndarray) -> np.ndarray:
-    """sum_b e^{i b Z} G[:, b] db at the Z of cols, for a real or a complex
-    (delayed) G, by one zero-padded real FFT per real line.
+                  phase: np.ndarray, out: np.ndarray) -> None:
+    """out[P, Z] = sum_b e^{i b Z} G[P, b] db at the Z of cols, for a real
+    or a complex (delayed) G, by one zero-padded real FFT per real line.
 
     A real row is one line; a complex row is two, the Re and Im halves of
     its float view, recombined as Re + i Im.  For a real line x,
@@ -607,45 +653,44 @@ def _fourier_rows(G: np.ndarray, nfft: int, cols: np.ndarray,
     Z >= 0, and rfft bin nfft - k as it stands at Z < 0.  For a real G,
     T(P, -Z) is then conj T(P, Z) bit for bit: the phase at -Z is the
     conjugate of the phase at Z, and IEEE complex products commute with
-    conjugation.  The FFTs run _FFT_LINES lines at a time.
+    conjugation.  The FFTs run _FFT_LINES lines at a time; each block is
+    finished in a contiguous buffer and then copied into out, which may be
+    any complex (len(G), len(cols)) view, such as one channel of the
+    coefficient frame.
     """
     parts = G.view(float).reshape(len(G), G.shape[1], -1)   # (rows, b, 1|2)
     unit = np.array([1.0, 1j])[:parts.shape[2]]
     pos = cols <= nfft // 2                                  # Z >= 0
     bins = np.where(pos, cols, nfft - cols)
     rows = _FFT_LINES // parts.shape[2]
-    T = np.empty((len(G), len(cols)), complex)
     for lo in range(0, len(G), rows):
         F = fft.rfft(parts[lo:lo + rows], n=nfft, axis=1).take(bins, axis=1)
         np.conjugate(F, out=F, where=pos[:, None])
-        np.matmul(F, unit, out=T[lo:lo + rows])
-        T[lo:lo + rows] *= phase
-    return T
+        T = F @ unit
+        T *= phase
+        out[lo:lo + rows] = T
 
 
-def _prefilter(Ty: np.ndarray, Tz: np.ndarray) -> np.ndarray:
-    """Cubic B-spline coefficients of Ty, Tz (rows P >= 0), each extended
-    across P = 0 by _PAD rows of its parity (T_y even, T_z odd), as the
-    channels (Re c_y, Im c_y, Re c_z, Im c_z) of one real array.
+def _prefilter(coef: np.ndarray) -> None:
+    """Cubic B-spline coefficients, in place, of the grid values _grid left
+    in the frame coef, each transform extended across P = 0 by _PAD rows of
+    its parity (T_y even, T_z odd), as the channels
+    (Re c_y, Im c_y, Re c_z, Im c_z).
 
     The filter is ndimage.spline_filter's with its "mirror" boundary (the
     tests keep that as the oracle), written out: per axis, the gain
     _SPLINE_GAIN and one causal and one anticausal recursion with pole
-    _SPLINE_POLE.  Both axes' gains scale the channels as they are copied
-    into the frame's interior; each recursion then runs in place there, one
-    vector step per row of P across every column and channel, then one per
-    column of Z across every row and channel.  No step allocates more than
-    one row.  The frame of 1 row and column below and 2 above then takes
-    the mirror boundary too (np.pad's "reflect"): it holds every tap lookup
-    can reach.
+    _SPLINE_POLE.  Both axes' gains scale the grid rows at once; the _PAD
+    rows below P = 0 take the scaled rows above it, times each channel's
+    parity.  Each recursion then runs in place, one vector step per row of
+    P across every column and channel, then one per column of Z across
+    every row and channel.  No step allocates more than one row.  The frame
+    of 1 row and column below and 2 above then takes the mirror boundary
+    too (np.pad's "reflect"): it holds every tap lookup can reach.
     """
-    coef = np.empty((Ty.shape[0] + _PAD + 3, Ty.shape[1] + 3, 4))
     inner = coef[1:-2, 1:-2]
-    gain = _SPLINE_GAIN ** 2
-    pairs = inner.view(complex)                         # (c_y, c_z)
-    for c, (T, parity) in enumerate(((Ty, 1.0), (Tz, -1.0))):
-        np.multiply(T[_PAD:0:-1], parity * gain, out=pairs[:_PAD, :, c])
-        np.multiply(T, gain, out=pairs[_PAD:, :, c])
+    inner[_PAD:] *= _SPLINE_GAIN ** 2
+    np.multiply(inner[2 * _PAD:_PAD:-1], _PARITY, out=inner[:_PAD])
     _spline_recursions(inner)                           # along P
     _spline_recursions(np.moveaxis(inner, 1, 0))        # along Z
     # mirror about the first and last node: index -1 reads 1, n reads n - 2
@@ -653,7 +698,6 @@ def _prefilter(Ty: np.ndarray, Tz: np.ndarray) -> np.ndarray:
     for axis in (0, 1):
         c = np.moveaxis(coef, axis, 0)
         c[0], c[-2], c[-1] = c[2], c[-4], c[-5]
-    return coef
 
 
 def _spline_recursions(lines: np.ndarray) -> None:

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -47,15 +48,32 @@ def test_table_matches_direct_quadrature(thermal_family):
         assert err < 5e-4, (P, Z, err)
 
 
+def _grid_values(family, u_delay, reach):
+    """T_y and T_z as _grid leaves them in the coefficient frame, before the
+    prefilter: complex (len(P), len(Z)) views."""
+    _, _, frame = pulsekit._grid(family, u_delay, reach)
+    grid = frame[1 + pulsekit._PAD:-2, 1:-2].view(complex)
+    return grid[:, :, 0], grid[:, :, 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_grid_values(family, u_delay, reach):
+    """_grid_values, computed once per table for the oracle tests below (a
+    few tables, about 18 MB each at the default reach), read-only."""
+    ty, tz = map(np.ascontiguousarray, _grid_values(family, u_delay, reach))
+    ty.flags.writeable = tz.flags.writeable = False
+    return ty, tz
+
+
 def test_table_build_independent_of_temperature_and_amplitude():
     """The build sees only dimensionless inputs, which is what lets families
     at any T and alpha share one table."""
     hot = pulsekit.make_thermal_family(make_context(5777.0))
     cold = pulsekit.make_thermal_family(make_context(3000.0), alpha=2.0)
-    a = pulsekit._build_table(hot, 0.0, 2.0)
-    b = pulsekit._build_table(cold, 0.0, 2.0)
-    np.testing.assert_array_equal(a.Ty, b.Ty)
-    np.testing.assert_array_equal(a.Tz, b.Tz)
+    a = _grid_values(hot, 0.0, 2.0)
+    b = _grid_values(cold, 0.0, 2.0)
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_tables_shared_across_temperature_and_amplitude(thermal_family):
@@ -279,11 +297,11 @@ def test_table_matches_fourier_first_order(ctx, thermal_family, which):
     fam = _gaussian(ctx, 0.2) if which == "gaussian" else thermal_family
     u = 0.7 if which == "delayed" else 0.0
     reach = 2.0 if which == "reach2" else pulsekit._DEFAULT_REACH
-    tab = fam.table(u, reach)
+    ty, tz = _cached_grid_values(fam, u, reach)
     want_y, want_z = _fourier_first_grid(fam, u, reach)
-    assert tab.Ty.shape == want_y.shape and tab.Tz.shape == want_z.shape
+    assert ty.shape == want_y.shape and tz.shape == want_z.shape
     peak = max(np.abs(want_y).max(), np.abs(want_z).max())
-    worst = max(np.abs(tab.Ty - want_y).max(), np.abs(tab.Tz - want_z).max())
+    worst = max(np.abs(ty - want_y).max(), np.abs(tz - want_z).max())
     assert worst <= 1e-14 * peak, worst / peak
 
 
@@ -293,10 +311,13 @@ def test_fft_block_leaves_table_unchanged(thermal_family, monkeypatch, u):
     (two rows of a delayed table, whose rows are two lines each), with a
     short last block, give the same table bit for bit."""
     want = pulsekit._build_table(thermal_family, u, 2.0)
+    want_grid = _grid_values(thermal_family, u, 2.0)
     monkeypatch.setattr(pulsekit, "_FFT_LINES", 5)
     got = pulsekit._build_table(thermal_family, u, 2.0)
-    for name in ("Ty", "Tz", "coef"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    got_grid = _grid_values(thermal_family, u, 2.0)
+    for g, w in zip(got_grid, want_grid):
+        np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(got.coef, want.coef)
 
 
 @pytest.mark.parametrize("which", ["default", "gaussian"])
@@ -304,10 +325,11 @@ def test_undelayed_grid_is_hermitian(ctx, thermal_family, which):
     """A real weight gives T(P, -Z) = conj T(P, Z), and the real-FFT fold
     keeps it bit for bit on the exactly symmetric Z-grid."""
     fam = _gaussian(ctx, 0.2) if which == "gaussian" else thermal_family
-    tab = fam.table(0.0)
-    np.testing.assert_array_equal(tab.Z_grid[::-1], -tab.Z_grid)
-    np.testing.assert_array_equal(tab.Ty[:, ::-1], tab.Ty.conj())
-    np.testing.assert_array_equal(tab.Tz[:, ::-1], tab.Tz.conj())
+    Zg = fam.table(0.0).Z_grid
+    ty, tz = _cached_grid_values(fam, 0.0, pulsekit._DEFAULT_REACH)
+    np.testing.assert_array_equal(Zg[::-1], -Zg)
+    np.testing.assert_array_equal(ty[:, ::-1], ty.conj())
+    np.testing.assert_array_equal(tz[:, ::-1], tz.conj())
 
 
 def _prefilter_ndimage(Ty, Tz):
@@ -329,48 +351,109 @@ def _prefilter_ndimage(Ty, Tz):
     return coef
 
 
-@pytest.mark.parametrize("which", ["default", "delayed", "reach2", "shortest",
-                                   "gaussian"])
+def _prefilter_copy_in(Ty, Tz):
+    """_prefilter as it was while tables kept their grid values: both axes'
+    gains applied as Ty and Tz are copied into a new frame, then the same
+    in-place recursions (oracle)."""
+    pad = pulsekit._PAD
+    coef = np.empty((Ty.shape[0] + pad + 3, Ty.shape[1] + 3, 4))
+    inner = coef[1:-2, 1:-2]
+    gain = pulsekit._SPLINE_GAIN ** 2
+    pairs = inner.view(complex)                         # (c_y, c_z)
+    for c, (T, parity) in enumerate(((Ty, 1.0), (Tz, -1.0))):
+        np.multiply(T[pad:0:-1], parity * gain, out=pairs[:pad, :, c])
+        np.multiply(T, gain, out=pairs[pad:, :, c])
+    pulsekit._spline_recursions(inner)
+    pulsekit._spline_recursions(np.moveaxis(inner, 1, 0))
+    for axis in (0, 1):
+        c = np.moveaxis(coef, axis, 0)
+        c[0], c[-2], c[-1] = c[2], c[-4], c[-5]
+    return coef
+
+
+_PREFILTER_CASES = ["default", "delayed", "reach2", "shortest", "gaussian"]
+
+
+def _prefilter_case(ctx, thermal_family, which):
+    """The family, delay and reach of a prefilter test case."""
+    fam = _gaussian(ctx, 0.2) if which == "gaussian" else thermal_family
+    reach = {"reach2": 2.0, "shortest": 0.24}.get(which,
+                                                  pulsekit._DEFAULT_REACH)
+    return fam, 0.7 if which == "delayed" else 0.0, reach
+
+
+@pytest.mark.parametrize("which", _PREFILTER_CASES)
 def test_prefilter_matches_spline_filter(ctx, thermal_family, which):
     """The in-place recursions give spline_filter's mirror-boundary
     coefficients, frame included, to 1e-14 of each channel's peak: for a
     real weight, a complex (delayed) one, a short reach, the shortest
     lines of P check_reach allows (whose mirror sum keeps every term) and a
-    gaussian table.  They allocate at most 2 MB beyond the coefficients."""
-    fam = _gaussian(ctx, 0.2) if which == "gaussian" else thermal_family
-    reach = {"reach2": 2.0, "shortest": 0.24}.get(which,
-                                                  pulsekit._DEFAULT_REACH)
-    tab = fam.table(0.7 if which == "delayed" else 0.0, reach)
+    gaussian table.  Run in place on a frame, they allocate at most 2 MB."""
+    fam, u, reach = _prefilter_case(ctx, thermal_family, which)
+    tab = fam.table(u, reach)
     if which == "shortest":
         assert tab.coef.shape[0] - 3 == 2 * pulsekit._PAD + 1
-    want = _prefilter_ndimage(tab.Ty, tab.Tz)
+    ty, tz = _cached_grid_values(fam, u, reach)
+    want = _prefilter_ndimage(ty, tz)
     assert tab.coef.shape == want.shape
     worst = np.abs(tab.coef - want).max(axis=(0, 1))
     peak = np.abs(want).max(axis=(0, 1))
     assert np.all(worst <= 1e-14 * peak), worst / peak
 
+    coef = np.empty(tab.coef.shape)
+    grid = coef[1 + pulsekit._PAD:-2, 1:-2].view(complex)
+    grid[:, :, 0], grid[:, :, 1] = ty, tz
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        coef = pulsekit._prefilter(tab.Ty, tab.Tz)
+        pulsekit._prefilter(coef)
         allocated = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    extra = allocated - coef.nbytes
-    assert extra <= 2 * 2**20, extra / 2**20
+    assert allocated <= 2 * 2**20, allocated / 2**20
 
 
-def _map_coordinates_lookup(tab, P, Z):
+@pytest.mark.parametrize("which", _PREFILTER_CASES)
+def test_coefficients_equal_copy_in_prefilter(ctx, thermal_family, which):
+    """Writing the FFT rows straight into the frame and scaling them there
+    gives the coefficients of the former copy-in prefilter bit for bit."""
+    fam, u, reach = _prefilter_case(ctx, thermal_family, which)
+    np.testing.assert_array_equal(
+        fam.table(u, reach).coef,
+        _prefilter_copy_in(*_cached_grid_values(fam, u, reach)))
+
+
+@pytest.mark.parametrize("which", ["default", "delayed", "gaussian"])
+def test_grid_values_rebuilt_from_coefficients(ctx, thermal_family, which):
+    """Ty and Tz, rebuilt from coef on each access, are the grid values to
+    1e-14 of the peak, in the grid's shape and complex128, so the cell and
+    MB counts taken from them stay what they were when tables kept them."""
+    fam = _gaussian(ctx, 0.2) if which == "gaussian" else thermal_family
+    u = 0.7 if which == "delayed" else 0.0
+    tab = fam.table(u)
+    want_y, want_z = _cached_grid_values(fam, u, pulsekit._DEFAULT_REACH)
+    ty, tz = tab.Ty, tab.Tz
+    assert ty.shape == tz.shape == (len(tab.P_grid), len(tab.Z_grid))
+    assert ty.shape == (534, 2087)
+    assert ty.dtype == tz.dtype == np.complex128
+    assert ty.nbytes == tz.nbytes == want_y.nbytes
+    peak = max(np.abs(want_y).max(), np.abs(want_z).max())
+    worst = max(np.abs(ty - want_y).max(), np.abs(tz - want_z).max())
+    assert worst <= 1e-14 * peak, worst / peak
+    assert tab.Ty is not tab.Ty                     # rebuilt, not stored
+
+
+def _map_coordinates_lookup(tab, Ty, Tz, P, Z):
     """The lookup as it was before the four coefficient channels were fused:
-    per-part complex B-spline coefficients read by scipy's map_coordinates
-    (oracle)."""
+    per-part complex B-spline coefficients of the grid values Ty, Tz read by
+    scipy's map_coordinates (oracle)."""
     Pg, Zg = tab.P_grid, tab.Z_grid
     ok = (P >= 0.0) & (P <= Pg[-1]) & (Z >= Zg[0]) & (Z <= Zg[-1])
     dP = Pg[1] - Pg[0]
     dZ = (Zg[-1] - Zg[0]) / (len(Zg) - 1)
     at = np.stack([P[ok] / dP + pulsekit._PAD, (Z[ok] - Zg[0]) / dZ])
     out = []
-    for T, parity in ((tab.Ty, 1.0), (tab.Tz, -1.0)):
+    for T, parity in ((Ty, 1.0), (Tz, -1.0)):
         ext = np.concatenate([parity * T[pulsekit._PAD:0:-1], T])
         coef = ndimage.spline_filter(ext, order=3, output=complex, mode="mirror")
         t = np.zeros(P.shape, complex)
@@ -386,7 +469,9 @@ def test_lookup_matches_map_coordinates(ctx, thermal_family, which):
     random points, on the four edges and at the corners of the grid, for a
     real weight, a complex (delayed) one and a gaussian table."""
     fam = _gaussian(ctx, 0.2) if which == "gaussian" else thermal_family
-    tab = fam.table(1.5 if which == "delayed" else 0.0)
+    u = 1.5 if which == "delayed" else 0.0
+    tab = fam.table(u)
+    grid_y, grid_z = _cached_grid_values(fam, u, pulsekit._DEFAULT_REACH)
     Pmax, Zlo, Zhi = tab.P_grid[-1], tab.Z_grid[0], tab.Z_grid[-1]
     rng = np.random.default_rng(14)
     n = 100_000
@@ -396,8 +481,8 @@ def test_lookup_matches_map_coordinates(ctx, thermal_family, which):
     Z[200:300], Z[300:400] = Zlo, Zhi
     P[400:404], Z[400:404] = [0.0, 0.0, Pmax, Pmax], [Zlo, Zhi, Zlo, Zhi]
     ty, tz = tab.lookup(P, Z)
-    want_y, want_z = _map_coordinates_lookup(tab, P, Z)
-    peak = max(np.abs(tab.Ty).max(), np.abs(tab.Tz).max())
+    want_y, want_z = _map_coordinates_lookup(tab, grid_y, grid_z, P, Z)
+    peak = max(np.abs(grid_y).max(), np.abs(grid_z).max())
     worst = max(np.abs(ty - want_y).max(), np.abs(tz - want_z).max())
     assert worst <= 1e-14 * peak, worst / peak
 
@@ -419,7 +504,7 @@ def test_lookup_matches_map_coordinates(ctx, thermal_family, which):
 @pytest.mark.parametrize("u", [0.0, 0.7])
 def test_build_table_memory(thermal_family, u):
     """The default build, real or delayed, peaks below 90 MB and keeps below
-    70 MB: Ty, Tz and the one four-channel coefficient array."""
+    70 MB: the one four-channel coefficient array, 34.8 MB."""
     tracemalloc.start()
     try:
         tab = pulsekit._build_table(thermal_family, u, 16.0)
@@ -430,6 +515,19 @@ def test_build_table_memory(thermal_family, u):
                               tab.Ty.shape[1] + 3, 4)
     assert peak <= 90 * 2**20, peak / 2**20
     assert retained <= 70 * 2**20, retained / 2**20
+
+
+@pytest.mark.parametrize("u", [0.0, 0.7])
+def test_build_table_retains_only_coefficients(thermal_family, u):
+    """A default build, real or delayed, keeps at most 36 MB: its 34.8 MB
+    coefficient frame and its two grids, no grid values."""
+    tracemalloc.start()
+    try:
+        tab = pulsekit._build_table(thermal_family, u, 16.0)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert tab.coef.nbytes <= retained <= 36 * 2**20, retained / 2**20
 
 
 def test_lookup_transient_memory(thermal_family):
