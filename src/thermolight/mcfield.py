@@ -21,9 +21,10 @@ import numpy as np
 from .mixturekit import WeightSpec, _LABEL_MEASURE
 # transforms_direct stays importable here: perfbench/tracing.py traces it
 # through this module as well as through pulsekit.
-from .pulsekit import (_DEFAULT_REACH, PulseFamily, check_reach,  # noqa: F401
-                       envelope_batch, tail_coefficient, transforms_direct,
-                       transverse_frames)
+from .pulsekit import (_DEFAULT_REACH, EnvelopeTable,  # noqa: F401
+                       PulseFamily, _frame_coordinates, _table_fields,
+                       check_reach, envelope_batch, tail_coefficient,
+                       transforms_direct, transverse_frames)
 
 # streams the uniform G1 sampler splits its draws over
 _N_STREAMS = 8
@@ -92,7 +93,8 @@ def _density_scale(weights: WeightSpec, omega: float) -> float:
 
 
 def check_sample_counts(n: int, n_strata: int = 1) -> None:
-    """Raise ValueError unless n draws fill an estimator's n_strata strata.
+    """Raise ValueError unless n draws give each of an estimator's n_strata
+    strata at least two, the fewest a sample variance needs.
 
     Both estimators call it first; callers that build tables before
     estimating call it sooner, so that bad counts fail before that work.
@@ -101,9 +103,10 @@ def check_sample_counts(n: int, n_strata: int = 1) -> None:
         raise ValueError("n must be at least 100")
     if n_strata < 1:
         raise ValueError(f"n_strata must be at least 1, got {n_strata}")
-    if n < n_strata:
-        raise ValueError(f"n = {n} leaves strata empty: need n >= n_strata "
-                         f"= {n_strata}")
+    if n < 2 * n_strata:
+        raise ValueError(f"n = {n} leaves some of n_strata = {n_strata} "
+                         f"strata with fewer than 2 draws, too few for an "
+                         f"error bar: need n >= 2 n_strata = {2 * n_strata}")
 
 
 def _check_amplitude(family: PulseFamily, weights: WeightSpec) -> None:
@@ -194,6 +197,25 @@ def _g1_samples(family: PulseFamily, batch: SampleBatch, r: np.ndarray,
     return np.conj(a[:, _COMPONENT]) * b[:, _COMPONENT]
 
 
+def _g2_samples(family: PulseFamily, table: EnvelopeTable,
+                batch: SampleBatch, ra: np.ndarray, rb: np.ndarray
+                ) -> np.ndarray:
+    """|E_a,z|^2 |E_b,z|^2 per draw, detectors at ra and rb, from table.
+
+    One frame pass serves both detectors: every draw is checked, then only
+    the draws with both detectors on the table are read; the rest are
+    exactly 0, as the table would read them (see
+    pulsekit._frame_coordinates).
+    """
+    at = _frame_coordinates(family, batch.m_hat, batch.n_hat,
+                            [ra[None, :] - batch.r0, rb[None, :] - batch.r0],
+                            table)
+    ea, eb = _table_fields(family, table, at, _COMPONENT)
+    x = np.zeros(len(batch.r0))
+    x[at.rows] = np.abs(ea) ** 2 * np.abs(eb) ** 2
+    return x
+
+
 def _split_counts(n: int, parts: int) -> list[int]:
     base = n // parts
     counts = [base] * parts
@@ -212,6 +234,12 @@ def estimate_g2_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     (the detector axis), which is where the rare both-detector overlaps
     live, so the error bar at large R is a genuine upper bound instead of
     a noisy zero.  Equal-probability strata make the merge a plain average.
+
+    The envelopes come from the family's table reaching `reach` (by
+    default 16 envelope units, or R/2 + 1 when that is farther), which
+    reads exactly zero beyond it: a draw with either detector off the
+    table contributes exactly 0 and is not read, only checked (see
+    _g2_samples).
     """
     check_sample_counts(n, n_strata)
     if not 0.0 < omega < math.inf:
@@ -230,6 +258,7 @@ def estimate_g2_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     rb = np.array([0.0, 0.0, +R / 2.0])
     if reach is None:
         reach = max(_DEFAULT_REACH, R / (2.0 * ctx.length_scale) + 1.0)
+    table = family.table(0.0, reach=reach)
     edges = np.linspace(-side / 2.0, side / 2.0, n_strata + 1)
     per = _split_counts(n, n_strata)
     means = np.zeros(n_strata)
@@ -238,13 +267,9 @@ def estimate_g2_mix(family: PulseFamily, weights: WeightSpec, omega: float,
         n_k = per[k]
         batch = draw_batch(omega, n_k, seed, stream=k,
                            z_range=(float(edges[k]), float(edges[k + 1])))
-        ea = envelope_batch(family, batch.m_hat, batch.n_hat,
-                            ra[None, :] - batch.r0, 0.0, reach=reach)
-        eb = envelope_batch(family, batch.m_hat, batch.n_hat,
-                            rb[None, :] - batch.r0, 0.0, reach=reach)
-        x = np.abs(ea[:, _COMPONENT]) ** 2 * np.abs(eb[:, _COMPONENT]) ** 2
+        x = _g2_samples(family, table, batch, ra, rb)
         means[k] = float(x.mean())
-        variances[k] = float(x.var(ddof=1)) / n_k if n_k > 1 else 0.0
+        variances[k] = float(x.var(ddof=1)) / n_k
     scale = _density_scale(weights, omega)
     mean = float(np.mean(means))
     std_error = math.sqrt(float(np.sum(variances)) / n_strata**2)

@@ -25,22 +25,25 @@ with (P, Phi, Z) cylindrical coordinates of (r-r0)/(beta hbar c), giving
 
     E = pref * 2 pi * [ T_y * (m_hat x n_hat) - i sin(Phi) T_z * m_hat ].
 
-envelope_batch is the one way to a field: it evaluates this for arrays of
-(m_hat, n_hat, r - r0) at once.  The Monte Carlo estimators need millions of
-points, so T_y and T_z are precomputed on a uniform (P, Z) grid:
-substituting a = x st, b = x mu turns the P-dependence into Hankel
-transforms over a and the mu-oscillation into a plain Fourier transform
-over b.  The Hankel sums run first, as dense real Bessel matrices times the
-weights, one GEMM per block of a-rows, onto (P, b); then one real FFT per
-row of P and transform (two for a delayed table's complex rows) takes b to
-Z, written straight into the table's coefficient array.  Lookups evaluate
-a cubic B-spline through the grid values; its coefficients come from the
-grid extended across P = 0 with the parity of each transform (J0 makes T_y
-even in P, J1 makes T_z odd), through the spline's recursive prefilter,
-run in place there.  The real and imaginary parts of both sit as four
-channels of one real array, so one gather of the 4 x 4 neighbouring nodes
-and one set of spline weights per point give T_y and T_z together.  A table
-keeps only that array.  The tests check the table against direct 2D
+envelope_batch is the public way to a field: it evaluates this for arrays of
+(m_hat, n_hat, r - r0) at once.  Its two steps, the checked frame
+coordinates (_frame_coordinates) and the table read (_table_fields), also
+serve mcfield's G2 estimator, which reads one component at two points per
+pulse, and only on the pulses where both lie on the table.  The Monte Carlo
+estimators need millions of points, so T_y and T_z are precomputed on a
+uniform (P, Z) grid: substituting a = x st, b = x mu turns the P-dependence
+into Hankel transforms over a and the mu-oscillation into a plain Fourier
+transform over b.  The Hankel sums run first, as dense real Bessel matrices
+times the weights, one GEMM per block of a-rows, onto (P, b); then one real
+FFT per row of P and transform (two for a delayed table's complex rows)
+takes b to Z, written straight into the table's coefficient array.  Lookups
+evaluate a cubic B-spline through the grid values; its coefficients come
+from the grid extended across P = 0 with the parity of each transform (J0
+makes T_y even in P, J1 makes T_z odd), through the spline's recursive
+prefilter, run in place there.  The real and imaginary parts of both sit as
+four channels of one real array, so one gather of the 4 x 4 neighbouring
+nodes and one set of spline weights per point give T_y and T_z together.  A
+table keeps only that array.  The tests check the table against direct 2D
 Gauss-Legendre quadrature (transforms_direct) at listed points, near the
 axis, at the grid edges, and for a delayed table, its grid against the
 former FFT-then-Hankel order, its coefficients against scipy's
@@ -57,7 +60,7 @@ import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import legder, legval
@@ -293,6 +296,15 @@ class EnvelopeTable:
         t /= 36.0
         return out
 
+    def _inside_z(self, Z: np.ndarray) -> np.ndarray:
+        """True where Z lies on the grid's Z range; NaN is outside."""
+        return (Z >= self.Z_grid[0]) & (Z <= self.Z_grid[-1])
+
+    def _inside(self, P: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """True where (P, Z) lies on the grid, the points lookup reads;
+        lookup reads exactly zero everywhere else."""
+        return (P >= 0.0) & (P <= self.P_grid[-1]) & self._inside_z(Z)
+
     def lookup(self, P: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """T_y, T_z at arrays of cylindrical coordinates; zero outside range.
 
@@ -305,7 +317,7 @@ class EnvelopeTable:
         P = np.asarray(P, float)
         Z = np.asarray(Z, float)
         Pg, Zg = self.P_grid, self.Z_grid
-        ok = (P >= 0.0) & (P <= Pg[-1]) & (Z >= Zg[0]) & (Z <= Zg[-1])
+        ok = self._inside(P, Z)
         ty = np.zeros(P.shape, complex)
         tz = np.zeros(P.shape, complex)
         dP = Pg[1] - Pg[0]
@@ -811,33 +823,103 @@ def envelope_batch(family: PulseFamily, m_hats: np.ndarray, n_hats: np.ndarray,
 
     Before any table work, a non-finite delta, or a frame whose |m_hat|,
     |n_hat| or m_hat . n_hat is off from 1, 1, 0 by more than _FRAME_TOL,
-    raises ValueError.
+    raises ValueError (the checks of _frame_coordinates).
     """
     ctx = family.ctx
-    if not np.isfinite(deltas).all():
-        raise ValueError("deltas must be finite")
-    d = deltas / ctx.length_scale
-    e2 = _cross(m_hats, n_hats)
-    mm, nn, mn, dx, dy, dz = _row_dots(
-        (m_hats, m_hats), (n_hats, n_hats), (m_hats, n_hats),
-        (d, n_hats), (d, e2), (d, m_hats))
-    _check_frames(mm, nn, mn)
+    at = _frame_coordinates(family, m_hats, n_hats, [deltas])
     if family.kind == "gaussian" and family.sigma_x() < 0.05:
         x0, s, k0 = family.x0(), family.sigma_x(), family.k0
         pref = 1j * family.alpha * family.norm_N() * math.sqrt(
             ctx.hbar * ctx.c * k0 / (_SIXTEEN_PI3 * ctx.epsilon0)) * k0
         amp_si = (2.0 * math.pi * family.sigma**2) ** 1.5
         ct = ctx.c * t / ctx.length_scale
-        moving = d - ct * m_hats
+        moving = deltas / ctx.length_scale - ct * m_hats
         ball = np.exp(-s * s * np.einsum("ij,ij->i", moving, moving) / 2.0)
-        phase = np.exp(1j * x0 * (dz - ct))
-        return (pref * amp_si) * (phase * ball)[:, None] * e2
+        phase = np.exp(1j * x0 * (at.Z[0] - ct))
+        return (pref * amp_si) * (phase * ball)[:, None] * at.e2
     tab = family.table(t / ctx.time_scale, reach=reach)
+    return _table_fields(family, tab, at)[0]
+
+
+class _Coordinates(NamedTuple):
+    """Field points in pulse frames, on the rows a caller reads (see
+    _frame_coordinates): per point the cylindrical P, the transverse Y (so
+    sin(Phi) = Y / P) and the axial Z, all dimensionless."""
+
+    rows: np.ndarray | None     # input rows kept; None keeps every row
+    m_hats: np.ndarray          # (M, 3) on the kept rows
+    e2: np.ndarray              # (M, 3) m_hat x n_hat there
+    P: list[np.ndarray]         # one (M,) array per field point
+    Y: list[np.ndarray]
+    Z: list[np.ndarray]
+
+
+def _frame_coordinates(family: PulseFamily, m_hats: np.ndarray,
+                       n_hats: np.ndarray, deltas: list[np.ndarray],
+                       table: EnvelopeTable | None = None) -> _Coordinates:
+    """Check many pulse frames and their offsets to field points, and give
+    the points' coordinates in each frame.
+
+    deltas holds one (N, 3) array in meters (r - r0) per field point, all
+    for the N frames (m_hats, n_hats).  Every row is checked before any row
+    is dropped: a non-finite delta, or a frame whose |m_hat|, |n_hat| or
+    m_hat . n_hat is off from 1, 1, 0 by more than _FRAME_TOL, raises
+    ValueError.  With d = delta / (beta hbar c) and e2 = m_hat x n_hat, a
+    point sits at Z = d . m_hat along its pulse and at X = d . n_hat,
+    Y = d . e2 across it, P = hypot(X, Y).
+
+    Without a table every row is kept.  With one, Z comes first, on every
+    row; e2, X, Y and P follow only on the rows where every point's Z lies
+    on the table's grid, and the rows kept are those where every point
+    also passes the table's own range test (EnvelopeTable._inside) on
+    these P and Z values, so no margin is needed: lookup would read
+    exactly zero on each row left out.
+    """
+    for delta in deltas:
+        if not np.isfinite(delta).all():
+            raise ValueError("deltas must be finite")
+    d = [delta / family.ctx.length_scale for delta in deltas]
+    mm, nn, mn, *Z = _row_dots((m_hats, m_hats), (n_hats, n_hats),
+                               (m_hats, n_hats), *((dk, m_hats) for dk in d))
+    _check_frames(mm, nn, mn)
+    rows = None
+    if table is not None:
+        rows = np.flatnonzero(np.logical_and.reduce(
+            [table._inside_z(Zk) for Zk in Z]))
+        m_hats, n_hats = (v.take(rows, axis=0) for v in (m_hats, n_hats))
+        d = [dk.take(rows, axis=0) for dk in d]
+        Z = [Zk.take(rows) for Zk in Z]
+    e2 = _cross(m_hats, n_hats)
+    XY = _row_dots(*(pair for dk in d for pair in ((dk, n_hats), (dk, e2))))
+    Y = list(XY[1::2])
+    P = [np.hypot(X, Yk) for X, Yk in zip(XY[0::2], Y)]
+    if table is not None:
+        keep = np.flatnonzero(np.logical_and.reduce(
+            [table._inside(Pk, Zk) for Pk, Zk in zip(P, Z)]))
+        rows = rows.take(keep)
+        m_hats, e2 = m_hats.take(keep, axis=0), e2.take(keep, axis=0)
+        P, Y, Z = ([v.take(keep) for v in vs] for vs in (P, Y, Z))
+    return _Coordinates(rows, m_hats, e2, P, Y, Z)
+
+
+def _table_fields(family: PulseFamily, table: EnvelopeTable,
+                  at: _Coordinates, component: int | None = None
+                  ) -> list[np.ndarray]:
+    """E = pref 2 pi [T_y (m x n) - i sin(Phi) T_z m] at each point of at,
+    read through table.lookup: one (M, 3) array per point, or only its
+    Cartesian `component` as an (M,) array."""
     pref = family.envelope_prefactor() * 2.0 * math.pi
-    P = np.hypot(dx, dy)
-    ty, tz = tab.lookup(P, dz)
-    sphi = np.divide(dy, P, out=np.zeros_like(dy), where=P > 1e-300)
-    return pref * (ty[:, None] * e2 - 1j * (sphi * tz)[:, None] * m_hats)
+    e2, m_hats = at.e2, at.m_hats
+    if component is not None:
+        e2, m_hats = e2[:, component], m_hats[:, component]
+    fields = []
+    for P, Y, Z in zip(at.P, at.Y, at.Z):
+        ty, tz = table.lookup(P, Z)
+        sphi_tz = np.divide(Y, P, out=np.zeros_like(Y), where=P > 1e-300) * tz
+        if component is None:
+            ty, sphi_tz = ty[:, None], sphi_tz[:, None]
+        fields.append(pref * (ty * e2 - 1j * sphi_tz * m_hats))
+    return fields
 
 
 def _row_dots(*pairs) -> np.ndarray:

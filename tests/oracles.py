@@ -1,7 +1,11 @@
 """Slow reference computations that only the tests call."""
 
+import math
+
 import numpy as np
 
+from thermolight import mcfield
+from thermolight.mixturekit import WeightSpec
 from thermolight.pulsekit import (PulseFamily, _gauss_legendre,
                                   envelope_batch, transverse_frames)
 
@@ -47,3 +51,35 @@ def mu_integral(family: PulseFamily, m_hat, psi: float, r: np.ndarray,
     w3 = (wx[:, None, None] * wy[None, :, None] * wz[None, None, :]).ravel()
     out = np.einsum("p,pi->i", w3, np.abs(comp) ** 2)
     return out * ctx.length_scale**3
+
+
+def g2_mix_two_envelope_calls(family: PulseFamily, weights: WeightSpec,
+                              omega: float, R: float, n: int, seed: int,
+                              n_strata: int, reach: float
+                              ) -> mcfield.EstimateWithError:
+    """mcfield.estimate_g2_mix composed from whole envelopes: the same
+    strata and draws, but each detector's (N, 3) field from its own
+    envelope_batch call on every draw, then |E_a,z|^2 |E_b,z|^2.  Inputs
+    are not checked."""
+    side = omega ** (1.0 / 3.0)
+    ra = np.array([0.0, 0.0, -R / 2.0])
+    rb = np.array([0.0, 0.0, +R / 2.0])
+    edges = np.linspace(-side / 2.0, side / 2.0, n_strata + 1)
+    per = mcfield._split_counts(n, n_strata)
+    means = np.zeros(n_strata)
+    variances = np.zeros(n_strata)
+    for k in range(n_strata):
+        batch = mcfield.draw_batch(omega, per[k], seed, stream=k,
+                                   z_range=(float(edges[k]),
+                                            float(edges[k + 1])))
+        ea = envelope_batch(family, batch.m_hat, batch.n_hat,
+                            ra[None, :] - batch.r0, 0.0, reach=reach)
+        eb = envelope_batch(family, batch.m_hat, batch.n_hat,
+                            rb[None, :] - batch.r0, 0.0, reach=reach)
+        x = np.abs(ea[:, 2]) ** 2 * np.abs(eb[:, 2]) ** 2
+        means[k] = float(x.mean())
+        variances[k] = float(x.var(ddof=1)) / per[k]
+    scale = mcfield._density_scale(weights, omega)
+    std_error = math.sqrt(float(np.sum(variances)) / n_strata**2)
+    return mcfield.EstimateWithError(mean=float(np.mean(means)) * scale,
+                                     std_error=std_error * scale)

@@ -316,13 +316,15 @@ def test_missing_config_file_exits_two(tmp_path: Path):
 
 
 def test_g2_contrast_counts_checked_before_table(tmp_path: Path, monkeypatch):
-    """Bad sample counts exit 2 before pulse_extent builds the table."""
+    """Bad sample counts exit 2 before pulse_extent builds the table, also
+    n = 100 over 64 strata, which leaves some with one draw."""
     def no_table(*args, **kwargs):
         raise AssertionError("table work before the sample counts were checked")
 
     monkeypatch.setattr(cli.pulsekit, "pulse_extent", no_table)
     for flags in (("--n", "50"), ("--n-g1", "50"),
-                  ("--n", "100", "--n-strata", "101")):
+                  ("--n", "100", "--n-strata", "101"),
+                  ("--n", "100", "--n-strata", "64")):
         assert cli.main(["g2-contrast", *flags, "--out", str(tmp_path / "g")]) == 2
 
 

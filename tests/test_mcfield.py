@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from oracles import g2_mix_two_envelope_calls
 from thermolight import mcfield, mixturekit, pulsekit
 from thermolight.mcfield import (estimate_g1_mix, estimate_g2_mix,
                                  tail_intensity_bound,
@@ -53,9 +54,14 @@ def test_estimators_reject_tiny_samples(ctx, thermal_family, matched_weights):
 def test_g2_rejects_inputs_it_cannot_estimate(ctx, thermal_family,
                                               matched_weights):
     om = _cube(ctx, 40.0)
-    with pytest.raises(ValueError, match="n_strata"):
-        estimate_g2_mix(thermal_family, matched_weights, om, 0.0, 100,
-                        seed=1, n_strata=200)
+    # a stratum needs two draws for an error bar: with n = n_strata the
+    # estimator used to return nonzero means with std_error 0.0
+    mcfield.check_sample_counts(128, 64)
+    for n, n_strata in ((100, 200), (100, 100), (127, 64)):
+        with pytest.raises(ValueError,
+                           match=f"n = {n} .*n_strata = {n_strata}"):
+            estimate_g2_mix(thermal_family, matched_weights, om, 0.0, n,
+                            seed=1, n_strata=n_strata)
     with pytest.raises(ValueError):
         estimate_g2_mix(thermal_family, matched_weights, om, float("nan"),
                         1000, seed=1)
@@ -68,7 +74,8 @@ def test_g2_rejects_inputs_it_cannot_estimate(ctx, thermal_family,
 @pytest.mark.parametrize("case", [
     "g1-omega-zero", "g1-omega-negative", "g1-omega-nan", "g1-tau-nan",
     "g1-r-nan", "g2-omega-negative", "g2-R-inf", "g2-reach-zero",
-    "g2-reach-nan", "table-delay-nan", "table-reach-nan", "table-reach-zero",
+    "g2-reach-nan", "g2-one-draw-per-stratum", "table-delay-nan",
+    "table-reach-nan", "table-reach-zero",
     "table-reach-short", "g2-reach-short", "no-k0-narrow-envelope",
     "no-k0-wide-envelope", "no-k0-table", "no-k0-transforms-direct",
     "no-k0-pulse-extent"])
@@ -108,6 +115,8 @@ def test_bad_geometry_rejected_before_any_work(ctx, thermal_family,
                                                  reach=0.0),
         "g2-reach-nan": lambda: estimate_g2_mix(fam, w, om, 0.0, 1000, 1,
                                                 reach=nan),
+        "g2-one-draw-per-stratum": lambda: estimate_g2_mix(
+            fam, w, om, 0.0, 100, 1, n_strata=100),
         "table-delay-nan": lambda: fam.table(nan),
         "table-reach-nan": lambda: fam.table(0.0, reach=nan),
         "table-reach-zero": lambda: fam.table(0.0, reach=0.0),
@@ -228,6 +237,55 @@ def test_g2_overlap_term_against_moment_quadrature(ctx, thermal_family,
     # the integrand is heavy-tailed, so the estimate is order-of-magnitude
     ratio = est.mean / oracle
     assert 0.25 < ratio < 4.0, (est.mean, oracle)
+
+
+@pytest.mark.parametrize("extents", [1.0, 3.0])
+def test_g2_equals_two_envelope_calls(ctx, thermal_family, matched_weights,
+                                      extents):
+    """One frame pass for both detectors, reading the table only where both
+    reach it, gives the bits of two whole envelope_batch calls per stratum.
+    With detectors 1 pulse extent apart on the default table, 23% of draws
+    have both detectors on it; 3 extents apart, 1.8%."""
+    R = extents * pulsekit.pulse_extent(thermal_family, 0.99)
+    om = (2.0 * (R / 2.0 + 17.0 * ctx.length_scale)) ** 3
+    for seed in (3, 11, 29):
+        est = estimate_g2_mix(thermal_family, matched_weights, om, R, 20_000,
+                              seed, n_strata=64, reach=16.0)
+        ref = g2_mix_two_envelope_calls(thermal_family, matched_weights, om,
+                                        R, 20_000, seed, 64, 16.0)
+        assert est.mean > 0.0
+        assert est.mean == ref.mean and est.std_error == ref.std_error, seed
+
+
+@pytest.mark.parametrize("row", ["z-beyond", "p-beyond"])
+@pytest.mark.parametrize("case", ["frame", "delta-nan", "delta-inf"])
+def test_g2_samples_check_rows_they_do_not_read(ctx, thermal_family, row,
+                                                case):
+    """A draw with both detectors off the table is checked all the same: a
+    non-finite delta raises, and so does a frame that is not orthonormal
+    on a draw that falls out on Z (screened first) or only on P."""
+    ls = ctx.length_scale
+    table = thermal_family.table(0.0)
+    ra, rb = np.array([0.0, 0.0, -ls]), np.array([0.0, 0.0, ls])
+    m = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, 0.0, 1.0]])
+    n = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    # row 1 lies 60 units off both detectors along its m_hat, row 2 100
+    # units across its m_hat; row 0 sits between the detectors
+    r0 = np.array([[0.2, 0.1, 0.0], [100.0, 0.0, 0.0], [100.0, 0.0, 0.0]]) * ls
+    x = mcfield._g2_samples(thermal_family, table,
+                            mcfield.SampleBatch(r0, m, n), ra, rb)
+    assert x[0] > 0.0 and x[1] == 0.0 and x[2] == 0.0
+    i = {"z-beyond": 1, "p-beyond": 2}[row]
+    if case == "frame":
+        n = n.copy()
+        n[i] *= 1.0 - 1e-11
+    else:
+        r0 = r0.copy()
+        r0[i, 1] = {"delta-nan": math.nan, "delta-inf": math.inf}[case]
+    with pytest.raises(ValueError, match="orthonormal" if case == "frame"
+                       else "deltas"):
+        mcfield._g2_samples(thermal_family, table,
+                            mcfield.SampleBatch(r0, m, n), ra, rb)
 
 
 def test_g2_decays_beyond_pulse_extent(ctx, thermal_family, matched_weights):
