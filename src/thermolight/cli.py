@@ -397,10 +397,10 @@ def run_fock_demo(cfg: dict, rep: Reporter) -> None:
     n_tuple, m_tuple = (1, 0, 1), (0, 2, 0)
 
     linear = fockdis.linear_phase_ensemble(modes, mags, cfg["alpha_abs"])
-    rho = fockdis.build_rho_mixture(modes, linear)
+    rho = fockdis.build_rho_mixture(linear)
     elem = rho.element(n_tuple, m_tuple)
-    bsum = fockdis.b_coefficient_sum(modes, linear, n_tuple, m_tuple)
-    summary = fockdis.linear_phase_selection_rules(modes, linear)
+    bsum = fockdis.b_coefficient_sum(linear, n_tuple, m_tuple)
+    summary = fockdis.linear_phase_selection_rules(linear, rho)
     rows = [["survivor_element_re", elem.real, bsum, True],
             ["survivor_element_im", elem.imag, 0.0, True],
             ["b_sum", bsum, bsum, True]]
@@ -414,7 +414,7 @@ def run_fock_demo(cfg: dict, rep: Reporter) -> None:
 
     free = fockdis.free_phase_ensemble(modes, mags, cfg["alpha_abs"],
                                        cfg["n_free"], cfg["seed"])
-    rho_free = fockdis.build_rho_mixture(modes, free)
+    rho_free = fockdis.build_rho_mixture(free)
     free_elem = abs(rho_free.element(n_tuple, m_tuple))
     limit = _FREE_PHASE_Z * bsum / math.sqrt(cfg["n_free"])
     rows.append(["free_phase_element", free_elem, 0.0, free_elem < limit])

@@ -15,17 +15,18 @@ finite grids (phases wrap exactly on the lattice), so the cancellation is
 exact rather than statistical; a free-phase Monte Carlo ensemble shows the
 complementary 1/sqrt(N) decay toward a fully diagonal matrix.
 
-A mixture is built from amplitude matrices.  The gammas of its N pulses
-stack into an N x M array, and the Fock amplitudes of all product coherent
-states follow at once in log space,
+A mixture is one PulseMixture: the amplitudes alpha (N,), spectra F
+(N x M) and probabilities p (N,) of its N pulses on one ModeSet, with the
+linear law of their phases when they follow one.  It checks them once,
+when it is made, and keeps read-only copies, so what reads it checks
+nothing again.  The gammas alpha_s F_sj form an N x M array, and the Fock
+amplitudes of all product coherent states follow at once in log space,
 
     log <n|psi> = sum_j [n_j log gamma_j - log(n_j!) / 2 - |gamma_j|^2 / 2],
 
 one exponential per amplitude.  rho = Psi^T diag(p) Psi* then accumulates
 as one GEMM per block of _ROW_BLOCK pulses, so no N x dim matrix is ever
-held.  b_coefficient_sum takes the moduli of the same logs.  Ensembles draw
-their phases as arrays, and every pulse, from an ensemble, a mixture or
-DiscretePulse.validate, passes the same array check.
+held.  b_coefficient_sum takes the moduli of the same logs.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .units import PhysicalContext
+from .units import PhysicalContext, check_count
 
 # A mixture accumulates rho over _ROW_BLOCK pulses at a time, each block a
 # _ROW_BLOCK x dim amplitude matrix; entries below _DROP_TOL times the
-# largest are not stored.  Spectra must be normalized, and linear phase laws
-# hold, to _PULSE_TOL.  linear_phase_selection_rules sorts the coherences
-# above _SCAN_TOL.
+# largest are not stored.  Spectra must be normalized, linear phase laws
+# hold and probabilities sum to 1, to _PULSE_TOL.
+# linear_phase_selection_rules sorts the coherences above _SCAN_TOL.
 _ROW_BLOCK = 256
 _DROP_TOL = 1e-16
 _PULSE_TOL = 1e-12
@@ -60,16 +61,19 @@ class ModeSet:
     cutoff: int
 
     def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be at least 1")
+        check_count(self.cutoff, "cutoff")
+        if not all(len(v) == 3 and all(isinstance(c, (int, np.integer))
+                                       for c in v) for v in self.n_int):
+            raise ValueError("n_int must hold integer lattice 3-vectors")
         if len(self.n_int) != len(self.lambdas):
             raise ValueError("n_int and lambdas must have equal length")
         if any(lam not in (-1, 1) for lam in self.lambdas):
             raise ValueError("helicities must be +-1")
         if len(set(zip(self.n_int, self.lambdas))) != len(self.n_int):
             raise ValueError("modes must be distinct")
-        if not self.quant_volume_V > 0.0:
-            raise ValueError("quantization volume must be positive")
+        if not 0.0 < self.quant_volume_V < math.inf:
+            raise ValueError(f"quant_volume_V must be positive and finite, "
+                             f"got {self.quant_volume_V}")
 
     @property
     def n_modes(self) -> int:
@@ -94,76 +98,73 @@ class ModeSet:
         return np.indices(shape).reshape(self.n_modes, -1).T
 
 
-@dataclass(frozen=True)
-class DiscretePulse:
-    """One multimode coherent state: amplitude, normalized spectrum, phase law.
+def _frozen(value, dtype) -> np.ndarray:
+    """A read-only copy of value as a dtype array."""
+    arr = np.array(value, dtype)
+    arr.flags.writeable = False
+    return arr
 
-    phase_law is "free" or ("linear", a, b) with b a 3-vector; the linear
-    law constrains arg(alpha F_j) = a + b . k_j per mode.
+
+@dataclass(frozen=True, eq=False)
+class PulseMixture:
+    """N multimode coherent pulses on modes, with their probabilities.
+
+    Pulse s has amplitude alpha[s] and spectrum F[s] (one entry per mode,
+    sum_j |F_sj|^2 = 1), so its mode amplitudes are gamma_sj = alpha_s
+    F_sj, and it enters with probability probs[s].  law is None for free
+    phases, or (a, b) with a of length N and b of shape N x 3 when
+    arg(gamma_sj) = a_s + b_s . k_j wherever gamma_sj != 0.  Making one
+    raises ValueError unless all of this holds; the arrays are read-only
+    copies, so it keeps holding.
     """
 
-    amplitude_alpha: complex
-    spectrum_F: tuple[complex, ...]
-    phase_law: object = "free"
+    modes: ModeSet
+    alpha: np.ndarray
+    F: np.ndarray
+    probs: np.ndarray
+    law: tuple[np.ndarray, np.ndarray] | None
 
-    def validate(self, modes: ModeSet) -> None:
-        _pulse_gammas(modes, [self])
+    def __post_init__(self):
+        for name, dtype in (("alpha", complex), ("F", complex),
+                            ("probs", float)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        if self.law is not None:
+            a, b = self.law
+            object.__setattr__(self, "law", (_frozen(a, float),
+                                             _frozen(b, float)))
+        alpha, F, probs, law = self.alpha, self.F, self.probs, self.law
+        n = probs.size
+        if (probs.shape != (n,) or alpha.shape != (n,)
+                or F.shape != (n, self.modes.n_modes)
+                or law is not None and (law[0].shape != (n,)
+                                        or law[1].shape != (n, 3))):
+            raise ValueError("a mixture of N pulses needs alpha and probs of "
+                             "length N, F of shape N x n_modes and a law of "
+                             "a (N,) and b (N x 3)")
+        if not np.all(np.isfinite(alpha)):
+            raise ValueError("pulse amplitudes must be finite")
+        norm = np.sum(np.abs(F) ** 2, axis=1)
+        if not np.all(np.abs(norm - 1.0) <= _PULSE_TOL):
+            raise ValueError("spectrum must be normalized to 1")
+        if law is not None:
+            gam = self.gammas
+            expect = law[0][:, None] + law[1] @ self.modes.k_vectors.T
+            mism = np.angle(gam * np.exp(-1j * expect))[np.abs(gam) > 0]
+            if not np.all(np.abs(mism) <= _PULSE_TOL):
+                raise ValueError("phases do not follow the declared linear "
+                                 "law")
+        if not (np.all(probs >= 0.0)
+                and abs(float(probs.sum()) - 1.0) <= _PULSE_TOL):
+            raise ValueError("pulse probabilities must be finite, nonnegative "
+                             "and sum to 1")
 
+    def __len__(self) -> int:
+        return len(self.probs)
+
+    @property
     def gammas(self) -> np.ndarray:
-        return self.amplitude_alpha * np.asarray(self.spectrum_F, complex)
-
-
-def _check_pulses(modes: ModeSet, alpha: np.ndarray, F: np.ndarray,
-                  law: tuple[np.ndarray, np.ndarray] | None = None) -> None:
-    """Raise ValueError unless every row (alpha_s, F_s) is a pulse on modes.
-
-    alpha holds N amplitudes and F the N x M spectra.  With law = (a, b),
-    a of length N and b of shape N x 3, row s must also satisfy
-    arg(alpha_s F_sj) = a_s + b_s . k_j wherever F_sj != 0.
-    """
-    if not np.all(np.isfinite(alpha)):
-        raise ValueError("pulse amplitudes must be finite")
-    norm = np.sum(np.abs(F) ** 2, axis=1)
-    if not np.all(np.abs(norm - 1.0) <= _PULSE_TOL):
-        raise ValueError("spectrum must be normalized to 1")
-    if law is not None:
-        a, b = law
-        gam = alpha[:, None] * F
-        expect = a[:, None] + b @ modes.k_vectors.T
-        mism = np.angle(gam * np.exp(-1j * expect))[np.abs(gam) > 0]
-        if not np.all(np.abs(mism) <= _PULSE_TOL):
-            raise ValueError("phases do not follow the declared linear law")
-
-
-def _pulse_gammas(modes: ModeSet, pulses: list[DiscretePulse]) -> np.ndarray:
-    """N x M mode amplitudes alpha F of the pulses, checked in one pass."""
-    if any(len(p.spectrum_F) != modes.n_modes for p in pulses):
-        raise ValueError("spectrum length must match the mode count")
-    alpha = np.array([p.amplitude_alpha for p in pulses], complex)
-    F = np.array([p.spectrum_F for p in pulses], complex)
-    F = F.reshape(len(pulses), modes.n_modes)
-    _check_pulses(modes, alpha, F)
-    linear = [i for i, p in enumerate(pulses) if p.phase_law != "free"]
-    for i in linear:
-        law = pulses[i].phase_law
-        if not (isinstance(law, tuple) and len(law) == 3
-                and law[0] == "linear"):
-            raise ValueError(f"unknown phase law {law!r}")
-    if linear:
-        a = np.array([pulses[i].phase_law[1] for i in linear], float)
-        b = np.array([pulses[i].phase_law[2] for i in linear], float)
-        _check_pulses(modes, alpha[linear], F[linear], (a, b.reshape(-1, 3)))
-    return alpha[:, None] * F
-
-
-def _mixture_arrays(modes: ModeSet, pulses: list[tuple[DiscretePulse, float]]
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Checked N x M mode amplitudes and N probabilities of a mixture."""
-    probs = np.array([p for _, p in pulses], float)
-    if not (np.all(probs >= 0.0) and abs(float(probs.sum()) - 1.0) <= 1e-12):
-        raise ValueError("pulse probabilities must be finite, nonnegative "
-                         "and sum to 1")
-    return _pulse_gammas(modes, [pulse for pulse, _ in pulses]), probs
+        """N x M mode amplitudes alpha_s F_sj."""
+        return self.alpha[:, None] * self.F
 
 
 def _log_amplitudes(gammas: np.ndarray, fock: np.ndarray) -> np.ndarray:
@@ -212,22 +213,20 @@ class DenseDensityMatrix:
         return out
 
 
-def build_rho_mixture(modes: ModeSet,
-                      pulses: list[tuple[DiscretePulse, float]]
-                      ) -> DenseDensityMatrix:
+def build_rho_mixture(pulses: PulseMixture) -> DenseDensityMatrix:
     """Density matrix of a probabilistic mixture of coherent pulses.
 
     rho = Psi^T diag(p) Psi*, where row s of Psi holds the Fock amplitudes
     of pulse s; it accumulates over blocks of _ROW_BLOCK pulses.  Entries
-    below _DROP_TOL times the largest are not stored.  The probabilities
-    must be nonnegative and sum to 1.
+    below _DROP_TOL times the largest are not stored.
     """
+    modes = pulses.modes
     dim = modes.dimension
     if dim > 10**6:
         raise ValueError("Hilbert dimension exceeds 10^6; reduce cutoff or modes")
     if dim > 4096:
         raise ValueError("dense accumulation capped at dimension 4096")
-    gammas, probs = _mixture_arrays(modes, pulses)
+    gammas, probs = pulses.gammas, pulses.probs
     fock = modes.fock_array()
     acc = np.zeros((dim, dim), complex)
     for lo in range(0, len(probs), _ROW_BLOCK):
@@ -241,9 +240,8 @@ def build_rho_mixture(modes: ModeSet,
     return DenseDensityMatrix(modes=modes, elements=elements)
 
 
-def b_coefficient_sum(modes: ModeSet,
-                      pulses: list[tuple[DiscretePulse, float]],
-                      n: tuple[int, ...], m: tuple[int, ...]) -> float:
+def b_coefficient_sum(pulses: PulseMixture, n: tuple[int, ...],
+                      m: tuple[int, ...]) -> float:
     """sum_sigma B_{nm;sigma}: the positive magnitude part of rho_nm.
 
     B = p |<n|psi>| |<m|psi>| = p e^{-|alpha|^2}
@@ -251,11 +249,10 @@ def b_coefficient_sum(modes: ModeSet,
     amplitudes as build_rho_mixture.
     """
     fock = np.array([n, m])
-    if fock.shape != (2, modes.n_modes) or np.any(fock < 0):
+    if fock.shape != (2, pulses.modes.n_modes) or np.any(fock < 0):
         raise ValueError("n and m must be Fock tuples with one count per mode")
-    gammas, probs = _mixture_arrays(modes, pulses)
-    logs = _log_amplitudes(gammas, fock).real
-    return float(np.sum(probs * np.exp(logs[:, 0] + logs[:, 1])))
+    logs = _log_amplitudes(pulses.gammas, fock).real
+    return float(np.sum(pulses.probs * np.exp(logs[:, 0] + logs[:, 1])))
 
 
 def coherence_scan(rho: DenseDensityMatrix, tolerance: float
@@ -323,29 +320,8 @@ def _unit_magnitudes(modes: ModeSet, magnitudes) -> np.ndarray:
     return mags / math.sqrt(norm2)
 
 
-def _linear_pulses(modes: ModeSet, a: np.ndarray, b: np.ndarray,
-                   mags: np.ndarray, alpha_abs: float) -> list[DiscretePulse]:
-    """Pulses s with arg(gamma_j) = a_s + b_s . k_j for a (N,), b (N x 3)."""
-    F = mags * np.exp(1j * (b @ modes.k_vectors.T))
-    alpha = alpha_abs * np.exp(1j * a)
-    _check_pulses(modes, alpha, F, (a, b))
-    return [DiscretePulse(amplitude_alpha=al, spectrum_F=tuple(f),
-                          phase_law=("linear", ai, tuple(bi)))
-            for al, f, ai, bi in zip(alpha.tolist(), F.tolist(),
-                                     a.tolist(), b.tolist())]
-
-
-def make_linear_phase_pulse(modes: ModeSet, a: float, b, magnitudes,
-                            alpha_abs: float) -> DiscretePulse:
-    """Pulse whose mode phases follow arg(gamma_j) = a + b . k_j exactly."""
-    return _linear_pulses(modes, np.array([float(a)]),
-                          np.asarray(b, float).reshape(1, 3),
-                          _unit_magnitudes(modes, magnitudes), alpha_abs)[0]
-
-
 def linear_phase_ensemble(modes: ModeSet, magnitudes, alpha_abs: float,
-                          n_a: int = 16, n_b: int = 64
-                          ) -> list[tuple[DiscretePulse, float]]:
+                          n_a: int = 16, n_b: int = 64) -> PulseMixture:
     """Deterministic grid over the phase parameters a and b.
 
     a runs over n_a points of [0, 2 pi); b over n_b points per lattice axis
@@ -356,9 +332,7 @@ def linear_phase_ensemble(modes: ModeSet, magnitudes, alpha_abs: float,
     """
     if not 0.0 <= alpha_abs < math.inf:
         raise ValueError(f"alpha_abs must be nonnegative and finite, got {alpha_abs}")
-    for name, count in (("n_a", n_a), ("n_b", n_b)):
-        if count < 1:
-            raise ValueError(f"{name} must be at least 1, got {count}")
+    n_a, n_b = check_count(n_a, "n_a"), check_count(n_b, "n_b")
     side = modes.quant_volume_V ** (1.0 / 3.0)
     used_axes = [ax for ax in range(3)
                  if any(v[ax] != 0 for v in modes.n_int)]
@@ -366,15 +340,16 @@ def linear_phase_ensemble(modes: ModeSet, magnitudes, alpha_abs: float,
     b_axis = side * np.arange(n_b) / n_b
     b_grids = [b_axis if ax in used_axes else np.array([0.0]) for ax in range(3)]
     grid = np.meshgrid(a_vals, *b_grids, indexing="ij")
+    a = grid[0].ravel()
     b = np.stack([g.ravel() for g in grid[1:]], axis=1)
-    pulses = _linear_pulses(modes, grid[0].ravel(), b,
-                            _unit_magnitudes(modes, magnitudes), alpha_abs)
-    return [(pulse, 1.0 / len(pulses)) for pulse in pulses]
+    mags = _unit_magnitudes(modes, magnitudes)
+    return PulseMixture(modes, alpha_abs * np.exp(1j * a),
+                        mags * np.exp(1j * (b @ modes.k_vectors.T)),
+                        np.full(len(a), 1.0 / len(a)), (a, b))
 
 
 def free_phase_ensemble(modes: ModeSet, magnitudes, alpha_abs: float,
-                        n_samples: int, seed: int
-                        ) -> list[tuple[DiscretePulse, float]]:
+                        n_samples: int, seed: int) -> PulseMixture:
     """Independent uniform phases on every mode (and on alpha).
 
     Pulse s takes row s of the draws: its n_modes mode phases, then the
@@ -382,17 +357,13 @@ def free_phase_ensemble(modes: ModeSet, magnitudes, alpha_abs: float,
     """
     if not 0.0 <= alpha_abs < math.inf:
         raise ValueError(f"alpha_abs must be nonnegative and finite, got {alpha_abs}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    n_samples = check_count(n_samples, "n_samples")
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     mags = _unit_magnitudes(modes, magnitudes)
     phases = 2.0 * math.pi * rng.random((n_samples, modes.n_modes + 1))
-    F = mags * np.exp(1j * phases[:, :-1])
-    alpha = alpha_abs * np.exp(1j * phases[:, -1])
-    _check_pulses(modes, alpha, F)
-    return [(DiscretePulse(amplitude_alpha=al, spectrum_F=tuple(f),
-                           phase_law="free"), 1.0 / n_samples)
-            for al, f in zip(alpha.tolist(), F.tolist())]
+    return PulseMixture(modes, alpha_abs * np.exp(1j * phases[:, -1]),
+                        mags * np.exp(1j * phases[:, :-1]),
+                        np.full(n_samples, 1.0 / n_samples), None)
 
 
 # ---------------------------------------------------------------------------
@@ -407,21 +378,19 @@ class SelectionRuleSummary:
     all_clean: bool
 
 
-def linear_phase_selection_rules(modes: ModeSet,
-                                 pulses: list[tuple[DiscretePulse, float]]
+def linear_phase_selection_rules(pulses: PulseMixture,
+                                 rho: DenseDensityMatrix
                                  ) -> SelectionRuleSummary:
     """Check which off-diagonal survivors obey both phase sum rules.
 
-    Builds the mixture, scans coherences above _SCAN_TOL, and sorts them
-    by whether sum(n - m) = 0 and sum n_int (n - m) = 0 hold.  For exact
-    grid ensembles the violating list must be empty and at least one
-    satisfying element nonzero.
+    rho is build_rho_mixture(pulses), which must follow a linear law.  Its
+    coherences above _SCAN_TOL sort by whether sum(n - m) = 0 and
+    sum n_int (n - m) = 0 hold.  For exact grid ensembles the violating
+    list must be empty and at least one satisfying element nonzero.
     """
-    for pulse, _ in pulses:
-        if pulse.phase_law == "free" or pulse.phase_law[0] != "linear":
-            raise ValueError("selection rules apply to linear-phase ensembles")
-    rho = build_rho_mixture(modes, pulses)
-    lattice = np.asarray(modes.n_int, int)
+    if pulses.law is None:
+        raise ValueError("selection rules apply to linear-phase ensembles")
+    lattice = np.asarray(pulses.modes.n_int, int)
     satisfying = []
     violating = []
     worst = 0.0

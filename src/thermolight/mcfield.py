@@ -25,6 +25,7 @@ from .pulsekit import (_DEFAULT_REACH, EnvelopeTable,  # noqa: F401
                        PulseFamily, _frame_coordinates, _table_fields,
                        check_reach, envelope_batch, tail_coefficient,
                        transforms_direct, transverse_frames)
+from .units import check_count
 
 # streams the uniform G1 sampler splits its draws over
 _N_STREAMS = 8
@@ -99,10 +100,9 @@ def check_sample_counts(n: int, n_strata: int = 1) -> None:
     Both estimators call it first; callers that build tables before
     estimating call it sooner, so that bad counts fail before that work.
     """
+    n, n_strata = check_count(n, "n"), check_count(n_strata, "n_strata")
     if n < 100:
         raise ValueError("n must be at least 100")
-    if n_strata < 1:
-        raise ValueError(f"n_strata must be at least 1, got {n_strata}")
     if n < 2 * n_strata:
         raise ValueError(f"n = {n} leaves some of n_strata = {n_strata} "
                          f"strata with fewer than 2 draws, too few for an "

@@ -67,7 +67,7 @@ from numpy.polynomial.legendre import legder, legval
 from scipy import fft, integrate, linalg, special
 
 from .specfun import ZETA3, PI4_OVER_15
-from .units import PhysicalContext
+from .units import PhysicalContext, check_count
 
 _SIXTEEN_PI3 = 16.0 * math.pi**3
 
@@ -136,13 +136,6 @@ _NODE_CACHE_SIZE = 32
 _NORM_CACHE_SIZE = 64
 
 
-def _node_count(n, name: str = "n") -> int:
-    """n as a Python int, or ValueError unless it is an integer >= 1."""
-    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1:
-        return int(n)
-    raise ValueError(f"{name} must be an integer node count >= 1, got {n!r}")
-
-
 @functools.lru_cache(maxsize=_NODE_CACHE_SIZE)
 def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's leggauss(n), with the eigenvalues found in O(n^2).
@@ -183,7 +176,7 @@ def _gauss_legendre(n: int, lo: float = -1.0, hi: float = 1.0
     [-1, 1] it equals leggauss(n) bit for bit, since the map has mid = 0
     and half = 1.  A count that is not an integer >= 1 raises ValueError.
     """
-    x, w = _legendre_nodes(_node_count(n))
+    x, w = _legendre_nodes(check_count(n, "n"))
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -775,7 +768,7 @@ def transforms_direct(family: PulseFamily, P: float, Z: float,
         nx = int(max(300, 12 * dist))
     if nmu is None:
         nmu = int(max(1600, 24 * dist))
-    nx, nmu = _node_count(nx, "nx"), _node_count(nmu, "nmu")
+    nx, nmu = check_count(nx, "nx"), check_count(nmu, "nmu")
     x, xw = _gauss_legendre(nx, max(0.0, xlo), xhi)
     mg, mw = _gauss_legendre(nmu)
     mu, wmu = mg[nmu // 2:], mw[nmu // 2:]

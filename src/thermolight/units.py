@@ -1,4 +1,4 @@
-"""Physical constants and the temperature context.
+"""Physical constants, the temperature context and the rule for counts.
 
 Everything downstream works in the dimensionless wavenumber x = beta*hbar*c*k
 and the dimensionless delay u = tau/(beta*hbar).  SI values enter and leave
@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # CODATA-2018.  hbar, c and k_B are exact by SI definition; epsilon_0 is the
 # 2018 recommended value.
@@ -59,3 +61,11 @@ def make_context(temperature_K: float) -> PhysicalContext:
         raise ValueError(f"temperature must be positive and finite, got {temperature_K}")
     beta = 1.0 / (K_BOLTZMANN * temperature_K)
     return PhysicalContext(temperature_K=float(temperature_K), beta=beta)
+
+
+def check_count(n, name: str) -> int:
+    """n as a Python int, or ValueError naming it unless it is an integer
+    >= 1 (a bool is not a count)."""
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1:
+        return int(n)
+    raise ValueError(f"{name} must be an integer count >= 1, got {n!r}")

@@ -208,14 +208,14 @@ def test_criterion_09(ctx):
     t0 = time.perf_counter()
     modes = fockdis.three_mode_example(cutoff=3)
     linear = fockdis.linear_phase_ensemble(modes, (1.0, 1.0, 1.0), 1.0)
-    rho = fockdis.build_rho_mixture(modes, linear)
+    rho = fockdis.build_rho_mixture(linear)
     n, m = (1, 0, 1), (0, 2, 0)
-    bsum = fockdis.b_coefficient_sum(modes, linear, n, m)
+    bsum = fockdis.b_coefficient_sum(linear, n, m)
     elem_err = abs(rho.element(n, m) - bsum)
 
     free = fockdis.free_phase_ensemble(modes, (1.0, 1.0, 1.0), 1.0,
                                        10_000, 11)
-    free_elem = abs(fockdis.build_rho_mixture(modes, free).element(n, m))
+    free_elem = abs(fockdis.build_rho_mixture(free).element(n, m))
     free_ok = free_elem < 3.0 * bsum / math.sqrt(10_000)
 
     th = fockdis.thermal_rho_dis(

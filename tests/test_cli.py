@@ -181,6 +181,22 @@ def test_fock_demo_catches_unsuppressed_coherence(tmp_path: Path,
     assert _fock_checks(out)["free_phase_suppressed"]["passed"] is False
 
 
+def test_fock_demo_builds_each_density_matrix_once(tmp_path: Path,
+                                                   monkeypatch):
+    """The selection rules read the linear mixture's rho; nothing builds it
+    a second time."""
+    build = cli.fockdis.build_rho_mixture
+    sizes = []
+
+    def counted(*args):
+        sizes.append(len(args[-1]))
+        return build(*args)
+
+    monkeypatch.setattr(cli.fockdis, "build_rho_mixture", counted)
+    assert cli.main(["fock-demo", "--out", str(tmp_path / "fock")]) == 0
+    assert sizes == [1024, 10000]
+
+
 @pytest.mark.parametrize("args", [
     ("fig1", "--T", "-10"),
     ("fig1", "--n-points", "1"),

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from thermolight import fockdis
-from thermolight.fockdis import (ModeSet, DiscretePulse, build_rho_mixture,
+from thermolight.fockdis import (ModeSet, PulseMixture, build_rho_mixture,
                                  b_coefficient_sum, coherence_scan,
                                  thermal_rho_dis, mean_photon_numbers,
                                  linear_phase_ensemble, free_phase_ensemble,
-                                 make_linear_phase_pulse,
                                  linear_phase_selection_rules,
                                  three_mode_example)
 
@@ -18,7 +17,7 @@ from thermolight.fockdis import (ModeSet, DiscretePulse, build_rho_mixture,
 def grid_ensemble():
     modes = three_mode_example(cutoff=3)
     pulses = linear_phase_ensemble(modes, (1.0, 1.0, 1.0), 1.0)
-    return modes, pulses, build_rho_mixture(modes, pulses)
+    return pulses, build_rho_mixture(pulses)
 
 
 def _textbook_vector(gam_abs, cutoff):
@@ -32,14 +31,15 @@ def _textbook_vector(gam_abs, cutoff):
     return v * math.exp(-0.5 * float(np.sum(np.asarray(gam_abs) ** 2)))
 
 
-def _outer_sum_reference(modes, pulses):
+def _outer_sum_reference(pulses):
     """Reference mixture: one np.outer per pulse of Fock vectors built mode by
     mode with np.kron."""
+    modes = pulses.modes
     ns = np.arange(modes.cutoff + 1)
     lg = np.array([math.lgamma(k + 1) for k in ns])
     acc = np.zeros((modes.dimension, modes.dimension), complex)
-    for pulse, prob in pulses:
-        gam = pulse.gammas()
+    for alpha, spectrum, prob in zip(pulses.alpha, pulses.F, pulses.probs):
+        gam = alpha * spectrum
         psi = None
         for g in gam:
             v = np.zeros(modes.cutoff + 1, complex)
@@ -56,23 +56,23 @@ def _outer_sum_reference(modes, pulses):
 def _oracle_case(name):
     if name == "linear-grid":
         modes = three_mode_example(cutoff=3)
-        return modes, linear_phase_ensemble(modes, (1.0, 1.0, 1.0), 1.0,
-                                            n_a=16, n_b=64)
+        return linear_phase_ensemble(modes, (1.0, 1.0, 1.0), 1.0, n_a=16,
+                                     n_b=64)
     if name == "free-block-edge":
         modes = three_mode_example(cutoff=3)
         n = 2 * fockdis._ROW_BLOCK + 37
-        return modes, free_phase_ensemble(modes, (1.0, 2.0, 0.5), 0.9, n, 4)
+        return free_phase_ensemble(modes, (1.0, 2.0, 0.5), 0.9, n, 4)
     modes = ModeSet(n_int=((1, 0, 0),), lambdas=(1,), quant_volume_V=1.0,
                     cutoff=12)
-    return modes, free_phase_ensemble(modes, (1.0,), 1.3, 300, 9)
+    return free_phase_ensemble(modes, (1.0,), 1.3, 300, 9)
 
 
 @pytest.mark.parametrize("name", ["linear-grid", "free-block-edge",
                                   "single-mode"])
 def test_build_matches_outer_product_oracle(name):
-    modes, pulses = _oracle_case(name)
-    want = _outer_sum_reference(modes, pulses)
-    got = build_rho_mixture(modes, pulses).dense()
+    pulses = _oracle_case(name)
+    want = _outer_sum_reference(pulses)
+    got = build_rho_mixture(pulses).dense()
     assert float(np.max(np.abs(got - want))) < 1e-14
 
 
@@ -84,19 +84,20 @@ def test_b_sum_matches_exact_sum():
         for n, m in [((1, 0, 1), (0, 2, 0)), ((0, 0, 0), (0, 0, 0)),
                      ((3, 3, 3), (2, 1, 0))]:
             terms = []
-            for pulse, prob in pulses:
-                g = np.abs(pulse.gammas())
+            for gam, prob in zip(pulses.gammas, pulses.probs):
+                g = np.abs(gam)
                 log_b = sum((nj + mj) * math.log(gj)
                             - 0.5 * (math.lgamma(nj + 1) + math.lgamma(mj + 1))
                             for gj, nj, mj in zip(g, n, m))
                 terms.append(prob * math.exp(log_b - float(np.sum(g**2))))
             want = math.fsum(terms)
-            got = b_coefficient_sum(modes, pulses, n, m)
+            got = b_coefficient_sum(pulses, n, m)
             assert abs(got - want) <= 2e-15 * want
 
 
 def test_free_phase_ensemble_draws_frozen():
-    """The array draw reproduces the recorded per-pulse Philox sequence."""
+    """The array draw reproduces the recorded per-pulse Philox sequence, bit
+    for bit."""
     modes = three_mode_example(cutoff=2)
     ens = free_phase_ensemble(modes, (1.0, 2.0, 3.0), 0.8, 5, 7)
     recorded = {
@@ -109,55 +110,63 @@ def test_free_phase_ensemble_draws_frozen():
              -0.5279579837696402 - 0.08351438850989694j,
              -0.3263775940059948 - 0.7323488301267375j)),
     }
+    assert len(ens) == 5 and ens.law is None
     for i, (alpha, spectrum) in recorded.items():
-        pulse, prob = ens[i]
-        assert pulse.amplitude_alpha == alpha
-        assert pulse.spectrum_F == spectrum
-        assert pulse.phase_law == "free" and prob == 0.2
+        assert ens.alpha[i].item() == alpha
+        assert tuple(ens.F[i].tolist()) == spectrum
+        assert ens.probs[i] == 0.2
 
 
-def _ok_pulse():
-    s = 1.0 / math.sqrt(3.0)
-    return DiscretePulse(amplitude_alpha=1.0 + 0.0j, spectrum_F=(s, s, s))
+_FLAT = (1.0 / math.sqrt(3.0),) * 3
 
 
-def _build_with(pulse, prob=1.0):
-    return build_rho_mixture(three_mode_example(cutoff=2), [(pulse, prob)])
+def _pulse(alpha=1.0, spectrum=_FLAT, prob=1.0, law=None):
+    """One pulse on three_mode_example(cutoff=2), as a one-row mixture."""
+    return PulseMixture(three_mode_example(cutoff=2), [alpha], [spectrum],
+                        [prob], law)
 
 
 @pytest.mark.parametrize("case", [
     "nan-probability", "nan-spectrum", "nan-alpha", "inf-alpha",
     "zero-magnitudes-free", "zero-magnitudes-linear",
     "zero-magnitudes-pulse", "zero-free-samples", "negative-free-samples",
-    "zero-linear-a", "zero-linear-b", "negative-alpha-abs-linear",
+    "fraction-free-samples", "bool-free-samples", "zero-linear-a",
+    "zero-linear-b", "fraction-linear-a", "fraction-linear-b",
+    "negative-alpha-abs-linear",
     "negative-alpha-abs-free", "nan-alpha-abs-linear", "inf-alpha-abs-free"])
 def test_invalid_fock_inputs_rejected(case):
     """Each of these used to give an empty rho with trace 0, NaN spectra, an
-    empty ensemble or numpy's negative-dimension error."""
+    empty ensemble, a grid whose phases no longer wrap, or numpy's
+    negative-dimension or TypeError."""
     modes = three_mode_example(cutoff=2)
     s = 1.0 / math.sqrt(3.0)
     calls = {
-        "nan-probability": lambda: _build_with(_ok_pulse(), math.nan),
-        "nan-spectrum": lambda: _build_with(DiscretePulse(
-            amplitude_alpha=1.0 + 0.0j, spectrum_F=(math.nan, s, s))),
-        "nan-alpha": lambda: _build_with(DiscretePulse(
-            amplitude_alpha=complex(math.nan, 0.0), spectrum_F=(s, s, s))),
-        "inf-alpha": lambda: _build_with(DiscretePulse(
-            amplitude_alpha=complex(math.inf, 0.0), spectrum_F=(s, s, s))),
+        "nan-probability": lambda: _pulse(prob=math.nan),
+        "nan-spectrum": lambda: _pulse(spectrum=(math.nan, s, s)),
+        "nan-alpha": lambda: _pulse(alpha=complex(math.nan, 0.0)),
+        "inf-alpha": lambda: _pulse(alpha=complex(math.inf, 0.0)),
         "zero-magnitudes-free": lambda: free_phase_ensemble(
             modes, (0.0, 0.0, 0.0), 1.0, 8, 1),
         "zero-magnitudes-linear": lambda: linear_phase_ensemble(
             modes, (0.0, 0.0, 0.0), 1.0, n_a=4, n_b=8),
-        "zero-magnitudes-pulse": lambda: make_linear_phase_pulse(
-            modes, 0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0),
+        "zero-magnitudes-pulse": lambda: _pulse(
+            spectrum=(0.0, 0.0, 0.0), law=([0.0], [(0.0, 0.0, 0.0)])),
         "zero-free-samples": lambda: free_phase_ensemble(
             modes, (1.0, 2.0, 3.0), 1.0, 0, 1),
         "negative-free-samples": lambda: free_phase_ensemble(
             modes, (1.0, 2.0, 3.0), 1.0, -3, 1),
+        "fraction-free-samples": lambda: free_phase_ensemble(
+            modes, (1.0, 2.0, 3.0), 1.0, 2.5, 1),
+        "bool-free-samples": lambda: free_phase_ensemble(
+            modes, (1.0, 2.0, 3.0), 1.0, True, 1),
         "zero-linear-a": lambda: linear_phase_ensemble(
             modes, (1.0, 2.0, 3.0), 1.0, n_a=0, n_b=8),
         "zero-linear-b": lambda: linear_phase_ensemble(
             modes, (1.0, 2.0, 3.0), 1.0, n_a=4, n_b=0),
+        "fraction-linear-a": lambda: linear_phase_ensemble(
+            modes, (1.0, 2.0, 3.0), 1.0, n_a=2.5, n_b=8),
+        "fraction-linear-b": lambda: linear_phase_ensemble(
+            modes, (1.0, 2.0, 3.0), 1.0, n_a=4, n_b=2.5),
         "negative-alpha-abs-linear": lambda: linear_phase_ensemble(
             modes, (1.0, 2.0, 3.0), -0.8, n_a=4, n_b=8),
         "negative-alpha-abs-free": lambda: free_phase_ensemble(
@@ -167,8 +176,9 @@ def test_invalid_fock_inputs_rejected(case):
         "inf-alpha-abs-free": lambda: free_phase_ensemble(
             modes, (1.0, 2.0, 3.0), math.inf, 8, 1),
     }
-    names = {"zero-free-samples": "n_samples", "negative-free-samples":
-             "n_samples", "zero-linear-a": "n_a", "zero-linear-b": "n_b",
+    names = {**{c: "n_samples" for c in calls if c.endswith("free-samples")},
+             **{c: "n_a" for c in calls if c.endswith("linear-a")},
+             **{c: "n_b" for c in calls if c.endswith("linear-b")},
              **{c: "alpha_abs" for c in calls if "alpha-abs" in c}}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -180,8 +190,8 @@ def test_single_mode_coherent_state_elements():
     modes = ModeSet(n_int=((1, 0, 0),), lambdas=(1,), quant_volume_V=1.0,
                     cutoff=12)
     alpha = 0.6 + 0.3j
-    pulse = DiscretePulse(amplitude_alpha=alpha, spectrum_F=(1.0 + 0.0j,))
-    rho = build_rho_mixture(modes, [(pulse, 1.0)])
+    rho = build_rho_mixture(PulseMixture(modes, [alpha], [(1.0,)], [1.0],
+                                         None))
     pre = math.exp(-abs(alpha) ** 2)
     for n, m in [((0,), (0,)), ((3,), (1,)), ((5,), (5,)), ((2,), (6,))]:
         want = pre * alpha ** n[0] * np.conj(alpha) ** m[0] \
@@ -190,30 +200,30 @@ def test_single_mode_coherent_state_elements():
 
 
 def test_mixture_trace_and_positivity(grid_ensemble):
-    modes, pulses, rho = grid_ensemble
+    pulses, rho = grid_ensemble
     assert 0.998 < rho.trace() < 1.0
     d = rho.dense()
     assert float(np.max(np.abs(d - d.conj().T))) < 1e-14
     assert float(np.linalg.eigvalsh(d).min()) > -1e-10
     modes8 = three_mode_example(cutoff=8)
     p8 = linear_phase_ensemble(modes8, (1.0, 1.0, 1.0), 1.0, n_a=4, n_b=8)
-    assert abs(build_rho_mixture(modes8, p8).trace() - 1.0) < 1e-9
+    assert abs(build_rho_mixture(p8).trace() - 1.0) < 1e-9
 
 
 def test_survivor_equals_b_sum(grid_ensemble):
     """The element allowed by both phase sum rules keeps its full positive
     magnitude through the average."""
-    modes, pulses, rho = grid_ensemble
+    pulses, rho = grid_ensemble
     n, m = (1, 0, 1), (0, 2, 0)
     surv = rho.element(n, m)
     assert surv.real > 0.01
     assert abs(surv.imag) < 1e-15
-    assert abs(surv - b_coefficient_sum(modes, pulses, n, m)) < 1e-12
+    assert abs(surv - b_coefficient_sum(pulses, n, m)) < 1e-12
 
 
 def test_selection_rules_exact_on_grid(grid_ensemble):
-    modes, pulses, rho = grid_ensemble
-    summary = linear_phase_selection_rules(modes, pulses)
+    pulses, rho = grid_ensemble
+    summary = linear_phase_selection_rules(pulses, rho)
     assert summary.all_clean
     assert summary.max_violating_magnitude == 0.0
     assert len(summary.satisfying) > 0
@@ -227,7 +237,7 @@ def test_selection_rules_reject_free_ensembles():
     modes = three_mode_example(cutoff=2)
     ens = free_phase_ensemble(modes, (1.0, 1.0, 1.0), 1.0, 16, 3)
     with pytest.raises(ValueError):
-        linear_phase_selection_rules(modes, ens)
+        linear_phase_selection_rules(ens, build_rho_mixture(ens))
 
 
 def test_free_phases_suppress_all_coherences():
@@ -240,7 +250,7 @@ def test_free_phases_suppress_all_coherences():
     off = ~np.eye(B.shape[0], dtype=bool)
     for n_samples in (4096, 10_000):
         ens = free_phase_ensemble(modes, (1.0, 1.0, 1.0), 1.0, n_samples, 11)
-        dd = np.abs(build_rho_mixture(modes, ens).dense())
+        dd = np.abs(build_rho_mixture(ens).dense())
         assert np.all(dd[off] <= B[off] * (1.0 + 1e-12))
         assert float(np.max(dd[off] / B[off])) <= 3.0 / math.sqrt(n_samples)
 
@@ -254,7 +264,7 @@ def test_free_phase_decay_rate():
         for i, n_samples in enumerate(sizes):
             ens = free_phase_ensemble(modes, (1.0, 1.0, 1.0), 1.0,
                                       n_samples, seed)
-            d = build_rho_mixture(modes, ens).dense()
+            d = build_rho_mixture(ens).dense()
             norms[i] += np.linalg.norm(d - np.diag(np.diag(d)))
     slope = np.polyfit(np.log(sizes), np.log(norms / 12.0), 1)[0]
     assert -0.6 < slope < -0.4, slope
@@ -320,41 +330,59 @@ def test_mode_set_validation():
     with pytest.raises(ValueError):
         ModeSet(n_int=((1, 0, 0),), lambdas=(1,), quant_volume_V=0.0,
                 cutoff=2)
+    # these used to give dimension 3.5, a mode off the lattice, or a failure
+    # only later with RuntimeWarnings
+    ok = dict(n_int=((1, 0, 0),), lambdas=(1,), quant_volume_V=1.0, cutoff=2)
+    for name, bad in (("cutoff", 2.5), ("n_int", ((1.5, 0, 0),)),
+                      ("quant_volume_V", math.inf)):
+        with pytest.raises(ValueError, match=name):
+            ModeSet(**{**ok, name: bad})
 
 
 def test_dimension_caps():
     big = ModeSet(n_int=tuple((i, 0, 0) for i in range(1, 8)),
                   lambdas=(1,) * 7, quant_volume_V=1.0, cutoff=7)
     with pytest.raises(ValueError, match="10\\^6"):
-        build_rho_mixture(big, [])
+        build_rho_mixture(PulseMixture(big, [1.0], [np.eye(7)[0]], [1.0],
+                                       None))
     mid = ModeSet(n_int=((1, 0, 0), (2, 0, 0)), lambdas=(1, 1),
                   quant_volume_V=1.0, cutoff=99)
     with pytest.raises(ValueError, match="4096"):
-        build_rho_mixture(mid, [])
+        build_rho_mixture(PulseMixture(mid, [1.0], [(1.0, 0.0)], [1.0], None))
 
 
 def test_pulse_validation():
+    """A mixture checks its arrays once, when it is made, and keeps
+    read-only copies of them."""
     modes = three_mode_example(cutoff=2)
-    bad_norm = DiscretePulse(amplitude_alpha=1.0 + 0.0j,
-                             spectrum_F=(1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        bad_norm.validate(modes)
     s = 1.0 / math.sqrt(3.0)
-    bad_law = DiscretePulse(amplitude_alpha=1.0 + 0.0j,
-                            spectrum_F=(s, s * 1.0j, s),
-                            phase_law=("linear", 0.0, (0.0, 0.0, 0.0)))
-    with pytest.raises(ValueError):
-        bad_law.validate(modes)
-    ok = DiscretePulse(amplitude_alpha=1.0 + 0.0j, spectrum_F=(s, s, s))
-    with pytest.raises(ValueError):
-        build_rho_mixture(modes, [(ok, 0.7)])
-    with pytest.raises(ValueError):
-        build_rho_mixture(modes, [(ok, -0.5), (ok, 1.5)])
+    b0 = [(0.0, 0.0, 0.0)]
+    with pytest.raises(ValueError, match="normalized"):
+        _pulse(spectrum=(1.0, 1.0, 1.0))
+    assert _pulse(law=([0.0], b0)).law[0].tolist() == [0.0]
+    with pytest.raises(ValueError, match="linear law"):
+        _pulse(spectrum=(s, s * 1.0j, s), law=([0.0], b0))
+    with pytest.raises(ValueError, match="probabilities"):
+        _pulse(prob=0.7)
+    with pytest.raises(ValueError, match="probabilities"):
+        PulseMixture(modes, [1.0, 1.0], [_FLAT, _FLAT], [-0.5, 1.5], None)
+    for shapes in (dict(alpha=[1.0, 1.0]), dict(spectrum=(1.0, 0.0)),
+                   dict(prob=[1.0]), dict(law=([0.0, 0.0], b0)),
+                   dict(law=([0.0], [(0.0, 0.0)]))):
+        with pytest.raises(ValueError, match="N pulses"):
+            _pulse(**shapes)
+    F = np.array([_FLAT])
+    mix = PulseMixture(modes, [1.0], F, [1.0], None)
+    F[0, 0] = 2.0
+    assert mix.F[0, 0] == s
+    for arr in (mix.alpha, mix.F, mix.probs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_b_sum_positive_and_zero_mode_rule():
     modes = three_mode_example(cutoff=3)
     pulses = linear_phase_ensemble(modes, (1.0, 1.0, 0.0), 1.0, n_a=4,
                                    n_b=8)
-    assert b_coefficient_sum(modes, pulses, (1, 1, 0), (2, 0, 0)) > 0.0
-    assert b_coefficient_sum(modes, pulses, (0, 0, 1), (0, 0, 1)) == 0.0
+    assert b_coefficient_sum(pulses, (1, 1, 0), (2, 0, 0)) > 0.0
+    assert b_coefficient_sum(pulses, (0, 0, 1), (0, 0, 1)) == 0.0

@@ -78,7 +78,7 @@ def test_g2_rejects_inputs_it_cannot_estimate(ctx, thermal_family,
     "table-reach-nan", "table-reach-zero",
     "table-reach-short", "g2-reach-short", "no-k0-narrow-envelope",
     "no-k0-wide-envelope", "no-k0-table", "no-k0-transforms-direct",
-    "no-k0-pulse-extent"])
+    "no-k0-pulse-extent", "g1-n-fraction", "g2-n-strata-fraction"])
 def test_bad_geometry_rejected_before_any_work(ctx, thermal_family,
                                                matched_weights, monkeypatch,
                                                case):
@@ -131,8 +131,14 @@ def test_bad_geometry_rejected_before_any_work(ctx, thermal_family,
         "no-k0-transforms-direct": lambda: pulsekit.transforms_direct(
             wide, 1.0, 1.0),
         "no-k0-pulse-extent": lambda: pulsekit.pulse_extent(narrow),
+        "g1-n-fraction": lambda: estimate_g1_mix(fam, w, om, origin, 0.0,
+                                                 1000.5, 1),
+        "g2-n-strata-fraction": lambda: estimate_g2_mix(
+            fam, w, om, 0.0, 1000, 1, n_strata=2.5),
     }
-    with pytest.raises(ValueError):
+    names = {"g1-n-fraction": "n must be an integer",
+             "g2-n-strata-fraction": "n_strata must be an integer"}
+    with pytest.raises(ValueError, match=names.get(case)):
         calls[case]()
 
 
