@@ -28,7 +28,7 @@ import numpy as np
 
 from . import fockdis, mcfield, mixturekit, pulsekit, svgplot, thermal
 from .specfun import AccuracyError
-from .units import make_context
+from .units import check_seed, make_context
 
 # One table per experiment, plus the global one: key -> (default, help).  The
 # default's type is the setting's type, in INI files and on the command line.
@@ -491,8 +491,7 @@ def load_config(experiment: str, args: argparse.Namespace) -> dict:
 
 def _validate_config(experiment: str, cfg: dict) -> None:
     """The checks no library call makes; the library rejects the rest."""
-    if cfg["seed"] < 0:
-        raise ConfigError("seed must be nonnegative")
+    check_seed(cfg["seed"])
     for key, val in cfg.items():
         if (key.startswith("tol") or key.endswith("_tol")
                 or key.endswith("_level")) and not val > 0.0:

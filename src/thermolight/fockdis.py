@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .units import PhysicalContext, check_count
+from .units import PhysicalContext, check_count, check_seed
 
 # A mixture accumulates rho over _ROW_BLOCK pulses at a time, each block a
 # _ROW_BLOCK x dim amplitude matrix; entries below _DROP_TOL times the
@@ -69,6 +69,11 @@ class ModeSet:
             raise ValueError("n_int and lambdas must have equal length")
         if any(lam not in (-1, 1) for lam in self.lambdas):
             raise ValueError("helicities must be +-1")
+        # kept as tuples of ints, so that lists are accepted and hashable
+        object.__setattr__(self, "n_int",
+                           tuple(tuple(int(c) for c in v) for v in self.n_int))
+        object.__setattr__(self, "lambdas",
+                           tuple(int(lam) for lam in self.lambdas))
         if len(set(zip(self.n_int, self.lambdas))) != len(self.n_int):
             raise ValueError("modes must be distinct")
         if not 0.0 < self.quant_volume_V < math.inf:
@@ -358,7 +363,7 @@ def free_phase_ensemble(modes: ModeSet, magnitudes, alpha_abs: float,
     if not 0.0 <= alpha_abs < math.inf:
         raise ValueError(f"alpha_abs must be nonnegative and finite, got {alpha_abs}")
     n_samples = check_count(n_samples, "n_samples")
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    rng = np.random.Generator(np.random.Philox(key=[check_seed(seed), 0]))
     mags = _unit_magnitudes(modes, magnitudes)
     phases = 2.0 * math.pi * rng.random((n_samples, modes.n_modes + 1))
     return PulseMixture(modes, alpha_abs * np.exp(1j * phases[:, -1]),

@@ -25,7 +25,7 @@ from .pulsekit import (_DEFAULT_REACH, EnvelopeTable,  # noqa: F401
                        PulseFamily, _frame_coordinates, _table_fields,
                        check_reach, envelope_batch, tail_coefficient,
                        transforms_direct, transverse_frames)
-from .units import check_count
+from .units import check_count, check_seed
 
 # streams the uniform G1 sampler splits its draws over
 _N_STREAMS = 8
@@ -76,7 +76,7 @@ def draw_batch(omega: float, n: int, seed: int, stream: int = 0,
     sampling); x and y stay uniform over the full side.
     """
     side = omega ** (1.0 / 3.0)
-    rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
+    rng = np.random.Generator(np.random.Philox(key=[check_seed(seed), stream]))
     r0 = (rng.random((n, 3)) - 0.5) * side
     if z_range is not None:
         lo, hi = z_range
@@ -141,6 +141,7 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     G1.  Accumulation is chunked per stratum or stream.
     """
     check_sample_counts(n)
+    check_seed(seed)
     _check_amplitude(family, weights)
     if not 0.0 < omega < math.inf:
         raise ValueError(f"omega must be positive and finite, got {omega}")
@@ -242,6 +243,7 @@ def estimate_g2_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     _g2_samples).
     """
     check_sample_counts(n, n_strata)
+    check_seed(seed)
     if not 0.0 < omega < math.inf:
         raise ValueError(f"omega must be positive and finite, got {omega}")
     if not 0.0 <= R < math.inf:

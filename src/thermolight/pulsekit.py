@@ -64,7 +64,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import legder, legval
-from scipy import fft, integrate, linalg, special
+from scipy import fft, linalg, special
 
 from .specfun import ZETA3, PI4_OVER_15
 from .units import PhysicalContext, check_count
@@ -438,6 +438,9 @@ def _norm_integral(shape: tuple) -> float:
     """
     kind, ups_kind, ups_param, s, x0 = shape
     if kind == "thermal":
+        # imported here: scipy.integrate (with scipy.optimize and
+        # scipy.sparse) costs a process about 0.15 s and 19 MB to load
+        from scipy import integrate
         ups = upsilon_function(ups_kind, ups_param)
         val, err = integrate.quad(lambda mu: ups(mu) ** 2 * (1.0 + mu * mu),
                                   -1.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
@@ -1015,7 +1018,10 @@ def pulse_extent(family: PulseFamily, fraction: float = 0.99) -> float:
             return math.sqrt(special.gammaincinv(1.5, fraction)) / family.sigma
         raise NotImplementedError("extent for broad gaussian lineshapes is not needed")
     grid, prof = radial_intensity_profile(family)
-    cum = integrate.cumulative_trapezoid(grid**2 * prof, grid, initial=0.0)
+    y = grid**2 * prof
+    # the cumulative trapezoid rule, as scipy's cumulative_trapezoid sums it
+    cum = np.concatenate(
+        ([0.0], np.cumsum(np.diff(grid) * (y[1:] + y[:-1]) / 2.0)))
     total = total_intensity_integral(family) / (4.0 * math.pi * ctx.length_scale**3)
     target = fraction * total
     if cum[-1] < target:

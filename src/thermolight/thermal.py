@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .specfun import PI4_OVER_15, bose_moment
 from .units import PhysicalContext
@@ -168,6 +168,9 @@ def coherence_time(ctx: PhysicalContext) -> float:
     the cutoff at u = 200 drops 5.9e-14 of the half-width integral, about
     1.2e-13 of the result.
     """
+    # imported here: scipy.integrate (with scipy.optimize and scipy.sparse)
+    # costs a process about 0.15 s and 19 MB to load
+    from scipy import integrate
     m3 = PI4_OVER_15
 
     def f(u):

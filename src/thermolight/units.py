@@ -1,4 +1,5 @@
-"""Physical constants, the temperature context and the rule for counts.
+"""Physical constants, the temperature context and the rules for counts
+and seeds.
 
 Everything downstream works in the dimensionless wavenumber x = beta*hbar*c*k
 and the dimensionless delay u = tau/(beta*hbar).  SI values enter and leave
@@ -69,3 +70,12 @@ def check_count(n, name: str) -> int:
     if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1:
         return int(n)
     raise ValueError(f"{name} must be an integer count >= 1, got {n!r}")
+
+
+def check_seed(seed) -> int:
+    """seed as a Python int, or ValueError naming it unless it is an integer
+    in [0, 2**63) (a bool is not a seed)."""
+    if (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+            and 0 <= seed < 2**63):
+        return int(seed)
+    raise ValueError(f"seed must be an integer in [0, 2**63), got {seed!r}")

@@ -34,17 +34,37 @@ def _csv_numbers(path: Path) -> list[float]:
     return out
 
 
-def test_library_import_leaves_out_scipy_ndimage():
-    """Importing every thermolight module loads no scipy.ndimage, which
-    costs 50-80 ms at start-up; only the tests use it, as an oracle."""
+@pytest.mark.parametrize("module", ["scipy.ndimage", "scipy.integrate",
+                                    "scipy.optimize", "scipy.sparse"])
+def test_library_import_leaves_out_scipy(module):
+    """Importing every thermolight module loads none of these.  The tests
+    use scipy.ndimage as an oracle (50-80 ms at start-up); scipy.integrate,
+    which brings scipy.optimize and scipy.sparse (about 0.15 s and 19 MB),
+    is imported inside the few functions that call it."""
     code = ("import importlib, pkgutil, sys, thermolight\n"
             "for m in pkgutil.iter_modules(thermolight.__path__):\n"
             "    importlib.import_module('thermolight.' + m.name)\n"
-            "print('scipy.ndimage' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True,
                         text=True, timeout=300, env=_ENV)
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.strip() == "False", cp.stdout
+
+
+def test_fig1_and_fock_demo_run_without_integrate_or_optimize(tmp_path: Path):
+    """Neither experiment calls a quadrature or a solver, so neither loads
+    the scipy modules that those functions import."""
+    code = ("import json, sys\n"
+            "from thermolight import cli\n"
+            f"codes = [cli.main([e, '--out', {str(tmp_path)!r} + '/' + e])\n"
+            "         for e in ('fig1', 'fock-demo')]\n"
+            "print(json.dumps([codes, [m for m in ('scipy.integrate',\n"
+            "    'scipy.optimize') if m in sys.modules]]))")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                        text=True, timeout=300, env=_ENV)
+    assert cp.returncode == 0, cp.stderr
+    # fig1 exits 1 by design (test_fig1_reports_known_deviation)
+    assert json.loads(cp.stdout.splitlines()[-1]) == [[1, 0], []], cp.stdout
 
 
 def test_help_exits_zero():
@@ -219,6 +239,7 @@ def test_fock_demo_builds_each_density_matrix_once(tmp_path: Path,
     ("scaling", "--config", "[scaling]\nextent_lo = -5\n"),
     ("scaling", "--config", "[scaling]\nextent_lo = 100\n"),
     ("scaling", "--config", "[scaling]\nextent_hi = inf\n"),
+    ("fock-demo", "--seed", str(2**64)),
 ])
 def test_bad_configuration_exits_two(tmp_path: Path, args):
     """A --config argument here is the INI text; it is written to a file."""

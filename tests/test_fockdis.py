@@ -133,7 +133,9 @@ def _pulse(alpha=1.0, spectrum=_FLAT, prob=1.0, law=None):
     "fraction-free-samples", "bool-free-samples", "zero-linear-a",
     "zero-linear-b", "fraction-linear-a", "fraction-linear-b",
     "negative-alpha-abs-linear",
-    "negative-alpha-abs-free", "nan-alpha-abs-linear", "inf-alpha-abs-free"])
+    "negative-alpha-abs-free", "nan-alpha-abs-linear", "inf-alpha-abs-free",
+    "fraction-free-seed", "negative-free-seed", "bool-free-seed",
+    "huge-free-seed"])
 def test_invalid_fock_inputs_rejected(case):
     """Each of these used to give an empty rho with trace 0, NaN spectra, an
     empty ensemble, a grid whose phases no longer wrap, or numpy's
@@ -175,11 +177,22 @@ def test_invalid_fock_inputs_rejected(case):
             modes, (1.0, 2.0, 3.0), math.nan, n_a=4, n_b=8),
         "inf-alpha-abs-free": lambda: free_phase_ensemble(
             modes, (1.0, 2.0, 3.0), math.inf, 8, 1),
+        # Philox took the first three silently and raised OverflowError on
+        # the last
+        "fraction-free-seed": lambda: free_phase_ensemble(
+            modes, (1.0, 2.0, 3.0), 1.0, 8, 2.5),
+        "negative-free-seed": lambda: free_phase_ensemble(
+            modes, (1.0, 2.0, 3.0), 1.0, 8, -1),
+        "bool-free-seed": lambda: free_phase_ensemble(
+            modes, (1.0, 2.0, 3.0), 1.0, 8, True),
+        "huge-free-seed": lambda: free_phase_ensemble(
+            modes, (1.0, 2.0, 3.0), 1.0, 8, 2**64),
     }
     names = {**{c: "n_samples" for c in calls if c.endswith("free-samples")},
              **{c: "n_a" for c in calls if c.endswith("linear-a")},
              **{c: "n_b" for c in calls if c.endswith("linear-b")},
-             **{c: "alpha_abs" for c in calls if "alpha-abs" in c}}
+             **{c: "alpha_abs" for c in calls if "alpha-abs" in c},
+             **{c: "seed" for c in calls if c.endswith("free-seed")}}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=names.get(case)):
@@ -337,6 +350,15 @@ def test_mode_set_validation():
                       ("quant_volume_V", math.inf)):
         with pytest.raises(ValueError, match=name):
             ModeSet(**{**ok, name: bad})
+    # lists used to raise "unhashable type" from the distinct-modes check
+    listed = ModeSet(n_int=[[1, 0, 0], np.array([2, 0, 0])], lambdas=[1, -1],
+                     quant_volume_V=1.0, cutoff=2)
+    assert listed == ModeSet(n_int=((1, 0, 0), (2, 0, 0)), lambdas=(1, -1),
+                             quant_volume_V=1.0, cutoff=2)
+    assert type(listed.n_int[1][0]) is int and type(listed.lambdas) is tuple
+    with pytest.raises(ValueError, match="distinct"):
+        ModeSet(n_int=[[1, 0, 0], [1, 0, 0]], lambdas=[1, 1],
+                quant_volume_V=1.0, cutoff=2)
 
 
 def test_dimension_caps():

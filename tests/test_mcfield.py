@@ -28,6 +28,14 @@ def test_g1_seed_determinism(ctx, thermal_family, matched_weights):
     assert c.mean != a.mean
 
 
+def test_draws_equal_for_numpy_integer_seed(ctx):
+    om = _cube(ctx, 40.0)
+    a = mcfield.draw_batch(om, 50, 9, stream=2)
+    b = mcfield.draw_batch(om, 50, np.int64(9), stream=2)
+    for name in ("r0", "m_hat", "n_hat"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 def test_g1_uniform_path_determinism(ctx):
     fam = pulsekit.make_gaussian_family(ctx, 0.04 / ctx.length_scale,
                                         k0=8.0 / ctx.length_scale)
@@ -78,7 +86,9 @@ def test_g2_rejects_inputs_it_cannot_estimate(ctx, thermal_family,
     "table-reach-nan", "table-reach-zero",
     "table-reach-short", "g2-reach-short", "no-k0-narrow-envelope",
     "no-k0-wide-envelope", "no-k0-table", "no-k0-transforms-direct",
-    "no-k0-pulse-extent", "g1-n-fraction", "g2-n-strata-fraction"])
+    "no-k0-pulse-extent", "g1-n-fraction", "g2-n-strata-fraction",
+    "g1-seed-fraction", "g1-seed-bool", "g2-seed-negative", "g2-seed-huge",
+    "draw-seed-fraction", "draw-seed-negative"])
 def test_bad_geometry_rejected_before_any_work(ctx, thermal_family,
                                                matched_weights, monkeypatch,
                                                case):
@@ -89,6 +99,7 @@ def test_bad_geometry_rejected_before_any_work(ctx, thermal_family,
     def no_work(*args, **kwargs):
         raise AssertionError("drew labels or built a table before checking")
 
+    draw = mcfield.draw_batch
     monkeypatch.setattr(mcfield, "draw_batch", no_work)
     monkeypatch.setattr(mcfield, "_draw_shell", no_work)
     monkeypatch.setattr(pulsekit, "_build_table", no_work)
@@ -135,9 +146,19 @@ def test_bad_geometry_rejected_before_any_work(ctx, thermal_family,
                                                  1000.5, 1),
         "g2-n-strata-fraction": lambda: estimate_g2_mix(
             fam, w, om, 0.0, 1000, 1, n_strata=2.5),
+        # Philox took these silently, or raised OverflowError for 2**64
+        "g1-seed-fraction": lambda: estimate_g1_mix(fam, w, om, origin, 0.0,
+                                                    1000, 2.5),
+        "g1-seed-bool": lambda: estimate_g1_mix(fam, w, om, origin, 0.0,
+                                                1000, True),
+        "g2-seed-negative": lambda: estimate_g2_mix(fam, w, om, 0.0, 1000, -1),
+        "g2-seed-huge": lambda: estimate_g2_mix(fam, w, om, 0.0, 1000, 2**64),
+        "draw-seed-fraction": lambda: draw(om, 100, 2.5),
+        "draw-seed-negative": lambda: draw(om, 100, -1, stream=3),
     }
     names = {"g1-n-fraction": "n must be an integer",
-             "g2-n-strata-fraction": "n_strata must be an integer"}
+             "g2-n-strata-fraction": "n_strata must be an integer",
+             **{c: "seed must be an integer" for c in calls if "seed" in c}}
     with pytest.raises(ValueError, match=names.get(case)):
         calls[case]()
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy import ndimage, special
+from scipy import integrate, ndimage, special
 
 from oracles import mu_integral
 from thermolight import pulsekit
@@ -668,7 +668,7 @@ def test_envelope_batch_second_call_reuses_norm_and_table(ctx, monkeypatch):
     def no_quad(*args, **kwargs):
         raise AssertionError("integrate.quad ran on a second call")
 
-    monkeypatch.setattr(pulsekit.integrate, "quad", no_quad)
+    monkeypatch.setattr(integrate, "quad", no_quad)
     second = envelope_batch(fam, m_hats, n_hats, d, reach=2.0)
     np.testing.assert_array_equal(first, second)
     assert all(key in pulsekit._memo for key in tables)
@@ -698,6 +698,24 @@ def test_pulse_extent_frozen_quantiles(thermal_family, ctx):
     for frac, units in frozen.items():
         got = pulse_extent(thermal_family, frac) / ctx.length_scale
         assert math.isclose(got, units, rel_tol=2e-3), (frac, got)
+
+
+def test_pulse_extent_cumsum_is_scipy_trapezoid(thermal_family, monkeypatch):
+    """pulse_extent's cumulative trapezoid over the default radial profile
+    equals scipy's cumulative_trapezoid (oracle) bit for bit."""
+    interp, seen = np.interp, []
+
+    def spy(x, xp, fp, *args, **kwargs):
+        seen.append(xp)
+        return interp(x, xp, fp, *args, **kwargs)
+
+    monkeypatch.setattr(pulsekit.np, "interp", spy)
+    pulse_extent(thermal_family, 0.99)
+    monkeypatch.undo()
+    grid, prof = pulsekit.radial_intensity_profile(thermal_family)
+    want = integrate.cumulative_trapezoid(grid**2 * prof, grid, initial=0.0)
+    assert len(seen) == 1 and seen[0].shape == grid.shape == (3000,)
+    np.testing.assert_array_equal(seen[0], want)
 
 
 def test_pulse_extent_meters(thermal_family):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermolight.units import make_context
+from thermolight.units import check_seed, make_context
 
 
 def test_context_scales_at_5777K(ctx):
@@ -29,3 +29,11 @@ def test_length_scale_inverse_in_temperature():
 def test_invalid_temperature_rejected(bad):
     with pytest.raises(ValueError):
         make_context(bad)
+
+
+def test_check_seed_accepts_integers_in_range():
+    """The invalid seeds are in the fockdis and mcfield input tables."""
+    assert check_seed(0) == 0 and check_seed(2**63 - 1) == 2**63 - 1
+    assert type(check_seed(np.uint64(7))) is int
+    with pytest.raises(ValueError, match="seed"):
+        check_seed(2**63)
