@@ -16,9 +16,10 @@ p |alpha|^2 equals matched_product(ctx).  The position integral collapses
 the double k-integral onto the diagonal, leaving a radial transform times
 an orientation average.  The average over the polarization angle Psi and the
 azimuth of m_hat is closed-form, <1 - n_z^2> = (1 + mu^2)/2, while the
-integral over mu = cos(theta) of m_hat is Gauss-Legendre quadrature; the
-normalization integrates the same upsilon^2 (1 + mu^2) adaptively, so the
-cancellation of the directional profile upsilon between the two is a
+integral over mu = cos(theta) of m_hat is Gauss-Legendre quadrature
+(_angular_trace); the normalization takes the same integral of
+upsilon^2 (1 + mu^2) in closed form (pulsekit.upsilon_norm_integral), so
+the cancellation of the directional profile upsilon between the two is a
 numerical outcome (to about 1e-13), not an identity wired in.
 """
 

@@ -67,6 +67,29 @@ def test_fig1_and_fock_demo_run_without_integrate_or_optimize(tmp_path: Path):
     assert json.loads(cp.stdout.splitlines()[-1]) == [[1, 0], []], cp.stdout
 
 
+def test_table_path_runs_without_integrate_optimize_or_sparse():
+    """The table path normalizes its family in closed form: a pulse extent
+    and both estimators load none of the modules scipy.integrate brings.
+    A subprocess, as pytest's own filterwarnings loads scipy.integrate."""
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from thermolight import mcfield, mixturekit, pulsekit\n"
+            "from thermolight.units import make_context\n"
+            "ctx = make_context(5777.0)\n"
+            "fam = pulsekit.make_thermal_family(ctx)\n"
+            "w = mixturekit.make_matched_improper_weights(ctx)\n"
+            "R = pulsekit.pulse_extent(fam, 0.99)\n"
+            "om = (40.0 * ctx.length_scale) ** 3\n"
+            "mcfield.estimate_g1_mix(fam, w, om, np.zeros(3), 0.0, 2000, seed=1)\n"
+            "mcfield.estimate_g2_mix(fam, w, om, R, 2000, 1)\n"
+            "print([m for m in ('scipy.integrate', 'scipy.optimize',\n"
+            "    'scipy.sparse') if m in sys.modules])")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                        text=True, timeout=300, env=_ENV)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[-1] == "[]", cp.stdout
+
+
 def test_help_exits_zero():
     cp = run_cli("--help")
     assert cp.returncode == 0, cp.stderr

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -637,13 +638,16 @@ def test_envelope_batch_rejects_bad_input(ctx, monkeypatch, kind, case):
 
 @pytest.mark.parametrize("shape, want_N, want_pref", [
     ("thermal", 4.111382758552278e-10, 28131.178700295j),
-    ("power", 1.1631053013433924e-10, 7958.2770568588j),
+    ("power", 1.1631053013433926e-10, 7958.277056858802j),
     ("gaussian", 5.85659205708422e-17, 10109.595516628182j),
     ("narrow-gaussian", 6.549832995097432e-16, 113062.61668303206j),
 ])
 def test_norm_frozen(ctx, shape, want_N, want_pref):
-    """norm_N and the envelope prefactor, bit for bit as recorded before the
-    normalization integral was cached per shape."""
+    """norm_N and the envelope prefactor, bit for bit.  The thermal and
+    gaussian rows are as recorded before the normalization integral was
+    cached per shape; the power row is norm_N from the exactly rounded J
+    (test_thermal_norm_integral_against_mpmath), 1 ulp above the value
+    adaptive quadrature gave."""
     fam = {"thermal": lambda: pulsekit.make_thermal_family(ctx),
            "power": lambda: pulsekit.make_thermal_family(
                ctx, upsilon_kind="power", upsilon_param=2.0),
@@ -654,9 +658,9 @@ def test_norm_frozen(ctx, shape, want_N, want_pref):
         assert fam.envelope_prefactor() == want_pref
 
 
-def test_envelope_batch_second_call_reuses_norm_and_table(ctx, monkeypatch):
-    """A second call on a shape runs no quadrature for the normalization,
-    and that cache takes no slot of the table memo."""
+def test_envelope_batch_second_call_reuses_norm_and_table(ctx):
+    """A second call on a shape computes no normalization integral, and
+    that cache takes no slot of the table memo."""
     fam = pulsekit.make_thermal_family(ctx, upsilon_kind="power",
                                        upsilon_param=3.0)
     m_hats, n_hats = _frames([0.1, 0.2, 0.9], 0.4, 3)
@@ -664,14 +668,48 @@ def test_envelope_batch_second_call_reuses_norm_and_table(ctx, monkeypatch):
         * ctx.length_scale
     first = envelope_batch(fam, m_hats, n_hats, d, reach=2.0)
     tables = [key for key in pulsekit._memo if key[0] == "table"]
-
-    def no_quad(*args, **kwargs):
-        raise AssertionError("integrate.quad ran on a second call")
-
-    monkeypatch.setattr(integrate, "quad", no_quad)
+    misses = pulsekit._norm_integral.cache_info().misses
     second = envelope_batch(fam, m_hats, n_hats, d, reach=2.0)
     np.testing.assert_array_equal(first, second)
+    assert pulsekit._norm_integral.cache_info().misses == misses
     assert all(key in pulsekit._memo for key in tables)
+
+
+def _mp_norm_integral(kind, param):
+    """J = int upsilon^2 (1 + mu^2) dmu by mpmath quadrature at 40 digits,
+    split at 1 - 10^-k down to about 1e-3 of the profile's width 1/param."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(param)
+        if kind == "exp":
+            def f(mu):
+                return mpmath.exp(2 * p * (mu - 1)) * (1 + mu * mu)
+        else:
+            def f(mu):
+                return ((1 + mu) / 2) ** (2 * p) * (1 + mu * mu)
+        cuts = [1 - mpmath.mpf(10) ** -k for k in range(1, 12)
+                if 10.0 ** -k > 1e-3 / param]
+        return mpmath.quad(f, [-1, 0] + cuts + [1])
+
+
+@pytest.mark.parametrize("kind, param", [
+    *(("exp", k) for k in (1e-8, 1e-3, 0.3, 3.0, 20.0, 1e4, 1e8)),
+    *(("power", q) for q in (1e-6, 2.0, 40.0, 1e6)),
+])
+def test_thermal_norm_integral_against_mpmath(kind, param):
+    """The closed-form J over the whole range of both profiles: from nearly
+    flat to a peak narrower than 1e-6 in mu, where adaptive quadrature
+    returned 1.6e-21 for kappa = 1e4 (exact about 1e-4)."""
+    shape = ("thermal", kind, param, None, None)
+    want = _mp_norm_integral(kind, param)
+    assert abs(pulsekit._norm_integral(shape) - want) <= 1e-14 * want
+
+
+def test_norm_finite_for_narrow_profiles(ctx):
+    """kappa = 1e6 and q = 1e6: adaptive quadrature raised
+    ZeroDivisionError here."""
+    for kind in ("exp", "power"):
+        norm = pulsekit.make_thermal_family(ctx, kind, 1e6).norm_N()
+        assert math.isfinite(norm) and norm > 0.0, kind
 
 
 def test_upsilon_validation():
