@@ -152,10 +152,7 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     scale = _density_scale(weights, omega)
     side = omega ** (1.0 / 3.0)
     support = _DEFAULT_REACH * ctx.length_scale
-    stratified = (family.kind == "thermal"
-                  and float(np.max(np.abs(r))) + support <= side / 2.0)
-
-    if not stratified:
+    if float(np.max(np.abs(r))) + support > side / 2.0:
         per = _split_counts(n, _N_STREAMS)
         tot = 0.0 + 0.0j
         m2 = 0.0
@@ -250,9 +247,6 @@ def estimate_g2_mix(family: PulseFamily, weights: WeightSpec, omega: float,
         raise ValueError(f"R must be nonnegative and finite, got {R}")
     if reach is not None:
         check_reach(reach)
-    if family.kind != "thermal":
-        raise ValueError(f"estimate_g2_mix supports the thermal kind only, "
-                         f"not {family.kind!r}")
     _check_amplitude(family, weights)
     ctx = family.ctx
     side = omega ** (1.0 / 3.0)

@@ -10,17 +10,21 @@ Two mixture normalizations appear throughout:
     calV = 1/(8 pi^2 p_const), so the label integral equals 1/calV per the
     mixture's bookkeeping convention.
 
-For the occupation-matched (thermal-kind) family the improper mixture
-reproduces the blackbody first-order function exactly when the product
-p |alpha|^2 equals matched_product(ctx).  The position integral collapses
-the double k-integral onto the diagonal, leaving a radial transform times
-an orientation average.  The average over the polarization angle Psi and the
-azimuth of m_hat is closed-form, <1 - n_z^2> = (1 + mu^2)/2, while the
-integral over mu = cos(theta) of m_hat is Gauss-Legendre quadrature
-(_angular_trace); the normalization takes the same integral of
-upsilon^2 (1 + mu^2) in closed form (pulsekit.upsilon_norm_integral), so
-the cancellation of the directional profile upsilon between the two is a
-numerical outcome (to about 1e-13), not an identity wired in.
+For the occupation-matched pulse family the improper mixture reproduces
+the blackbody first-order function exactly when the product p |alpha|^2
+equals matched_product(ctx).  The position integral collapses the double
+k-integral onto the diagonal, leaving a radial transform times an
+orientation average.  The average over the polarization angle Psi and the
+azimuth of m_hat is closed-form, <1 - n_z^2> = (1 + mu^2)/2, and what is
+left of the integral over mu = cos(theta) of m_hat (_angular_trace) is the
+integral J of upsilon^2 (1 + mu^2) that also normalizes the family.  Both
+take J in closed form from pulsekit.upsilon_norm_integral, so the
+directional profile upsilon cancels between them to rounding, for every
+profile.
+
+Gaussian-lineshape pulses live only here, on the spectral side: the weight
+solver asks how well such pulses can mimic the blackbody spectrum, and
+g1_improper_gaussian gives the first-order function of the mixture it finds.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import pulsekit
-from .pulsekit import PulseFamily, _gauss_legendre, gaussian_angular_kernel
+from .pulsekit import PulseFamily, _gauss_legendre, upsilon_norm_integral
 from .specfun import ZETA3, bose_moment
 from .thermal import g1_temporal
 from .units import PhysicalContext
@@ -45,6 +49,10 @@ _LABEL_MEASURE = 8.0 * math.pi**2  # int dm_hat dPsi = 4pi * 2pi
 _SPECTRAL_X_MAX = 25.0
 _FIT_GRID = np.geomspace(0.01, 20.0, 200)
 _FIT_GRID.flags.writeable = False
+
+# gaussian_angular_kernel sums its 48-node rule over _KERNEL_BLOCK small-a
+# entries at a time, so each temporary holds 96 kB.
+_KERNEL_BLOCK = 256
 
 
 def matched_product(ctx: PhysicalContext) -> float:
@@ -134,10 +142,19 @@ def _angular_trace(family: PulseFamily) -> float:
     The propagation direction of the surviving wave is pinned to z_hat by
     the position integral.  Averaging |z_hat x n_hat|^2 = 1 - n_z^2 over Psi
     and the azimuth of m_hat gives (1 + mu^2)/2, which leaves
-    2 pi^2 int upsilon^2(mu) (1 + mu^2) dmu, done by Gauss-Legendre in mu.
+    2 pi^2 int upsilon^2(mu) (1 + mu^2) dmu = 2 pi^2 J.
     """
-    mu, w = _gauss_legendre(200)
-    return 2.0 * math.pi**2 * float(np.sum(w * family.upsilon(mu) ** 2 * (1.0 + mu * mu)))
+    return 2.0 * math.pi**2 * upsilon_norm_integral(family.upsilon_kind,
+                                                     family.upsilon_param)
+
+
+def _improper_delays(ctx: PhysicalContext, weights: WeightSpec,
+                     tau: float | np.ndarray) -> np.ndarray:
+    """tau [s] in units of beta hbar, once weights pass as TraceImproper."""
+    if weights.kind != "TraceImproper":
+        raise ValueError("an improper mixture requires TraceImproper weights")
+    weights.validate()
+    return np.asarray(tau, float) / ctx.time_scale
 
 
 def g1_improper(family: PulseFamily, weights: WeightSpec,
@@ -147,47 +164,56 @@ def g1_improper(family: PulseFamily, weights: WeightSpec,
 
     tau is a number or an array; the result is complex or a complex array of
     the same shape.  The all-space position integral forces k' = k, after
-    which the label average factorizes into the numeric orientation trace and
-    a radial occupation transform; the result is linear in p_const * alpha_sq.
+    which the label average factorizes into the orientation trace and a
+    radial occupation transform; the result is linear in p_const * alpha_sq.
     """
-    if weights.kind != "TraceImproper":
-        raise ValueError("g1_improper requires TraceImproper weights")
-    weights.validate()
     ctx = family.ctx
-    u = np.asarray(tau, float) / ctx.time_scale
+    u = _improper_delays(ctx, weights, tau)
     pa2 = weights.p_const * weights.alpha_sq
-    if family.kind == "thermal":
-        tr_ang = _angular_trace(family)
-        n_sq = family.norm_N() ** 2
-        pref = (pa2 * n_sq * (2.0 * math.pi) ** 3 * 4.0 * math.pi
-                * ctx.hbar * ctx.c / (16.0 * math.pi**3 * ctx.epsilon0)
-                * (tr_ang / 3.0) / ctx.length_scale**4)
-        out = pref * bose_moment(3, u)
-    elif family.kind == "gaussian":
-        if weights.k0_grid is None or weights.p_of_k0 is None:
-            raise ValueError("gaussian kind needs k0_grid and p_of_k0 masses")
-        dens, x = _gaussian_spectral_density(family, weights)
-        du = x[1] - x[0]
-        out = (np.sum(dens * np.exp(-1j * x * u[..., None]), axis=-1) * du
-               * ctx.hbar * ctx.c / (ctx.epsilon0 * ctx.length_scale**4))
-    else:
-        raise ValueError(f"unknown family kind {family.kind!r}")
+    tr_ang = _angular_trace(family)
+    n_sq = family.norm_N() ** 2
+    pref = (pa2 * n_sq * (2.0 * math.pi) ** 3 * 4.0 * math.pi
+            * ctx.hbar * ctx.c / (16.0 * math.pi**3 * ctx.epsilon0)
+            * (tr_ang / 3.0) / ctx.length_scale**4)
+    out = pref * bose_moment(3, u)
     return out if np.ndim(out) else complex(out)
 
 
-def _gaussian_spectral_density(family: PulseFamily, weights: WeightSpec
+def g1_improper_gaussian(ctx: PhysicalContext, sigma: float,
+                         weights: WeightSpec, tau: float | np.ndarray
+                         ) -> complex | np.ndarray:
+    """g1_improper for a mixture of gaussian-lineshape pulses of width
+    sigma [1/m], whose carriers k0 hold the node masses weights.p_of_k0 on
+    weights.k0_grid (see gaussian_weights_to_spec).
+
+    A sigma that is not positive and finite raises ValueError.
+    """
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    u = _improper_delays(ctx, weights, tau)
+    if weights.k0_grid is None or weights.p_of_k0 is None:
+        raise ValueError("a gaussian mixture needs k0_grid and p_of_k0 masses")
+    dens, x = _gaussian_spectral_density(ctx, sigma * ctx.length_scale, weights)
+    du = x[1] - x[0]
+    out = (np.sum(dens * np.exp(-1j * x * u[..., None]), axis=-1) * du
+           * ctx.hbar * ctx.c / (ctx.epsilon0 * ctx.length_scale**4))
+    return out if np.ndim(out) else complex(out)
+
+
+def _gaussian_spectral_density(ctx: PhysicalContext, s: float,
+                               weights: WeightSpec
                                ) -> tuple[np.ndarray, np.ndarray]:
-    """Mixture spectral density (dimensionless) on a uniform x grid.
+    """Mixture spectral density (dimensionless) on a uniform x grid, for
+    the lineshape width s = sigma beta hbar c.
 
     Returns (density, x) with G1_imp(tau) = (hbar c / eps0 (bhc)^4) *
     int density(x) e^{-i x u} dx; the same kernel feeds the weight solver.
-    The step must resolve the kernel columns, whose width is sigma_x.
+    The step must resolve the kernel columns, whose width is s.
     """
-    ctx = family.ctx
-    dx = min(0.01, family.sigma_x() / 4.0)
+    dx = min(0.01, s / 4.0)
     x = np.arange(dx, _SPECTRAL_X_MAX, dx)
     x0 = np.asarray(weights.k0_grid, float) * ctx.length_scale
-    M = _weight_kernel(x, x0, family.sigma_x())
+    M = _weight_kernel(x, x0, s)
     masses = np.asarray(weights.p_of_k0, float) * weights.alpha_sq \
         * ctx.length_scale**3
     return M @ masses, x
@@ -220,6 +246,33 @@ def simulation_residual(family: PulseFamily, weights: WeightSpec,
 
 # ---------------------------------------------------------------------------
 # gaussian-lineshape weight solver
+
+
+def gaussian_angular_kernel(x: np.ndarray, xc: np.ndarray, s: float) -> np.ndarray:
+    """Phi[x, xc] = int_{-1}^{1} (1+mu^2) exp(-(x^2+xc^2-2 x xc mu)/s^2) dmu,
+    for carriers xc = k0 beta hbar c.
+
+    Evaluated in factored form exp(-(x-xc)^2/s^2) * e^{-a} * raw(a) with
+    a = 2 x xc / s^2, which stays finite for arbitrarily small s.
+    """
+    X, XC = np.meshgrid(np.asarray(x, float), np.asarray(xc, float), indexing="ij")
+    a = 2.0 * X * XC / (s * s)
+    out = np.empty_like(a)
+    big = a >= 0.5
+    ab = a[big]
+    sh = 1.0 - np.exp(-2.0 * ab)
+    ch = 1.0 + np.exp(-2.0 * ab)
+    out[big] = sh / ab + ((ab * ab + 2.0) * sh - 2.0 * ab * ch) / ab**3
+    if np.any(~big):
+        xg, wg = _gauss_legendre(48)
+        asm = a[~big]
+        raw = np.empty_like(asm)
+        for lo in range(0, asm.size, _KERNEL_BLOCK):
+            ab = asm[lo:lo + _KERNEL_BLOCK, None]
+            raw[lo:lo + _KERNEL_BLOCK] = np.sum(
+                wg * (1.0 + xg**2) * np.exp(ab * xg), axis=1)
+        out[~big] = np.exp(-asm) * raw
+    return np.exp(-(X - XC) ** 2 / (s * s)) * out
 
 
 def _weight_kernel(x: np.ndarray, x0: np.ndarray, s: float) -> np.ndarray:
@@ -282,7 +335,7 @@ def solve_gaussian_weights(ctx: PhysicalContext, sigma: float) -> GaussianWeight
 
 def gaussian_weights_to_spec(ctx: PhysicalContext, fit: GaussianWeightFit,
                              alpha_sq: float = 1.0) -> WeightSpec:
-    """Package solver masses as TraceImproper weights for g1_improper.
+    """Package solver masses as TraceImproper weights for g1_improper_gaussian.
 
     The solver works with the dimensionless combination
     w = p(k0) |alpha|^2 (beta hbar c)^3 dk0-mass; undoing it gives the

@@ -2,15 +2,14 @@
 
 A pulse is labeled by a propagation direction m_hat, a transverse vector
 n_hat (polarization reference, perpendicular to m_hat) and a nominal
-position r0; a Gaussian-lineshape family also fixes a central wavenumber k0
-for all its pulses.  Its momentum-space kernel is
+position r0.  A family has the occupation-matched radial lineshape and a
+directional profile upsilon; its momentum-space kernel is
 
     K = N * radial(k) * upsilon(k_hat . m_hat) * (e*_{k,lambda} . (k x n_hat))
 
-where radial(k) is either exp(-|k - k0 m_hat|^2 / 2 sigma^2) (Gaussian kind,
-with upsilon absent) or 1/(k sqrt(e^{beta hbar c k} - 1)) with an explicit
-directional profile upsilon (thermal kind).  Since k x n_hat is already
-transverse, summing over helicities just reproduces it, and the envelope is
+with radial(k) = 1/(k sqrt(e^{beta hbar c k} - 1)).  Since k x n_hat is
+already transverse, summing over helicities just reproduces it, and the
+envelope is
 
     E(r,t) = i N alpha int d3k sqrt(hbar c k / 16 pi^3 eps0)
              (k x n_hat) radial upsilon e^{i k.(r-r0) - i c k t}.
@@ -49,9 +48,8 @@ axis, at the grid edges, and for a delayed table, its grid against the
 former FFT-then-Hankel order, its coefficients against scipy's
 spline_filter, and the lookup against scipy's map_coordinates.
 
-The one other branch of envelope_batch is the closed form of a narrow
-Gaussian lineshape (sigma beta hbar c < 0.05), whose 99% radius exceeds 47
-length scales (60 at 0.04): no affordable table reaches that far.
+Gaussian lineshapes appear only on the spectral side, in mixturekit's
+weight fit; no position-space field is built from them.
 """
 
 from __future__ import annotations
@@ -108,15 +106,13 @@ _PARITY = np.array([1.0, 1.0, -1.0, -1.0])
 # channels then holds 2 MB.
 _LOOKUP_BLOCK = 4096
 
-# gaussian_angular_kernel sums its 48-node rule over _KERNEL_BLOCK small-a
-# entries at a time, so each temporary holds 96 kB.
-_KERNEL_BLOCK = 256
-
-# Gauss-Legendre nodes of the gaussian-kind radial normalization.
-_RADIAL_NODES = 600
-
-# Half-width, in sigma, of the gaussian kind's radial band.
-_GAUSS_BAND = 10.0
+# The band of x = beta hbar c k the transforms integrate over, [0, _X_MAX]:
+# the weight x^{5/2}/sqrt(e^x - 1) at 40 is 4.5e-6 of its peak (at x = 5).
+# A table's b = x mu starts at _B_FLOOR.  The default profile weighs mu < 0
+# by at most e^{-20}, but a broad one loses its backward lobe there: the
+# power profile with q = 2 reads 1.4e-3 of the peak off at (P, Z) = (0, 0.5).
+_X_MAX = 40.0
+_B_FLOOR = -8.0
 
 # Largest |Delta| (dimensionless) of the default envelope table.  Envelopes
 # beyond it read as zero, so samplers that skip draws there use it too.
@@ -131,9 +127,6 @@ _FRAME_TOL = 1e-12
 # the 3000-node rule of transforms_direct's far ring still takes about 0.3 s,
 # as long as the quadrature itself.
 _NODE_CACHE_SIZE = 32
-
-# Family shapes whose normalization integral is kept (a float each).
-_NORM_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=_NODE_CACHE_SIZE)
@@ -370,73 +363,44 @@ def _bspline_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PulseFamily:
-    """A normalized family of coherent pulses sharing one spectral shape.
-
-    kind 'thermal': radial lineshape 1/(k sqrt(e^x - 1)) with directional
-    profile upsilon.  kind 'gaussian': lineshape exp(-|k - k0 m_hat|^2/2
-    sigma^2).  Its k0 may be None for spectral-side use (mixturekit reads
-    only sigma), but every position-space quantity needs it; x0() is where
-    its absence raises.
+    """A normalized family of coherent pulses sharing one spectral shape:
+    the radial lineshape 1/(k sqrt(e^x - 1)) with directional profile
+    upsilon (see upsilon_function).
 
     Envelope tables, the radial intensity profile (before its SI factor) and
     the tail coefficient depend only on `shape`, so families at different
     temperatures or amplitudes share them.
     """
 
-    kind: str
     ctx: PhysicalContext
     alpha: complex
-    sigma: float | None = None              # 1/m, gaussian kind
-    upsilon_kind: str | None = None         # thermal kind
-    upsilon_param: float | None = None
-    k0: float | None = None                 # 1/m, gaussian kind
+    upsilon_kind: str
+    upsilon_param: float
 
     @property
     def shape(self) -> tuple:
-        """Dimensionless spectral shape, free of T and alpha: (kind, upsilon
-        kind and parameter, sigma and k0 times beta hbar c).  The memo keys
-        on it, so a gaussian family without k0 raises here, before any work."""
-        if self.kind == "gaussian":
-            return (self.kind, None, None, self.sigma_x(), self.x0())
-        return (self.kind, self.upsilon_kind, self.upsilon_param, None, None)
-
-    # -- spectral weights (dimensionless) ------------------------------
+        """Dimensionless spectral shape, free of T and alpha: the upsilon
+        kind and parameter.  The memo keys on it."""
+        return (self.upsilon_kind, self.upsilon_param)
 
     def upsilon(self, mu):
         return upsilon_function(self.upsilon_kind, self.upsilon_param)(mu)
 
-    def sigma_x(self) -> float:
-        """sigma in dimensionless units."""
-        return self.sigma * self.ctx.length_scale
-
-    def x0(self) -> float:
-        """k0 in dimensionless units; ValueError for a family without k0."""
-        if self.k0 is None:
-            raise ValueError("a gaussian family needs k0 for position-space work")
-        return self.k0 * self.ctx.length_scale
-
     def norm_N(self) -> float:
-        """Normalization constant N (SI, m^{3/2}) making sum_lambda int |K|^2 = 1."""
+        """Normalization constant N (SI, m^{3/2}) making sum_lambda int |K|^2 = 1:
+        the radial integral is 2 zeta(3) and the angular one pi J, with J from
+        upsilon_norm_integral."""
         bhc = self.ctx.length_scale
-        if self.kind == "thermal":
-            J = _norm_integral(self.shape)
-            return math.sqrt(bhc**3 / (2.0 * ZETA3 * math.pi * J))
-        if self.kind == "gaussian":
-            # the gaussian amplitude carries an extra factor k, so the
-            # squared-norm integral scales as (beta hbar c)^{-5}
-            return math.sqrt(bhc**5 / _norm_integral(self.shape))
-        raise ValueError(f"unknown family kind {self.kind!r}")
+        J = upsilon_norm_integral(self.upsilon_kind, self.upsilon_param)
+        return math.sqrt(bhc**3 / (2.0 * ZETA3 * math.pi * J))
 
     def envelope_prefactor(self) -> complex:
-        """i N alpha sqrt(hbar c / 16 pi^3 eps0) (beta hbar c)^p, SI V/m.
-
-        p is -3.5 for the thermal weight x^{5/2}/sqrt(e^x-1) and -4.5 for
-        the gaussian weight x^{7/2} L(x), matching the dimensionless tables.
+        """i N alpha sqrt(hbar c / 16 pi^3 eps0) (beta hbar c)^{-7/2}, SI V/m,
+        matching the dimensionless tables of the weight x^{5/2}/sqrt(e^x-1).
         """
         ctx = self.ctx
         base = 1j * self.alpha * math.sqrt(ctx.hbar * ctx.c / (_SIXTEEN_PI3 * ctx.epsilon0))
-        p = -3.5 if self.kind == "thermal" else -4.5
-        return base * self.norm_N() * ctx.length_scale ** p
+        return base * self.norm_N() * ctx.length_scale ** -3.5
 
     # -- envelope tables ------------------------------------------------
 
@@ -448,24 +412,6 @@ class PulseFamily:
         check_reach(reach)
         return _memoized(("table", self.shape, u_delay, reach),
                          lambda: _build_table(self, u_delay, reach))
-
-
-@functools.lru_cache(maxsize=_NORM_CACHE_SIZE)
-def _norm_integral(shape: tuple) -> float:
-    """The dimensionless integral under norm_N, once per family shape.
-
-    Thermal kind: J = int_{-1}^{1} upsilon(mu)^2 (1 + mu^2) dmu, in closed
-    form (upsilon_norm_integral).  Gaussian kind: pi int x^4 Phi(x, x0) dx
-    over _support's band, by the _RADIAL_NODES-point rule.  norm_N applies
-    the temperature.
-    """
-    kind, ups_kind, ups_param, s, x0 = shape
-    if kind == "thermal":
-        return upsilon_norm_integral(ups_kind, ups_param)
-    xg, wg = _gauss_legendre(_RADIAL_NODES, max(0.0, x0 - _GAUSS_BAND * s),
-                             x0 + _GAUSS_BAND * s)
-    phi = gaussian_angular_kernel(xg, np.array([x0]), s)[:, 0]
-    return math.pi * float(np.sum(wg * xg**4 * phi))
 
 
 def check_reach(reach: float) -> None:
@@ -490,21 +436,8 @@ def make_thermal_family(ctx: PhysicalContext, upsilon_kind: str = "exp",
     J = int upsilon^2 (1 + mu^2) dmu.
     """
     upsilon_function(upsilon_kind, upsilon_param)  # validate early
-    return PulseFamily(kind="thermal", ctx=ctx, alpha=complex(alpha),
-                       upsilon_kind=upsilon_kind, upsilon_param=float(upsilon_param))
-
-
-def make_gaussian_family(ctx: PhysicalContext, sigma: float,
-                         alpha: complex = 1.0 + 0.0j,
-                         k0: float | None = None) -> PulseFamily:
-    """Family of Gaussian-lineshape pulses with width sigma and central
-    wavenumber k0 [1/m].  k0 may stay None for spectral-side use only."""
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    if k0 is not None and not 0.0 < k0 < math.inf:
-        raise ValueError(f"k0 must be positive and finite, got {k0}")
-    return PulseFamily(kind="gaussian", ctx=ctx, alpha=complex(alpha),
-                       sigma=float(sigma), k0=None if k0 is None else float(k0))
+    return PulseFamily(ctx=ctx, alpha=complex(alpha), upsilon_kind=upsilon_kind,
+                       upsilon_param=float(upsilon_param))
 
 
 # ---------------------------------------------------------------------------
@@ -520,51 +453,10 @@ def thermal_radial_weight(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gaussian_angular_kernel(x: np.ndarray, xc: np.ndarray, s: float) -> np.ndarray:
-    """Phi[x, xc] = int_{-1}^{1} (1+mu^2) exp(-(x^2+xc^2-2 x xc mu)/s^2) dmu,
-    for carriers xc = k0 beta hbar c.
-
-    Evaluated in factored form exp(-(x-xc)^2/s^2) * e^{-a} * raw(a) with
-    a = 2 x xc / s^2, which stays finite for arbitrarily small s.
-    """
-    X, XC = np.meshgrid(np.asarray(x, float), np.asarray(xc, float), indexing="ij")
-    a = 2.0 * X * XC / (s * s)
-    out = np.empty_like(a)
-    big = a >= 0.5
-    ab = a[big]
-    sh = 1.0 - np.exp(-2.0 * ab)
-    ch = 1.0 + np.exp(-2.0 * ab)
-    out[big] = sh / ab + ((ab * ab + 2.0) * sh - 2.0 * ab * ch) / ab**3
-    if np.any(~big):
-        xg, wg = _gauss_legendre(48)
-        asm = a[~big]
-        raw = np.empty_like(asm)
-        for lo in range(0, asm.size, _KERNEL_BLOCK):
-            ab = asm[lo:lo + _KERNEL_BLOCK, None]
-            raw[lo:lo + _KERNEL_BLOCK] = np.sum(
-                wg * (1.0 + xg**2) * np.exp(ab * xg), axis=1)
-        out[~big] = np.exp(-asm) * raw
-    return np.exp(-(X - XC) ** 2 / (s * s)) * out
-
-
 def _spectral_weight(family: PulseFamily, x: np.ndarray, mu: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
     """w(x, mu) of T_y and T_z, written into out if given."""
-    if family.kind == "thermal":
-        return np.multiply(thermal_radial_weight(x), family.upsilon(mu), out=out)
-    s, x0 = family.sigma_x(), family.x0()
-    return np.multiply(x**3.5, np.exp(-(x**2 + x0**2 - 2.0 * x * x0 * mu)
-                                      / (2.0 * s * s)), out=out)
-
-
-def _support(family: PulseFamily) -> tuple[float, float]:
-    """Band (lo, hi) outside which w is negligible: [0, 40] for the thermal
-    kind, x0 -+ _GAUSS_BAND sigma for the gaussian kind.  Ranges of x clip
-    lo at 0; the table's range of b = x mu takes it as it stands."""
-    if family.kind == "thermal":
-        return 0.0, 40.0
-    s, x0 = family.sigma_x(), family.x0()
-    return x0 - _GAUSS_BAND * s, x0 + _GAUSS_BAND * s
+    return np.multiply(thermal_radial_weight(x), family.upsilon(mu), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -611,18 +503,9 @@ def _grid(family: PulseFamily, u_delay: float, reach: float
     nine angles each) T_y is 0.4-3% off at 8 and 1-10% off at 14, most along
     the axis and at Z = 0, while T_z stays within 0.2% away from the axis.
     """
-    xlo, xhi = _support(family)
     da = db = 0.025
-    bfloor = -8.0
-    if family.kind == "gaussian":
-        s = family.sigma_x()
-        da = db = min(0.025, s / 4.0)
-        bfloor = -4.0 * s
-    amax = min(40.0, xhi)
-    bmin, bmax = min(bfloor, xlo), xhi
-
-    a = np.arange(0.0, amax + da / 2, da)
-    b = np.arange(bmin, bmax + db / 2, db)
+    a = np.arange(0.0, _X_MAX + da / 2, da)
+    b = np.arange(_B_FLOOR, _X_MAX + db / 2, db)
     wa = np.full_like(a, da)
     wa[0] *= 0.5
     wa[-1] *= 0.5
@@ -791,13 +674,12 @@ def transforms_direct(family: PulseFamily, P: float, Z: float,
     exactly zero.
     """
     dist = math.hypot(P, Z)
-    xlo, xhi = _support(family)
     if nx is None:
         nx = int(max(300, 12 * dist))
     if nmu is None:
         nmu = int(max(1600, 24 * dist))
     nx, nmu = check_count(nx, "nx"), check_count(nmu, "nmu")
-    x, xw = _gauss_legendre(nx, max(0.0, xlo), xhi)
+    x, xw = _gauss_legendre(nx, 0.0, _X_MAX)
     mg, mw = _gauss_legendre(nmu)
     mu, wmu = mg[nmu // 2:], mw[nmu // 2:]
     if nmu % 2:
@@ -856,28 +738,12 @@ def envelope_batch(family: PulseFamily, m_hats: np.ndarray, n_hats: np.ndarray,
     field depends on r and r0 only through delta, has no component along
     its n_hat, and scales linearly in alpha.
 
-    Narrow gaussian lineshapes (sigma beta hbar c < 0.05) use the analytic
-    carrier-times-ball form instead, with relative corrections O(sigma/k0)
-    and no reach: such a pulse spans more length scales than any affordable
-    table (see the module docstring).
-
     Before any table work, a non-finite delta, or a frame whose |m_hat|,
     |n_hat| or m_hat . n_hat is off from 1, 1, 0 by more than _FRAME_TOL,
     raises ValueError (the checks of _frame_coordinates).
     """
-    ctx = family.ctx
     at = _frame_coordinates(family, m_hats, n_hats, [deltas])
-    if family.kind == "gaussian" and family.sigma_x() < 0.05:
-        x0, s, k0 = family.x0(), family.sigma_x(), family.k0
-        pref = 1j * family.alpha * family.norm_N() * math.sqrt(
-            ctx.hbar * ctx.c * k0 / (_SIXTEEN_PI3 * ctx.epsilon0)) * k0
-        amp_si = (2.0 * math.pi * family.sigma**2) ** 1.5
-        ct = ctx.c * t / ctx.length_scale
-        moving = deltas / ctx.length_scale - ct * m_hats
-        ball = np.exp(-s * s * np.einsum("ij,ij->i", moving, moving) / 2.0)
-        phase = np.exp(1j * x0 * (at.Z[0] - ct))
-        return (pref * amp_si) * (phase * ball)[:, None] * at.e2
-    tab = family.table(t / ctx.time_scale, reach=reach)
+    tab = family.table(t / family.ctx.time_scale, reach=reach)
     return _table_fields(family, tab, at)[0]
 
 
@@ -995,14 +861,11 @@ def total_intensity_integral(family: PulseFamily) -> float:
     """int d3r |E|^2 from the spectral side (Parseval), SI (V/m)^2 m^3.
 
     Equals |alpha|^2 (hbar c / 2 eps0) <k> with <k> the normalized first
-    moment of the family's spectral density; for the thermal lineshape
+    moment of the thermal lineshape's spectral density,
     <k> = (pi^4/15) / (2 zeta3 beta hbar c).
     """
     ctx = family.ctx
-    if family.kind == "thermal":
-        kmean = PI4_OVER_15 / (2.0 * ZETA3 * ctx.length_scale)
-    else:
-        raise NotImplementedError("spectral total only used for the thermal kind")
+    kmean = PI4_OVER_15 / (2.0 * ZETA3 * ctx.length_scale)
     return abs(family.alpha) ** 2 * ctx.hbar * ctx.c / (2.0 * ctx.epsilon0) * kmean
 
 
@@ -1055,12 +918,6 @@ def pulse_extent(family: PulseFamily, fraction: float = 0.99) -> float:
     if not 0.0 < fraction < 0.9999:
         raise ValueError("fraction must be in (0, 0.9999)")
     ctx = family.ctx
-    if family.kind == "gaussian":
-        family.x0()           # raises without k0, as every field path does
-        if family.sigma_x() < 0.05:
-            # |E|^2 ~ exp(-sigma^2 |r|^2) in the narrow limit
-            return math.sqrt(special.gammaincinv(1.5, fraction)) / family.sigma
-        raise NotImplementedError("extent for broad gaussian lineshapes is not needed")
     grid, prof = radial_intensity_profile(family)
     y = grid**2 * prof
     # the cumulative trapezoid rule, as scipy's cumulative_trapezoid sums it
@@ -1081,13 +938,11 @@ def tail_coefficient(family: PulseFamily) -> float:
     The momentum kernel is direction-dependent but finite at k -> 0, which
     makes the position-space transforms fall off as 1/|Delta|^3.  c3 is the
     largest d^3 (|T_y| + |T_z|) over 15 direct-quadrature points, five
-    angles on each of the rings d = 18, 25 and 32 (thermal kind).  It is
-    not a supremum: the coefficient keeps rising beyond the rings, to about
-    7.63 at d = 1000 against c3 = 7.205, and the factor
-    mcfield._TAIL_SAFETY = 3 covers that gap.
+    angles on each of the rings d = 18, 25 and 32.  It is not a supremum:
+    the coefficient keeps rising beyond the rings, to about 7.63 at
+    d = 1000 against c3 = 7.205, and the factor mcfield._TAIL_SAFETY = 3
+    covers that gap.
     """
-    if family.kind != "thermal":
-        raise NotImplementedError("tail coefficient implemented for the thermal kind")
     return _memoized(("tail_c3", family.shape), lambda: _calibrate_tail(family))
 
 
@@ -1106,23 +961,23 @@ def sphere_in_cube_fraction(d: float | np.ndarray) -> float | np.ndarray:
     """Fraction of a sphere's surface (radius*d = half-side) inside a cube.
 
     Argument d = radius / (L/2), a number or an array; the result has d's
-    shape.  Exact for the face-cap band; the edge band uses a deterministic
-    spherical average: the share of 20000 Fibonacci points whose largest
-    coordinate is at most 1/d, counted in the points' sorted maxima.
+    shape, and NaN reads 0.  In units of the half-side the sphere leaves
+    the cube through six caps of area 2 pi d (d - 1) once d > 1.  For
+    sqrt(2) < d < sqrt(3) neighbouring caps overlap along the 12 edges;
+    with Archimedes' dA = d dphi dz each overlap is
+    pair = d int (pi/2 - 2 asin(1/sqrt(d^2 - z^2))) dz over |z| <= z_m,
+    z_m = sqrt(d^2 - 2), which is 4 d [d atan(z_m/d) - asin(z_m/sqrt(d^2 - 1))]
+    in closed form.  So fraction = 1 - (6 caps - 12 pair) / (4 pi d^2), or
+
+        3/d - 2 + (12/pi) [atan(z_m/d) - asin(z_m/sqrt(d^2 - 1)) / d],
+
+    clipped at 0 against rounding next to sqrt(3).
     """
     d = np.asarray(d, dtype=float)
     out = np.where(d <= math.sqrt(2.0), 3.0 / np.maximum(d, 1.0) - 2.0, 0.0)
     edge = (d > math.sqrt(2.0)) & (d < math.sqrt(3.0))
-    if np.any(edge):
-        maxima = np.sort(np.max(np.abs(_fibonacci_sphere(20000)), axis=1))
-        inside = np.searchsorted(maxima, 1.0 / d[edge], side="right")
-        out[edge] = inside / maxima.size
+    r = d[edge]
+    zm = np.sqrt(r * r - 2.0)
+    out[edge] = np.maximum(3.0 / r - 2.0 + 12.0 / math.pi * (
+        np.arctan(zm / r) - np.arcsin(zm / np.sqrt(r * r - 1.0)) / r), 0.0)
     return out[()]
-
-
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    i = np.arange(n) + 0.5
-    mu = 1.0 - 2.0 * i / n
-    phi = math.pi * (1.0 + math.sqrt(5.0)) * i
-    st = np.sqrt(1.0 - mu**2)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), mu], axis=1)

@@ -23,6 +23,8 @@ differentiating in a^2, and below rho = 0.6, where those closed forms cancel
 as rho^-6, from their zeta(2k) Taylor series.  Against mpmath the error of
 either sum is at most 2.6e-15 of s_long(rho) for rho from 0 to 1e8 (the
 tests hold it to 1e-14), and both stay finite up to the largest float.
+The coherence time is a zeta-function closed form as well (coherence_time),
+so nothing here calls a quadrature.
 """
 
 from __future__ import annotations
@@ -163,20 +165,12 @@ def coherence_time(ctx: PhysicalContext) -> float:
     """Equivalent-width coherence time: int |g1(tau)/g1(0)|^2 dtau.
 
     The normalized integrand depends on tau only through u = tau/(beta hbar),
-    so the result is a universal dimensionless width times beta*hbar.  The
-    integrand falls off like 1/u^6, since |bose_moment(3, u)| -> 2/u^3, so
-    the cutoff at u = 200 drops 5.9e-14 of the half-width integral, about
-    1.2e-13 of the result.
+    so the result is a universal dimensionless width kappa_c times beta*hbar.
+    g1 is the Fourier transform of x^3/(e^x - 1), so by Parseval kappa_c is
+    2 pi int x^6/(e^x - 1)^2 dx / (pi^4/15)^2, and with
+    1/(e^x - 1)^2 = sum_{n>=1} (n - 1) e^{-n x} the integral is
+    6! (zeta(6) - zeta(7)): kappa_c = 0.96480241865902595... .
     """
-    # imported here: scipy.integrate (with scipy.optimize and scipy.sparse)
-    # costs a process about 0.15 s and 19 MB to load
-    from scipy import integrate
-    m3 = PI4_OVER_15
-
-    def f(u):
-        return abs(bose_moment(3, u)) ** 2 / m3**2
-
-    width, err = integrate.quad(f, 0.0, 200.0, epsabs=1e-12, epsrel=1e-9, limit=400)
-    if err > 1e-6 * width:
-        raise RuntimeError(f"coherence-time quadrature error {err:.2e} too large")
-    return 2.0 * width * ctx.time_scale
+    kappa_c = (2.0 * math.pi * 720.0 * float(special.zeta(6.0) - special.zeta(7.0))
+               / PI4_OVER_15**2)
+    return kappa_c * ctx.time_scale

@@ -16,5 +16,13 @@ def thermal_family(ctx):
 
 
 @pytest.fixture(scope="session")
+def power_family(ctx):
+    # the second table weight: a broad profile, (1 + mu)^2 / 4, which weighs
+    # mu <= 0 (the default e^{20 (mu - 1)} does so by at most e^{-20})
+    return pulsekit.make_thermal_family(ctx, upsilon_kind="power",
+                                        upsilon_param=2.0)
+
+
+@pytest.fixture(scope="session")
 def matched_weights(ctx):
     return mixturekit.make_matched_improper_weights(ctx)

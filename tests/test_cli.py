@@ -38,9 +38,9 @@ def _csv_numbers(path: Path) -> list[float]:
                                     "scipy.optimize", "scipy.sparse"])
 def test_library_import_leaves_out_scipy(module):
     """Importing every thermolight module loads none of these.  The tests
-    use scipy.ndimage as an oracle (50-80 ms at start-up); scipy.integrate,
-    which brings scipy.optimize and scipy.sparse (about 0.15 s and 19 MB),
-    is imported inside the few functions that call it."""
+    use scipy.ndimage and scipy.integrate as oracles (scipy.integrate
+    brings scipy.optimize and scipy.sparse, about 0.15 s and 19 MB); only
+    mixturekit.solve_gaussian_weights imports scipy.optimize, when called."""
     code = ("import importlib, pkgutil, sys, thermolight\n"
             "for m in pkgutil.iter_modules(thermolight.__path__):\n"
             "    importlib.import_module('thermolight.' + m.name)\n"
@@ -52,19 +52,21 @@ def test_library_import_leaves_out_scipy(module):
 
 
 def test_fig1_and_fock_demo_run_without_integrate_or_optimize(tmp_path: Path):
-    """Neither experiment calls a quadrature or a solver, so neither loads
-    the scipy modules that those functions import."""
+    """fig1, fock-demo, coherence-time and simcond-thermal call no solver
+    and no quadrature, so none loads scipy.integrate or scipy.optimize."""
     code = ("import json, sys\n"
             "from thermolight import cli\n"
             f"codes = [cli.main([e, '--out', {str(tmp_path)!r} + '/' + e])\n"
-            "         for e in ('fig1', 'fock-demo')]\n"
+            "         for e in ('fig1', 'fock-demo', 'coherence-time',\n"
+            "                   'simcond-thermal')]\n"
             "print(json.dumps([codes, [m for m in ('scipy.integrate',\n"
             "    'scipy.optimize') if m in sys.modules]]))")
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True,
                         text=True, timeout=300, env=_ENV)
     assert cp.returncode == 0, cp.stderr
     # fig1 exits 1 by design (test_fig1_reports_known_deviation)
-    assert json.loads(cp.stdout.splitlines()[-1]) == [[1, 0], []], cp.stdout
+    assert json.loads(cp.stdout.splitlines()[-1]) == [[1, 0, 0, 0], []], \
+        cp.stdout
 
 
 def test_table_path_runs_without_integrate_optimize_or_sparse():

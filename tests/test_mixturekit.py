@@ -9,7 +9,8 @@ from oracles import mu_integral
 from thermolight import mixturekit, pulsekit, thermal
 from thermolight.mixturekit import (WeightSpec, make_matched_improper_weights,
                                     make_unit_trace_weights, g1_improper,
-                                    simulation_residual, solve_gaussian_weights,
+                                    g1_improper_gaussian, simulation_residual,
+                                    solve_gaussian_weights,
                                     gaussian_weights_to_spec,
                                     blackbody_spectral_target,
                                     unit_trace_scaling)
@@ -73,6 +74,19 @@ def test_simulation_residual_thermal(ctx, thermal_family, matched_weights):
         simulation_residual(thermal_family, matched_weights, [])
 
 
+@pytest.mark.parametrize("kind, param", [("exp", 1e4), ("exp", 1e6),
+                                         ("power", 1e4)])
+def test_simulation_residual_narrow_profiles(ctx, matched_weights, kind,
+                                             param):
+    """The profile cancels for any width: a 200-node rule for the angular
+    trace left residuals of 0.12 (kappa = 1e4), 1.0 (kappa = 1e6) and
+    3.1e-3 (q = 1e4) against the closed-form normalization."""
+    fam = pulsekit.make_thermal_family(ctx, upsilon_kind=kind,
+                                       upsilon_param=param)
+    taus = np.linspace(0.0, 10e-15, 50)
+    assert simulation_residual(fam, matched_weights, taus).residual < 1e-12
+
+
 def test_weight_spec_validation(ctx):
     with pytest.raises(ValueError):
         WeightSpec(kind="Banana", alpha_sq=1.0).validate()
@@ -95,7 +109,7 @@ def test_weight_spec_validation(ctx):
 
 @pytest.mark.parametrize("case", [
     "upsilon-exp-nan", "upsilon-power-inf", "thermal-family-inf",
-    "gaussian-sigma-inf", "unit-trace-inf", "improper-alpha-zero",
+    "gaussian-sigma-inf", "gaussian-sigma-negative", "unit-trace-inf", "improper-alpha-zero",
     "improper-alpha-nan", "improper-product-nan", "spec-alpha-nan",
     "spec-p-const-nan"])
 def test_invalid_builder_inputs_rejected(ctx, case):
@@ -108,7 +122,10 @@ def test_invalid_builder_inputs_rejected(ctx, case):
         "upsilon-power-inf": lambda: pulsekit.upsilon_function("power", inf),
         "thermal-family-inf": lambda: pulsekit.make_thermal_family(
             ctx, upsilon_param=inf),
-        "gaussian-sigma-inf": lambda: pulsekit.make_gaussian_family(ctx, inf),
+        "gaussian-sigma-inf": lambda: g1_improper_gaussian(
+            ctx, inf, make_matched_improper_weights(ctx), 0.0),
+        "gaussian-sigma-negative": lambda: g1_improper_gaussian(
+            ctx, -3.0, make_matched_improper_weights(ctx), 0.0),
         "unit-trace-inf": lambda: make_unit_trace_weights(inf),
         "improper-alpha-zero": lambda: make_matched_improper_weights(
             ctx, alpha_sq=0.0),
@@ -185,17 +202,18 @@ def test_gaussian_route_simulation(ctx, nnls_fits):
     fit = nnls_fits[1e-12]
     spec = gaussian_weights_to_spec(ctx, fit)
     spec.validate()
-    fam = pulsekit.make_gaussian_family(ctx, 1.0 / (C_LIGHT * 1e-12))
     taus = np.linspace(0.0, 10e-15, 21)
-    rep = simulation_residual(fam, spec, taus)
-    assert rep.residual < 1e-3
+    imp = g1_improper_gaussian(ctx, 1.0 / (C_LIGHT * 1e-12), spec, taus)
+    th = thermal.g1_temporal(ctx, taus)
+    assert np.linalg.norm(imp - th) / np.linalg.norm(th) < 1e-3
 
 
 def test_angular_trace_frozen(ctx):
-    """The closed-form Psi/phi average reproduces the former triple
-    quadrature over mu, phi and Psi."""
-    for kind, param, frozen in (("exp", 20.0, 0.9629032793810555),
-                                ("power", 40.0, 0.9515736171906727)):
+    """2 pi^2 J, the Psi/phi average in closed form times the mu integral,
+    against 2 pi^2 int upsilon^2 (1 + mu^2) dmu by 40-digit mpmath
+    quadrature (recorded)."""
+    for kind, param, frozen in (("exp", 20.0, 0.9629032793812805),
+                                ("power", 40.0, 0.9515736171908984)):
         fam = pulsekit.make_thermal_family(ctx, upsilon_kind=kind,
                                            upsilon_param=param)
         assert math.isclose(mixturekit._angular_trace(fam), frozen,
@@ -205,19 +223,51 @@ def test_angular_trace_frozen(ctx):
 def test_g1_improper_array_matches_scalar(ctx, thermal_family,
                                           matched_weights, nnls_fits):
     taus = np.linspace(-3e-15, 10e-15, 4)
-    gauss = pulsekit.make_gaussian_family(ctx, 1.0 / (C_LIGHT * 100e-15))
-    for fam, w in ((thermal_family, matched_weights),
-                   (gauss, gaussian_weights_to_spec(ctx, nnls_fits[100e-15]))):
-        arr = g1_improper(fam, w, taus)
+    gauss_spec = gaussian_weights_to_spec(ctx, nnls_fits[100e-15])
+    sigma = 1.0 / (C_LIGHT * 100e-15)
+    for g1 in (lambda tau: g1_improper(thermal_family, matched_weights, tau),
+               lambda tau: g1_improper_gaussian(ctx, sigma, gauss_spec, tau)):
+        arr = g1(taus)
         assert arr.shape == taus.shape
-        np.testing.assert_array_equal(
-            arr, [g1_improper(fam, w, float(t)) for t in taus])
-        assert isinstance(g1_improper(fam, w, 0.0), complex)
+        np.testing.assert_array_equal(arr, [g1(float(t)) for t in taus])
+        assert isinstance(g1(0.0), complex)
 
 
-def test_g1_improper_requires_improper_kind(thermal_family):
+def test_g1_improper_requires_improper_kind(ctx, thermal_family):
     with pytest.raises(ValueError):
         g1_improper(thermal_family, make_unit_trace_weights(1e-18), 0.0)
+    with pytest.raises(ValueError):
+        g1_improper_gaussian(ctx, 1e6, make_unit_trace_weights(1e-18), 0.0)
+
+
+def _angular_kernel_per_entry(x, x0, s):
+    """The kernel with its small-a rule summed one entry at a time, as it
+    was before that branch took arrays; kept as the reference."""
+    X, X0 = np.meshgrid(np.asarray(x, float), np.asarray(x0, float), indexing="ij")
+    a = 2.0 * X * X0 / (s * s)
+    out = np.empty_like(a)
+    big = a >= 0.5
+    ab = a[big]
+    sh = 1.0 - np.exp(-2.0 * ab)
+    ch = 1.0 + np.exp(-2.0 * ab)
+    out[big] = sh / ab + ((ab * ab + 2.0) * sh - 2.0 * ab * ch) / ab**3
+    xg, wg = pulsekit._gauss_legendre(48)
+    asm = a[~big]
+    out[~big] = np.exp(-asm) * np.array(
+        [np.sum(wg * (1.0 + xg**2) * np.exp(av * xg)) for av in asm])
+    return np.exp(-(X - X0) ** 2 / (s * s)) * out
+
+
+@pytest.mark.parametrize("block", [7, None])
+def test_gaussian_angular_kernel_matches_per_entry_sum(monkeypatch, block):
+    """Both rules, block seams included: bit for bit the per-entry sum."""
+    if block is not None:
+        monkeypatch.setattr(mixturekit, "_KERNEL_BLOCK", block)
+    x = np.linspace(0.01, 25.0, 240)
+    x0 = np.linspace(0.02, 20.0, 30)
+    for s in (0.3, 4.0, 30.0):
+        got = mixturekit.gaussian_angular_kernel(x, x0, s)
+        np.testing.assert_array_equal(got, _angular_kernel_per_entry(x, x0, s))
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +298,22 @@ def test_scaling_inverse_volume_at_saturation(thermal_family, ctx):
     assert np.max(np.abs(flat / flat[0] - 1.0)) < 1e-10
 
 
+def _fibonacci_sphere(n):
+    """n nearly uniform unit vectors on a Fibonacci spiral."""
+    i = np.arange(n) + 0.5
+    mu = 1.0 - 2.0 * i / n
+    phi = math.pi * (1.0 + math.sqrt(5.0)) * i
+    st = np.sqrt(1.0 - mu**2)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), mu], axis=1)
+
+
 def _orientation_grid_reference(family, weights, omega_list, n_dirs, n_psi):
     """Reference scaling curve: mu_integral averaged over an explicit
     orientation quadrature (n_dirs Fibonacci directions times n_psi
     polarization angles)."""
     omegas = np.asarray(omega_list, float)
     vals = np.empty(len(omegas))
-    m_nodes = pulsekit._fibonacci_sphere(n_dirs)
+    m_nodes = _fibonacci_sphere(n_dirs)
     psis = 2.0 * math.pi * np.arange(n_psi) / n_psi
     for i, om in enumerate(omegas):
         acc = 0.0

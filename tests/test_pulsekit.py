@@ -12,9 +12,9 @@ from scipy import integrate, ndimage, special
 from oracles import mu_integral
 from thermolight import pulsekit
 from thermolight.units import make_context
-from thermolight.pulsekit import (make_gaussian_family, envelope_batch,
-                                  transforms_direct, transverse_frames,
-                                  pulse_extent, total_intensity_integral,
+from thermolight.pulsekit import (envelope_batch, transforms_direct,
+                                  transverse_frames, pulse_extent,
+                                  total_intensity_integral,
                                   sphere_in_cube_fraction)
 
 
@@ -57,6 +57,21 @@ def _grid_values(family, u_delay, reach):
     return grid[:, :, 0], grid[:, :, 1]
 
 
+# The power profile's tables, the second weight the build is checked on,
+# reach 4: the same code runs as at the default reach, at a quarter of the
+# cost, and the points of test_power_profile_table_against_direct lie inside.
+_POWER_REACH = 4.0
+
+
+def _table_case(thermal_family, power_family, which, delay=0.7):
+    """The family, delay and reach of a table test case."""
+    if which == "power":
+        return power_family, 0.0, _POWER_REACH
+    reach = {"reach2": 2.0, "shortest": 0.24}.get(which,
+                                                  pulsekit._DEFAULT_REACH)
+    return thermal_family, delay if which == "delayed" else 0.0, reach
+
+
 @functools.lru_cache(maxsize=None)
 def _cached_grid_values(family, u_delay, reach):
     """_grid_values, computed once per table for the oracle tests below (a
@@ -77,14 +92,13 @@ def test_table_build_independent_of_temperature_and_amplitude():
     np.testing.assert_array_equal(a[1], b[1])
 
 
-def test_tables_shared_across_temperature_and_amplitude(thermal_family):
+def test_tables_shared_across_temperature_and_amplitude(thermal_family,
+                                                        power_family):
     cold = pulsekit.make_thermal_family(make_context(3000.0), alpha=2.0)
     assert cold.table(0.0) is thermal_family.table(0.0)
     assert pulsekit.tail_coefficient(cold) \
         == pulsekit.tail_coefficient(thermal_family)
-    other = pulsekit.make_thermal_family(make_context(3000.0),
-                                         upsilon_kind="power")
-    assert other.table(0.0, reach=2.0) is not cold.table(0.0, reach=2.0)
+    assert power_family.table(0.0, reach=2.0) is not cold.table(0.0, reach=2.0)
 
 
 def test_tail_coefficient_frozen(thermal_family):
@@ -155,12 +169,11 @@ def _transforms_full_grid(family, P, Z, u_delay=0.0, nx=None, nmu=None):
     """transforms_direct before its mu-parity fold: the whole nx x nmu grid
     as complex arrays, summed by einsum (slow oracle)."""
     dist = math.hypot(P, Z)
-    xlo, xhi = pulsekit._support(family)
     if nx is None:
         nx = int(max(300, 12 * dist))
     if nmu is None:
         nmu = int(max(1600, 24 * dist))
-    x, xw = pulsekit._gauss_legendre(nx, max(0.0, xlo), xhi)
+    x, xw = pulsekit._gauss_legendre(nx, 0.0, pulsekit._X_MAX)
     mg, mw = pulsekit._gauss_legendre(nmu)
     st = np.sqrt(1.0 - mg**2)
     wx = pulsekit._spectral_weight(family, x[:, None], mg[None, :])
@@ -184,22 +197,16 @@ def _transforms_full_grid(family, P, Z, u_delay=0.0, nx=None, nmu=None):
     ("thermal", 2.0, -3.0, 1.5, 1601),
     ("power", 3.0, 2.0, 0.0, 1601),
     ("power", 2.0, -3.0, 1.5, 1601),
-    ("gaussian", 1.0, 1.0, 0.0, 1601),
-    ("gaussian", 0.5, -2.0, 0.0, 1601),
+    ("power", 1.0, 1.0, 0.0, 1601),
+    ("power", 0.5, -2.0, 0.0, 1601),
 ])
-def test_transforms_direct_matches_full_grid(ctx, thermal_family, kind, P, Z,
-                                             u, nmu):
+def test_transforms_direct_matches_full_grid(thermal_family, power_family,
+                                             kind, P, Z, u, nmu):
     """The mu-parity fold sums the same nodes as the full grid; odd nmu puts
     a node at mu = 0, which the fold must count exactly once.  The default
-    thermal profile is e^{-20} there, so the power profile and a broad
-    gaussian are the cases that weigh that node."""
-    fam = thermal_family
-    if kind == "power":
-        fam = pulsekit.make_thermal_family(ctx, upsilon_kind="power",
-                                           upsilon_param=2.0)
-    if kind == "gaussian":
-        fam = make_gaussian_family(ctx, 1.0 / ctx.length_scale, alpha=1.0,
-                                   k0=2.0 / ctx.length_scale)
+    thermal profile is e^{-20} there, so the power profile is the case that
+    weighs that node."""
+    fam = power_family if kind == "power" else thermal_family
     folded = transforms_direct(fam, P, Z, u, nmu=nmu)
     full = _transforms_full_grid(fam, P, Z, u, nmu=nmu)
     if P == 0.0:                          # J1(0) = 0: T_z vanishes on the axis
@@ -209,11 +216,11 @@ def test_transforms_direct_matches_full_grid(ctx, thermal_family, kind, P, Z,
         assert abs(got - want) <= 1e-10 * abs(want), (got, want)
 
 
-def _table_error(family, points):
+def _table_error(family, points, reach=pulsekit._DEFAULT_REACH):
     """Largest |table - direct| over (P, Z) points, relative to the peak."""
     peak = abs(transforms_direct(family, 0.0, 0.0, 0.0)[0])
     P, Z = np.array(points, float).T
-    ty, tz = family.table(0.0).lookup(P, Z)
+    ty, tz = family.table(0.0, reach).lookup(P, Z)
     worst = 0.0
     for i, (p, z) in enumerate(points):
         ty_d, tz_d = transforms_direct(family, p, z, 0.0)
@@ -234,6 +241,14 @@ def test_table_edges_match_direct(thermal_family):
     assert _table_error(thermal_family, pts) < 2e-4
 
 
+def test_power_profile_table_against_direct(power_family):
+    """A second weight through the same build.  The table's b = x mu grid
+    starts at -8, which cuts this broad profile's backward lobe: that,
+    not the spline, sets the 1.4e-3 error at (0, 0.5)."""
+    assert _table_error(power_family, [(0.0, 0.5), (1.0, 1.0), (2.0, 3.0)],
+                        _POWER_REACH) < 5e-3
+
+
 def test_table_tz_linear_off_axis_nodes(thermal_family):
     """T_z is odd in P, so between the axis and the first grid row it rises
     linearly; an even extension across P = 0 flattens it there."""
@@ -249,15 +264,9 @@ def _fourier_first_grid(family, u_delay, reach):
     """Ty, Tz summed in the build's former order (oracle): two zero-padded
     FFTs over b per row of a and transform, then the Bessel GEMM over a on
     the Z-columns.  Same grids, same weights; only the order differs."""
-    xlo, xhi = pulsekit._support(family)
     da = db = 0.025
-    bfloor = -8.0
-    if family.kind == "gaussian":
-        s = family.sigma_x()
-        da = db = min(0.025, s / 4.0)
-        bfloor = -4.0 * s
-    a = np.arange(0.0, min(40.0, xhi) + da / 2, da)
-    b = np.arange(min(bfloor, xlo), xhi + db / 2, db)
+    a = np.arange(0.0, pulsekit._X_MAX + da / 2, da)
+    b = np.arange(pulsekit._B_FLOOR, pulsekit._X_MAX + db / 2, db)
     wa = np.full_like(a, da)
     wa[0] *= 0.5
     wa[-1] *= 0.5
@@ -290,14 +299,13 @@ def _fourier_first_grid(family, u_delay, reach):
     return Ty, Tz
 
 
-@pytest.mark.parametrize("which", ["default", "delayed", "reach2", "gaussian"])
-def test_table_matches_fourier_first_order(ctx, thermal_family, which):
+@pytest.mark.parametrize("which", ["default", "delayed", "reach2", "power"])
+def test_table_matches_fourier_first_order(thermal_family, power_family,
+                                           which):
     """Hankel-then-FFT sums the same terms as FFT-then-Hankel: the grids
     agree to 1e-14 of the peak for a real weight, a complex (delayed) one,
-    a short reach and a gaussian table."""
-    fam = _gaussian(ctx, 0.2) if which == "gaussian" else thermal_family
-    u = 0.7 if which == "delayed" else 0.0
-    reach = 2.0 if which == "reach2" else pulsekit._DEFAULT_REACH
+    a short reach and the power profile's table."""
+    fam, u, reach = _table_case(thermal_family, power_family, which)
     ty, tz = _cached_grid_values(fam, u, reach)
     want_y, want_z = _fourier_first_grid(fam, u, reach)
     assert ty.shape == want_y.shape and tz.shape == want_z.shape
@@ -321,13 +329,13 @@ def test_fft_block_leaves_table_unchanged(thermal_family, monkeypatch, u):
     np.testing.assert_array_equal(got.coef, want.coef)
 
 
-@pytest.mark.parametrize("which", ["default", "gaussian"])
-def test_undelayed_grid_is_hermitian(ctx, thermal_family, which):
+@pytest.mark.parametrize("which", ["default", "power"])
+def test_undelayed_grid_is_hermitian(thermal_family, power_family, which):
     """A real weight gives T(P, -Z) = conj T(P, Z), and the real-FFT fold
     keeps it bit for bit on the exactly symmetric Z-grid."""
-    fam = _gaussian(ctx, 0.2) if which == "gaussian" else thermal_family
-    Zg = fam.table(0.0).Z_grid
-    ty, tz = _cached_grid_values(fam, 0.0, pulsekit._DEFAULT_REACH)
+    fam, _, reach = _table_case(thermal_family, power_family, which)
+    Zg = fam.table(0.0, reach).Z_grid
+    ty, tz = _cached_grid_values(fam, 0.0, reach)
     np.testing.assert_array_equal(Zg[::-1], -Zg)
     np.testing.assert_array_equal(ty[:, ::-1], ty.conj())
     np.testing.assert_array_equal(tz[:, ::-1], tz.conj())
@@ -372,25 +380,21 @@ def _prefilter_copy_in(Ty, Tz):
     return coef
 
 
-_PREFILTER_CASES = ["default", "delayed", "reach2", "shortest", "gaussian"]
+_PREFILTER_CASES = ["default", "delayed", "reach2", "shortest", "power"]
 
 
-def _prefilter_case(ctx, thermal_family, which):
-    """The family, delay and reach of a prefilter test case."""
-    fam = _gaussian(ctx, 0.2) if which == "gaussian" else thermal_family
-    reach = {"reach2": 2.0, "shortest": 0.24}.get(which,
-                                                  pulsekit._DEFAULT_REACH)
-    return fam, 0.7 if which == "delayed" else 0.0, reach
+
 
 
 @pytest.mark.parametrize("which", _PREFILTER_CASES)
-def test_prefilter_matches_spline_filter(ctx, thermal_family, which):
+def test_prefilter_matches_spline_filter(thermal_family, power_family, which):
     """The in-place recursions give spline_filter's mirror-boundary
     coefficients, frame included, to 1e-14 of each channel's peak: for a
     real weight, a complex (delayed) one, a short reach, the shortest
-    lines of P check_reach allows (whose mirror sum keeps every term) and a
-    gaussian table.  Run in place on a frame, they allocate at most 2 MB."""
-    fam, u, reach = _prefilter_case(ctx, thermal_family, which)
+    lines of P check_reach allows (whose mirror sum keeps every term) and
+    the power profile's table.  Run in place on a frame, they allocate at
+    most 2 MB."""
+    fam, u, reach = _table_case(thermal_family, power_family, which)
     tab = fam.table(u, reach)
     if which == "shortest":
         assert tab.coef.shape[0] - 3 == 2 * pulsekit._PAD + 1
@@ -415,27 +419,29 @@ def test_prefilter_matches_spline_filter(ctx, thermal_family, which):
 
 
 @pytest.mark.parametrize("which", _PREFILTER_CASES)
-def test_coefficients_equal_copy_in_prefilter(ctx, thermal_family, which):
+def test_coefficients_equal_copy_in_prefilter(thermal_family, power_family,
+                                              which):
     """Writing the FFT rows straight into the frame and scaling them there
     gives the coefficients of the former copy-in prefilter bit for bit."""
-    fam, u, reach = _prefilter_case(ctx, thermal_family, which)
+    fam, u, reach = _table_case(thermal_family, power_family, which)
     np.testing.assert_array_equal(
         fam.table(u, reach).coef,
         _prefilter_copy_in(*_cached_grid_values(fam, u, reach)))
 
 
-@pytest.mark.parametrize("which", ["default", "delayed", "gaussian"])
-def test_grid_values_rebuilt_from_coefficients(ctx, thermal_family, which):
+@pytest.mark.parametrize("which", ["default", "delayed", "power"])
+def test_grid_values_rebuilt_from_coefficients(thermal_family, power_family,
+                                               which):
     """Ty and Tz, rebuilt from coef on each access, are the grid values to
     1e-14 of the peak, in the grid's shape and complex128, so the cell and
     MB counts taken from them stay what they were when tables kept them."""
-    fam = _gaussian(ctx, 0.2) if which == "gaussian" else thermal_family
-    u = 0.7 if which == "delayed" else 0.0
-    tab = fam.table(u)
-    want_y, want_z = _cached_grid_values(fam, u, pulsekit._DEFAULT_REACH)
+    fam, u, reach = _table_case(thermal_family, power_family, which)
+    tab = fam.table(u, reach)
+    want_y, want_z = _cached_grid_values(fam, u, reach)
     ty, tz = tab.Ty, tab.Tz
     assert ty.shape == tz.shape == (len(tab.P_grid), len(tab.Z_grid))
-    assert ty.shape == (534, 2087)
+    if reach == pulsekit._DEFAULT_REACH:
+        assert ty.shape == (534, 2087)
     assert ty.dtype == tz.dtype == np.complex128
     assert ty.nbytes == tz.nbytes == want_y.nbytes
     peak = max(np.abs(want_y).max(), np.abs(want_z).max())
@@ -464,15 +470,14 @@ def _map_coordinates_lookup(tab, Ty, Tz, P, Z):
     return out
 
 
-@pytest.mark.parametrize("which", ["default", "delayed", "gaussian"])
-def test_lookup_matches_map_coordinates(ctx, thermal_family, which):
+@pytest.mark.parametrize("which", ["default", "delayed", "power"])
+def test_lookup_matches_map_coordinates(thermal_family, power_family, which):
     """The fused gather reads the same spline as map_coordinates: at 1e5
     random points, on the four edges and at the corners of the grid, for a
-    real weight, a complex (delayed) one and a gaussian table."""
-    fam = _gaussian(ctx, 0.2) if which == "gaussian" else thermal_family
-    u = 1.5 if which == "delayed" else 0.0
-    tab = fam.table(u)
-    grid_y, grid_z = _cached_grid_values(fam, u, pulsekit._DEFAULT_REACH)
+    real weight, a complex (delayed) one and the power profile's table."""
+    fam, u, reach = _table_case(thermal_family, power_family, which, delay=1.5)
+    tab = fam.table(u, reach)
+    grid_y, grid_z = _cached_grid_values(fam, u, reach)
     Pmax, Zlo, Zhi = tab.P_grid[-1], tab.Z_grid[0], tab.Z_grid[-1]
     rng = np.random.default_rng(14)
     n = 100_000
@@ -606,19 +611,20 @@ def test_envelope_batch_matches_single(thermal_family, ctx):
                                    atol=1e-10 * np.linalg.norm(single))
 
 
-@pytest.mark.parametrize("kind", ["thermal", "narrow-gaussian"])
+@pytest.mark.parametrize("kind", ["thermal", "power"])
 @pytest.mark.parametrize("case", ["delta-nan", "delta-inf", "m-long",
                                   "n-short", "not-perpendicular", "frame-nan"])
 def test_envelope_batch_rejects_bad_input(ctx, monkeypatch, kind, case):
-    """Both branches refuse a non-finite delta or a frame that is not
+    """Either profile refuses a non-finite delta or a frame that is not
     orthonormal, before any table work; the table path read a NaN delta as
     an exact zero field and m_hat = (0, 0, 2) as twice the field."""
     def no_work(*args, **kwargs):
         raise AssertionError("built a table before checking")
 
     monkeypatch.setattr(pulsekit, "_build_table", no_work)
-    fam = (_gaussian(ctx, 0.04) if kind == "narrow-gaussian" else
-           pulsekit.make_thermal_family(ctx, upsilon_param=11.0))
+    fam = pulsekit.make_thermal_family(
+        ctx, upsilon_kind="power" if kind == "power" else "exp",
+        upsilon_param=2.0 if kind == "power" else 11.0)
     m = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]])
     n = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     d = np.ones((2, 3)) * ctx.length_scale
@@ -639,40 +645,33 @@ def test_envelope_batch_rejects_bad_input(ctx, monkeypatch, kind, case):
 @pytest.mark.parametrize("shape, want_N, want_pref", [
     ("thermal", 4.111382758552278e-10, 28131.178700295j),
     ("power", 1.1631053013433926e-10, 7958.277056858802j),
-    ("gaussian", 5.85659205708422e-17, 10109.595516628182j),
-    ("narrow-gaussian", 6.549832995097432e-16, 113062.61668303206j),
 ])
-def test_norm_frozen(ctx, shape, want_N, want_pref):
-    """norm_N and the envelope prefactor, bit for bit.  The thermal and
-    gaussian rows are as recorded before the normalization integral was
-    cached per shape; the power row is norm_N from the exactly rounded J
+def test_norm_frozen(thermal_family, power_family, shape, want_N, want_pref):
+    """norm_N and the envelope prefactor, bit for bit.  The thermal row is
+    as recorded before the normalization integral was cached per shape; the
+    power row is norm_N from the exactly rounded J
     (test_thermal_norm_integral_against_mpmath), 1 ulp above the value
     adaptive quadrature gave."""
-    fam = {"thermal": lambda: pulsekit.make_thermal_family(ctx),
-           "power": lambda: pulsekit.make_thermal_family(
-               ctx, upsilon_kind="power", upsilon_param=2.0),
-           "gaussian": lambda: _gaussian(ctx, 0.2),
-           "narrow-gaussian": lambda: _gaussian(ctx, 0.04)}[shape]()
-    for _ in range(2):                    # cold, then from the cache
-        assert fam.norm_N() == want_N
-        assert fam.envelope_prefactor() == want_pref
+    fam = power_family if shape == "power" else thermal_family
+    assert fam.norm_N() == want_N
+    assert fam.envelope_prefactor() == want_pref
 
 
-def test_envelope_batch_second_call_reuses_norm_and_table(ctx):
-    """A second call on a shape computes no normalization integral, and
-    that cache takes no slot of the table memo."""
-    fam = pulsekit.make_thermal_family(ctx, upsilon_kind="power",
-                                       upsilon_param=3.0)
+def test_envelope_batch_second_call_reuses_table(ctx, power_family,
+                                                 monkeypatch):
+    """A second call on a shape builds no table and reads the same bits."""
+    fam = power_family
     m_hats, n_hats = _frames([0.1, 0.2, 0.9], 0.4, 3)
     d = np.array([[0.3, 0.1, 0.2], [0.0, 0.0, 0.0], [-0.5, 0.4, 1.0]]) \
         * ctx.length_scale
     first = envelope_batch(fam, m_hats, n_hats, d, reach=2.0)
-    tables = [key for key in pulsekit._memo if key[0] == "table"]
-    misses = pulsekit._norm_integral.cache_info().misses
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built the table again")
+
+    monkeypatch.setattr(pulsekit, "_build_table", no_build)
     second = envelope_batch(fam, m_hats, n_hats, d, reach=2.0)
     np.testing.assert_array_equal(first, second)
-    assert pulsekit._norm_integral.cache_info().misses == misses
-    assert all(key in pulsekit._memo for key in tables)
 
 
 def _mp_norm_integral(kind, param):
@@ -699,9 +698,9 @@ def test_thermal_norm_integral_against_mpmath(kind, param):
     """The closed-form J over the whole range of both profiles: from nearly
     flat to a peak narrower than 1e-6 in mu, where adaptive quadrature
     returned 1.6e-21 for kappa = 1e4 (exact about 1e-4)."""
-    shape = ("thermal", kind, param, None, None)
     want = _mp_norm_integral(kind, param)
-    assert abs(pulsekit._norm_integral(shape) - want) <= 1e-14 * want
+    assert abs(pulsekit.upsilon_norm_integral(kind, param) - want) \
+        <= 1e-14 * want
 
 
 def test_norm_finite_for_narrow_profiles(ctx):
@@ -824,118 +823,54 @@ def test_sphere_in_cube_fraction_regimes():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def _mp_sphere_in_cube_fraction(d):
+    """The edge-band fraction 1 - (6 caps - 12 pair) / (4 pi d^2) with the
+    cap-pair overlap pair = d int (pi/2 - 2 asin(1/sqrt(d^2 - z^2))) dz over
+    |z| <= sqrt(d^2 - 2), an even integrand, by mpmath quadrature at 20
+    digits."""
+    with mpmath.workdps(20):
+        r = mpmath.mpf(d)
+        zm = mpmath.sqrt(r * r - 2)
+        pair = 2 * r * mpmath.quad(
+            lambda z: mpmath.pi / 2 - 2 * mpmath.asin(1 / mpmath.sqrt(r * r - z * z)),
+            [0, zm])
+        return float(1 - (12 * mpmath.pi * r * (r - 1) - 12 * pair)
+                     / (4 * mpmath.pi * r * r))
+
+
+def test_sphere_in_cube_fraction_edge_band_against_mpmath():
+    """The closed-form edge band against quadrature of its overlap integral
+    at 41 points of (sqrt(2), sqrt(3)); the 20000-point Fibonacci count it
+    replaced was 25% low at d = 1.7.  At sqrt(2) the band meets the face
+    formula, and at sqrt(3) it reaches 0."""
+    lo, hi = math.sqrt(2.0), math.sqrt(3.0)
+    ds = np.linspace(lo, hi, 43)[1:-1]
+    got = sphere_in_cube_fraction(ds)
+    want = [_mp_sphere_in_cube_fraction(d) for d in ds]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+    assert abs(sphere_in_cube_fraction(np.nextafter(lo, 2.0))
+               - sphere_in_cube_fraction(lo)) <= 1e-15
+    assert 0.0 <= sphere_in_cube_fraction(np.nextafter(hi, 1.0)) <= 1e-15
+
+
 def test_sphere_in_cube_fraction_array_frozen():
     """One array call across the three bands returns, in d's shape, the
-    values the scalar implementation gave (recorded from it)."""
+    scalar calls' values, and those are the recorded ones: exact in the
+    face band, and in the edge band the float of a 20-digit mpmath
+    quadrature (_mp_sphere_in_cube_fraction) to 1e-15."""
     recorded = {0.0: 1.0, 0.5: 1.0, 1.0: 1.0, 1.2: 0.5,
-                math.sqrt(2.0): 0.12132034355964239, 1.42: 0.11345,
-                1.45: 0.08245, 1.5: 0.04805, 1.55: 0.0263, 1.6: 0.01235,
-                1.65: 0.00425, 1.7: 0.00075, 1.73: 0.0, math.sqrt(3.0): 0.0,
+                math.sqrt(2.0): 0.12132034355964239,
+                1.42: 0.1136115104540568, 1.45: 0.08281121340996674,
+                1.5: 0.048327646991334516, 1.55: 0.02625169652407259,
+                1.6: 0.012360903626746883, 1.65: 0.00431334325489713,
+                1.7: 0.000599377300447654, 1.73: 2.3270473491284153e-06,
+                math.sqrt(3.0): 0.0,
                 2.0: 0.0, 7.5: 0.0}
     ds = np.array(list(recorded)).reshape(4, 4)
     got = sphere_in_cube_fraction(ds)
     assert got.shape == (4, 4)
-    np.testing.assert_array_equal(got.ravel(), list(recorded.values()))
+    np.testing.assert_array_equal(
+        got.ravel(), [sphere_in_cube_fraction(float(d)) for d in ds.ravel()])
+    np.testing.assert_allclose(got.ravel(), list(recorded.values()),
+                               rtol=0.0, atol=1e-15)
     assert sphere_in_cube_fraction(math.nan) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# gaussian angular kernel
-
-
-def _angular_kernel_per_entry(x, x0, s):
-    """The kernel with its small-a rule summed one entry at a time, as it
-    was before that branch took arrays; kept as the reference."""
-    X, X0 = np.meshgrid(np.asarray(x, float), np.asarray(x0, float), indexing="ij")
-    a = 2.0 * X * X0 / (s * s)
-    out = np.empty_like(a)
-    big = a >= 0.5
-    ab = a[big]
-    sh = 1.0 - np.exp(-2.0 * ab)
-    ch = 1.0 + np.exp(-2.0 * ab)
-    out[big] = sh / ab + ((ab * ab + 2.0) * sh - 2.0 * ab * ch) / ab**3
-    xg, wg = pulsekit._gauss_legendre(48)
-    asm = a[~big]
-    out[~big] = np.exp(-asm) * np.array(
-        [np.sum(wg * (1.0 + xg**2) * np.exp(av * xg)) for av in asm])
-    return np.exp(-(X - X0) ** 2 / (s * s)) * out
-
-
-@pytest.mark.parametrize("block", [7, None])
-def test_gaussian_angular_kernel_matches_per_entry_sum(monkeypatch, block):
-    """Both rules, block seams included: bit for bit the per-entry sum."""
-    if block is not None:
-        monkeypatch.setattr(pulsekit, "_KERNEL_BLOCK", block)
-    x = np.linspace(0.01, 25.0, 240)
-    x0 = np.linspace(0.02, 20.0, 30)
-    for s in (0.3, 4.0, 30.0):
-        got = pulsekit.gaussian_angular_kernel(x, x0, s)
-        np.testing.assert_array_equal(got, _angular_kernel_per_entry(x, x0, s))
-
-
-# ---------------------------------------------------------------------------
-# gaussian lineshapes
-
-
-def _gaussian(ctx, sigma_units, k0_units=8.0):
-    ls = ctx.length_scale
-    return make_gaussian_family(ctx, sigma_units / ls, alpha=1.0,
-                                k0=k0_units / ls)
-
-
-def test_gaussian_narrow_extent_closed_form(ctx):
-    ext = pulse_extent(_gaussian(ctx, 0.04), 0.99)
-    # quantile of r^2 exp(-sigma^2 r^2) via brute cumulative integration
-    assert math.isclose(ext, 2.36012999e-05, rel_tol=1e-6)
-    assert math.isclose(pulse_extent(_gaussian(ctx, 0.02), 0.99), 2.0 * ext,
-                        rel_tol=1e-12)
-
-
-def test_gaussian_broad_extent_unsupported(ctx):
-    with pytest.raises(NotImplementedError):
-        pulse_extent(_gaussian(ctx, 0.2), 0.99)
-
-
-def test_gaussian_requires_k0(ctx):
-    fam = make_gaussian_family(ctx, 0.04 / ctx.length_scale)
-    with pytest.raises(ValueError, match="k0"):
-        pulse_extent(fam, 0.99)
-    with pytest.raises(ValueError, match="k0"):
-        make_gaussian_family(ctx, 0.04 / ctx.length_scale, k0=-1.0)
-
-
-def test_gaussian_narrow_parseval(ctx):
-    """Peak amplitude and ball volume recover the spectral-side intensity."""
-    fam = _gaussian(ctx, 0.04)
-    peak = envelope_batch(fam, *_frames([0.0, 0.0, 1.0], 0.7, 1),
-                          np.zeros((1, 3)))[0]
-    integral = float(np.vdot(peak, peak).real) * (math.pi / fam.sigma**2) ** 1.5
-    want = ctx.hbar * ctx.c * fam.k0 / (2.0 * ctx.epsilon0)
-    assert math.isclose(integral, want, rel_tol=1e-4)
-
-
-def test_gaussian_narrow_against_direct_quadrature(ctx):
-    fam = _gaussian(ctx, 0.049)
-    m_hats, n_hats = _frames([0.0, 0.0, 1.0], 0.7, 3)
-    du = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.5, 0.0, 1.5]])
-    analytic = envelope_batch(fam, m_hats, n_hats, du * ctx.length_scale)
-    peak = np.linalg.norm(analytic[0])
-    m, n = m_hats[0], n_hats[0]
-    e2 = np.cross(m, n)
-    pref = fam.envelope_prefactor() * 2.0 * math.pi
-    for d, got in zip(du[1:], analytic[1:]):
-        dx, dy, dz = d @ n, d @ e2, d @ m
-        ty, tz = transforms_direct(fam, math.hypot(dx, dy), dz, 0.0)
-        phi = math.atan2(dy, dx)
-        direct = pref * (ty * e2 - 1j * math.sin(phi) * tz * m)
-        assert np.linalg.norm(got - direct) / peak < 3e-3
-
-
-def test_gaussian_table_against_direct(ctx):
-    assert _table_error(_gaussian(ctx, 0.2),
-                        [(0.0, 0.5), (1.0, 1.0), (2.0, 3.0)]) < 5e-3
-
-
-def test_gaussian_sigma_must_be_positive(ctx):
-    with pytest.raises(ValueError):
-        make_gaussian_family(ctx, -3.0)

@@ -184,3 +184,15 @@ def test_coherence_time_kappa_invariant(ctx):
     tc = thermal.coherence_time(ctx)
     kappa = tc / ctx.time_scale
     assert math.isclose(kappa, 0.9648024186590263, rel_tol=1e-9)
+
+
+def test_coherence_time_against_mpmath(ctx):
+    """kappa_c = 2 pi 6! (zeta(6) - zeta(7)) / (pi^4/15)^2 is
+    int |g1(u)/g1(0)|^2 du; here by 40-digit quadrature of that integral's
+    Parseval form, 2 pi int x^6/(e^x - 1)^2 dx / (pi^4/15)^2."""
+    with mpmath.workdps(40):
+        inner = mpmath.quad(lambda x: x**6 / mpmath.expm1(x) ** 2,
+                            [0, 10, 40, mpmath.inf])
+        want = float(2 * mpmath.pi * inner / (mpmath.pi**4 / 15) ** 2)
+    kappa = thermal.coherence_time(ctx) / ctx.time_scale
+    assert abs(kappa - want) <= 1e-14 * want
