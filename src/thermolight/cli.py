@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -95,7 +96,10 @@ def _parse_duration(token: str) -> float:
     raise ConfigError(f"cannot parse duration {token!r}")
 
 
+@functools.cache
 def _git_describe() -> str:
+    """The checkout's git describe, asked once per process: a process runs
+    the code it imported, so the first answer stays true."""
     try:
         here = os.path.dirname(os.path.abspath(__file__))
         out = subprocess.run(["git", "-C", here, "describe", "--always",
@@ -426,6 +430,7 @@ def run_fock_demo(cfg: dict, rep: Reporter) -> None:
     rows.append(["thermal_coherences", len(scan), 0, not scan])
     rep.check("thermal_scan_empty", len(scan), 0, 0, not scan, "analytic",
               comparison="exact")
+    rep.info("mixture_truncation_mass", rho.truncation_mass)
     rep.info("thermal_truncation_mass", rho_th.truncation_mass)
     rep.table("fock-demo", ["quantity", "value", "expected", "passed"], rows)
     rep.write_csv("fock-demo", _base_meta(cfg, {

@@ -19,14 +19,19 @@ A mixture is one PulseMixture: the amplitudes alpha (N,), spectra F
 (N x M) and probabilities p (N,) of its N pulses on one ModeSet, with the
 linear law of their phases when they follow one.  It checks them once,
 when it is made, and keeps read-only copies, so what reads it checks
-nothing again.  The gammas alpha_s F_sj form an N x M array, and the Fock
-amplitudes of all product coherent states follow at once in log space,
+nothing again.  The gammas alpha_s F_sj form an N x M array.  A product
+coherent state's Fock amplitudes factor over modes,
 
-    log <n|psi> = sum_j [n_j log gamma_j - log(n_j!) / 2 - |gamma_j|^2 / 2],
+    <n|psi> = prod_j a_j(n_j),
+    log a_j(n) = n log gamma_j - log(n!) / 2 - |gamma_j|^2 / 2,
 
-one exponential per amplitude.  rho = Psi^T diag(p) Psi* then accumulates
-as one GEMM per block of _ROW_BLOCK pulses, so no N x dim matrix is ever
-held.  b_coefficient_sum takes the moduli of the same logs.
+so a block of pulses takes one table of M (cutoff + 1) one-mode logs per
+pulse and one exponential per entry, and each pulse's Kronecker product
+of its M one-mode vectors gives its amplitudes in fock_tuples() order.
+rho = Psi^T diag(p) Psi* then accumulates as one GEMM per block of
+_ROW_BLOCK pulses, so no N x dim matrix is ever held.  b_coefficient_sum
+reads the moduli of the same one-mode logs.  The mass a cutoff drops is in
+closed form: a pulse keeps prod_j P(Poisson(|gamma_j|^2) <= cutoff).
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from .units import PhysicalContext, check_count, check_seed
 
@@ -172,20 +177,43 @@ class PulseMixture:
         return self.alpha[:, None] * self.F
 
 
-def _log_amplitudes(gammas: np.ndarray, fock: np.ndarray) -> np.ndarray:
-    """N x K logs of <n|psi_s>: psi_s the product coherent state of row s of
-    gammas (N x M), n row k of fock (K x M).
+def _mode_logs(gammas: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """M x len(ns) x N logs of the one-mode amplitudes a_j(n) of each row of
+    gammas (N x M), for the counts n in ns; pulses run along the last axis.
 
-    The real part is -inf where some gamma_j = 0 < n_j, so that exp gives an
-    exact 0 there.
+    The real part is -inf where gamma_j = 0 < n, so that exp gives an exact
+    0 there.
     """
-    mag = np.abs(gammas)[:, None, :]
+    mag = np.abs(gammas.T)[:, None, :]
+    ns = ns[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        n_log = np.where(fock > 0, fock * np.log(mag), 0.0)
-    re = (n_log.sum(axis=2) - 0.5 * gammaln(fock + 1.0).sum(axis=1)
-          - 0.5 * (mag**2).sum(axis=2))
-    im = (fock * np.angle(gammas)[:, None, :]).sum(axis=2)
-    return re + 1j * im
+        n_log = np.where(ns > 0, ns * np.log(mag), 0.0)
+    re = n_log - 0.5 * gammaln(ns + 1.0) - 0.5 * mag**2
+    return re + 1j * (ns * np.angle(gammas.T)[:, None, :])
+
+
+def _amplitudes(gammas: np.ndarray, cutoff: int) -> np.ndarray:
+    """(cutoff + 1)^M x N Fock amplitudes <n|psi_s>, n in fock_tuples()
+    order: the Kronecker product of each pulse's one-mode vectors."""
+    per_mode = np.exp(_mode_logs(gammas, np.arange(cutoff + 1)))
+    psi = per_mode[0]
+    for a in per_mode[1:]:
+        psi = (psi[:, None, :] * a).reshape(-1, psi.shape[1])
+    return psi
+
+
+def _dropped_mass(pulses: PulseMixture) -> float:
+    """Probability mass of the mixture beyond the cutoff of any mode.
+
+    Pulse s keeps prod_j P(Poisson(|gamma_sj|^2) <= cutoff), one minus the
+    regularized gamma P(cutoff + 1, |gamma_sj|^2); the sum of logs and
+    expm1 keep the dropped share accurate when it is tiny, and it is 1 when
+    a mode keeps nothing.
+    """
+    tail = gammainc(pulses.modes.cutoff + 1.0, np.abs(pulses.gammas) ** 2)
+    with np.errstate(divide="ignore"):
+        kept_log = np.log1p(-tail).sum(axis=1)
+    return float(pulses.probs @ -np.expm1(kept_log))
 
 
 @dataclass(frozen=True)
@@ -223,7 +251,8 @@ def build_rho_mixture(pulses: PulseMixture) -> DenseDensityMatrix:
 
     rho = Psi^T diag(p) Psi*, where row s of Psi holds the Fock amplitudes
     of pulse s; it accumulates over blocks of _ROW_BLOCK pulses.  Entries
-    below _DROP_TOL times the largest are not stored.
+    below _DROP_TOL times the largest are not stored.  truncation_mass is
+    the probability the pulses put beyond the cutoff.
     """
     modes = pulses.modes
     dim = modes.dimension
@@ -232,17 +261,17 @@ def build_rho_mixture(pulses: PulseMixture) -> DenseDensityMatrix:
     if dim > 4096:
         raise ValueError("dense accumulation capped at dimension 4096")
     gammas, probs = pulses.gammas, pulses.probs
-    fock = modes.fock_array()
     acc = np.zeros((dim, dim), complex)
     for lo in range(0, len(probs), _ROW_BLOCK):
-        psi = np.exp(_log_amplitudes(gammas[lo:lo + _ROW_BLOCK], fock))
-        acc += (psi * probs[lo:lo + _ROW_BLOCK, None]).T @ psi.conj()
+        psi = _amplitudes(gammas[lo:lo + _ROW_BLOCK], modes.cutoff)
+        acc += (psi * probs[lo:lo + _ROW_BLOCK]) @ psi.conj().T
     mag = np.abs(acc)
     rows, cols = np.nonzero(mag > _DROP_TOL * float(mag.max()))
     tuples = modes.fock_tuples()
     elements = {(tuples[i], tuples[j]): v for i, j, v in
                 zip(rows.tolist(), cols.tolist(), acc[rows, cols].tolist())}
-    return DenseDensityMatrix(modes=modes, elements=elements)
+    return DenseDensityMatrix(modes=modes, elements=elements,
+                              truncation_mass=_dropped_mass(pulses))
 
 
 def b_coefficient_sum(pulses: PulseMixture, n: tuple[int, ...],
@@ -250,14 +279,17 @@ def b_coefficient_sum(pulses: PulseMixture, n: tuple[int, ...],
     """sum_sigma B_{nm;sigma}: the positive magnitude part of rho_nm.
 
     B = p |<n|psi>| |<m|psi>| = p e^{-|alpha|^2}
-    prod_j |gamma_j|^{n_j + m_j} / sqrt(n_j! m_j!), from the same log
-    amplitudes as build_rho_mixture.
+    prod_j |gamma_j|^{n_j + m_j} / sqrt(n_j! m_j!), from the same one-mode
+    logs as build_rho_mixture, taken at the counts of n and m, which may
+    exceed the cutoff.
     """
     fock = np.array([n, m])
     if fock.shape != (2, pulses.modes.n_modes) or np.any(fock < 0):
         raise ValueError("n and m must be Fock tuples with one count per mode")
-    logs = _log_amplitudes(pulses.gammas, fock).real
-    return float(np.sum(pulses.probs * np.exp(logs[:, 0] + logs[:, 1])))
+    logs = _mode_logs(pulses.gammas, fock.ravel()).real
+    j = np.arange(fock.shape[1])
+    log_b = (logs[j, j] + logs[j, j + len(j)]).sum(axis=0)
+    return float(np.sum(pulses.probs * np.exp(log_b)))
 
 
 def coherence_scan(rho: DenseDensityMatrix, tolerance: float

@@ -197,11 +197,31 @@ def test_fock_demo_passes(tmp_path: Path):
     names = {c["name"] for c in report["checks"]}
     assert "survivor_equals_b_sum" in names
     assert "free_phase_suppressed" in names
+    assert "mixture_truncation_mass" in names
 
 
 def _fock_checks(out: Path) -> dict:
     report = json.loads((out / "report.json").read_text())
     return {c["name"]: c for c in report["checks"]}
+
+
+def test_git_describe_spawned_once_per_process(tmp_path: Path, monkeypatch):
+    """Every run's CSV names the checkout, but a process asks git once."""
+    spawned = []
+    run = subprocess.run
+
+    def counted(cmd, *args, **kwargs):
+        spawned.append(cmd[0])
+        return run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(cli.subprocess, "run", counted)
+    cli._git_describe.cache_clear()
+    for name in ("a", "b"):
+        assert cli.main(["coherence-time", "--out", str(tmp_path / name)]) == 0
+    assert spawned == ["git"]
+    csv_a, csv_b = ((tmp_path / name / "coherence-time.csv").read_text()
+                    for name in ("a", "b"))
+    assert csv_a == csv_b and "# git = " in csv_a
 
 
 def test_fock_demo_free_phase_seed_at_3_sigma_passes(tmp_path: Path):

@@ -1,8 +1,10 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermolight import fockdis
 from thermolight.fockdis import (ModeSet, PulseMixture, build_rho_mixture,
@@ -93,6 +95,123 @@ def test_b_sum_matches_exact_sum():
             want = math.fsum(terms)
             got = b_coefficient_sum(pulses, n, m)
             assert abs(got - want) <= 2e-15 * want
+
+
+@pytest.mark.parametrize("n, m", [((5, 0, 4), (6, 1, 0)),
+                                  ((9, 2, 7), (8, 0, 6)),
+                                  ((40, 0, 0), (0, 3, 30))])
+def test_b_sum_above_cutoff_matches_mpmath(n, m):
+    """Counts above the cutoff read the same one-mode logs.  A log-space
+    sum is as exact as its logarithm, so the bound is a few ulps of
+    |log B| relative (|log B| is 20 to 181 here)."""
+    modes = three_mode_example(cutoff=3)
+    for pulses in (linear_phase_ensemble(modes, (1.0, 1.0, 1.0), 0.8,
+                                         n_a=4, n_b=8),
+                   free_phase_ensemble(modes, (1.0, 2.0, 0.5), 0.9, 40, 4)):
+        with mpmath.workdps(40):
+            want = mpmath.mpf(0)
+            for gam, prob in zip(pulses.gammas, pulses.probs):
+                g = [mpmath.mpf(float(x)) for x in np.abs(gam)]
+                b = mpmath.mpf(float(prob)) * mpmath.exp(-mpmath.fsum(
+                    x**2 for x in g))
+                for x, nj, mj in zip(g, n, m):
+                    b *= x ** (nj + mj) / mpmath.sqrt(
+                        mpmath.factorial(nj) * mpmath.factorial(mj))
+                want += b
+            log_b = abs(float(mpmath.log(want)))
+            want = float(want)
+        got = b_coefficient_sum(pulses, n, m)
+        assert abs(got - want) <= 4.0 * np.finfo(float).eps * log_b * want
+
+
+@st.composite
+def _extreme_mixtures(draw):
+    """1-4 modes, dimension <= 256, exact zeros among the mode amplitudes
+    and |gamma|^2 up to 2000."""
+    n_modes = draw(st.integers(1, 4))
+    top = round(256 ** (1.0 / n_modes)) - 1
+    modes = ModeSet(n_int=tuple((j + 1, 0, 0) for j in range(n_modes)),
+                    lambdas=(1,) * n_modes, quant_volume_V=1.0,
+                    cutoff=draw(st.integers(1, top)))
+    n_pulses = draw(st.integers(1, 4))
+    alpha, spectra = [], []
+    for _ in range(n_pulses):
+        mags = np.array(draw(st.lists(st.sampled_from([0.0, 1e-300])
+                                      | st.floats(0.0, 1.0),
+                                      min_size=n_modes, max_size=n_modes)))
+        if not np.any(mags >= 1e-3):
+            mags[draw(st.integers(0, n_modes - 1))] = 1.0
+        phases = draw(st.lists(st.floats(0.0, 2.0 * math.pi),
+                               min_size=n_modes, max_size=n_modes))
+        spectra.append(mags / np.linalg.norm(mags) * np.exp(1j * np.array(phases)))
+        alpha.append(math.sqrt(draw(st.sampled_from([0.0, 2000.0])
+                                    | st.floats(0.0, 2000.0)))
+                     * np.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))))
+    return PulseMixture(modes, alpha, spectra,
+                        np.full(n_pulses, 1.0 / n_pulses), None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pulses=_extreme_mixtures())
+def test_extreme_amplitudes_match_outer_product_oracle(pulses):
+    """Zero and huge mode amplitudes give finite Fock amplitudes equal to
+    the per-pulse np.kron oracle, without a floating-point warning."""
+    want = _outer_sum_reference(pulses)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = build_rho_mixture(pulses)
+        got = rho.dense()
+    assert not np.any(np.isnan(got))
+    assert float(np.max(np.abs(got - want))) < 1e-14
+    assert 0.0 <= rho.truncation_mass <= 1.0
+
+
+def _mpmath_truncation_mass(pulses):
+    """sum_s p_s (1 - prod_j P(Poisson(|gamma_sj|^2) <= cutoff)), at 60
+    digits."""
+    c = pulses.modes.cutoff
+    with mpmath.workdps(60):
+        total = mpmath.mpf(0)
+        for gam, prob in zip(pulses.gammas, pulses.probs):
+            kept = mpmath.mpf(1)
+            for g in gam:
+                x = mpmath.mpf(float(abs(g))) ** 2
+                kept *= mpmath.exp(-x) * mpmath.fsum(
+                    x**k / mpmath.factorial(k) for k in range(c + 1))
+            total += mpmath.mpf(float(prob)) * (1 - kept)
+        return float(total)
+
+
+@pytest.mark.parametrize("alpha_abs", [0.8, 1e-3, 60.0])
+def test_truncation_mass_matches_mpmath(alpha_abs):
+    """The probability the pulses put beyond the cutoff, at fock-demo's
+    default |alpha|, at a tiny one (about 1e-26 dropped) and at a huge one
+    (all of it dropped)."""
+    modes = three_mode_example(cutoff=3)
+    pulses = free_phase_ensemble(modes, (1.0, 2.0, 0.5), alpha_abs, 8, 5)
+    mixed = PulseMixture(modes, pulses.alpha * [1.0, 0.5, 1.3, 0.0, 1.0,
+                                                 0.9, 0.2, 1.1],
+                         pulses.F, pulses.probs, None)
+    for mix in (pulses, mixed):
+        want = _mpmath_truncation_mass(mix)
+        got = build_rho_mixture(mix).truncation_mass
+        assert abs(got - want) <= 1e-13 * want
+
+
+def test_truncation_mass_of_fock_demo_mixture():
+    """fock-demo's mixtures drop 2.1840392845079897e-4 (mpmath) beyond
+    cutoff 3; when every amplitude underflows, all the mass is dropped."""
+    modes = three_mode_example((2e-6) ** 3, cutoff=3)
+    linear = linear_phase_ensemble(modes, (1.0, 1.0, 1.0), 0.8)
+    rho = build_rho_mixture(linear)
+    got = rho.truncation_mass
+    assert abs(got - 2.1840392845079897e-4) <= 1e-13 * 2.1840392845079897e-4
+    assert abs(rho.trace() + got - 1.0) < 1e-15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lost = build_rho_mixture(linear_phase_ensemble(modes, (1.0, 1.0, 1.0),
+                                                       1e3, n_a=4, n_b=8))
+    assert lost.elements == {} and lost.truncation_mass == 1.0
 
 
 def test_free_phase_ensemble_draws_frozen():
