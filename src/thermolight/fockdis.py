@@ -50,10 +50,12 @@ from .units import PhysicalContext, check_count, check_seed
 # largest are not stored.  Spectra must be normalized, linear phase laws
 # hold and probabilities sum to 1, to _PULSE_TOL.
 # linear_phase_selection_rules sorts the coherences above _SCAN_TOL.
+# Neither builder allocates for more than _MAX_DIMENSION Fock tuples.
 _ROW_BLOCK = 256
 _DROP_TOL = 1e-16
 _PULSE_TOL = 1e-12
 _SCAN_TOL = 1e-12
+_MAX_DIMENSION = 4096
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,12 @@ class ModeSet:
         """fock_tuples() as a dimension x n_modes integer array."""
         shape = (self.cutoff + 1,) * self.n_modes
         return np.indices(shape).reshape(self.n_modes, -1).T
+
+
+def _check_dimension(modes: ModeSet) -> None:
+    if modes.dimension > _MAX_DIMENSION:
+        raise ValueError(f"Hilbert dimension {modes.dimension} exceeds "
+                         f"{_MAX_DIMENSION}; reduce cutoff or modes")
 
 
 def _frozen(value, dtype) -> np.ndarray:
@@ -218,7 +226,11 @@ def _dropped_mass(pulses: PulseMixture) -> float:
 
 @dataclass(frozen=True)
 class DenseDensityMatrix:
-    """Sparse-keyed density matrix over Fock tuples, dense on demand."""
+    """Sparse-keyed density matrix over Fock tuples, dense on demand.
+
+    truncation_mass is the probability the state puts beyond the cutoff;
+    the elements are not renormalized, so trace + truncation_mass = 1.
+    """
 
     modes: ModeSet
     elements: dict = field(repr=False)
@@ -255,11 +267,8 @@ def build_rho_mixture(pulses: PulseMixture) -> DenseDensityMatrix:
     the probability the pulses put beyond the cutoff.
     """
     modes = pulses.modes
+    _check_dimension(modes)
     dim = modes.dimension
-    if dim > 10**6:
-        raise ValueError("Hilbert dimension exceeds 10^6; reduce cutoff or modes")
-    if dim > 4096:
-        raise ValueError("dense accumulation capped at dimension 4096")
     gammas, probs = pulses.gammas, pulses.probs
     acc = np.zeros((dim, dim), complex)
     for lo in range(0, len(probs), _ROW_BLOCK):
@@ -302,40 +311,33 @@ def coherence_scan(rho: DenseDensityMatrix, tolerance: float
 
 def thermal_rho_dis(modes: ModeSet, ctx: PhysicalContext,
                     cutoff: int | None = None) -> DenseDensityMatrix:
-    """Product of per-mode occupation-weighted diagonals, renormalized.
+    """Product of per-mode thermal diagonals, truncated at the cutoff.
 
-    Per mode, p(n) = nbar^n / (1 + nbar)^{n+1} with
-    nbar = 1/(e^{beta hbar c |k|} - 1); the discarded tail mass is reported
-    as truncation_mass.
+    Per mode, p(n) = (1 - q) q^n with q = e^{-beta hbar c |k|}.  The
+    diagonal is not renormalized: as for build_rho_mixture, trace +
+    truncation_mass = 1, the mass being 1 - prod_j (1 - q_j^{cutoff + 1})
+    formed from logs so that it stays accurate when tiny.
     """
     if cutoff is None:
         cutoff = modes.cutoff
     modes = replace(modes, cutoff=cutoff)
+    _check_dimension(modes)
     kmag = np.linalg.norm(modes.k_vectors, axis=1)
     if np.any(kmag == 0.0):
         raise ValueError("zero wavevector has no occupation weight")
-    ns = np.arange(cutoff + 1)
-    per_mode = []
-    kept = 1.0
-    for k in kmag:
-        x = ctx.beta * ctx.hbar * ctx.c * k
-        nbar = 1.0 / math.expm1(x) if x < 700.0 else 0.0
-        if nbar == 0.0:
-            p = np.zeros(cutoff + 1)
-            p[0] = 1.0
-        else:
-            p = nbar**ns / (1.0 + nbar) ** (ns + 1)
-        kept *= float(p.sum())
-        per_mode.append(p)
+    x = ctx.beta * ctx.hbar * ctx.c * kmag
+    q = np.exp(-x)
+    per_mode = -np.expm1(-x)[:, None] * q[:, None] ** np.arange(cutoff + 1)
     diag = per_mode[0]
     for p in per_mode[1:]:
         diag = np.kron(diag, p)
-    diag = diag / diag.sum()
     tuples = modes.fock_tuples()
     elements = {(n, n): complex(diag[i]) for i, n in enumerate(tuples)
                 if diag[i] > 0.0}
+    kept_log = float(np.sum(np.log1p(-np.exp(-(cutoff + 1) * x))))
+    # 0.0 - rather than unary minus, so that the vacuum limit reads +0.0
     return DenseDensityMatrix(modes=modes, elements=elements,
-                              truncation_mass=1.0 - kept)
+                              truncation_mass=0.0 - math.expm1(kept_log))
 
 
 def mean_photon_numbers(rho: DenseDensityMatrix) -> np.ndarray:

@@ -87,7 +87,6 @@ def draw_batch(omega: float, n: int, seed: int, stream: int = 0,
 
 def _density_scale(weights: WeightSpec, omega: float) -> float:
     """Factor converting a per-draw average into the mixture correlation."""
-    weights.validate()
     if weights.kind == "TraceImproper":
         return omega * _LABEL_MEASURE * weights.p_const
     return 1.0
@@ -107,11 +106,6 @@ def check_sample_counts(n: int, n_strata: int = 1) -> None:
         raise ValueError(f"n = {n} leaves some of n_strata = {n_strata} "
                          f"strata with fewer than 2 draws, too few for an "
                          f"error bar: need n >= 2 n_strata = {2 * n_strata}")
-
-
-def _check_amplitude(family: PulseFamily, weights: WeightSpec) -> None:
-    if abs(abs(family.alpha) ** 2 - weights.alpha_sq) > 1e-12 * weights.alpha_sq:
-        raise ValueError("family amplitude inconsistent with weights.alpha_sq")
 
 
 def _draw_shell(n: int, seed: int, stream: int, r: np.ndarray,
@@ -142,7 +136,6 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     """
     check_sample_counts(n)
     check_seed(seed)
-    _check_amplitude(family, weights)
     if not 0.0 < omega < math.inf:
         raise ValueError(f"omega must be positive and finite, got {omega}")
     r = np.asarray(r, float)
@@ -247,7 +240,6 @@ def estimate_g2_mix(family: PulseFamily, weights: WeightSpec, omega: float,
         raise ValueError(f"R must be nonnegative and finite, got {R}")
     if reach is not None:
         check_reach(reach)
-    _check_amplitude(family, weights)
     ctx = family.ctx
     side = omega ** (1.0 / 3.0)
     ra = np.array([0.0, 0.0, -R / 2.0])

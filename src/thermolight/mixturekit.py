@@ -1,14 +1,15 @@
 """First-order coherence of pulse mixtures and weight feasibility solvers.
 
-Two mixture normalizations appear throughout:
+A mixture rho = int p(s) |{alpha_s}><{alpha_s}| ds keeps its two parts
+apart: the pulse, amplitude alpha included, is a PulseFamily, and the
+density p over pulse labels s = (r0, m_hat, Psi) is a WeightSpec.  Every
+reader takes |alpha|^2 from the family.  Two label densities appear:
 
-  * UnitTrace: pulse labels s = (r0, m_hat, Psi) are drawn from a proper
-    probability density over a quantization volume Omega (uniform positions,
-    isotropic directions, uniform polarization angle).
+  * UnitTrace: a proper probability density over a quantization volume
+    Omega (uniform positions, isotropic directions, uniform polarization
+    angle), p_const = 1/(8 pi^2 Omega).
   * TraceImproper: positions range over all space with a constant density
-    p_const per unit volume per unit label measure; the trace scale is
-    calV = 1/(8 pi^2 p_const), so the label integral equals 1/calV per the
-    mixture's bookkeeping convention.
+    p_const per unit volume per unit label measure.
 
 For the occupation-matched pulse family the improper mixture reproduces
 the blackbody first-order function exactly when the product p |alpha|^2
@@ -24,7 +25,8 @@ profile.
 
 Gaussian-lineshape pulses live only here, on the spectral side: the weight
 solver asks how well such pulses can mimic the blackbody spectrum, and
-g1_improper_gaussian gives the first-order function of the mixture it finds.
+g1_improper_gaussian reads the fit it returns to give the first-order
+function of that mixture.
 """
 
 from __future__ import annotations
@@ -67,69 +69,46 @@ def matched_product(ctx: PhysicalContext) -> float:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Weight assignment over pulse labels.
+    """The density p(s) of a mixture over pulse labels s = (r0, m_hat, Psi).
 
-    p_const [1/m^3 per unit dm_hat dPsi measure] is the label density for
-    both kinds; for UnitTrace it must integrate to one over the quantization
-    volume (stored in quant_volume), for TraceImproper over all space it
-    integrates to 1/calV per unit volume convention.  Gaussian-lineshape
-    mixtures carry their k0 distribution as node masses on k0_grid.
+    p_const [1/m^3 per unit dm_hat dPsi measure] is constant over labels.
+    For UnitTrace it integrates to one over a quantization volume Omega,
+    p_const = 1/(8 pi^2 Omega); for TraceImproper positions range over all
+    space.  The pulse amplitude alpha belongs to the PulseFamily, not here:
+    each reader takes |alpha|^2 from the family.  Making one raises
+    ValueError unless the kind is known and p_const positive and finite.
     """
 
     kind: str                      # "UnitTrace" | "TraceImproper"
-    alpha_sq: float
-    p_const: float | None = None
-    calV: float | None = None
-    quant_volume: float | None = None
-    k0_grid: np.ndarray | None = None
-    p_of_k0: np.ndarray | None = None
+    p_const: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in ("UnitTrace", "TraceImproper"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if not 0.0 <= self.alpha_sq < math.inf:
-            raise ValueError(f"alpha_sq must be nonnegative and finite, "
-                             f"got {self.alpha_sq}")
-        if self.p_of_k0 is not None and np.any(np.asarray(self.p_of_k0) < 0):
-            raise ValueError("k0 weights must be nonnegative")
-        if self.kind == "TraceImproper":
-            if self.p_const is None or self.calV is None:
-                raise ValueError("TraceImproper needs p_const and calV")
-            target = 1.0 / self.calV
-            if not abs(self.p_const * _LABEL_MEASURE - target) <= 1e-10 * abs(target):
-                raise ValueError("p_const and calV are inconsistent")
-        else:
-            if self.p_const is None or self.quant_volume is None:
-                raise ValueError("UnitTrace needs p_const and quant_volume")
-            total = self.p_const * self.quant_volume * _LABEL_MEASURE
-            if not abs(total - 1.0) <= 1e-10:
-                raise ValueError(f"UnitTrace weights integrate to {total}, not 1")
+        if not 0.0 < self.p_const < math.inf:
+            raise ValueError(f"p_const must be positive and finite, "
+                             f"got {self.p_const}")
 
 
 def make_matched_improper_weights(ctx: PhysicalContext,
                                   alpha_sq: float = 1.0,
                                   product: float | None = None) -> WeightSpec:
-    """TraceImproper weights with p |alpha|^2 = product (matched by default)."""
+    """TraceImproper weights p = product / alpha_sq, for a family with
+    |alpha|^2 = alpha_sq, so that p |alpha|^2 = product (matched by
+    default)."""
     if product is None:
         product = matched_product(ctx)
     if not (0.0 < alpha_sq < math.inf and 0.0 < product < math.inf):
         raise ValueError(f"alpha_sq and product must be positive and finite, "
                          f"got {alpha_sq} and {product}")
-    p = product / alpha_sq
-    spec = WeightSpec(kind="TraceImproper", alpha_sq=alpha_sq, p_const=p,
-                      calV=1.0 / (_LABEL_MEASURE * p))
-    spec.validate()
-    return spec
+    return WeightSpec(kind="TraceImproper", p_const=product / alpha_sq)
 
 
-def make_unit_trace_weights(omega: float, alpha_sq: float = 1.0) -> WeightSpec:
+def make_unit_trace_weights(omega: float) -> WeightSpec:
     """Proper mixture weights, normalized over the volume omega [m^3]."""
     if not 0.0 < omega < math.inf:
         raise ValueError(f"omega must be positive and finite, got {omega}")
-    spec = WeightSpec(kind="UnitTrace", alpha_sq=alpha_sq,
-                      p_const=1.0 / (omega * _LABEL_MEASURE), quant_volume=omega)
-    spec.validate()
-    return spec
+    return WeightSpec(kind="UnitTrace", p_const=1.0 / (omega * _LABEL_MEASURE))
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +127,6 @@ def _angular_trace(family: PulseFamily) -> float:
                                                      family.upsilon_param)
 
 
-def _improper_delays(ctx: PhysicalContext, weights: WeightSpec,
-                     tau: float | np.ndarray) -> np.ndarray:
-    """tau [s] in units of beta hbar, once weights pass as TraceImproper."""
-    if weights.kind != "TraceImproper":
-        raise ValueError("an improper mixture requires TraceImproper weights")
-    weights.validate()
-    return np.asarray(tau, float) / ctx.time_scale
-
-
 def g1_improper(family: PulseFamily, weights: WeightSpec,
                 tau: float | np.ndarray) -> complex | np.ndarray:
     """Equal-point diagonal element of the improper mixture's first-order
@@ -165,11 +135,14 @@ def g1_improper(family: PulseFamily, weights: WeightSpec,
     tau is a number or an array; the result is complex or a complex array of
     the same shape.  The all-space position integral forces k' = k, after
     which the label average factorizes into the orientation trace and a
-    radial occupation transform; the result is linear in p_const * alpha_sq.
+    radial occupation transform; the result is linear in
+    p_const |alpha|^2, with alpha the family's amplitude.
     """
+    if weights.kind != "TraceImproper":
+        raise ValueError("an improper mixture requires TraceImproper weights")
     ctx = family.ctx
-    u = _improper_delays(ctx, weights, tau)
-    pa2 = weights.p_const * weights.alpha_sq
+    u = np.asarray(tau, float) / ctx.time_scale
+    pa2 = weights.p_const * abs(family.alpha) ** 2
     tr_ang = _angular_trace(family)
     n_sq = family.norm_N() ** 2
     pref = (pa2 * n_sq * (2.0 * math.pi) ** 3 * 4.0 * math.pi
@@ -180,43 +153,28 @@ def g1_improper(family: PulseFamily, weights: WeightSpec,
 
 
 def g1_improper_gaussian(ctx: PhysicalContext, sigma: float,
-                         weights: WeightSpec, tau: float | np.ndarray
+                         fit: GaussianWeightFit, tau: float | np.ndarray
                          ) -> complex | np.ndarray:
-    """g1_improper for a mixture of gaussian-lineshape pulses of width
-    sigma [1/m], whose carriers k0 hold the node masses weights.p_of_k0 on
-    weights.k0_grid (see gaussian_weights_to_spec).
+    """g1_improper for the mixture of gaussian-lineshape pulses of width
+    sigma [1/m] that solve_gaussian_weights found: carriers fit.k0_grid
+    holding the dimensionless masses fit.weights = p(k0) |alpha|^2
+    (beta hbar c)^3.
 
+    The mixture spectral density M @ fit.weights is formed on a uniform x
+    grid whose step resolves the kernel columns, of width s = sigma beta
+    hbar c, and G1 = (hbar c / eps0 (bhc)^4) int density(x) e^{-i x u} dx.
     A sigma that is not positive and finite raises ValueError.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    u = _improper_delays(ctx, weights, tau)
-    if weights.k0_grid is None or weights.p_of_k0 is None:
-        raise ValueError("a gaussian mixture needs k0_grid and p_of_k0 masses")
-    dens, x = _gaussian_spectral_density(ctx, sigma * ctx.length_scale, weights)
-    du = x[1] - x[0]
-    out = (np.sum(dens * np.exp(-1j * x * u[..., None]), axis=-1) * du
-           * ctx.hbar * ctx.c / (ctx.epsilon0 * ctx.length_scale**4))
-    return out if np.ndim(out) else complex(out)
-
-
-def _gaussian_spectral_density(ctx: PhysicalContext, s: float,
-                               weights: WeightSpec
-                               ) -> tuple[np.ndarray, np.ndarray]:
-    """Mixture spectral density (dimensionless) on a uniform x grid, for
-    the lineshape width s = sigma beta hbar c.
-
-    Returns (density, x) with G1_imp(tau) = (hbar c / eps0 (bhc)^4) *
-    int density(x) e^{-i x u} dx; the same kernel feeds the weight solver.
-    The step must resolve the kernel columns, whose width is s.
-    """
+    u = np.asarray(tau, float) / ctx.time_scale
+    s = sigma * ctx.length_scale
     dx = min(0.01, s / 4.0)
     x = np.arange(dx, _SPECTRAL_X_MAX, dx)
-    x0 = np.asarray(weights.k0_grid, float) * ctx.length_scale
-    M = _weight_kernel(x, x0, s)
-    masses = np.asarray(weights.p_of_k0, float) * weights.alpha_sq \
-        * ctx.length_scale**3
-    return M @ masses, x
+    dens = _weight_kernel(x, fit.k0_grid * ctx.length_scale, s) @ fit.weights
+    out = (np.sum(dens * np.exp(-1j * x * u[..., None]), axis=-1) * dx
+           * ctx.hbar * ctx.c / (ctx.epsilon0 * ctx.length_scale**4))
+    return out if np.ndim(out) else complex(out)
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +291,6 @@ def solve_gaussian_weights(ctx: PhysicalContext, sigma: float) -> GaussianWeight
                              kkt_violation=kkt)
 
 
-def gaussian_weights_to_spec(ctx: PhysicalContext, fit: GaussianWeightFit,
-                             alpha_sq: float = 1.0) -> WeightSpec:
-    """Package solver masses as TraceImproper weights for g1_improper_gaussian.
-
-    The solver works with the dimensionless combination
-    w = p(k0) |alpha|^2 (beta hbar c)^3 dk0-mass; undoing it gives the
-    physical node masses of p(k0).
-    """
-    masses = fit.weights / (alpha_sq * ctx.length_scale**3)
-    p_eff = float(np.sum(masses))  # all-space density per unit label measure
-    return WeightSpec(kind="TraceImproper", alpha_sq=alpha_sq,
-                      p_const=p_eff, calV=1.0 / (_LABEL_MEASURE * p_eff),
-                      k0_grid=fit.k0_grid, p_of_k0=masses)
-
-
 # ---------------------------------------------------------------------------
 # 1/Omega scaling of proper mixtures
 
@@ -356,7 +299,7 @@ def gaussian_weights_to_spec(ctx: PhysicalContext, fit: GaussianWeightFit,
 class ScalingCurve:
     omegas: np.ndarray
     g1: np.ndarray
-    g1_compensated: np.ndarray   # with alpha_sq rescaled proportional to Omega
+    g1_compensated: np.ndarray   # with |alpha|^2 rescaled proportional to Omega
 
     def loglog_slope(self) -> float:
         return float(np.polyfit(np.log(self.omegas), np.log(self.g1), 1)[0])
@@ -388,6 +331,5 @@ def unit_trace_scaling(family: PulseFamily, weights: WeightSpec,
         frac = pulsekit.sphere_in_cube_fraction(2.0 * grid / L)
         inner = 4.0 * math.pi * np.trapezoid(base * frac, grid)
         vals[i] = inner * ctx.length_scale**3 / (3.0 * om)
-    vals = vals * weights.alpha_sq
     comp = vals * omegas / omegas[0]
     return ScalingCurve(omegas=omegas, g1=vals, g1_compensated=comp)

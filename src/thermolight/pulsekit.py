@@ -433,9 +433,12 @@ def make_thermal_family(ctx: PhysicalContext, upsilon_kind: str = "exp",
 
     The radial normalization integrand reduces to x^2/(e^x - 1), whose
     integral is 2 zeta(3); the angular factor is pi * J with
-    J = int upsilon^2 (1 + mu^2) dmu.
+    J = int upsilon^2 (1 + mu^2) dmu.  A non-finite alpha raises ValueError;
+    alpha = 0 is a family of vacuum pulses.
     """
     upsilon_function(upsilon_kind, upsilon_param)  # validate early
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     return PulseFamily(ctx=ctx, alpha=complex(alpha), upsilon_kind=upsilon_kind,
                        upsilon_param=float(upsilon_param))
 

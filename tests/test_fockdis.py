@@ -413,7 +413,7 @@ def test_thermal_occupations_and_diagonality(ctx):
     exact = 1.0 / np.expm1(ctx.beta * ctx.hbar * ctx.c * kmag)
     np.testing.assert_allclose(mean_photon_numbers(rho), exact, rtol=1e-5)
     assert coherence_scan(rho, 0.0) == []
-    assert math.isclose(rho.trace(), 1.0, rel_tol=1e-12)
+    assert abs(rho.trace() + rho.truncation_mass - 1.0) <= 1e-15
 
 
 def test_thermal_cutoff_override_keeps_all_tuples(ctx):
@@ -425,9 +425,33 @@ def test_thermal_cutoff_override_keeps_all_tuples(ctx):
                                    cutoff=14), ctx)
     assert rho.modes.cutoff == 14
     assert rho.elements == full.elements
-    assert math.isclose(rho.trace(), 1.0, rel_tol=1e-12)
+    assert abs(rho.trace() + rho.truncation_mass - 1.0) <= 1e-15
     np.testing.assert_array_equal(mean_photon_numbers(rho),
                                   mean_photon_numbers(full))
+
+
+def _mpmath_thermal_mass(modes, ctx):
+    """1 - prod_j (1 - q_j^{cutoff + 1}), q_j = e^{-beta hbar c |k_j|}, at
+    60 digits."""
+    kmag = np.linalg.norm(modes.k_vectors, axis=1)
+    with mpmath.workdps(60):
+        kept = mpmath.mpf(1)
+        for k in kmag:
+            x = (mpmath.mpf(ctx.beta) * mpmath.mpf(ctx.hbar)
+                 * mpmath.mpf(ctx.c) * mpmath.mpf(float(k)))
+            kept *= 1 - mpmath.exp(-(modes.cutoff + 1) * x)
+        return float(1 - kept)
+
+
+@pytest.mark.parametrize("side, cutoff", [(2e-6, 14), (2e-6, 3), (2e-5, 6)])
+def test_thermal_truncation_mass_matches_mpmath(ctx, side, cutoff):
+    """fock-demo's thermal state (2 um, cutoff 14) drops 7.72391037683e-9;
+    1 - kept read 7.723910622e-9 there, 3.2e-8 relative off.  The trace is
+    what the cutoff keeps."""
+    rho = thermal_rho_dis(three_mode_example(side**3, cutoff), ctx)
+    want = _mpmath_thermal_mass(rho.modes, ctx)
+    assert abs(rho.truncation_mass - want) <= 1e-14 * want
+    assert abs(rho.trace() + rho.truncation_mass - 1.0) <= 1e-15
 
 
 def test_thermal_vacuum_limit(ctx):
@@ -480,12 +504,15 @@ def test_mode_set_validation():
                 quant_volume_V=1.0, cutoff=2)
 
 
-def test_dimension_caps():
+def test_dimension_caps(ctx):
     big = ModeSet(n_int=tuple((i, 0, 0) for i in range(1, 8)),
                   lambdas=(1,) * 7, quant_volume_V=1.0, cutoff=7)
-    with pytest.raises(ValueError, match="10\\^6"):
+    with pytest.raises(ValueError, match="4096"):
         build_rho_mixture(PulseMixture(big, [1.0], [np.eye(7)[0]], [1.0],
                                        None))
+    # the thermal builder had no cap: 17^3 = 4913 tuples used to be built
+    with pytest.raises(ValueError, match="4096"):
+        thermal_rho_dis(three_mode_example(cutoff=2), ctx, cutoff=16)
     mid = ModeSet(n_int=((1, 0, 0), (2, 0, 0)), lambdas=(1, 1),
                   quant_volume_V=1.0, cutoff=99)
     with pytest.raises(ValueError, match="4096"):

@@ -9,8 +9,7 @@ from thermolight import mcfield, mixturekit, pulsekit
 from thermolight.mcfield import (estimate_g1_mix, estimate_g2_mix,
                                  tail_intensity_bound,
                                  g2_truncation_bias_bound)
-from thermolight.mixturekit import (g1_improper, make_unit_trace_weights,
-                                    make_matched_improper_weights)
+from thermolight.mixturekit import g1_improper, make_unit_trace_weights
 from thermolight.thermal import g1_zero
 
 
@@ -144,33 +143,29 @@ def test_bad_geometry_rejected_before_any_work(ctx, thermal_family,
         calls[case]()
 
 
-def test_amplitude_consistency_enforced(ctx, thermal_family):
-    w = make_matched_improper_weights(ctx, alpha_sq=4.0)
-    with pytest.raises(ValueError):
-        estimate_g1_mix(thermal_family, w, _cube(ctx, 40.0), np.zeros(3),
-                        0.0, 1000, seed=1)
-
-
 def test_zero_amplitude_gives_exact_zero(ctx):
     fam = pulsekit.make_thermal_family(ctx, alpha=0.0)
     om = _cube(ctx, 40.0)
-    w = make_unit_trace_weights(om, alpha_sq=0.0)
+    w = make_unit_trace_weights(om)
     est = estimate_g1_mix(fam, w, om, np.zeros(3), 0.0, 1000, seed=4)
     assert est.mean == 0.0 + 0.0j
     assert est.std_error == 0.0
 
 
-def test_g1_uniform_path_matches_unit_trace_scaling(ctx, thermal_family):
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_g1_uniform_path_matches_unit_trace_scaling(ctx, alpha):
     """In a cube of side 10 the support ball does not fit, so draws are
     uniform over the cube; their mean is the orientation-averaged intensity
     over the cube, which unit_trace_scaling integrates from the same table
     with the exact sphere-in-cube fraction.  The 1/|delta|^6 tails leave a
     relative error bar of about 3% at n = 2e5, so a 20% bias in the uniform
-    path fails this."""
+    path fails this.  Both read |alpha|^2 from the family alone: at
+    alpha = 2, unit_trace_scaling used to count it twice and miss by 4x."""
+    fam = pulsekit.make_thermal_family(ctx, alpha=alpha)
     om = _cube(ctx, 10.0)
     w = make_unit_trace_weights(om)
-    est = estimate_g1_mix(thermal_family, w, om, np.zeros(3), 0.0, 200_000, 99)
-    want = mixturekit.unit_trace_scaling(thermal_family, w, [om]).g1[0]
+    est = estimate_g1_mix(fam, w, om, np.zeros(3), 0.0, 200_000, 99)
+    want = mixturekit.unit_trace_scaling(fam, w, [om]).g1[0]
     assert est.std_error < 0.05 * want
     assert abs(est.mean - want) <= 4.0 * est.std_error, (est, want)
 

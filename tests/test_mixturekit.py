@@ -11,7 +11,6 @@ from thermolight.mixturekit import (WeightSpec, make_matched_improper_weights,
                                     make_unit_trace_weights, g1_improper,
                                     g1_improper_gaussian, simulation_residual,
                                     solve_gaussian_weights,
-                                    gaussian_weights_to_spec,
                                     blackbody_spectral_target,
                                     unit_trace_scaling)
 
@@ -57,12 +56,31 @@ def test_mixture_linear_in_weight_product(ctx, thermal_family):
     assert math.isclose(b.real, 2.0 * a.real, rel_tol=1e-13)
 
 
-def test_alpha_sq_reweighting_keeps_product(ctx, thermal_family):
+def test_alpha_sq_reweighting_keeps_product(ctx):
     # same product split differently between p and |alpha|^2
+    fam = pulsekit.make_thermal_family(ctx, alpha=math.sqrt(5.0))
     w = make_matched_improper_weights(ctx, alpha_sq=5.0)
-    a = g1_improper(thermal_family, w, 0.0)
+    a = g1_improper(fam, w, 0.0)
     b = thermal.g1_zero(ctx)
     assert abs(a - b) <= 1e-10 * abs(b)
+
+
+def test_amplitude_read_from_family_once(ctx, thermal_family):
+    """|alpha|^2 lives on the family: doubling alpha scales both readers
+    by exactly 4.  unit_trace_scaling used to count it twice (16x) and
+    g1_improper not at all (1x)."""
+    fam2 = pulsekit.make_thermal_family(ctx, alpha=2.0)
+    om = (10.0 * ctx.length_scale) ** 3
+    w = make_unit_trace_weights(om)
+    one = unit_trace_scaling(thermal_family, w, [om]).g1[0]
+    two = unit_trace_scaling(fam2, w, [om]).g1[0]
+    assert abs(two / one - 4.0) <= 1e-14
+    g0 = thermal.g1_zero(ctx)
+    matched = g1_improper(fam2, make_matched_improper_weights(ctx), 0.0)
+    assert abs(matched - 4.0 * g0) <= 1e-10 * 4.0 * g0
+    split = g1_improper(fam2, make_matched_improper_weights(ctx, alpha_sq=4.0),
+                        0.0)
+    assert abs(split - g0) <= 1e-10 * g0
 
 
 def test_simulation_residual_thermal(ctx, thermal_family, matched_weights):
@@ -88,44 +106,39 @@ def test_simulation_residual_narrow_profiles(ctx, matched_weights, kind,
 
 
 def test_weight_spec_validation(ctx):
-    with pytest.raises(ValueError):
-        WeightSpec(kind="Banana", alpha_sq=1.0).validate()
-    with pytest.raises(ValueError):
-        WeightSpec(kind="TraceImproper", alpha_sq=-1.0, p_const=1.0,
-                   calV=1.0).validate()
-    with pytest.raises(ValueError):
-        WeightSpec(kind="TraceImproper", alpha_sq=1.0).validate()
-    with pytest.raises(ValueError):
-        WeightSpec(kind="TraceImproper", alpha_sq=1.0, p_const=1.0,
-                   calV=3.0).validate()
-    with pytest.raises(ValueError):
-        WeightSpec(kind="UnitTrace", alpha_sq=1.0, p_const=1.0,
-                   quant_volume=2.0).validate()
+    """A WeightSpec is checked once, when it is made."""
+    with pytest.raises(ValueError, match="kind"):
+        WeightSpec(kind="Banana", p_const=1.0)
+    for bad in (0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="p_const"):
+            WeightSpec(kind="TraceImproper", p_const=bad)
     with pytest.raises(ValueError):
         make_unit_trace_weights(0.0)
-    ok = make_unit_trace_weights(1e-18, alpha_sq=2.0)
-    ok.validate()
+    ok = make_unit_trace_weights(1e-18)
+    assert ok == WeightSpec(kind="UnitTrace",
+                            p_const=1.0 / (1e-18 * mixturekit._LABEL_MEASURE))
 
 
 @pytest.mark.parametrize("case", [
     "upsilon-exp-nan", "upsilon-power-inf", "thermal-family-inf",
     "gaussian-sigma-inf", "gaussian-sigma-negative", "unit-trace-inf", "improper-alpha-zero",
-    "improper-alpha-nan", "improper-product-nan", "spec-alpha-nan",
-    "spec-p-const-nan"])
+    "improper-alpha-nan", "improper-product-nan", "family-alpha-nan",
+    "family-alpha-inf", "family-alpha-imag-nan", "spec-p-const-nan"])
 def test_invalid_builder_inputs_rejected(ctx, case):
     """Each of these used to give a NaN normalization, a ZeroDivisionError,
     or weights that passed validation."""
     nan, inf = math.nan, math.inf
-    improper_p = 1.0 / mixturekit._LABEL_MEASURE        # with calV = 1
+    # any fit will do: sigma is checked first
+    fit = mixturekit.GaussianWeightFit(k0_grid=np.ones(1), weights=np.ones(1),
+                                       residual=0.0, kkt_violation=0.0)
     calls = {
         "upsilon-exp-nan": lambda: pulsekit.upsilon_function("exp", nan),
         "upsilon-power-inf": lambda: pulsekit.upsilon_function("power", inf),
         "thermal-family-inf": lambda: pulsekit.make_thermal_family(
             ctx, upsilon_param=inf),
-        "gaussian-sigma-inf": lambda: g1_improper_gaussian(
-            ctx, inf, make_matched_improper_weights(ctx), 0.0),
+        "gaussian-sigma-inf": lambda: g1_improper_gaussian(ctx, inf, fit, 0.0),
         "gaussian-sigma-negative": lambda: g1_improper_gaussian(
-            ctx, -3.0, make_matched_improper_weights(ctx), 0.0),
+            ctx, -3.0, fit, 0.0),
         "unit-trace-inf": lambda: make_unit_trace_weights(inf),
         "improper-alpha-zero": lambda: make_matched_improper_weights(
             ctx, alpha_sq=0.0),
@@ -133,12 +146,14 @@ def test_invalid_builder_inputs_rejected(ctx, case):
             ctx, alpha_sq=nan),
         "improper-product-nan": lambda: make_matched_improper_weights(
             ctx, product=nan),
-        "spec-alpha-nan": lambda: WeightSpec(
-            kind="TraceImproper", alpha_sq=nan, p_const=improper_p,
-            calV=1.0).validate(),
-        "spec-p-const-nan": lambda: WeightSpec(
-            kind="UnitTrace", alpha_sq=1.0, p_const=nan,
-            quant_volume=1.0).validate(),
+        # these gave a NaN prefactor and NaN intensity totals
+        "family-alpha-nan": lambda: pulsekit.make_thermal_family(
+            ctx, alpha=nan),
+        "family-alpha-inf": lambda: pulsekit.make_thermal_family(
+            ctx, alpha=inf),
+        "family-alpha-imag-nan": lambda: pulsekit.make_thermal_family(
+            ctx, alpha=complex(1.0, nan)),
+        "spec-p-const-nan": lambda: WeightSpec(kind="UnitTrace", p_const=nan),
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -199,11 +214,9 @@ def test_solver_rejects_bad_sigma(ctx):
 
 
 def test_gaussian_route_simulation(ctx, nnls_fits):
-    fit = nnls_fits[1e-12]
-    spec = gaussian_weights_to_spec(ctx, fit)
-    spec.validate()
     taus = np.linspace(0.0, 10e-15, 21)
-    imp = g1_improper_gaussian(ctx, 1.0 / (C_LIGHT * 1e-12), spec, taus)
+    imp = g1_improper_gaussian(ctx, 1.0 / (C_LIGHT * 1e-12), nnls_fits[1e-12],
+                               taus)
     th = thermal.g1_temporal(ctx, taus)
     assert np.linalg.norm(imp - th) / np.linalg.norm(th) < 1e-3
 
@@ -223,10 +236,10 @@ def test_angular_trace_frozen(ctx):
 def test_g1_improper_array_matches_scalar(ctx, thermal_family,
                                           matched_weights, nnls_fits):
     taus = np.linspace(-3e-15, 10e-15, 4)
-    gauss_spec = gaussian_weights_to_spec(ctx, nnls_fits[100e-15])
+    fit = nnls_fits[100e-15]
     sigma = 1.0 / (C_LIGHT * 100e-15)
     for g1 in (lambda tau: g1_improper(thermal_family, matched_weights, tau),
-               lambda tau: g1_improper_gaussian(ctx, sigma, gauss_spec, tau)):
+               lambda tau: g1_improper_gaussian(ctx, sigma, fit, tau)):
         arr = g1(taus)
         assert arr.shape == taus.shape
         np.testing.assert_array_equal(arr, [g1(float(t)) for t in taus])
@@ -236,8 +249,6 @@ def test_g1_improper_array_matches_scalar(ctx, thermal_family,
 def test_g1_improper_requires_improper_kind(ctx, thermal_family):
     with pytest.raises(ValueError):
         g1_improper(thermal_family, make_unit_trace_weights(1e-18), 0.0)
-    with pytest.raises(ValueError):
-        g1_improper_gaussian(ctx, 1e6, make_unit_trace_weights(1e-18), 0.0)
 
 
 def _angular_kernel_per_entry(x, x0, s):
@@ -307,7 +318,7 @@ def _fibonacci_sphere(n):
     return np.stack([st * np.cos(phi), st * np.sin(phi), mu], axis=1)
 
 
-def _orientation_grid_reference(family, weights, omega_list, n_dirs, n_psi):
+def _orientation_grid_reference(family, omega_list, n_dirs, n_psi):
     """Reference scaling curve: mu_integral averaged over an explicit
     orientation quadrature (n_dirs Fibonacci directions times n_psi
     polarization angles)."""
@@ -322,14 +333,14 @@ def _orientation_grid_reference(family, weights, omega_list, n_dirs, n_psi):
                 acc += mu_integral(family, m, float(psi),
                                             np.zeros(3), om)[2]
         vals[i] = acc / (len(m_nodes) * len(psis)) / om
-    return vals * weights.alpha_sq
+    return vals
 
 
 def test_scaling_radial_against_orientation_grid(thermal_family, ctx):
     om = (10.0 * ctx.length_scale) ** 3
     w = make_unit_trace_weights(om)
     rad = unit_trace_scaling(thermal_family, w, [om])
-    grd = _orientation_grid_reference(thermal_family, w, [om],
+    grd = _orientation_grid_reference(thermal_family, [om],
                                       n_dirs=8, n_psi=4)
     rel = abs(grd[0] / rad.g1[0] - 1.0)
     assert rel < 2e-2, rel
