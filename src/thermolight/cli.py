@@ -357,7 +357,7 @@ def run_g2_contrast(cfg: dict, rep: Reporter) -> None:
     reach = r_units / 2.0 + 1.0
     # Needs only the analytic G1, so an R too short for the reach fails here,
     # before either Monte Carlo estimate.
-    bias = mcfield.g2_truncation_bias_bound(fam, weights, R, reach, g1_th)
+    bias = mcfield.g2_truncation_bias_bound(fam, R, reach, g1_th)
 
     side_g1 = 36.0 * ctx.length_scale
     est1 = mcfield.estimate_g1_mix(fam, weights, side_g1**3, np.zeros(3),

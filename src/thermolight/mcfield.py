@@ -24,7 +24,7 @@ from .mixturekit import WeightSpec, _LABEL_MEASURE
 from .pulsekit import (_DEFAULT_REACH, EnvelopeTable,  # noqa: F401
                        PulseFamily, _frame_coordinates, _table_fields,
                        check_reach, envelope_batch, tail_coefficient,
-                       transforms_direct, transverse_frames)
+                       transforms_direct)
 from .units import check_count, check_seed
 
 # streams the uniform G1 sampler splits its draws over
@@ -51,20 +51,42 @@ class SampleBatch:
     n_hat: np.ndarray    # (n, 3)
 
 
-def _isotropic_directions(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n unit vectors, uniform on the sphere (cos(theta), then azimuth)."""
+def _polar_angles(rng: np.random.Generator, n: int
+                  ) -> tuple[np.ndarray, ...]:
+    """Angles of n directions uniform on the sphere: mu = cos(theta) uniform
+    on [-1, 1], then the azimuth phi uniform on [0, 2 pi).  Returns mu,
+    sin(theta), cos(phi) and sin(phi)."""
     mu = 2.0 * rng.random(n) - 1.0
     phi = 2.0 * math.pi * rng.random(n)
-    st = np.sqrt(1.0 - mu**2)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), mu], axis=1)
+    return mu, np.sqrt(1.0 - mu**2), np.cos(phi), np.sin(phi)
+
+
+def _isotropic_directions(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n unit vectors, uniform on the sphere (see _polar_angles)."""
+    mu, st, cp, sp = _polar_angles(rng, n)
+    return np.stack([st * cp, st * sp, mu], axis=1)
 
 
 def _isotropic_frames(rng: np.random.Generator, n: int
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Isotropic m_hat and a uniform polarization angle for n_hat."""
-    m_hat = _isotropic_directions(rng, n)
+    """Isotropic m_hat and n_hat at a uniform polarization angle psi.
+
+    m_hat = (st cos phi, st sin phi, mu) from _polar_angles, then psi is
+    drawn, and n_hat = cos psi e_theta + sin psi e_phi in the plane normal
+    to m_hat, with the spherical unit vectors
+    e_theta = (mu cos phi, mu sin phi, -st) and e_phi = (-sin phi, cos phi, 0).
+    They are orthonormal at every angle, the poles included, so n_hat is
+    built from the drawn angles without cross products or a reference
+    axis.  Given m_hat, a uniform psi makes n_hat uniform on that circle,
+    the law of pulsekit.transverse_frames at a uniform angle.
+    """
+    mu, st, cp, sp = _polar_angles(rng, n)
+    m_hat = np.stack([st * cp, st * sp, mu], axis=1)
     psi = 2.0 * math.pi * rng.random(n)
-    return m_hat, transverse_frames(m_hat, psi)
+    cs, sn = np.cos(psi), np.sin(psi)
+    a = cs * mu
+    n_hat = np.stack([a * cp - sn * sp, a * sp + sn * cp, -cs * st], axis=1)
+    return m_hat, n_hat
 
 
 def draw_batch(omega: float, n: int, seed: int, stream: int = 0,
@@ -277,8 +299,7 @@ def tail_intensity_bound(family: PulseFamily, dist: float) -> float:
     return (pref * _TAIL_SAFETY * c3 / dist**3) ** 2
 
 
-def g2_truncation_bias_bound(family: PulseFamily, weights: WeightSpec,
-                             R: float, reach: float,
+def g2_truncation_bias_bound(family: PulseFamily, R: float, reach: float,
                              g1_match: float) -> float:
     """Bound on the G2 estimator bias from zeroing envelopes beyond `reach`.
 

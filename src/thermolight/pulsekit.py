@@ -119,7 +119,8 @@ _B_FLOOR = -8.0
 _DEFAULT_REACH = 16.0
 
 # How far from 1, 1 and 0 envelope_batch lets |m_hat|, |n_hat| and
-# m_hat . n_hat be: frames from transverse_frames are off by a few ulps.
+# m_hat . n_hat be: frames from mcfield's sampler, built from their drawn
+# angles, and from transverse_frames are off by a few ulps.
 _FRAME_TOL = 1e-12
 
 # Node counts whose raw Gauss-Legendre rules are kept.  _legendre_nodes builds
@@ -456,10 +457,10 @@ def thermal_radial_weight(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spectral_weight(family: PulseFamily, x: np.ndarray, mu: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """w(x, mu) of T_y and T_z, written into out if given."""
-    return np.multiply(thermal_radial_weight(x), family.upsilon(mu), out=out)
+def _spectral_weight(family: PulseFamily, x: np.ndarray, mu: np.ndarray
+                     ) -> np.ndarray:
+    """w(x, mu) = R(x) upsilon(mu) of T_y and T_z."""
+    return thermal_radial_weight(x) * family.upsilon(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -659,23 +660,42 @@ def transforms_direct(family: PulseFamily, P: float, Z: float,
 
     Node counts scale with the phase x*Z across the radial range so the
     oscillatory far zone stays resolved; doubling them is the convergence
-    check used in the tests.
+    check used in the tests.  A P, Z or u_delay that is not finite raises
+    ValueError before any rule is built.
 
     The full nx x nmu rule is evaluated, folded on the parity of mu: the
     Gauss-Legendre nodes are exactly symmetric, mu and -mu share
     sqrt(1 - mu^2) and so both Bessel factors, and e^{-i x mu Z} is the
-    conjugate of e^{i x mu Z}.  With w+- = w(x, +-mu) and c, s the cosine
-    and sine of x mu Z, the sums run over mu >= 0 only,
+    conjugate of e^{i x mu Z}.  The weight w(x, mu) = R(x) upsilon(mu) is
+    separable, so everything but the phase and the Bessel arguments folds
+    into one weight per node of x and four per node of mu >= 0:
 
-        T_y = sum_x xv sum_mu W mu J0 [(w+ - w-) c + i (w+ + w-) s]
-        T_z = sum_x xv sum_mu W st J1 [(w+ + w-) c + i (w+ - w-) s]
+        xa = x-weight * R(x) * e^{-i x u_delay}
+        vy_c, vy_s = W mu (upsilon(mu) -+ upsilon(-mu))
+        vz_c, vz_s = W st (upsilon(mu) +- upsilon(-mu))
 
-    with W the mu-weight (halved at mu = 0 for odd nmu) and
-    xv = x-weight * e^{-i x u_delay}, in real blocks of _ROW_BLOCK rows of
-    x.  This halves the Bessel and trigonometric work and matches the
-    unfolded sum to about 1e-11 relative; on the axis (P = 0) T_z is
-    exactly zero.
+    with W the mu-weight (halved at mu = 0 for odd nmu).  With c, s the
+    cosine and sine of x mu Z and rho = x st P,
+
+        T_y = sum_x xa [(J0(rho) c) @ vy_c + i (J0(rho) s) @ vy_s]
+        T_z = sum_x xa [(J1(rho) c) @ vz_c + i (J1(rho) s) @ vz_s]
+
+    in real blocks of _ROW_BLOCK rows of x.  This halves the Bessel and
+    trigonometric work and matches the unfolded sum to about 1e-11
+    relative.  On the equator (Z = 0) c = 1 and s = 0 exactly, and on the
+    axis (P = 0) J0 = 1 and J1 = 0 exactly, so those factors and the terms
+    they zero are not computed; on the axis T_z is exactly zero.
+
+    The x nodes are symmetric too, about _X_MAX / 2, and the phase of the
+    far node _X_MAX - x is e^{i _X_MAX mu Z} times the conjugate of the
+    phase at x.  So each block pairs rows of the near half of the rule
+    with their far partners, and only the near rows call sin and cos: the
+    far rows' c and s come from one complex product with
+    (cos, sin)(_X_MAX mu Z), exact up to rounding.
     """
+    for name, value in (("P", P), ("Z", Z), ("u_delay", u_delay)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     dist = math.hypot(P, Z)
     if nx is None:
         nx = int(max(300, 12 * dist))
@@ -688,41 +708,54 @@ def transforms_direct(family: PulseFamily, P: float, Z: float,
     if nmu % 2:
         wmu[0] *= 0.5                       # mu = 0 enters once, half per side
     st = np.sqrt(1.0 - mu**2)
-    wy, wz = wmu * mu, wmu * st
-    xv = xw * np.exp(-1j * x * u_delay)
-    neg_mu = -mu
-    # the block arrays, allocated once per call and written in place
-    buf = np.empty((9, min(nx, _ROW_BLOCK), len(mu)))
+    xa = xw * thermal_radial_weight(x) * np.exp(-1j * x * u_delay)
+    up, um = family.upsilon(mu), family.upsilon(-mu)
+    even, odd = wmu * (up + um), wmu * (up - um)
+    vy_c, vy_s, vz_c, vz_s = mu * odd, mu * even, st * even, st * odd
+    mu_z, st_p = mu * Z, st * P
+    far_c, far_s = np.cos(_X_MAX * mu_z), np.sin(_X_MAX * mu_z)
+    # the block arrays, allocated once per call and written in place; on
+    # the equator cos and on the axis J0 stay 1
+    buf = np.empty((5, min(nx, _ROW_BLOCK), len(mu)))
+    if Z == 0.0:
+        buf[0] = 1.0
+    if P == 0.0:
+        buf[2] = 1.0
     ty = tz = 0j
-    for lo in range(0, nx, _ROW_BLOCK):
-        xb = x[lo:lo + _ROW_BLOCK, None]
-        w_pos, w_neg, even, odd, c, s, jy, jz, prod = buf[:, :len(xb)]
-        _spectral_weight(family, xb, mu, out=w_pos)
-        _spectral_weight(family, xb, neg_mu, out=w_neg)
-        np.add(w_pos, w_neg, out=even)
-        np.subtract(w_pos, w_neg, out=odd)
-        np.multiply(xb, mu, out=c)              # the phase x mu Z
-        c *= Z
-        np.sin(c, out=s)
-        np.cos(c, out=c)
-        np.multiply(xb, st, out=jz)             # rho = x st P
-        jz *= P
-        special.j0(jz, out=jy)
-        special.j1(jz, out=jz)
-        xb_v = xv[lo:lo + _ROW_BLOCK]
-        ty += xb_v @ (_product_sum(jy, odd, c, wy, prod)
-                      + 1j * _product_sum(jy, even, s, wy, prod))
-        tz += xb_v @ (_product_sum(jz, even, c, wz, prod)
-                      + 1j * _product_sum(jz, odd, s, wz, prod))
+    n_near = (nx + 1) // 2
+    for lo in range(0, n_near, _ROW_BLOCK // 2):
+        near = np.arange(lo, min(lo + _ROW_BLOCK // 2, n_near))
+        far = nx - 1 - near
+        far = far[far > near]           # an odd rule's middle node has none
+        h, m = len(near), len(far)
+        rows = np.concatenate([near, far])
+        xb = x[rows, None]
+        c, s, jy, jz, prod = buf[:, :h + m]
+        if Z != 0.0:
+            np.multiply(xb[:h], mu_z, out=c[:h])    # the phase x mu Z
+            np.sin(c[:h], out=s[:h])
+            np.cos(c[:h], out=c[:h])
+            # the far rows: (far_c + i far_s)(c - i s) of their partners
+            t = prod[:m]
+            np.multiply(far_c, c[:m], out=c[h:])
+            c[h:] += np.multiply(far_s, s[:m], out=t)
+            np.multiply(far_s, c[:m], out=s[h:])
+            s[h:] -= np.multiply(far_c, s[:m], out=t)
+        if P != 0.0:
+            np.multiply(xb, st_p, out=jz)       # rho = x st P
+            special.j0(jz, out=jy)
+            special.j1(jz, out=jz)
+        xa_b = xa[rows]
+        y = np.multiply(jy, c, out=prod) @ vy_c
+        if Z != 0.0:
+            y = y + 1j * (np.multiply(jy, s, out=prod) @ vy_s)
+        ty += xa_b @ y
+        if P != 0.0:
+            z = np.multiply(jz, c, out=prod) @ vz_c
+            if Z != 0.0:
+                z = z + 1j * (np.multiply(jz, s, out=prod) @ vz_s)
+            tz += xa_b @ z
     return complex(ty), complex(tz)
-
-
-def _product_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                 w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(a * b * c) @ w, the product formed in out."""
-    np.multiply(a, b, out=out)
-    out *= c
-    return out @ w
 
 
 # ---------------------------------------------------------------------------

@@ -168,8 +168,7 @@ def test_criterion_07(ctx, thermal_family, matched_weights):
     side = 2.0 * (R / 2.0 + (reach + 1.0) * ctx.length_scale)
     est2 = mcfield.estimate_g2_mix(thermal_family, matched_weights, side**3,
                                    R, 100_000, seed, reach=reach)
-    bias = mcfield.g2_truncation_bias_bound(thermal_family, matched_weights,
-                                            R, reach, g1_th)
+    bias = mcfield.g2_truncation_bias_bound(thermal_family, R, reach, g1_th)
     bound = (est2.mean + 2.0 * est2.std_error + bias) / thermal.g2_asymptote(ctx)
     elapsed = time.perf_counter() - t0
     ok = g1_rel <= C7_G1_TOL and bound < C7_FRAC and elapsed < 600.0

@@ -35,6 +35,39 @@ def test_draws_equal_for_numpy_integer_seed(ctx):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+def test_sampled_frames_keep_directions_and_are_isotropic(ctx):
+    """draw_batch's m_hat is the direction drawn before n_hat was built
+    from the drawn angles, bit for bit; every frame is orthonormal to the
+    library's tolerance; and n_hat has the in-plane isotropic law, within
+    5 standard errors: <n n^T> = I/3, and <n_z^2> = (1 - m_z^2)/2 given
+    m_z, checked in ten bins of m_z."""
+    n, seed, stream = 200_000, 4242, 3
+    batch = mcfield.draw_batch(_cube(ctx, 40.0), n, seed, stream=stream)
+    rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
+    rng.random((n, 3))                                  # the positions
+    mu = 2.0 * rng.random(n) - 1.0
+    phi = 2.0 * math.pi * rng.random(n)
+    st = np.sqrt(1.0 - mu**2)
+    want = np.stack([st * np.cos(phi), st * np.sin(phi), mu], axis=1)
+    np.testing.assert_array_equal(batch.m_hat, want)
+
+    m, nh = batch.m_hat, batch.n_hat
+    pulsekit._check_frames(*pulsekit._row_dots((m, m), (nh, nh), (m, nh)))
+
+    def within_5_se(samples, expected):
+        se = samples.std(ddof=1) / math.sqrt(len(samples))
+        assert abs(samples.mean() - expected) <= 5.0 * se, \
+            (samples.mean(), expected, se)
+
+    for i in range(3):
+        for j in range(i, 3):
+            within_5_se(nh[:, i] * nh[:, j], 1.0 / 3.0 if i == j else 0.0)
+    resid = nh[:, 2] ** 2 - (1.0 - m[:, 2] ** 2) / 2.0
+    bins = np.minimum(((m[:, 2] + 1.0) * 5.0).astype(int), 9)
+    for b in range(10):
+        within_5_se(resid[bins == b], 0.0)
+
+
 def test_g1_uniform_path_determinism(ctx, thermal_family):
     """A cube too small for the support ball takes the uniform path."""
     om = _cube(ctx, 10.0)
@@ -305,19 +338,14 @@ def test_tail_bound_dominates_far_field(thermal_family):
         > tail_intensity_bound(thermal_family, 32.0)
 
 
-def test_truncation_bias_bound_properties(ctx, thermal_family,
-                                          matched_weights):
+def test_truncation_bias_bound_properties(ctx, thermal_family):
     R = 30.0 * ctx.length_scale
     g1m = g1_zero(ctx)
-    b = g2_truncation_bias_bound(thermal_family, matched_weights, R, 16.0,
-                                 g1m)
+    b = g2_truncation_bias_bound(thermal_family, R, 16.0, g1m)
     assert b > 0.0
-    sym = g2_truncation_bias_bound(thermal_family, matched_weights, R,
-                                   30.0 - 16.0, g1m)
+    sym = g2_truncation_bias_bound(thermal_family, R, 30.0 - 16.0, g1m)
     assert math.isclose(b, sym, rel_tol=1e-12)
     with pytest.raises(ValueError):
-        g2_truncation_bias_bound(thermal_family, matched_weights, R, 30.0,
-                                 g1m)
+        g2_truncation_bias_bound(thermal_family, R, 30.0, g1m)
     with pytest.raises(ValueError):
-        g2_truncation_bias_bound(thermal_family, matched_weights, R, 0.0,
-                                 g1m)
+        g2_truncation_bias_bound(thermal_family, R, 0.0, g1m)

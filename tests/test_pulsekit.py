@@ -149,6 +149,19 @@ def test_invalid_node_count_raises(thermal_family, monkeypatch, name, n):
         transforms_direct(thermal_family, 1.0, 1.0, **{name: n})
 
 
+@pytest.mark.parametrize("name, value", [("P", math.nan), ("Z", math.inf),
+                                         ("Z", -math.inf),
+                                         ("u_delay", math.nan)])
+def test_non_finite_argument_raises(thermal_family, monkeypatch, name, value):
+    def no_rule(count):
+        raise AssertionError("a rule was built before the check")
+
+    monkeypatch.setattr(pulsekit, "_legendre_nodes", no_rule)
+    args = {"P": 1.0, "Z": 1.0, "u_delay": 0.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        transforms_direct(thermal_family, **args)
+
+
 def test_table_zero_outside_reach(thermal_family):
     tab = thermal_family.table(0.0)
     ty, tz = tab.lookup(np.array([20.0]), np.array([5.0]))
@@ -192,20 +205,36 @@ def _transforms_full_grid(family, P, Z, u_delay=0.0, nx=None, nmu=None):
     ("thermal", 3.0, 2.0, 0.0, 1601),
     ("thermal", 0.0, 4.0, 0.0, 1600),
     ("thermal", 0.0, 4.0, 0.0, 1601),
+    ("thermal", 0.0, 4.0, 1.5, 1600),
+    ("thermal", 0.0, 4.0, 1.5, 1601),
+    ("thermal", 5.0, 0.0, 0.0, 1600),
     ("thermal", 5.0, 0.0, 0.0, 1601),
+    ("thermal", 5.0, 0.0, 1.5, 1600),
+    ("thermal", 5.0, 0.0, 1.5, 1601),
+    ("thermal", 0.0, 0.0, 0.0, 1601),
+    ("thermal", 0.0, 0.0, 1.5, 1600),
     ("thermal", 2.0, -3.0, 1.5, 1600),
     ("thermal", 2.0, -3.0, 1.5, 1601),
+    ("thermal", 17.43, 4.5, 0.0, None),
     ("power", 3.0, 2.0, 0.0, 1601),
     ("power", 2.0, -3.0, 1.5, 1601),
     ("power", 1.0, 1.0, 0.0, 1601),
     ("power", 0.5, -2.0, 0.0, 1601),
+    ("power", 0.0, 2.0, 0.0, 1600),
+    ("power", 0.0, 2.0, 1.5, 1601),
+    ("power", 3.0, 0.0, 0.0, 1601),
+    ("power", 3.0, 0.0, 1.5, 1600),
+    ("power", 0.0, 0.0, 1.5, 1601),
 ])
 def test_transforms_direct_matches_full_grid(thermal_family, power_family,
                                              kind, P, Z, u, nmu):
-    """The mu-parity fold sums the same nodes as the full grid; odd nmu puts
-    a node at mu = 0, which the fold must count exactly once.  The default
-    thermal profile is e^{-20} there, so the power profile is the case that
-    weighs that node."""
+    """The mu-parity fold with its folded node weights sums the same nodes
+    as the full grid; odd nmu puts a node at mu = 0, which the fold must
+    count exactly once.  The default thermal profile is e^{-20} there, so
+    the power profile is the case that weighs that node.  The rows on the
+    axis (P = 0) and the equator (Z = 0) take the exact branches that skip
+    the Bessel or the trigonometric factors; (17.43, 4.5) is on the far
+    ring of the tail calibration, at default node counts."""
     fam = power_family if kind == "power" else thermal_family
     folded = transforms_direct(fam, P, Z, u, nmu=nmu)
     full = _transforms_full_grid(fam, P, Z, u, nmu=nmu)
@@ -214,6 +243,19 @@ def test_transforms_direct_matches_full_grid(thermal_family, power_family,
         folded, full = folded[:1], full[:1]
     for got, want in zip(folded, full):
         assert abs(got - want) <= 1e-10 * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("nx", [1, 65, 66, 301])
+def test_transforms_direct_mirror_rows_match_full_grid(thermal_family, nx):
+    """Blocks pair x nodes with their mirrors about _X_MAX / 2 and take the
+    mirrors' phases from their partners'.  An odd rule's middle node has
+    no partner and must be summed once; 65 and 66 nodes end on a block
+    with one near row, without and with a far one."""
+    for P, Z, u in [(3.0, 2.0, 0.0), (2.0, -3.0, 1.5), (0.0, 4.0, 0.0)]:
+        folded = transforms_direct(thermal_family, P, Z, u, nx=nx)
+        full = _transforms_full_grid(thermal_family, P, Z, u, nx=nx)
+        for got, want in zip(folded, full):
+            assert abs(got - want) <= 1e-10 * abs(want), (P, Z, got, want)
 
 
 def _table_error(family, points, reach=pulsekit._DEFAULT_REACH):
