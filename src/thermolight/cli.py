@@ -546,7 +546,9 @@ def main(argv: list[str] | None = None) -> int:
         os.makedirs(cfg["out"], exist_ok=True)
         rep = Reporter(args.experiment, cfg, cfg["out"])
         _RUNNERS[args.experiment](cfg, rep)
-    except (AccuracyError, FloatingPointError) as exc:
+    except (AccuracyError, ArithmeticError) as exc:
+        # ArithmeticError covers FloatingPointError, and the ZeroDivisionError
+        # and OverflowError of a value that leaves float range mid-run
         print(f"numerical accuracy failure: {exc}", file=sys.stderr)
         return 3
     except RuntimeError as exc:

@@ -78,7 +78,7 @@ def _isotropic_frames(rng: np.random.Generator, n: int
     They are orthonormal at every angle, the poles included, so n_hat is
     built from the drawn angles without cross products or a reference
     axis.  Given m_hat, a uniform psi makes n_hat uniform on that circle,
-    the law of pulsekit.transverse_frames at a uniform angle.
+    the law of tests/oracles.py's transverse_frames at a uniform angle.
     """
     mu, st, cp, sp = _polar_angles(rng, n)
     m_hat = np.stack([st * cp, st * sp, mu], axis=1)

@@ -42,11 +42,15 @@ makes T_y even in P, J1 makes T_z odd), through the spline's recursive
 prefilter, run in place there.  The real and imaginary parts of both sit as
 four channels of one real array, so one gather of the 4 x 4 neighbouring
 nodes and one set of spline weights per point give T_y and T_z together.  A
-table keeps only that array.  The tests check the table against direct 2D
-Gauss-Legendre quadrature (transforms_direct) at listed points, near the
-axis, at the grid edges, and for a delayed table, its grid against the
-former FFT-then-Hankel order, its coefficients against scipy's
-spline_filter, and the lookup against scipy's map_coordinates.
+table keeps only that array.  Without a delay the weight is real, so
+T(P, -Z) = conj T(P, Z): such a table computes and stores only Z >= 0,
+extended across Z = 0 by the parity of each channel (real parts even,
+imaginary parts odd), and a lookup reads |Z| and conjugates where Z < 0.
+The tests check the table against direct 2D Gauss-Legendre quadrature
+(transforms_direct) at listed points, near the axis, at the grid edges,
+and for a delayed table, its grid against the former FFT-then-Hankel
+order, its coefficients against scipy's spline_filter, the lookup against
+scipy's map_coordinates, and a half table against the whole-grid table.
 
 Gaussian lineshapes appear only on the spectral side, in mixturekit's
 weight fit; no position-space field is built from them.
@@ -73,8 +77,9 @@ _SIXTEEN_PI3 = 16.0 * math.pi**3
 # family's dimensionless shape and the call's dimensionless arguments: lengths
 # scale with beta hbar c and amplitudes with alpha (see units.py), and both
 # enter through the SI prefactor alone.  One memo keyed on those values serves
-# every temperature and amplitude.  A default table (545 x 2090 x 4 real
-# B-spline coefficients, no grid values) retains 34.8 MB (of 2^20 bytes),
+# every temperature and amplitude.  A default table (545 x 1047 x 4 real
+# B-spline coefficients on Z >= 0, no grid values) retains 17.4 MB (of 2^20
+# bytes) and a delayed one (545 x 2090 x 4, the whole Z range) 34.8 MB,
 # measured with tracemalloc, so only the most recently used few are kept.
 _MEMO_SIZE = 8
 _memo: OrderedDict = OrderedDict()
@@ -87,7 +92,11 @@ _memo: OrderedDict = OrderedDict()
 # extended across P = 0 by _PAD rows, in a frame that holds every tap of a
 # lookup: 1 row and column below, 2 above.  Its mirror boundary lies _PAD
 # rows below P = 0, and its effect there has decayed by |_SPLINE_POLE| =
-# 0.268 per row (below 1e-7 of the peak).  Rows of P are _P_STEP apart.
+# 0.268 per row (below 1e-7 of the peak).  Across Z = 0 (undelayed tables)
+# the boundary is exact instead: the recursions' start sums each channel's
+# parity extension in closed form, so no pad columns are needed; 8 of them
+# would leave an error of |_SPLINE_POLE|^8 = 2.7e-5 at Z = 0, far above
+# rounding.  Rows of P are _P_STEP apart.
 _ROW_BLOCK = 64
 _FFT_LINES = 8
 _PAD = 8
@@ -101,6 +110,10 @@ _SPLINE_GAIN = 6.0
 # Parity in P of the four coefficient channels (Re, Im of T_y, then of T_z):
 # J0 makes T_y even, J1 makes T_z odd.
 _PARITY = np.array([1.0, 1.0, -1.0, -1.0])
+
+# Their parity in Z for a real weight, where T(P, -Z) = conj T(P, Z): real
+# parts even, imaginary parts odd (and zero at Z = 0).
+_Z_PARITY = np.array([1.0, -1.0, 1.0, -1.0])
 
 # lookup reads _LOOKUP_BLOCK points at a time: its gather of 16 nodes x 4
 # channels then holds 2 MB.
@@ -120,7 +133,7 @@ _DEFAULT_REACH = 16.0
 
 # How far from 1, 1 and 0 envelope_batch lets |m_hat|, |n_hat| and
 # m_hat . n_hat be: frames from mcfield's sampler, built from their drawn
-# angles, and from transverse_frames are off by a few ulps.
+# angles, and from tests/oracles.py's transverse_frames are off by a few ulps.
 _FRAME_TOL = 1e-12
 
 # Node counts whose raw Gauss-Legendre rules are kept.  _legendre_nodes builds
@@ -225,19 +238,6 @@ def upsilon_norm_integral(kind: str, param: float) -> float:
     return 4.0 / (q2 + 1.0) - 8.0 / (q2 + 2.0) + 8.0 / (q2 + 3.0)
 
 
-def transverse_frames(m_hat: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """n_hat at angle psi in the plane normal to each m_hat (vectorized)."""
-    n = len(m_hat)
-    ref = np.zeros((n, 3))
-    near_z = np.abs(m_hat[:, 2]) > 0.9
-    ref[near_z, 0] = 1.0
-    ref[~near_z, 2] = 1.0
-    e1 = _cross(ref, m_hat)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = _cross(m_hat, e1)
-    return np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
-
-
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cross product of (N, 3) arrays (either may be a broadcast
     view), equal to np.cross bit for bit: the same two products and one
@@ -259,12 +259,19 @@ class EnvelopeTable:
     coefficients are prefiltered over the grid extended across P = 0 by
     _PAD rows, evenly for T_y and oddly for T_z, so they start at
     P = -_PAD dP.  coef holds them as one real (rows, columns, 4) array with
-    channels (Re c_y, Im c_y, Re c_z, Im c_z), padded with the spline's
-    mirror boundary (1 row and column below, 2 above) so that every tap of
-    an in-range point lies inside it.  For the default table that is
-    545 x 2090 x 4 values, 34.8 MB (of 2^20 bytes), and the table stores
+    channels (Re c_y, Im c_y, Re c_z, Im c_z), padded with a boundary row
+    and column below and two above so that every tap of an in-range point
+    lies inside it.
+
+    An undelayed table (real weight) has T(P, -Z) = conj T(P, Z), so its
+    coef holds only the columns Z >= 0: the spline is extended across
+    Z = 0 by each channel's parity in Z (_Z_PARITY), and lookup reads |Z|
+    and conjugates where Z < 0.  For the default table that is
+    545 x 1047 x 4 values, 17.4 MB (of 2^20 bytes).  A delayed table
+    (complex weight, no such symmetry) holds every column, with the mirror
+    boundary at both ends of Z: 545 x 2090 x 4, 34.8 MB.  The table stores
     nothing else of size: no grid values.  Ty and Tz rebuild those from
-    coef on each access.
+    coef on each access, on the full Z_grid.
     """
 
     P_grid: np.ndarray
@@ -287,22 +294,31 @@ class EnvelopeTable:
         """T_z at the grid nodes, a fresh (len(P), len(Z)) complex array."""
         return self._nodes(1)
 
+    @property
+    def _half(self) -> bool:
+        """True if coef holds only the columns Z >= 0 (an undelayed table)."""
+        return self.coef.shape[1] < len(self.Z_grid) + 3
+
     def _nodes(self, which: int) -> np.ndarray:
         """The spline at the grid nodes, for T_y (0) or T_z (1): at a node
         the cubic B-spline weighs its coefficient and the two beside it
         (1, 4, 1)/6 along each axis.  It equals the grid value up to the
-        prefilter's rounding."""
+        prefilter's rounding.  A half table's columns Z < 0 are the
+        conjugates of those at -Z."""
         n, m = len(self.P_grid), len(self.Z_grid)
-        c = self.coef[_PAD:_PAD + n + 2, :m + 2, 2 * which:2 * which + 2]
+        k = self.coef.shape[1] - 3                  # the columns coef holds
+        c = self.coef[_PAD:_PAD + n + 2, :k + 2, 2 * which:2 * which + 2]
         along_p = c[1:-1] * 4.0
         along_p += c[:-2]
         along_p += c[2:]
         out = np.empty((n, m), complex)
-        t = out.view(float).reshape(n, m, 2)
+        t = out.view(float).reshape(n, m, 2)[:, m - k:]
         np.multiply(along_p[:, 1:-1], 4.0, out=t)
         t += along_p[:, :-2]
         t += along_p[:, 2:]
         t /= 36.0
+        if k < m:
+            np.conjugate(out[:, :m - k:-1], out=out[:, :m - k])
         return out
 
     def _inside_z(self, Z: np.ndarray) -> np.ndarray:
@@ -320,8 +336,10 @@ class EnvelopeTable:
         Per point: the node below it and four cubic B-spline weights per
         axis, one gather of the 16 neighbouring coefficient rows and one
         weighted sum over them for all four channels (Unser, Aldroubi &
-        Eden, IEEE Trans. Signal Process. 41, 1993, 821).  Points outside
-        the grid, NaN included, read exactly zero.
+        Eden, IEEE Trans. Signal Process. 41, 1993, 821).  A half table is
+        read at |Z|, and both transforms are conjugated where Z is negative
+        (-0.0 included, where the two agree).  Points outside the grid, NaN
+        included, read exactly zero.
         """
         P = np.asarray(P, float)
         Z = np.asarray(Z, float)
@@ -331,6 +349,7 @@ class EnvelopeTable:
         tz = np.zeros(P.shape, complex)
         dP = Pg[1] - Pg[0]
         dZ = (Zg[-1] - Zg[0]) / (len(Zg) - 1)
+        half = self._half
         ncol = self.coef.shape[1]
         flat = self.coef.reshape(-1, 4)
         taps = (np.arange(4)[:, None] * ncol + np.arange(4)).ravel()
@@ -338,13 +357,22 @@ class EnvelopeTable:
         ty_flat, tz_flat = ty.reshape(-1), tz.reshape(-1)
         for lo in range(0, P.size, _LOOKUP_BLOCK):
             sel = lo + np.flatnonzero(ok[lo:lo + _LOOKUP_BLOCK])
+            z = Z[sel]
             wp, i = _bspline_weights(P[sel] / dP + _PAD)
-            wz, j = _bspline_weights((Z[sel] - Zg[0]) / dZ)
+            wz, j = _bspline_weights(np.abs(z) / dZ if half
+                                     else (z - Zg[0]) / dZ)
             w = np.einsum("na,nb->nab", wp, wz).reshape(-1, 1, 16)
             nodes = flat.take((i * ncol + j)[:, None] + taps, axis=0)
             both = (w @ nodes).view(complex)              # (n, 1, 2)
-            ty_flat[sel] = both[:, 0, 0]
-            tz_flat[sel] = both[:, 0, 1]
+            ty_sel, tz_sel = both[:, 0, 0], both[:, 0, 1]
+            if half:
+                # conjugate by the sign of Z: 1-D strided products, several
+                # times faster than a masked np.conjugate on these blocks
+                sign = np.copysign(1.0, z)
+                np.multiply(ty_sel.imag, sign, out=ty_sel.imag)
+                np.multiply(tz_sel.imag, sign, out=tz_sel.imag)
+            ty_flat[sel] = ty_sel
+            tz_flat[sel] = tz_sel
         return ty, tz
 
 
@@ -471,9 +499,11 @@ def _build_table(family: PulseFamily, u_delay: float, reach: float
                  ) -> EnvelopeTable:
     """The envelope table: _grid's values of T_y, T_z, turned into B-spline
     coefficients in place in their frame by _prefilter.  The table keeps
-    only the coefficients (34.8 MB for the default table)."""
+    only the coefficients (17.4 MB for the default table).  An undelayed
+    frame starts at Z = 0, across which each channel has its parity in Z;
+    a delayed one starts at the grid's edge, a mirror boundary."""
     Pg, Zg, coef = _grid(family, u_delay, reach)
-    _prefilter(coef)
+    _prefilter(coef, _Z_PARITY if u_delay == 0.0 else 1.0)
     coef.flags.writeable = False                      # shared via the memo
     return EnvelopeTable(P_grid=Pg, Z_grid=Zg, coef=coef)
 
@@ -483,10 +513,14 @@ def _grid(family: PulseFamily, u_delay: float, reach: float
     """Hankel-then-FFT construction of T_y, T_z on a (P, Z) grid.
 
     Returns P_grid, Z_grid and the table's coefficient frame, a real
-    (len(P) + _PAD + 3, len(Z) + 3, 4) array whose rows 1 + _PAD .. -3 and
+    (len(P) + _PAD + 3, columns + 3, 4) array whose rows 1 + _PAD .. -3 and
     columns 1 .. -3 hold T_y and T_z as the complex channel pairs
     (Re T_y, Im T_y, Re T_z, Im T_z).  Every other entry is left unset for
-    _prefilter to fill.
+    _prefilter to fill.  Z_grid is symmetric about 0 bit for bit.  For an
+    undelayed table the columns are its Z >= 0 half, from Z = 0 on: a real
+    weight makes T(P, -Z) = conj T(P, Z) bit for bit (see _fourier_rows),
+    so the other half is not computed.  A delayed table holds every column
+    of Z_grid.
 
     With a = x st and b = x mu on uniform grids (trapezoid in a, plain sum
     in b), T_y(P, Z) = sum_b e^{i b Z} G_y(P, b) with
@@ -496,9 +530,10 @@ def _grid(family: PulseFamily, u_delay: float, reach: float
     weight's float view for a delayed table), accumulating G_y and G_z on
     the b-grid; then one zero-padded real FFT per row of P and transform,
     2 len(P) in all (twice that for a delayed table, whose rows have Re and
-    Im halves), takes them to Z, written straight into the frame.  Summing
-    Fourier-first, a-row by a-row, would take 2 len(a) FFTs and run the
-    GEMM on the wider Z-grid; the tests keep that order as the oracle.
+    Im halves), takes them to the frame's Z columns, written straight into
+    it.  Summing Fourier-first, a-row by a-row, would take 2 len(a) FFTs and
+    run the GEMM on the wider Z-grid; the tests keep that order as the
+    oracle.
 
     reach sets the largest |Delta| that must be representable.  Against
     transforms_direct (converged to 1e-8 relative), the grid errs by at most
@@ -521,7 +556,9 @@ def _grid(family: PulseFamily, u_delay: float, reach: float
     cols = np.flatnonzero(np.abs(Zk) <= reach)
     cols = cols[np.argsort(Zk[cols])]
     Zg = Zk[cols]
-    phase = np.exp(1j * b[0] * Zg) * db               # shift to start at b[0]
+    if u_delay == 0.0:
+        cols = cols[Zg >= 0.0]
+    phase = np.exp(1j * b[0] * Zk[cols]) * db         # shift to start at b[0]
 
     dP = _P_STEP
     Pg = np.arange(0.0, reach + dP / 2, dP)
@@ -553,7 +590,7 @@ def _grid(family: PulseFamily, u_delay: float, reach: float
     # T_y and T_z go straight into the coefficient frame's complex channels,
     # one accumulator at a time, so a delayed build peaks no higher than a
     # real one
-    coef = np.empty((len(Pg) + _PAD + 3, len(Zg) + 3, 4))
+    coef = np.empty((len(Pg) + _PAD + 3, len(cols) + 3, 4))
     grid = coef[1 + _PAD:-2, 1:-2].view(complex)       # (P, Z, (T_y, T_z))
     _fourier_rows(Gy, nfft, cols, phase, out=grid[:, :, 0])
     del Gy
@@ -573,10 +610,10 @@ def _fourier_rows(G: np.ndarray, nfft: int, cols: np.ndarray,
     Z >= 0, and rfft bin nfft - k as it stands at Z < 0.  For a real G,
     T(P, -Z) is then conj T(P, Z) bit for bit: the phase at -Z is the
     conjugate of the phase at Z, and IEEE complex products commute with
-    conjugation.  The FFTs run _FFT_LINES lines at a time; each block is
-    finished in a contiguous buffer and then copied into out, which may be
-    any complex (len(G), len(cols)) view, such as one channel of the
-    coefficient frame.
+    conjugation, which lets an undelayed table keep Z >= 0 only.  The FFTs
+    run _FFT_LINES lines at a time; each block is finished in a contiguous
+    buffer and then copied into out, which may be any complex
+    (len(G), len(cols)) view, such as one channel of the coefficient frame.
     """
     parts = G.view(float).reshape(len(G), G.shape[1], -1)   # (rows, b, 1|2)
     unit = np.array([1.0, 1j])[:parts.shape[2]]
@@ -591,43 +628,51 @@ def _fourier_rows(G: np.ndarray, nfft: int, cols: np.ndarray,
         out[lo:lo + rows] = T
 
 
-def _prefilter(coef: np.ndarray) -> None:
+def _prefilter(coef: np.ndarray, z_parity: np.ndarray | float) -> None:
     """Cubic B-spline coefficients, in place, of the grid values _grid left
     in the frame coef, each transform extended across P = 0 by _PAD rows of
     its parity (T_y even, T_z odd), as the channels
-    (Re c_y, Im c_y, Re c_z, Im c_z).
+    (Re c_y, Im c_y, Re c_z, Im c_z).  z_parity is the extension across the
+    frame's first column of Z, per channel: 1 for the mirror boundary of a
+    delayed table's full Z range, _Z_PARITY for an undelayed table's Z >= 0
+    half, whose first column is Z = 0.
 
-    The filter is ndimage.spline_filter's with its "mirror" boundary (the
-    tests keep that as the oracle), written out: per axis, the gain
-    _SPLINE_GAIN and one causal and one anticausal recursion with pole
-    _SPLINE_POLE.  Both axes' gains scale the grid rows at once; the _PAD
-    rows below P = 0 take the scaled rows above it, times each channel's
-    parity.  Each recursion then runs in place, one vector step per row of
-    P across every column and channel, then one per column of Z across
-    every row and channel.  No step allocates more than one row.  The frame
-    of 1 row and column below and 2 above then takes the mirror boundary
-    too (np.pad's "reflect"): it holds every tap lookup can reach.
+    Apart from that parity, the filter is ndimage.spline_filter's with its
+    "mirror" boundary (the tests keep that as the oracle), written out: per
+    axis, the gain _SPLINE_GAIN and one causal and one anticausal recursion
+    with pole _SPLINE_POLE.  Both axes' gains scale the grid rows at once;
+    the _PAD rows below P = 0 take the scaled rows above it, times each
+    channel's parity.  Each recursion then runs in place, one vector step
+    per row of P across every column and channel, then one per column of Z
+    across every row and channel.  No step allocates more than one row.
+    The frame of 1 row and column below and 2 above then takes the mirror
+    boundary too (np.pad's "reflect"), the column below times z_parity: it
+    holds every tap lookup can reach.
     """
     inner = coef[1:-2, 1:-2]
     inner[_PAD:] *= _SPLINE_GAIN ** 2
     np.multiply(inner[2 * _PAD:_PAD:-1], _PARITY, out=inner[:_PAD])
-    _spline_recursions(inner)                           # along P
-    _spline_recursions(np.moveaxis(inner, 1, 0))        # along Z
+    _spline_recursions(inner)                                   # along P
+    _spline_recursions(np.moveaxis(inner, 1, 0), z_parity)      # along Z
     # mirror about the first and last node: index -1 reads 1, n reads n - 2
     # and n + 1 reads n - 3, as np.pad's "reflect" would fill them
-    for axis in (0, 1):
+    for axis, parity in ((0, 1.0), (1, z_parity)):
         c = np.moveaxis(coef, axis, 0)
-        c[0], c[-2], c[-1] = c[2], c[-4], c[-5]
+        c[0], c[-2], c[-1] = parity * c[2], c[-4], c[-5]
 
 
-def _spline_recursions(lines: np.ndarray) -> None:
-    """The cubic B-spline recursions along axis 0 of lines, in place, with
-    ndimage's "mirror" boundary; lines[i] is one vector step.
+def _spline_recursions(lines: np.ndarray,
+                       parity: np.ndarray | float = 1.0) -> None:
+    """The cubic B-spline recursions along axis 0 of lines, in place;
+    lines[i] is one vector step.  The far end has ndimage's "mirror"
+    boundary.  Across the near end the line extends as c[-k] = s c[k] with
+    s = parity, per channel (the last axis) or for all: s = 1 is the
+    mirror boundary, s = -1 the odd extension of a line whose c[0] is zero.
 
-    Causal: c+[i] = c[i] + z c+[i-1], from ndimage's mirror sum
-    c+[0] = sum_k z^k c[m(k)] over the mirror extension of period 2n - 2,
-    summed in closed form over one period.  Its terms below float64
-    rounding are left out: for a long line, those from k = 28 on.
+    Causal: c+[i] = c[i] + z c+[i-1], from c+[0] = sum_k z^k c[-k] over the
+    extension, which repeats with period 2n - 2 up to the factor s, summed
+    in closed form over one period.  Its terms below float64 rounding are
+    left out: for a long line, those from k = 28 on.
     Anticausal: c[n-1] = z/(z^2 - 1) (c+[n-1] + z c+[n-2]) in closed form,
     then c[i] = z (c[i+1] - c+[i]).
     """
@@ -635,10 +680,13 @@ def _spline_recursions(lines: np.ndarray) -> None:
     k = np.arange(n)
     w = z ** k
     w[1:-1] += z ** (2 * n - 2 - k[1:-1])       # the period's mirrored half
-    w /= 1.0 - z ** (2 * n - 2)
+    w = np.multiply.outer(w, parity)            # c[-k] = s c[k] for k >= 1
+    w[0] = 1.0
+    w /= 1.0 - parity * z ** (2 * n - 2)
+    kept = np.abs(w[1:]).reshape(n - 1, -1).max(axis=1) >= np.finfo(float).eps
     step = np.empty_like(lines[0])
     lines[0] *= w[0]
-    for i in 1 + np.flatnonzero(np.abs(w[1:]) >= np.finfo(float).eps):
+    for i in 1 + np.flatnonzero(kept):
         np.multiply(lines[i], w[i], out=step)
         lines[0] += step
     for i in range(1, n):
@@ -928,11 +976,9 @@ def _mean_transform_power(table: EnvelopeTable) -> tuple[np.ndarray, np.ndarray]
     That fold holds for an undelayed table only: with a real weight w,
     e^{-i x mu Z} is the conjugate of e^{i x mu Z}, so T(P, -Z) =
     conj(T(P, Z)) and both powers are even in cos(theta); a delay u != 0
-    makes w complex and breaks it.  The grid itself is exactly symmetric:
-    its Z-grid is, and _fourier_rows makes T(P, -Z) = conj(T(P, Z)) bit for
-    bit.  Only the spline read (the prefilter's recursions run from -Z to
-    +Z) is symmetric to rounding, so the fold moves the profile only at
-    rounding level.
+    makes w complex and breaks it.  On the table the fold is exact: an
+    undelayed table stores only Z >= 0 and its lookup reads T(P, -Z) as
+    the conjugate of T(P, Z), so the spline too is symmetric bit for bit.
     """
     grid = np.linspace(1e-4, table.support_radius * 0.995, 3000)
     grid.flags.writeable = False                      # shared via the memo

@@ -8,11 +8,24 @@ from scipy import integrate
 
 from thermolight import mcfield, specfun
 from thermolight.mixturekit import WeightSpec
-from thermolight.pulsekit import (PulseFamily, _gauss_legendre,
-                                  envelope_batch, transverse_frames)
+from thermolight.pulsekit import (PulseFamily, _cross, _gauss_legendre,
+                                  envelope_batch)
 
 # Nodes per unit length along each axis of mu_integral's position quadrature.
 _MU_NODES_PER_UNIT = 6.0
+
+
+def transverse_frames(m_hat: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """n_hat at angle psi in the plane normal to each m_hat (vectorized)."""
+    n = len(m_hat)
+    ref = np.zeros((n, 3))
+    near_z = np.abs(m_hat[:, 2]) > 0.9
+    ref[near_z, 0] = 1.0
+    ref[~near_z, 2] = 1.0
+    e1 = _cross(ref, m_hat)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = _cross(m_hat, e1)
+    return np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
 
 
 def mu_integral(family: PulseFamily, m_hat, psi: float, r: np.ndarray,

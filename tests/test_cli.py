@@ -459,3 +459,13 @@ def test_numerical_failure_exits_three(tmp_path: Path, monkeypatch):
 
     monkeypatch.setitem(cli._RUNNERS, "coherence-time", diverge)
     assert cli.main(["coherence-time", "--out", str(tmp_path / "n")]) == 3
+
+
+def test_arithmetic_error_exits_three(tmp_path: Path, capsys):
+    """fig1 at T = 1e300 K: beta hbar c to the fourth underflows to zero in
+    thermal's G1 prefactor, and the ZeroDivisionError exits 3 with one line
+    on stderr, not a traceback and not the 1 of a by-design FAIL."""
+    assert cli.main(["fig1", "--T", "1e300", "--out", str(tmp_path / "f")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert err.startswith("numerical accuracy failure:"), err

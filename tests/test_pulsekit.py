@@ -2,6 +2,7 @@ import functools
 import math
 import tracemalloc
 import warnings
+from collections import OrderedDict
 
 import mpmath
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate, ndimage, special
 
-from oracles import mu_integral
+from oracles import mu_integral, transverse_frames
 from thermolight import pulsekit
 from thermolight.units import make_context
 from thermolight.pulsekit import (envelope_batch, transforms_direct,
-                                  transverse_frames, pulse_extent,
+                                  pulse_extent,
                                   total_intensity_integral,
                                   sphere_in_cube_fraction)
 
@@ -51,10 +52,28 @@ def test_table_matches_direct_quadrature(thermal_family):
 
 def _grid_values(family, u_delay, reach):
     """T_y and T_z as _grid leaves them in the coefficient frame, before the
-    prefilter: complex (len(P), len(Z)) views."""
-    _, _, frame = pulsekit._grid(family, u_delay, reach)
+    prefilter, on the whole Z-grid: complex (len(P), len(Z)) arrays.  An
+    undelayed frame holds only Z >= 0; its columns Z < 0 are filled in as
+    the conjugates of those at -Z."""
+    _, Zg, frame = pulsekit._grid(family, u_delay, reach)
     grid = frame[1 + pulsekit._PAD:-2, 1:-2].view(complex)
-    return grid[:, :, 0], grid[:, :, 1]
+    out = []
+    for T in (grid[:, :, 0], grid[:, :, 1]):
+        if T.shape[1] < len(Zg):
+            T = np.concatenate([T[:, :0:-1].conj(), T], axis=1)
+        out.append(T)
+    return tuple(out)
+
+
+def _stored(tab, T):
+    """The columns of a whole-grid array T that tab's frame holds: Z >= 0
+    for a half (undelayed) table, every column for a delayed one."""
+    return T[:, len(tab.Z_grid) - (tab.coef.shape[1] - 3):]
+
+
+def _z_parity(u_delay):
+    """The z_parity argument _build_table passes _prefilter."""
+    return pulsekit._Z_PARITY if u_delay == 0.0 else 1.0
 
 
 # The power profile's tables, the second weight the build is checked on,
@@ -302,6 +321,20 @@ def test_table_tz_linear_off_axis_nodes(thermal_family):
     assert np.allclose(tz_half / tz_node, 0.5, rtol=1e-2)
 
 
+def _z_columns(reach):
+    """nfft, the FFT bins of the whole Z-grid in ascending Z, and their
+    phase (the shift to start at b = _B_FLOOR, times db), as _grid picks
+    them."""
+    db = 0.025
+    nfft = 16384
+    while math.pi / db < 1.05 * reach * (16384.0 / nfft):
+        nfft *= 2
+    Zk = 2.0 * math.pi * np.fft.fftfreq(nfft, d=db)
+    cols = np.flatnonzero(np.abs(Zk) <= reach)
+    cols = cols[np.argsort(Zk[cols])]
+    return nfft, cols, np.exp(1j * pulsekit._B_FLOOR * Zk[cols]) * db
+
+
 def _fourier_first_grid(family, u_delay, reach):
     """Ty, Tz summed in the build's former order (oracle): two zero-padded
     FFTs over b per row of a and transform, then the Bessel GEMM over a on
@@ -312,13 +345,7 @@ def _fourier_first_grid(family, u_delay, reach):
     wa = np.full_like(a, da)
     wa[0] *= 0.5
     wa[-1] *= 0.5
-    nfft = 16384
-    while math.pi / db < 1.05 * reach * (16384.0 / nfft):
-        nfft *= 2
-    Zk = 2.0 * math.pi * np.fft.fftfreq(nfft, d=db)
-    cols = np.flatnonzero(np.abs(Zk) <= reach)
-    cols = cols[np.argsort(Zk[cols])]
-    phase = np.exp(1j * b[0] * Zk[cols]) * db
+    nfft, cols, phase = _z_columns(reach)
     Pg = np.arange(0.0, reach + pulsekit._P_STEP / 2, pulsekit._P_STEP)
     Ty = np.zeros((len(Pg), len(cols)), complex)
     Tz = np.zeros_like(Ty)
@@ -374,13 +401,23 @@ def test_fft_block_leaves_table_unchanged(thermal_family, monkeypatch, u):
 @pytest.mark.parametrize("which", ["default", "power"])
 def test_undelayed_grid_is_hermitian(thermal_family, power_family, which):
     """A real weight gives T(P, -Z) = conj T(P, Z), and the real-FFT fold
-    keeps it bit for bit on the exactly symmetric Z-grid."""
+    keeps it bit for bit on the exactly symmetric Z-grid, so an undelayed
+    table loses nothing by keeping Z >= 0 only.  Its first column, Z = 0,
+    has Im T exactly zero, as the odd extension of the imaginary parts
+    across it needs."""
     fam, _, reach = _table_case(thermal_family, power_family, which)
-    Zg = fam.table(0.0, reach).Z_grid
-    ty, tz = _cached_grid_values(fam, 0.0, reach)
+    tab = fam.table(0.0, reach)
+    Zg = tab.Z_grid
     np.testing.assert_array_equal(Zg[::-1], -Zg)
-    np.testing.assert_array_equal(ty[:, ::-1], ty.conj())
-    np.testing.assert_array_equal(tz[:, ::-1], tz.conj())
+    assert tab.coef.shape[1] - 3 == len(Zg) // 2 + 1
+    for T in _cached_grid_values(fam, 0.0, reach):
+        assert np.all(_stored(tab, T)[:, 0].imag == 0.0)
+
+    nfft, cols, phase = _z_columns(reach)
+    G = np.random.default_rng(7).standard_normal((5, 1921))
+    out = np.empty((5, len(cols)), complex)
+    pulsekit._fourier_rows(G, nfft, cols, phase, out=out)
+    np.testing.assert_array_equal(out[:, ::-1], out.conj())
 
 
 def _prefilter_ndimage(Ty, Tz):
@@ -402,10 +439,10 @@ def _prefilter_ndimage(Ty, Tz):
     return coef
 
 
-def _prefilter_copy_in(Ty, Tz):
+def _prefilter_copy_in(Ty, Tz, z_parity):
     """_prefilter as it was while tables kept their grid values: both axes'
-    gains applied as Ty and Tz are copied into a new frame, then the same
-    in-place recursions (oracle)."""
+    gains applied as Ty and Tz (the columns the frame holds) are copied into
+    a new frame, then the same in-place recursions (oracle)."""
     pad = pulsekit._PAD
     coef = np.empty((Ty.shape[0] + pad + 3, Ty.shape[1] + 3, 4))
     inner = coef[1:-2, 1:-2]
@@ -415,10 +452,10 @@ def _prefilter_copy_in(Ty, Tz):
         np.multiply(T[pad:0:-1], parity * gain, out=pairs[:pad, :, c])
         np.multiply(T, gain, out=pairs[pad:, :, c])
     pulsekit._spline_recursions(inner)
-    pulsekit._spline_recursions(np.moveaxis(inner, 1, 0))
-    for axis in (0, 1):
+    pulsekit._spline_recursions(np.moveaxis(inner, 1, 0), z_parity)
+    for axis, parity in ((0, 1.0), (1, z_parity)):
         c = np.moveaxis(coef, axis, 0)
-        c[0], c[-2], c[-1] = c[2], c[-4], c[-5]
+        c[0], c[-2], c[-1] = parity * c[2], c[-4], c[-5]
     return coef
 
 
@@ -426,22 +463,23 @@ _PREFILTER_CASES = ["default", "delayed", "reach2", "shortest", "power"]
 
 
 
-
-
 @pytest.mark.parametrize("which", _PREFILTER_CASES)
 def test_prefilter_matches_spline_filter(thermal_family, power_family, which):
     """The in-place recursions give spline_filter's mirror-boundary
-    coefficients, frame included, to 1e-14 of each channel's peak: for a
-    real weight, a complex (delayed) one, a short reach, the shortest
-    lines of P check_reach allows (whose mirror sum keeps every term) and
-    the power profile's table.  Run in place on a frame, they allocate at
-    most 2 MB."""
+    coefficients over the whole Z-grid, frame included, to 1e-14 of each
+    channel's peak: for a real weight, a complex (delayed) one, a short
+    reach, the shortest lines of P check_reach allows (whose mirror sum
+    keeps every term) and the power profile's table.  An undelayed table's
+    half frame, extended across Z = 0 by parity, holds that frame's columns
+    from Z = -dZ on.  Run in place on a frame, they allocate at most
+    2 MB."""
     fam, u, reach = _table_case(thermal_family, power_family, which)
     tab = fam.table(u, reach)
     if which == "shortest":
         assert tab.coef.shape[0] - 3 == 2 * pulsekit._PAD + 1
     ty, tz = _cached_grid_values(fam, u, reach)
     want = _prefilter_ndimage(ty, tz)
+    want = want[:, want.shape[1] - tab.coef.shape[1]:]
     assert tab.coef.shape == want.shape
     worst = np.abs(tab.coef - want).max(axis=(0, 1))
     peak = np.abs(want).max(axis=(0, 1))
@@ -449,11 +487,11 @@ def test_prefilter_matches_spline_filter(thermal_family, power_family, which):
 
     coef = np.empty(tab.coef.shape)
     grid = coef[1 + pulsekit._PAD:-2, 1:-2].view(complex)
-    grid[:, :, 0], grid[:, :, 1] = ty, tz
+    grid[:, :, 0], grid[:, :, 1] = _stored(tab, ty), _stored(tab, tz)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        pulsekit._prefilter(coef)
+        pulsekit._prefilter(coef, _z_parity(u))
         allocated = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -466,9 +504,11 @@ def test_coefficients_equal_copy_in_prefilter(thermal_family, power_family,
     """Writing the FFT rows straight into the frame and scaling them there
     gives the coefficients of the former copy-in prefilter bit for bit."""
     fam, u, reach = _table_case(thermal_family, power_family, which)
+    tab = fam.table(u, reach)
+    ty, tz = _cached_grid_values(fam, u, reach)
     np.testing.assert_array_equal(
-        fam.table(u, reach).coef,
-        _prefilter_copy_in(*_cached_grid_values(fam, u, reach)))
+        tab.coef, _prefilter_copy_in(_stored(tab, ty), _stored(tab, tz),
+                                     _z_parity(u)))
 
 
 @pytest.mark.parametrize("which", ["default", "delayed", "power"])
@@ -494,20 +534,29 @@ def test_grid_values_rebuilt_from_coefficients(thermal_family, power_family,
 
 def _map_coordinates_lookup(tab, Ty, Tz, P, Z):
     """The lookup as it was before the four coefficient channels were fused:
-    per-part complex B-spline coefficients of the grid values Ty, Tz read by
-    scipy's map_coordinates (oracle)."""
+    per-part complex B-spline coefficients of the whole-grid values Ty, Tz
+    read by scipy's map_coordinates (oracle).  A half table is read as its
+    lookup reads it: at |Z| (counted from the column Z = -dZ, so that the
+    coordinate of a point near the axis is as exact as lookup's), and
+    conjugated where Z < 0."""
     Pg, Zg = tab.P_grid, tab.Z_grid
     ok = (P >= 0.0) & (P <= Pg[-1]) & (Z >= Zg[0]) & (Z <= Zg[-1])
     dP = Pg[1] - Pg[0]
     dZ = (Zg[-1] - Zg[0]) / (len(Zg) - 1)
-    at = np.stack([P[ok] / dP + pulsekit._PAD, (Z[ok] - Zg[0]) / dZ])
+    if tab._half:
+        first, z = len(Zg) // 2 - 1, np.abs(Z[ok]) / dZ + 1.0
+    else:
+        first, z = 0, (Z[ok] - Zg[0]) / dZ
+    at = np.stack([P[ok] / dP + pulsekit._PAD, z])
     out = []
     for T, parity in ((Ty, 1.0), (Tz, -1.0)):
         ext = np.concatenate([parity * T[pulsekit._PAD:0:-1], T])
         coef = ndimage.spline_filter(ext, order=3, output=complex, mode="mirror")
         t = np.zeros(P.shape, complex)
-        t[ok] = ndimage.map_coordinates(coef, at, order=3, mode="mirror",
-                                        prefilter=False)
+        t[ok] = ndimage.map_coordinates(coef[:, first:], at, order=3,
+                                        mode="mirror", prefilter=False)
+        if tab._half:
+            np.conjugate(t, out=t, where=Z < 0.0)
         out.append(t)
     return out
 
@@ -549,33 +598,91 @@ def test_lookup_matches_map_coordinates(thermal_family, power_family, which):
     assert np.all(ty == 0.0) and np.all(tz == 0.0)
 
 
+def _full_table(tab, ty, tz):
+    """tab as a table whose frame holds the whole Z-grid (oracle): the
+    whole-grid values ty, tz through the copy-in prefilter with the mirror
+    boundary at both ends of Z, the frame every table kept before undelayed
+    ones stored Z >= 0 only.  Its lookup takes the full-frame path that
+    delayed tables take."""
+    return pulsekit.EnvelopeTable(tab.P_grid, tab.Z_grid,
+                                  _prefilter_copy_in(ty, tz, 1.0))
+
+
+@pytest.mark.parametrize("which", ["default", "power", "reach2", "shortest"])
+def test_half_table_matches_full_table(thermal_family, power_family, which):
+    """An undelayed table keeps only Z >= 0 and reads Z < 0 as conjugates.
+    It reads what the full-frame table reads to 1e-13 of the peak: at 1e5
+    random points with both signs of Z, at Z = +0.0 and -0.0 and within
+    3 dZ of Z = 0, and exact zeros out of range or at NaN.  The default
+    table's coefficients take at most 0.52 of the full frame's 34.8 MB,
+    and a delayed table keeps the whole frame."""
+    fam, u, reach = _table_case(thermal_family, power_family, which)
+    tab = fam.table(u, reach)
+    ty, tz = _cached_grid_values(fam, u, reach)
+    full = _full_table(tab, ty, tz)
+    assert tab._half and not full._half
+    Pmax, Zmax = tab.P_grid[-1], tab.Z_grid[-1]
+    dZ = 2.0 * Zmax / (len(tab.Z_grid) - 1)
+    rng = np.random.default_rng(26)
+    n = 100_000
+    P = rng.random(n) * Pmax
+    Z = (2.0 * rng.random(n) - 1.0) * Zmax
+    Z[:1000], Z[1000:2000] = 0.0, -0.0
+    Z[2000:12000] = (2.0 * rng.random(10_000) - 1.0) * 3.0 * dZ
+    P[12000:12100], Z[12100:12200] = 0.0, -Zmax
+    got, want = tab.lookup(P, Z), full.lookup(P, Z)
+    peak = max(np.abs(ty).max(), np.abs(tz).max())
+    worst = max(np.abs(g - w).max() for g, w in zip(got, want))
+    assert worst <= 1e-13 * peak, worst / peak
+
+    Zlo = tab.Z_grid[0]
+    out_P = [np.nextafter(0.0, -1.0), np.nextafter(Pmax, np.inf), 1.0, 1.0,
+             np.nan, 1.0, np.inf]
+    out_Z = [0.0, 0.0, np.nextafter(Zlo, -np.inf), np.nextafter(Zmax, np.inf),
+             0.0, np.nan, 0.0]
+    ty_out, tz_out = tab.lookup(np.array(out_P), np.array(out_Z))
+    assert np.all(ty_out == 0.0) and np.all(tz_out == 0.0)
+
+    if which == "default":
+        assert full.coef.shape == (545, 2090, 4)
+        assert tab.coef.nbytes <= 0.52 * full.coef.nbytes
+        delayed = fam.table(0.7, reach)
+        assert delayed.coef.shape == full.coef.shape and not delayed._half
+
+
 @pytest.mark.parametrize("u", [0.0, 0.7])
 def test_build_table_memory(thermal_family, u):
-    """The default build, real or delayed, peaks below 90 MB and keeps below
-    70 MB: the one four-channel coefficient array, 34.8 MB."""
+    """The default build peaks below 38 MB and keeps below 20 MB when real,
+    below 90 and 70 MB when delayed: the one four-channel coefficient
+    array, 17.4 MB for the real table's Z >= 0 half and 34.8 MB for the
+    delayed table's whole Z-grid."""
     tracemalloc.start()
     try:
         tab = pulsekit._build_table(thermal_family, u, 16.0)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    peak_mb, kept_mb = (90, 70) if u else (38, 20)
+    columns = tab.Ty.shape[1] if u else tab.Ty.shape[1] // 2 + 1
     assert tab.coef.shape == (tab.Ty.shape[0] + pulsekit._PAD + 3,
-                              tab.Ty.shape[1] + 3, 4)
-    assert peak <= 90 * 2**20, peak / 2**20
-    assert retained <= 70 * 2**20, retained / 2**20
+                              columns + 3, 4)
+    assert peak <= peak_mb * 2**20, peak / 2**20
+    assert retained <= kept_mb * 2**20, retained / 2**20
 
 
 @pytest.mark.parametrize("u", [0.0, 0.7])
 def test_build_table_retains_only_coefficients(thermal_family, u):
-    """A default build, real or delayed, keeps at most 36 MB: its 34.8 MB
-    coefficient frame and its two grids, no grid values."""
+    """A default build keeps at most 18 MB when real and 36 MB when
+    delayed: its 17.4 or 34.8 MB coefficient frame and its two grids, no
+    grid values."""
     tracemalloc.start()
     try:
         tab = pulsekit._build_table(thermal_family, u, 16.0)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert tab.coef.nbytes <= retained <= 36 * 2**20, retained / 2**20
+    kept_mb = 36 if u else 18
+    assert tab.coef.nbytes <= retained <= kept_mb * 2**20, retained / 2**20
 
 
 def test_lookup_transient_memory(thermal_family):
@@ -795,6 +902,21 @@ def test_pulse_extent_cumsum_is_scipy_trapezoid(thermal_family, monkeypatch):
     want = integrate.cumulative_trapezoid(grid**2 * prof, grid, initial=0.0)
     assert len(seen) == 1 and seen[0].shape == grid.shape == (3000,)
     np.testing.assert_array_equal(seen[0], want)
+
+
+def test_pulse_extent_cold_peak_memory(thermal_family, monkeypatch):
+    """pulse_extent on an empty memo, the set-up of the Monte Carlo
+    estimators (the default table's build, then the radial profile), peaks
+    below 40 MB of traced allocations.  It peaked at 37.0 MB once undelayed
+    tables held Z >= 0 only, and at 54.3 MB with the whole Z-grid."""
+    monkeypatch.setattr(pulsekit, "_memo", OrderedDict())
+    tracemalloc.start()
+    try:
+        pulsekit.pulse_extent(thermal_family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20, peak / 2**20
 
 
 def test_pulse_extent_meters(thermal_family):
