@@ -318,8 +318,7 @@ def run_scaling(cfg: dict, rep: Reporter) -> None:
     sides = np.geomspace(cfg["extent_lo"], cfg["extent_hi"],
                          cfg["n_omega"]) * extent
     omegas = sides**3
-    weights = mixturekit.make_unit_trace_weights(float(omegas[0]))
-    curve = mixturekit.unit_trace_scaling(fam, weights, omegas)
+    curve = mixturekit.unit_trace_scaling(fam, omegas)
     rows = [[float(o), float(s / extent), float(g), float(c)]
             for o, s, g, c in zip(omegas, sides, curve.g1,
                                   curve.g1_compensated)]

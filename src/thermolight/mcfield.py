@@ -6,9 +6,8 @@ is exactly a classical average over pulse labels: positions uniform in the
 quantization cube, directions isotropic, polarization angle uniform.
 
 Draws come from serial counter-based Philox streams keyed by (seed, stream
-index): the uniform sampler splits its draws over a fixed number of streams
-and every stratum has a stream of its own, so results are deterministic for
-a given seed.
+index): every stratum has a stream of its own, so results are
+deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from .pulsekit import (_DEFAULT_REACH, EnvelopeTable,  # noqa: F401
                        transforms_direct)
 from .units import check_count, check_seed
 
-# streams the uniform G1 sampler splits its draws over
-_N_STREAMS = 8
 # the Cartesian field component both estimators correlate: z, along which
 # the G2 detectors sit
 _COMPONENT = 2
@@ -108,10 +105,9 @@ def draw_batch(omega: float, n: int, seed: int, stream: int = 0,
 
 
 def _density_scale(weights: WeightSpec, omega: float) -> float:
-    """Factor converting a per-draw average into the mixture correlation."""
-    if weights.kind == "TraceImproper":
-        return omega * _LABEL_MEASURE * weights.p_const
-    return 1.0
+    """Factor converting a per-draw average into the mixture correlation;
+    1 for UnitTrace weights made for this omega."""
+    return omega * _LABEL_MEASURE * weights.p_const
 
 
 def check_sample_counts(n: int, n_strata: int = 1) -> None:
@@ -146,15 +142,16 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     """MC estimate of the mixture first-order function G1_ii(r, r; tau).
 
     Averages conj(E_i(r, 0)) * E_i(r, tau) over pulse draws and applies the
-    density scale of the weight kind.  When the envelope support ball
-    around the detector fits inside the cube, positions are stratified in
-    radial shells around r: the intensity concentrates as 1/|delta|^6, so
-    uniform cube sampling would spend almost every draw where the product
-    vanishes.  Positions outside the support ball, _DEFAULT_REACH envelope
-    units around r, are not sampled and count as zero.  The intensity there
-    is not zero: the default table holds 99.77% of the Parseval total
-    within that radius, so the stratified mean sits low by about 0.23% of
-    G1.  Accumulation is chunked per stratum or stream.
+    density scale of the weight kind.  Positions are stratified in radial
+    shells around r: the intensity concentrates as 1/|delta|^6, so uniform
+    cube sampling would spend almost every draw where the product vanishes.
+    Draws outside the cube count as zero, so one sampler serves any cube and
+    r; only in cubes much smaller than the shells does it waste draws (at a
+    side of 2 envelope units its error bar is about twice a uniform one's).
+    Positions beyond the support ball, _DEFAULT_REACH envelope units around
+    r, are not sampled and count as zero.  The intensity there is not zero:
+    the default table holds 99.77% of the Parseval total within that
+    radius, so the mean sits low by about 0.23% of G1.
     """
     check_sample_counts(n)
     check_seed(seed)
@@ -163,29 +160,10 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     r = np.asarray(r, float)
     if not (math.isfinite(tau) and np.isfinite(r).all()):
         raise ValueError(f"tau and r must be finite, got {tau} and {r}")
-    ctx = family.ctx
-    scale = _density_scale(weights, omega)
-    side = omega ** (1.0 / 3.0)
-    support = _DEFAULT_REACH * ctx.length_scale
-    if float(np.max(np.abs(r))) + support > side / 2.0:
-        per = _split_counts(n, _N_STREAMS)
-        tot = 0.0 + 0.0j
-        m2 = 0.0
-        for w, n_w in enumerate(per):
-            if n_w == 0:
-                continue
-            batch = draw_batch(omega, n_w, seed, stream=w)
-            x = _g1_samples(family, batch, r, tau)
-            tot += x.sum()
-            m2 += float(np.sum(np.abs(x) ** 2))
-        mean = tot / n
-        var = max(m2 / n - abs(mean) ** 2, 0.0)
-        return EstimateWithError(mean=complex(mean) * scale,
-                                 std_error=math.sqrt(var / n) * scale)
-
+    half = omega ** (1.0 / 3.0) / 2.0
     # the last edge is the support radius, beyond which envelopes read zero
     edges = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, _DEFAULT_REACH]) \
-        * ctx.length_scale
+        * family.ctx.length_scale
     n_sh = len(edges) - 1
     per = _split_counts(n, n_sh)
     mean = 0.0 + 0.0j
@@ -194,9 +172,11 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
         n_k = per[k]
         batch = _draw_shell(n_k, seed, k, r, float(edges[k]), float(edges[k + 1]))
         x = _g1_samples(family, batch, r, tau)
+        x[np.any(np.abs(batch.r0) > half, axis=1)] = 0.0
         w_k = 4.0 * math.pi / 3.0 * (edges[k + 1] ** 3 - edges[k] ** 3) / omega
         mean += w_k * x.mean()
         var += w_k**2 * float(np.var(x)) / n_k
+    scale = _density_scale(weights, omega)
     return EstimateWithError(mean=complex(mean) * scale,
                              std_error=math.sqrt(var) * scale)
 

@@ -74,9 +74,12 @@ class WeightSpec:
     p_const [1/m^3 per unit dm_hat dPsi measure] is constant over labels.
     For UnitTrace it integrates to one over a quantization volume Omega,
     p_const = 1/(8 pi^2 Omega); for TraceImproper positions range over all
-    space.  The pulse amplitude alpha belongs to the PulseFamily, not here:
-    each reader takes |alpha|^2 from the family.  Making one raises
-    ValueError unless the kind is known and p_const positive and finite.
+    space.  The Monte Carlo estimators scale by p_const for either kind, so
+    UnitTrace weights made for another volume than the one estimated give
+    correlations scaled by the ratio of the two volumes.  The pulse
+    amplitude alpha belongs to the PulseFamily, not here: each reader takes
+    |alpha|^2 from the family.  Making one raises ValueError unless the
+    kind is known and p_const positive and finite.
     """
 
     kind: str                      # "UnitTrace" | "TraceImproper"
@@ -305,10 +308,12 @@ class ScalingCurve:
         return float(np.polyfit(np.log(self.omegas), np.log(self.g1), 1)[0])
 
 
-def unit_trace_scaling(family: PulseFamily, weights: WeightSpec,
+def unit_trace_scaling(family: PulseFamily,
                        omega_list: Sequence[float]) -> ScalingCurve:
     """G1 of the proper mixture at the origin versus quantization volume.
 
+    Each volume Omega in omega_list gets its own UnitTrace density,
+    1/(8 pi^2 Omega), which the formula carries, so no WeightSpec is taken.
     Integrates the orientation-isotropized intensity profile against the
     exact in-cube sphere fraction: the full orientation average of the
     per-component position integral reduces to this, since averaging a
@@ -320,8 +325,6 @@ def unit_trace_scaling(family: PulseFamily, weights: WeightSpec,
     omegas = np.asarray(omega_list, float)
     if np.any(np.diff(omegas) <= 0.0):
         raise ValueError("omega_list must be increasing")
-    if weights.kind != "UnitTrace":
-        raise ValueError("unit_trace_scaling requires UnitTrace weights")
     ctx = family.ctx
     vals = np.empty(len(omegas))
     grid, prof = pulsekit.radial_intensity_profile(family)

@@ -251,7 +251,7 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvelopeTable:
     """The canonical-frame transforms T_y, T_z on a uniform (P, Z) grid.
 
@@ -271,12 +271,13 @@ class EnvelopeTable:
     (complex weight, no such symmetry) holds every column, with the mirror
     boundary at both ends of Z: 545 x 2090 x 4, 34.8 MB.  The table stores
     nothing else of size: no grid values.  Ty and Tz rebuild those from
-    coef on each access, on the full Z_grid.
+    coef on each access, on the full Z_grid.  Tables compare and hash by
+    identity: two builds are distinct tables, whatever their values.
     """
 
     P_grid: np.ndarray
     Z_grid: np.ndarray
-    coef: np.ndarray = field(repr=False, compare=False)
+    coef: np.ndarray = field(repr=False)
 
     @property
     def support_radius(self) -> float:

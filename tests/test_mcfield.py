@@ -69,7 +69,9 @@ def test_sampled_frames_keep_directions_and_are_isotropic(ctx):
 
 
 def test_g1_uniform_path_determinism(ctx, thermal_family):
-    """A cube too small for the support ball takes the uniform path."""
+    """A cube too small for the support ball, which once took a uniform
+    sampler of its own, clips the shells to the cube and repeats for a
+    seed."""
     om = _cube(ctx, 10.0)
     w = make_unit_trace_weights(om)
     args = (thermal_family, w, om, np.zeros(3), 0.0, 2000)
@@ -185,22 +187,41 @@ def test_zero_amplitude_gives_exact_zero(ctx):
     assert est.std_error == 0.0
 
 
+@pytest.mark.parametrize("side", [3.0, 10.0, 31.9])
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
-def test_g1_uniform_path_matches_unit_trace_scaling(ctx, alpha):
-    """In a cube of side 10 the support ball does not fit, so draws are
-    uniform over the cube; their mean is the orientation-averaged intensity
-    over the cube, which unit_trace_scaling integrates from the same table
-    with the exact sphere-in-cube fraction.  The 1/|delta|^6 tails leave a
-    relative error bar of about 3% at n = 2e5, so a 20% bias in the uniform
-    path fails this.  Both read |alpha|^2 from the family alone: at
-    alpha = 2, unit_trace_scaling used to count it twice and miss by 4x."""
+def test_g1_uniform_path_matches_unit_trace_scaling(ctx, alpha, side):
+    """In these cubes the 16-unit support ball does not fit, so the shells
+    are clipped to the cube: draws outside it count as zero.  Their mean is
+    the orientation-averaged intensity over the cube, which
+    unit_trace_scaling integrates from the same table with the exact
+    sphere-in-cube fraction.  At side 3 the clip decides the value; at
+    31.9 the uniform draws over the cube that these cubes once took left a
+    relative error bar of 18% at n = 2e5, and the shells leave under 1%.
+    Both read |alpha|^2 from the family alone: at alpha = 2,
+    unit_trace_scaling used to count it twice and miss by 4x."""
     fam = pulsekit.make_thermal_family(ctx, alpha=alpha)
-    om = _cube(ctx, 10.0)
+    om = _cube(ctx, side)
     w = make_unit_trace_weights(om)
     est = estimate_g1_mix(fam, w, om, np.zeros(3), 0.0, 200_000, 99)
-    want = mixturekit.unit_trace_scaling(fam, w, [om]).g1[0]
+    want = mixturekit.unit_trace_scaling(fam, [om]).g1[0]
     assert est.std_error < 0.05 * want
     assert abs(est.mean - want) <= 4.0 * est.std_error, (est, want)
+
+
+def test_estimators_scale_with_unit_trace_density(ctx, thermal_family):
+    """UnitTrace weights made for 1000 times the cube hold 1/1000 of the
+    density, and both estimators scale by it.  They used to read 1.0 for
+    any UnitTrace spec and return the same values for both."""
+    om = _cube(ctx, 40.0)
+    near, far = make_unit_trace_weights(om), make_unit_trace_weights(1000 * om)
+    for est in (
+            lambda w: estimate_g1_mix(thermal_family, w, om, np.zeros(3),
+                                      0.0, 2000, 7),
+            lambda w: estimate_g2_mix(thermal_family, w, om, 0.0, 2000, 7)):
+        a, b = est(near), est(far)
+        assert abs(b.mean * 1000.0 - a.mean) <= 1e-12 * abs(a.mean)
+        assert abs(b.std_error * 1000.0 - a.std_error) \
+            <= 1e-12 * a.std_error
 
 
 def test_g1_halves_when_volume_doubles(ctx, thermal_family):

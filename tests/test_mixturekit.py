@@ -71,9 +71,8 @@ def test_amplitude_read_from_family_once(ctx, thermal_family):
     g1_improper not at all (1x)."""
     fam2 = pulsekit.make_thermal_family(ctx, alpha=2.0)
     om = (10.0 * ctx.length_scale) ** 3
-    w = make_unit_trace_weights(om)
-    one = unit_trace_scaling(thermal_family, w, [om]).g1[0]
-    two = unit_trace_scaling(fam2, w, [om]).g1[0]
+    one = unit_trace_scaling(thermal_family, [om]).g1[0]
+    two = unit_trace_scaling(fam2, [om]).g1[0]
     assert abs(two / one - 4.0) <= 1e-14
     g0 = thermal.g1_zero(ctx)
     matched = g1_improper(fam2, make_matched_improper_weights(ctx), 0.0)
@@ -285,16 +284,9 @@ def test_gaussian_angular_kernel_matches_per_entry_sum(monkeypatch, block):
 # proper-mixture volume scaling
 
 
-def test_scaling_requires_unit_trace(thermal_family, matched_weights, ctx):
-    with pytest.raises(ValueError):
-        unit_trace_scaling(thermal_family, matched_weights,
-                           [1e-19, 2e-19, 4e-19])
-
-
 def test_scaling_rejects_unordered_volumes(thermal_family, ctx):
-    w = make_unit_trace_weights(1e-18)
     with pytest.raises(ValueError):
-        unit_trace_scaling(thermal_family, w, [2e-19, 1e-19])
+        unit_trace_scaling(thermal_family, [2e-19, 1e-19])
 
 
 def test_scaling_inverse_volume_at_saturation(thermal_family, ctx):
@@ -302,8 +294,7 @@ def test_scaling_inverse_volume_at_saturation(thermal_family, ctx):
     1/Omega and the compensated curve is flat."""
     sides = np.array([35.0, 70.0, 140.0]) * ctx.length_scale
     omegas = sides**3
-    w = make_unit_trace_weights(float(omegas[0]))
-    curve = unit_trace_scaling(thermal_family, w, omegas)
+    curve = unit_trace_scaling(thermal_family, omegas)
     assert math.isclose(curve.loglog_slope(), -1.0, abs_tol=1e-8)
     flat = curve.g1_compensated
     assert np.max(np.abs(flat / flat[0] - 1.0)) < 1e-10
@@ -338,8 +329,7 @@ def _orientation_grid_reference(family, omega_list, n_dirs, n_psi):
 
 def test_scaling_radial_against_orientation_grid(thermal_family, ctx):
     om = (10.0 * ctx.length_scale) ** 3
-    w = make_unit_trace_weights(om)
-    rad = unit_trace_scaling(thermal_family, w, [om])
+    rad = unit_trace_scaling(thermal_family, [om])
     grd = _orientation_grid_reference(thermal_family, [om],
                                       n_dirs=8, n_psi=4)
     rel = abs(grd[0] / rad.g1[0] - 1.0)

@@ -120,6 +120,18 @@ def test_tables_shared_across_temperature_and_amplitude(thermal_family,
     assert power_family.table(0.0, reach=2.0) is not cold.table(0.0, reach=2.0)
 
 
+def test_tables_compare_and_hash_by_identity():
+    """Two tables of equal values are still two tables.  == used to compare
+    the grid arrays as a tuple and raise ValueError, and hash() raised
+    TypeError."""
+    grid, coef = np.linspace(0.0, 1.0, 3), np.zeros((6, 6, 4))
+    a = pulsekit.EnvelopeTable(grid, grid, coef)
+    b = pulsekit.EnvelopeTable(grid.copy(), grid.copy(), coef.copy())
+    assert a == a
+    assert a != b
+    assert len({a, b}) == 2
+
+
 def test_tail_coefficient_frozen(thermal_family):
     """c3 sets the G2 truncation bound behind criterion 7; value recorded
     before the quadrature nodes were cached."""
