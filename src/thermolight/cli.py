@@ -354,8 +354,15 @@ def run_g2_contrast(cfg: dict, rep: Reporter) -> None:
     asym = thermal.g2_asymptote(ctx)
     r_units = R / ctx.length_scale
     reach = r_units / 2.0 + 1.0
-    # Needs only the analytic G1, so an R too short for the reach fails here,
-    # before either Monte Carlo estimate.
+    # A table too large to build, or an R too short for the reach (which
+    # needs only the analytic G1), fails here, before either Monte Carlo
+    # estimate.
+    try:
+        pulsekit.check_reach(reach)
+    except ValueError as exc:
+        raise ConfigError(f"r_factor = {cfg['r_factor']} puts the "
+                          f"detectors {r_units:.4g} envelope units apart: "
+                          f"{exc}") from None
     bias = mcfield.g2_truncation_bias_bound(fam, R, reach, g1_th)
 
     side_g1 = 36.0 * ctx.length_scale

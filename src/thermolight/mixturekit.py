@@ -243,9 +243,16 @@ def _weight_kernel(x: np.ndarray, x0: np.ndarray, s: float) -> np.ndarray:
     dimensionless spectral density at x; the blackbody target is
     t(x) = x^3 / (6 pi^2 (e^x - 1)).  Columns are per-pulse densities
     x^5 Phi(x, x0) normalized by the family normalization pi int x^4 Phi.
+    A lineshape so narrow that a column's normalization is not positive
+    (it vanishes on every node of x) raises ValueError naming s.
     """
     phi = gaussian_angular_kernel(x, x0, s)
     denom = math.pi * np.trapezoid(x[:, None] ** 4 * phi, x, axis=0)
+    if not np.all(denom > 0.0):
+        bad = x0[np.flatnonzero(~(denom > 0.0))[0]]
+        raise ValueError(f"the lineshape of width s = {s:.6g} around "
+                         f"x0 = {bad:.6g} vanishes on every node of the "
+                         f"grid x, so its column cannot be normalized")
     return (math.pi**2 / 3.0) * x[:, None] ** 5 * phi / denom[None, :]
 
 
@@ -269,7 +276,9 @@ def solve_gaussian_weights(ctx: PhysicalContext, sigma: float) -> GaussianWeight
     sigma [1/m] is the lineshape width.  Solves min ||M w - t||_2, w >= 0
     with columns rescaled to unit norm for conditioning, and reports the
     relative residual; residual below ~1e-3 marks a feasible (physical)
-    weight assignment, above ~0.1 an infeasible one.
+    weight assignment, above ~0.1 an infeasible one.  A sigma so small that
+    some carrier's lineshape vanishes on every fit node raises ValueError
+    naming sigma and its duration 1/(c sigma), before the solve.
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
@@ -278,7 +287,12 @@ def solve_gaussian_weights(ctx: PhysicalContext, sigma: float) -> GaussianWeight
     from scipy.optimize import nnls
     bhc = ctx.length_scale
     k0_grid = _FIT_GRID / bhc
-    M = _weight_kernel(_FIT_GRID, k0_grid * bhc, sigma * bhc)
+    try:
+        M = _weight_kernel(_FIT_GRID, k0_grid * bhc, sigma * bhc)
+    except ValueError as exc:
+        raise ValueError(f"sigma = {sigma:.6g} 1/m (a pulse duration "
+                         f"1/(c sigma) = {1.0 / (ctx.c * sigma):.6g} s) is "
+                         f"too narrow for the weight fit: {exc}") from None
     t = blackbody_spectral_target(_FIT_GRID)
     col = np.linalg.norm(M, axis=0)
     col[col == 0.0] = 1.0

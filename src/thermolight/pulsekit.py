@@ -84,20 +84,24 @@ _SIXTEEN_PI3 = 16.0 * math.pi**3
 _MEMO_SIZE = 8
 _memo: OrderedDict = OrderedDict()
 
-# Table layout: the Hankel GEMM runs on _ROW_BLOCK rows of a at a time.  The
+# Table layout: the Hankel GEMM runs on _ROW_BLOCK rows of a at a time, and
+# each product is added to the sums through a buffer of _GEMM_ROWS real
+# lines of P (2.8 MB for the default table): a whole product of 534 rows
+# held 8 MB, and 64 lines made a cold default build about 15% slower.  The
 # FFT over b takes _FFT_LINES real lines at a time (rows of P, or the Re and
-# Im halves of a delayed table's rows): their spectra (8193 bins each for the
-# default table) then hold 1 MB, which stays in a core's L2 cache; 64 lines
-# at a time ran up to a quarter slower.  The B-spline prefilter sees the grid
-# extended across P = 0 by _PAD rows, in a frame that holds every tap of a
-# lookup: 1 row and column below, 2 above.  Its mirror boundary lies _PAD
-# rows below P = 0, and its effect there has decayed by |_SPLINE_POLE| =
-# 0.268 per row (below 1e-7 of the peak).  Across Z = 0 (undelayed tables)
-# the boundary is exact instead: the recursions' start sums each channel's
-# parity extension in closed form, so no pad columns are needed; 8 of them
-# would leave an error of |_SPLINE_POLE|^8 = 2.7e-5 at Z = 0, far above
-# rounding.  Rows of P are _P_STEP apart.
+# Im halves of a delayed table's rows): their spectra (8193 bins each for
+# the default table) then hold 1 MB, which stays in a core's L2 cache; 64
+# lines at a time ran up to a quarter slower.  The B-spline prefilter sees
+# the grid extended across P = 0 by _PAD rows, in a frame that holds every
+# tap of a lookup: 1 row and column below, 2 above.  Its mirror boundary
+# lies _PAD rows below P = 0, and its effect there has decayed by
+# |_SPLINE_POLE| = 0.268 per row (below 1e-7 of the peak).  Across Z = 0
+# (undelayed tables) the boundary is exact instead: the recursions' start
+# sums each channel's parity extension in closed form, so no pad columns are
+# needed; 8 of them would leave an error of |_SPLINE_POLE|^8 = 2.7e-5 at
+# Z = 0, far above rounding.  Rows of P are _P_STEP apart.
 _ROW_BLOCK = 64
+_GEMM_ROWS = 192
 _FFT_LINES = 8
 _PAD = 8
 _P_STEP = 0.03
@@ -116,8 +120,10 @@ _PARITY = np.array([1.0, 1.0, -1.0, -1.0])
 _Z_PARITY = np.array([1.0, -1.0, 1.0, -1.0])
 
 # lookup reads _LOOKUP_BLOCK points at a time: its gather of 16 nodes x 4
-# channels then holds 2 MB.
+# channels then holds 2 MB.  The radial profile reads the table
+# _PROFILE_RADII radii (of 100 angles each) at a time.
 _LOOKUP_BLOCK = 4096
+_PROFILE_RADII = 250
 
 # The band of x = beta hbar c k the transforms integrate over, [0, _X_MAX]:
 # the weight x^{5/2}/sqrt(e^x - 1) at 40 is 4.5e-6 of its peak (at x = 5).
@@ -126,6 +132,13 @@ _LOOKUP_BLOCK = 4096
 # power profile with q = 2 reads 1.4e-3 of the peak off at (P, Z) = (0, 0.5).
 _X_MAX = 40.0
 _B_FLOOR = -8.0
+
+# The (a, b) grid's steps, a = x st and b = x mu.
+_DA = _DB = 0.025
+
+# The largest coefficient frame check_reach lets a table build: 512 MiB,
+# which a delayed table reaches near reach 61.
+_MAX_FRAME_BYTES = 512 * 2**20
 
 # Largest |Delta| (dimensionless) of the default envelope table.  Envelopes
 # beyond it read as zero, so samplers that skip draws there use it too.
@@ -269,8 +282,11 @@ class EnvelopeTable:
     and conjugates where Z < 0.  For the default table that is
     545 x 1047 x 4 values, 17.4 MB (of 2^20 bytes).  A delayed table
     (complex weight, no such symmetry) holds every column, with the mirror
-    boundary at both ends of Z: 545 x 2090 x 4, 34.8 MB.  The table stores
-    nothing else of size: no grid values.  Ty and Tz rebuild those from
+    boundary at both ends of Z: 545 x 2090 x 4, 34.8 MB; lookup reads its
+    Z as the offset from Z = 0 in nodes, as exact near the axis as a half
+    table's |Z|.  coef is C-contiguous and its own: _grid builds a narrow
+    frame in wider scratch rows and keeps a compact copy.  The table
+    stores nothing else of size: no grid values.  Ty and Tz rebuild those from
     coef on each access, on the full Z_grid.  Tables compare and hash by
     identity: two builds are distinct tables, whatever their values.
     """
@@ -339,8 +355,11 @@ class EnvelopeTable:
         weighted sum over them for all four channels (Unser, Aldroubi &
         Eden, IEEE Trans. Signal Process. 41, 1993, 821).  A half table is
         read at |Z|, and both transforms are conjugated where Z is negative
-        (-0.0 included, where the two agree).  Points outside the grid, NaN
-        included, read exactly zero.
+        (-0.0 included, where the two agree).  A delayed table takes the
+        node below Z from floor(Z / dZ) plus the column of Z = 0, so the
+        coordinate rounds like |Z| / dZ, not like (Z - Z_min) / dZ, which
+        is off by up to 2.3e-13 nodes everywhere.  Points outside the
+        grid, NaN included, read exactly zero.
         """
         P = np.asarray(P, float)
         Z = np.asarray(Z, float)
@@ -351,6 +370,7 @@ class EnvelopeTable:
         dP = Pg[1] - Pg[0]
         dZ = (Zg[-1] - Zg[0]) / (len(Zg) - 1)
         half = self._half
+        z0 = (len(Zg) - 1) // 2                       # the node Z = 0
         ncol = self.coef.shape[1]
         flat = self.coef.reshape(-1, 4)
         taps = (np.arange(4)[:, None] * ncol + np.arange(4)).ravel()
@@ -360,8 +380,12 @@ class EnvelopeTable:
             sel = lo + np.flatnonzero(ok[lo:lo + _LOOKUP_BLOCK])
             z = Z[sel]
             wp, i = _bspline_weights(P[sel] / dP + _PAD)
-            wz, j = _bspline_weights(np.abs(z) / dZ if half
-                                     else (z - Zg[0]) / dZ)
+            if half:
+                wz, j = _bspline_weights(np.abs(z) / dZ)
+            else:
+                # the offset from Z = 0 in nodes, exact at the nodes near
+                # it, clipped at the first node against its rounding there
+                wz, j = _bspline_weights(np.maximum(z / dZ, -z0), z0)
             w = np.einsum("na,nb->nab", wp, wz).reshape(-1, 1, 16)
             nodes = flat.take((i * ncol + j)[:, None] + taps, axis=0)
             both = (w @ nodes).view(complex)              # (n, 1, 2)
@@ -377,17 +401,22 @@ class EnvelopeTable:
         return ty, tz
 
 
-def _bspline_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bspline_weights(x: np.ndarray, origin: int = 0
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """The four cubic B-spline weights of nodes floor(x) - 1 .. floor(x) + 2
-    at coordinates x >= 0, as an (n, 4) array, and floor(x)."""
-    i = x.astype(np.intp)
-    t = x - i
+    at coordinates x, as an (n, 4) array, and the index origin + floor(x)
+    of node floor(x)."""
+    f = np.floor(x)
+    t = x - f
     s = 1.0 - t
     w = np.empty((x.size, 4))
     w[:, 0] = s * s * s / 6.0
     w[:, 1] = (t * t * (t - 2.0) * 3.0 + 4.0) / 6.0
     w[:, 2] = (s * s * (s - 2.0) * 3.0 + 4.0) / 6.0
     w[:, 3] = t * t * t / 6.0
+    i = f.astype(np.intp)
+    if origin:
+        i += origin
     return w, i
 
 
@@ -445,15 +474,29 @@ class PulseFamily:
 
 
 def check_reach(reach: float) -> None:
-    """Raise ValueError unless a table reaching |Delta| = reach is finite
-    and has the _PAD + 1 rows of P its prefilter mirrors across P = 0; a
-    shorter table would be read with shifted B-spline coefficients."""
-    # np.arange(0, reach + _P_STEP / 2, _P_STEP) in _build_table has this
-    # many rows
-    if not (math.isfinite(reach)
-            and math.ceil((reach + _P_STEP / 2) / _P_STEP) > _PAD):
+    """Raise ValueError unless a table reaching |Delta| = reach is finite,
+    has the _PAD + 1 rows of P its prefilter mirrors across P = 0 (a
+    shorter table would be read with shifted B-spline coefficients), and
+    fits _MAX_FRAME_BYTES.  The size is that of a delayed table's frame,
+    the larger kind, from _grid's shape rules and without building
+    anything: 34.8 MB at the default reach, and the limit of 512 MiB is
+    reached near reach 61."""
+    # np.arange(0, reach + _P_STEP / 2, _P_STEP) in _grid has
+    # ceil(lines) rows
+    lines = (reach + _P_STEP / 2) / _P_STEP
+    if not (math.isfinite(reach) and lines > _PAD):
         raise ValueError(f"reach must be finite and span {_PAD + 1} rows of "
                          f"P, {_P_STEP} apart, got {reach}")
+    # Z columns: the frequencies 2 pi k / (16384 _DB) within reach,
+    # k = -half .. half.  _grid lengthens its FFT only beyond reach 119.7,
+    # where this lower bound on the frame is already 2 GB.
+    half = float(np.floor(reach * 16384 * _DB / (2.0 * math.pi)))
+    size = 32.0 * (float(np.ceil(lines)) + _PAD + 3) * (2.0 * half + 4.0)
+    if size > _MAX_FRAME_BYTES:
+        raise ValueError(f"a table reaching {reach} would hold "
+                         f"{size / 2**20:.0f} MiB of coefficients or more, "
+                         f"above the limit of {_MAX_FRAME_BYTES / 2**20:.0f} "
+                         f"MiB")
 
 
 def make_thermal_family(ctx: PhysicalContext, upsilon_kind: str = "exp",
@@ -486,12 +529,6 @@ def thermal_radial_weight(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spectral_weight(family: PulseFamily, x: np.ndarray, mu: np.ndarray
-                     ) -> np.ndarray:
-    """w(x, mu) = R(x) upsilon(mu) of T_y and T_z."""
-    return thermal_radial_weight(x) * family.upsilon(mu)
-
-
 # ---------------------------------------------------------------------------
 # table construction
 
@@ -513,28 +550,40 @@ def _grid(family: PulseFamily, u_delay: float, reach: float
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hankel-then-FFT construction of T_y, T_z on a (P, Z) grid.
 
-    Returns P_grid, Z_grid and the table's coefficient frame, a real
-    (len(P) + _PAD + 3, columns + 3, 4) array whose rows 1 + _PAD .. -3 and
-    columns 1 .. -3 hold T_y and T_z as the complex channel pairs
-    (Re T_y, Im T_y, Re T_z, Im T_z).  Every other entry is left unset for
-    _prefilter to fill.  Z_grid is symmetric about 0 bit for bit.  For an
-    undelayed table the columns are its Z >= 0 half, from Z = 0 on: a real
-    weight makes T(P, -Z) = conj T(P, Z) bit for bit (see _fourier_rows),
-    so the other half is not computed.  A delayed table holds every column
-    of Z_grid.
+    Returns P_grid, Z_grid and the table's coefficient frame, a C-contiguous
+    real (len(P) + _PAD + 3, columns + 3, 4) array whose rows
+    1 + _PAD .. -3 and columns 1 .. -3 hold T_y and T_z as the complex
+    channel pairs (Re T_y, Im T_y, Re T_z, Im T_z).  Every other entry is
+    left unset for _prefilter to fill.  Z_grid is symmetric about 0 bit for
+    bit.  For an undelayed table the columns are its Z >= 0 half, from
+    Z = 0 on: a real weight makes T(P, -Z) = conj T(P, Z) bit for bit (see
+    _fourier_rows), so the other half is not computed.  A delayed table
+    holds every column of Z_grid.
 
     With a = x st and b = x mu on uniform grids (trapezoid in a, plain sum
     in b), T_y(P, Z) = sum_b e^{i b Z} G_y(P, b) with
     G_y(P, b) = sum_a J0(P a) w_a W(a, b) mu, and T_z alike with J1 and st.
     Both sums are linear, so their order is free: the Hankel sums run first,
     as one real GEMM per _ROW_BLOCK rows of a and transform (on the complex
-    weight's float view for a delayed table), accumulating G_y and G_z on
-    the b-grid; then one zero-padded real FFT per row of P and transform,
-    2 len(P) in all (twice that for a delayed table, whose rows have Re and
-    Im halves), takes them to the frame's Z columns, written straight into
-    it.  Summing Fourier-first, a-row by a-row, would take 2 len(a) FFTs and
-    run the GEMM on the wider Z-grid; the tests keep that order as the
-    oracle.
+    weight's float view for a delayed table, see _weight_rows), accumulating
+    G_y and G_z on the b-grid; then one zero-padded real FFT per row of P
+    and transform, 2 len(P) in all (twice that for a delayed table, whose
+    rows have Re and Im halves), takes them to the frame's Z columns.
+    Summing Fourier-first, a-row by a-row, would take 2 len(a) FFTs and run
+    the GEMM on the wider Z-grid; the tests keep that order as an oracle.
+
+    Nothing of the size of the frame is allocated beside it.  G_y and G_z
+    accumulate inside the frame, side by side in the grid's own rows: a
+    frame row of 4 (columns + 3) floats holds the 2 len(b) floats (twice
+    that when delayed) of both, for every reach above about 14.7.  A
+    narrower frame is built in scratch rows that wide and copied out
+    compact at the end; a wide one needs no copy.  Each GEMM product is
+    added through a buffer of _GEMM_ROWS real lines of P (half as many rows
+    of a delayed table's complex sums), and the FFT stage runs _FFT_LINES
+    rows of P at a time, both channels of a block transformed before its T
+    rows overwrite its G rows.  The tests keep the former
+    order, separate G_y and G_z arrays and whole GEMM products, as an
+    oracle, and hold every frame to it bit for bit.
 
     reach sets the largest |Delta| that must be representable.  Against
     transforms_direct (converged to 1e-8 relative), the grid errs by at most
@@ -543,61 +592,106 @@ def _grid(family: PulseFamily, u_delay: float, reach: float
     nine angles each) T_y is 0.4-3% off at 8 and 1-10% off at 14, most along
     the axis and at Z = 0, while T_z stays within 0.2% away from the axis.
     """
-    da = db = 0.025
-    a = np.arange(0.0, _X_MAX + da / 2, da)
-    b = np.arange(_B_FLOOR, _X_MAX + db / 2, db)
-    wa = np.full_like(a, da)
+    a = np.arange(0.0, _X_MAX + _DA / 2, _DA)
+    b = np.arange(_B_FLOOR, _X_MAX + _DB / 2, _DB)
+    wa = np.full_like(a, _DA)
     wa[0] *= 0.5
     wa[-1] *= 0.5
 
     nfft = 16384
-    while math.pi / db < 1.05 * reach * (16384.0 / nfft):
+    while math.pi / _DB < 1.05 * reach * (16384.0 / nfft):
         nfft *= 2  # never triggers for the default grids; safety for big reach
-    Zk = 2.0 * math.pi * np.fft.fftfreq(nfft, d=db)
+    Zk = 2.0 * math.pi * np.fft.fftfreq(nfft, d=_DB)
     cols = np.flatnonzero(np.abs(Zk) <= reach)
     cols = cols[np.argsort(Zk[cols])]
     Zg = Zk[cols]
     if u_delay == 0.0:
         cols = cols[Zg >= 0.0]
-    phase = np.exp(1j * b[0] * Zk[cols]) * db         # shift to start at b[0]
+    phase = np.exp(1j * b[0] * Zk[cols]) * _DB        # shift to start at b[0]
+    Pg = np.arange(0.0, reach + _P_STEP / 2, _P_STEP)
 
-    dP = _P_STEP
-    Pg = np.arange(0.0, reach + dP / 2, dP)
-    Gy = np.zeros((len(Pg), len(b)), float if u_delay == 0.0 else complex)
-    Gz = np.zeros_like(Gy)
-    # one GEMM's result, reused by every block: a fresh 8 MB result per GEMM
-    # left freed copies on the heap that some processes still held at the
-    # FFT stage, 10 MB more peak RSS
-    prod = np.empty(Gy.view(float).shape)
+    # the frame's flat rows, wide enough for G_y and G_z side by side
+    # (real lines per row of G: 1, or Re and Im for a delayed table)
+    n_p, lines = len(Pg), 1 if u_delay == 0.0 else 2
+    shape = (n_p + _PAD + 3, len(cols) + 3, 4)
+    width = lines * len(b)
+    flat = np.zeros((shape[0], max(shape[1] * 4, 2 * width)))
+    coef = flat[:, :shape[1] * 4].reshape(shape)
+    g_rows = flat[1 + _PAD:1 + _PAD + n_p]
+    Gy, Gz = g_rows[:, :width], g_rows[:, width:2 * width]
+    chunk = _GEMM_ROWS // lines
+    prod = np.empty((min(chunk, n_p), width))
     for lo in range(0, len(a), _ROW_BLOCK):
         ab = a[lo:lo + _ROW_BLOCK]
-        A, B = np.meshgrid(ab, b, indexing="ij")
-        X = np.hypot(A, B)
-        MU = np.divide(B, X, out=np.zeros_like(B), where=X > 0)
-        ST = np.divide(A, X, out=np.zeros_like(A), where=X > 0)
-        jac = np.divide(A, X * X, out=np.zeros_like(A), where=X > 0)
-        W = _spectral_weight(family, X, MU) * jac
-        if u_delay != 0.0:
-            W = W * np.exp(-1j * X * u_delay)
         Pa = np.outer(Pg, ab)
         wb = wa[lo:lo + _ROW_BLOCK]
-        # real Bessel matrix times W as one real GEMM on W's float view
-        np.matmul(special.j0(Pa) * wb, (W * MU).view(float), out=prod)
-        Gy += prod.view(Gy.dtype)
-        np.matmul(special.j1(Pa) * wb, (W * ST).view(float), out=prod)
-        Gz += prod.view(Gz.dtype)
+        W = _weight_rows(family, ab, b, u_delay)
+        # real Bessel matrix times W as one real GEMM per chunk of P rows
+        for k, (bessel, G) in enumerate(((special.j0, Gy), (special.j1, Gz))):
+            J = bessel(Pa) * wb
+            for p in range(0, n_p, chunk):
+                m = len(J[p:p + chunk])
+                np.matmul(J[p:p + chunk], W[k], out=prod[:m])
+                G[p:p + chunk] += prod[:m]
+        del W        # freed before the next block's weights are built
     del prod
 
-    # T_y and T_z go straight into the coefficient frame's complex channels,
-    # one accumulator at a time, so a delayed build peaks no higher than a
-    # real one
-    coef = np.empty((len(Pg) + _PAD + 3, len(cols) + 3, 4))
     grid = coef[1 + _PAD:-2, 1:-2].view(complex)       # (P, Z, (T_y, T_z))
-    _fourier_rows(Gy, nfft, cols, phase, out=grid[:, :, 0])
-    del Gy
-    _fourier_rows(Gz, nfft, cols, phase, out=grid[:, :, 1])
-    del Gz
-    return Pg, Zg, coef
+    dtype = float if lines == 1 else complex
+    Gy, Gz = Gy.view(dtype), Gz.view(dtype)
+    block = np.empty((min(_FFT_LINES, n_p),) + grid.shape[1:], complex)
+    for lo in range(0, n_p, _FFT_LINES):
+        rows = slice(lo, lo + _FFT_LINES)
+        t = block[:len(grid[rows])]
+        _fourier_rows(Gy[rows], nfft, cols, phase, out=t[:, :, 0])
+        _fourier_rows(Gz[rows], nfft, cols, phase, out=t[:, :, 1])
+        grid[rows] = t
+    return Pg, Zg, np.ascontiguousarray(coef)
+
+
+def _weight_rows(family: PulseFamily, a: np.ndarray, b: np.ndarray,
+                 u_delay: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Hankel GEMM's right-hand sides W mu and W st on the rows a of
+    the (a, b) grid, as real (len(a), len(b)) arrays, or for a delayed
+    table the (len(a), 2 len(b)) float views of complex ones.
+
+    At x = hypot(a, b), mu = b / x and st = a / x, the weight is
+    W = R(x) upsilon(mu) a / x^2 (the Jacobian of (x, mu) -> (a, b)), times
+    e^{-i x u} with a delay, R(x) = x^{5/2} / sqrt(e^x - 1) as in
+    thermal_radial_weight.  Each element takes the operations of those
+    formulas in their order, on whole blocks by broadcasting and in place.
+    The row a = 0 is zero, as a / x^2 is there; every other row has
+    x >= a >= _DA, far above thermal_radial_weight's cut at 1e-12, so no
+    element is masked.
+    """
+    A = a[:, None]
+    x = np.hypot(A, b)
+    # the row a = 0 divides 0 by 0 where b = 0; it is set to zero below
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mu = np.divide(b, x)
+        ups = family.upsilon(mu)
+        W = np.power(x, 2.5)
+        t = np.expm1(x)
+        W /= np.sqrt(t, out=t)                              # R(x)
+        W *= ups
+        del ups
+        W *= np.divide(A, np.multiply(x, x, out=t), out=t)  # the Jacobian
+        st = np.divide(A, x, out=t)
+    if u_delay != 0.0:
+        ph = np.multiply(x, -1j)
+        del x
+        ph *= u_delay
+        np.exp(ph, out=ph)
+        ph *= W
+        W = ph                                              # W e^{-i x u}
+        wmu = np.multiply(W, mu, out=np.empty_like(W))
+        del mu
+        wst = np.multiply(W, st, out=W)
+    else:
+        wmu, wst = np.multiply(W, mu, out=mu), np.multiply(W, st, out=st)
+    wmu[a == 0.0] = 0.0
+    wst[a == 0.0] = 0.0
+    return wmu.view(float), wst.view(float)
 
 
 def _fourier_rows(G: np.ndarray, nfft: int, cols: np.ndarray,
@@ -613,8 +707,11 @@ def _fourier_rows(G: np.ndarray, nfft: int, cols: np.ndarray,
     conjugate of the phase at Z, and IEEE complex products commute with
     conjugation, which lets an undelayed table keep Z >= 0 only.  The FFTs
     run _FFT_LINES lines at a time; each block is finished in a contiguous
-    buffer and then copied into out, which may be any complex
-    (len(G), len(cols)) view, such as one channel of the coefficient frame.
+    buffer and then copied into out.  G may be a view with rows apart, such
+    as a block of the sums _grid keeps in the frame's rows, and out any
+    complex (len(G), len(cols)) view, such as one channel of _grid's block
+    buffer.  Lines are transformed one by one, so neither the block sizes
+    nor the strides change a bit of the result.
     """
     parts = G.view(float).reshape(len(G), G.shape[1], -1)   # (rows, b, 1|2)
     unit = np.array([1.0, 1j])[:parts.shape[2]]
@@ -980,14 +1077,23 @@ def _mean_transform_power(table: EnvelopeTable) -> tuple[np.ndarray, np.ndarray]
     makes w complex and breaks it.  On the table the fold is exact: an
     undelayed table stores only Z >= 0 and its lookup reads T(P, -Z) as
     the conjugate of T(P, Z), so the spline too is symmetric bit for bit.
+
+    The 3000 x 100 points are read _PROFILE_RADII radii at a time into one
+    power array, and the rule's weights are applied to the whole array at
+    once, so the profile is the same bit for bit as from a single read,
+    for a few MB of lookup temporaries instead of about 20.
     """
     grid = np.linspace(1e-4, table.support_radius * 0.995, 3000)
     grid.flags.writeable = False                      # shared via the memo
     cg, cw = _gauss_legendre(200)
     cg, cw = cg[100:], cw[100:]
     st = np.sqrt(1.0 - cg**2)
-    ty, tz = table.lookup(np.outer(grid, st), np.outer(grid, cg))
-    return grid, (np.abs(ty) ** 2 + 0.5 * np.abs(tz) ** 2) @ cw
+    power = np.empty((len(grid), len(cg)))
+    for lo in range(0, len(grid), _PROFILE_RADII):
+        r = grid[lo:lo + _PROFILE_RADII]
+        ty, tz = table.lookup(np.outer(r, st), np.outer(r, cg))
+        power[lo:lo + _PROFILE_RADII] = np.abs(ty) ** 2 + 0.5 * np.abs(tz) ** 2
+    return grid, power @ cw
 
 
 def pulse_extent(family: PulseFamily, fraction: float = 0.99) -> float:

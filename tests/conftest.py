@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from thermolight.units import make_context
@@ -26,3 +28,23 @@ def power_family(ctx):
 @pytest.fixture(scope="session")
 def matched_weights(ctx):
     return mixturekit.make_matched_improper_weights(ctx)
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) under tracemalloc: its value, the peak of traced
+    allocations during the call and what the call left allocated, both in
+    bytes above what was traced when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = fn(*args, **kwargs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak - base, kept - base
+
+
+@pytest.fixture
+def traced_peak():
+    """The memory tests' one way to trace a call: see _traced_peak."""
+    return _traced_peak

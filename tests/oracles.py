@@ -6,10 +6,12 @@ import math
 import numpy as np
 from scipy import integrate
 
-from thermolight import mcfield, specfun
+from scipy import special
+
+from thermolight import mcfield, pulsekit, specfun
 from thermolight.mixturekit import WeightSpec
 from thermolight.pulsekit import (PulseFamily, _cross, _gauss_legendre,
-                                  envelope_batch)
+                                  envelope_batch, thermal_radial_weight)
 
 # Nodes per unit length along each axis of mu_integral's position quadrature.
 _MU_NODES_PER_UNIT = 6.0
@@ -26,6 +28,69 @@ def transverse_frames(m_hat: np.ndarray, psi: np.ndarray) -> np.ndarray:
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = _cross(m_hat, e1)
     return np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
+
+
+def spectral_weight(family: PulseFamily, x: np.ndarray, mu: np.ndarray
+                    ) -> np.ndarray:
+    """w(x, mu) = R(x) upsilon(mu) of T_y and T_z."""
+    return thermal_radial_weight(x) * family.upsilon(mu)
+
+
+def weights_masked(family: PulseFamily, a: np.ndarray, b: np.ndarray,
+                   u_delay: float) -> tuple[np.ndarray, np.ndarray]:
+    """W mu and W st on the rows a of the (a, b) grid as the table build
+    used to form them (oracle of pulsekit._weight_rows): from meshgrid
+    copies, with every division masked where x = 0 and the radial weight
+    through thermal_radial_weight's masked gather.  Complex for a delay."""
+    A, B = np.meshgrid(a, b, indexing="ij")
+    X = np.hypot(A, B)
+    MU = np.divide(B, X, out=np.zeros_like(B), where=X > 0)
+    ST = np.divide(A, X, out=np.zeros_like(A), where=X > 0)
+    jac = np.divide(A, X * X, out=np.zeros_like(A), where=X > 0)
+    W = spectral_weight(family, X, MU) * jac
+    if u_delay != 0.0:
+        W = W * np.exp(-1j * X * u_delay)
+    return W * MU, W * ST
+
+
+def grid_separate_accumulators(family: PulseFamily, u_delay: float,
+                               reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """T_y and T_z on the columns pulsekit._grid's frame holds, summed in
+    its former order: the weights from meshgrid copies and masked divides,
+    one whole (len(P), len(b)) GEMM product per block of _ROW_BLOCK rows
+    of a added to separate G_y and G_z arrays, then every row of each
+    through _fourier_rows.  Complex (len(P), columns) arrays."""
+    da = db = 0.025
+    a = np.arange(0.0, pulsekit._X_MAX + da / 2, da)
+    b = np.arange(pulsekit._B_FLOOR, pulsekit._X_MAX + db / 2, db)
+    wa = np.full_like(a, da)
+    wa[0] *= 0.5
+    wa[-1] *= 0.5
+    nfft = 16384
+    while math.pi / db < 1.05 * reach * (16384.0 / nfft):
+        nfft *= 2
+    Zk = 2.0 * math.pi * np.fft.fftfreq(nfft, d=db)
+    cols = np.flatnonzero(np.abs(Zk) <= reach)
+    cols = cols[np.argsort(Zk[cols])]
+    if u_delay == 0.0:
+        cols = cols[Zk[cols] >= 0.0]
+    phase = np.exp(1j * b[0] * Zk[cols]) * db
+    Pg = np.arange(0.0, reach + pulsekit._P_STEP / 2, pulsekit._P_STEP)
+    Gy = np.zeros((len(Pg), len(b)), float if u_delay == 0.0 else complex)
+    Gz = np.zeros_like(Gy)
+    for lo in range(0, len(a), pulsekit._ROW_BLOCK):
+        ab = a[lo:lo + pulsekit._ROW_BLOCK]
+        wmu, wst = weights_masked(family, ab, b, u_delay)
+        Pa = np.outer(Pg, ab)
+        wb = wa[lo:lo + pulsekit._ROW_BLOCK]
+        Gy += ((special.j0(Pa) * wb) @ wmu.view(float)).view(Gy.dtype)
+        Gz += ((special.j1(Pa) * wb) @ wst.view(float)).view(Gz.dtype)
+    out = []
+    for G in (Gy, Gz):
+        T = np.empty((len(Pg), len(cols)), complex)
+        pulsekit._fourier_rows(G, nfft, cols, phase, out=T)
+        out.append(T)
+    return tuple(out)
 
 
 def mu_integral(family: PulseFamily, m_hat, psi: float, r: np.ndarray,

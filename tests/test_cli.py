@@ -446,6 +446,39 @@ def test_g2_contrast_short_r_rejected_before_monte_carlo(tmp_path: Path,
                      "--out", str(tmp_path / "g")]) == 2
 
 
+@pytest.mark.parametrize("r_factor, shown", [("100", "100.0"),
+                                              ("1e300", "1e+300")])
+def test_g2_contrast_huge_table_rejected_before_monte_carlo(
+        tmp_path: Path, monkeypatch, capsys, r_factor, shown):
+    """r_factor 100 of the mocked 8.01-unit extent asks for a table reaching
+    401.7 units, tens of GB of coefficients: check_reach turns it down
+    right after the reach is known, and the run exits 2 naming r_factor
+    before either estimator runs.  At 1e300 the tail bound used to
+    overflow first and the run exited 3."""
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("Monte Carlo before the reach was checked")
+
+    monkeypatch.setattr(cli.pulsekit, "pulse_extent",
+                        lambda *args, **kwargs: 3.17677e-6)
+    monkeypatch.setattr(cli.mcfield, "estimate_g1_mix", no_estimate)
+    monkeypatch.setattr(cli.mcfield, "estimate_g2_mix", no_estimate)
+    assert cli.main(["g2-contrast", "--r-factor", r_factor,
+                     "--out", str(tmp_path / "g")]) == 2
+    err = capsys.readouterr().err
+    assert f"r_factor = {shown}" in err and "above the limit" in err, err
+
+
+def test_gaussian_scan_too_long_duration_exits_two(tmp_path: Path, capsys):
+    """At 1e9 s the lineshape is so narrow that some carrier's kernel
+    column vanishes on every fit node: the weight solve refuses it with a
+    message naming sigma and the duration, and no warning, instead of
+    scipy's "array must not contain infs or NaNs" after a 0/0."""
+    assert cli.main(["gaussian-scan", "--durations", "1e9s",
+                     "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert "sigma = 3.33564e-18 1/m" in err and "1e+09 s" in err, err
+
+
 def test_numerical_failure_exits_three(tmp_path: Path, monkeypatch):
     def blow_up(cfg, rep):
         raise AccuracyError("tail not converged", value=0.0)

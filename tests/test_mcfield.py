@@ -27,6 +27,36 @@ def test_g1_seed_determinism(ctx, thermal_family, matched_weights):
     assert c.mean != a.mean
 
 
+def _g1_hex(*args):
+    est = estimate_g1_mix(*args)
+    return est.mean.real.hex(), est.mean.imag.hex(), est.std_error.hex()
+
+
+def test_g1_slices_leave_estimate_unchanged(ctx, thermal_family,
+                                            matched_weights, monkeypatch):
+    """Each shell is drawn whole and its envelopes read _G1_ROWS draws at a
+    time: with one slice per shell (25000 draws at n = 2e5) the estimate
+    is the same bit for bit."""
+    args = (thermal_family, matched_weights, _cube(ctx, 36.0), np.zeros(3),
+            0.0, 200_000, 78)
+    want = _g1_hex(*args)
+    monkeypatch.setattr(mcfield, "_G1_ROWS", args[5])
+    assert _g1_hex(*args) == want
+
+
+def test_g1_transient_memory(ctx, thermal_family, matched_weights,
+                             traced_peak):
+    """At n = 2e5, with the table built, the G1 estimate holds one shell's
+    draws and one slice's envelopes: it peaks below 8 MB of traced
+    allocations (6.1 MB; 10.9 MB when each shell's 25000 envelopes were
+    read at once)."""
+    thermal_family.table(0.0)
+    _, peak, _ = traced_peak(estimate_g1_mix, thermal_family,
+                             matched_weights, _cube(ctx, 36.0), np.zeros(3),
+                             0.0, 200_000, 78)
+    assert peak <= 8 * 2**20, peak / 2**20
+
+
 def test_draws_equal_for_numpy_integer_seed(ctx):
     om = _cube(ctx, 40.0)
     a = mcfield.draw_batch(om, 50, 9, stream=2)
@@ -155,6 +185,7 @@ def test_bad_geometry_rejected_before_any_work(ctx, thermal_family,
         "table-reach-nan": lambda: fam.table(0.0, reach=nan),
         "table-reach-zero": lambda: fam.table(0.0, reach=0.0),
         "table-reach-short": lambda: fam.table(0.0, reach=0.2),
+        "table-reach-huge": lambda: fam.table(0.0, reach=401.7),
         "g2-reach-short": lambda: estimate_g2_mix(fam, w, om, 0.0, 1000, 1,
                                                   reach=0.2),
         "g1-n-fraction": lambda: estimate_g1_mix(fam, w, om, origin, 0.0,

@@ -1,6 +1,5 @@
 import functools
 import math
-import tracemalloc
 import warnings
 from collections import OrderedDict
 
@@ -10,7 +9,8 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate, ndimage, special
 
-from oracles import mu_integral, transverse_frames
+from oracles import (grid_separate_accumulators, mu_integral, spectral_weight,
+                     transverse_frames, weights_masked)
 from thermolight import pulsekit
 from thermolight.units import make_context
 from thermolight.pulsekit import (envelope_batch, transforms_direct,
@@ -157,15 +157,10 @@ def test_legendre_nodes_equal_leggauss(n):
     np.testing.assert_array_equal(w, want_w)
 
 
-def test_legendre_nodes_cold_build_memory():
+def test_legendre_nodes_cold_build_memory(traced_peak):
     """leggauss(3000) allocates a 72 MB companion matrix; the tridiagonal
     build needs only a few vectors of n."""
-    tracemalloc.start()
-    try:
-        pulsekit._legendre_nodes.__wrapped__(3000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced_peak(pulsekit._legendre_nodes.__wrapped__, 3000)
     assert peak < 10e6, peak
 
 
@@ -209,6 +204,23 @@ def test_delayed_table_matches_direct(thermal_family):
         assert max(abs(ty_t[0] - ty_d), abs(tz_t[0] - tz_d)) / peak < 5e-4
 
 
+def test_delayed_lookup_exact_at_nodes_near_axis(thermal_family):
+    """A delayed table reads its Z coordinate as the offset from Z = 0 in
+    nodes, so at the nodes within 40 columns of Z = 0 on the first four
+    rows of P the lookup gives the spline's node values (Ty, Tz) to 2e-15
+    of the peak.  Read as (Z - Z_min) / dZ, the coordinate rounded by up
+    to 2.3e-13 node units and the lookup erred by 1.7e-14 there."""
+    tab = thermal_family.table(0.7)
+    z0 = (len(tab.Z_grid) - 1) // 2
+    i, j = np.meshgrid(np.arange(4), np.arange(z0 - 40, z0 + 41),
+                       indexing="ij")
+    ty, tz = tab.lookup(tab.P_grid[i], tab.Z_grid[j])
+    Ty, Tz = tab.Ty, tab.Tz
+    peak = max(np.abs(Ty).max(), np.abs(Tz).max())
+    worst = max(np.abs(ty - Ty[i, j]).max(), np.abs(tz - Tz[i, j]).max())
+    assert worst <= 2e-15 * peak, worst / peak
+
+
 def _transforms_full_grid(family, P, Z, u_delay=0.0, nx=None, nmu=None):
     """transforms_direct before its mu-parity fold: the whole nx x nmu grid
     as complex arrays, summed by einsum (slow oracle)."""
@@ -220,7 +232,7 @@ def _transforms_full_grid(family, P, Z, u_delay=0.0, nx=None, nmu=None):
     x, xw = pulsekit._gauss_legendre(nx, 0.0, pulsekit._X_MAX)
     mg, mw = pulsekit._gauss_legendre(nmu)
     st = np.sqrt(1.0 - mg**2)
-    wx = pulsekit._spectral_weight(family, x[:, None], mg[None, :])
+    wx = spectral_weight(family, x[:, None], mg[None, :])
     ph = np.exp(1j * np.outer(x, mg) * Z)
     if u_delay != 0.0:
         ph = ph * np.exp(-1j * x[:, None] * u_delay)
@@ -363,16 +375,9 @@ def _fourier_first_grid(family, u_delay, reach):
     Tz = np.zeros_like(Ty)
     for lo in range(0, len(a), pulsekit._ROW_BLOCK):
         ab = a[lo:lo + pulsekit._ROW_BLOCK]
-        A, B = np.meshgrid(ab, b, indexing="ij")
-        X = np.hypot(A, B)
-        MU = np.divide(B, X, out=np.zeros_like(B), where=X > 0)
-        ST = np.divide(A, X, out=np.zeros_like(A), where=X > 0)
-        jac = np.divide(A, X * X, out=np.zeros_like(A), where=X > 0)
-        W = pulsekit._spectral_weight(family, X, MU) * jac
-        if u_delay != 0.0:
-            W = W * np.exp(-1j * X * u_delay)
-        Hy = np.fft.ifft(W * MU, n=nfft, axis=1, norm="forward").take(cols, axis=1) * phase
-        Hz = np.fft.ifft(W * ST, n=nfft, axis=1, norm="forward").take(cols, axis=1) * phase
+        wmu, wst = weights_masked(family, ab, b, u_delay)
+        Hy = np.fft.ifft(wmu, n=nfft, axis=1, norm="forward").take(cols, axis=1) * phase
+        Hz = np.fft.ifft(wst, n=nfft, axis=1, norm="forward").take(cols, axis=1) * phase
         Pa = np.outer(Pg, ab)
         wb = wa[lo:lo + pulsekit._ROW_BLOCK]
         Ty += ((special.j0(Pa) * wb) @ Hy.view(float)).view(complex)
@@ -395,14 +400,68 @@ def test_table_matches_fourier_first_order(thermal_family, power_family,
     assert worst <= 1e-14 * peak, worst / peak
 
 
+@pytest.mark.parametrize("which", ["default", "delayed", "reach2", "power",
+                                   "shortest"])
+def test_grid_equals_separate_accumulators(thermal_family, power_family,
+                                           which):
+    """Summing G_y and G_z inside the frame's rows, with the GEMM products
+    added chunk by chunk and the FFTs run block by block, gives the grid
+    of separate accumulators and whole products bit for bit: for a real
+    weight, a complex (delayed) one, a frame narrower than the sums (reach
+    2 and the shortest reach), and the power profile."""
+    fam, u, reach = _table_case(thermal_family, power_family, which)
+    want = grid_separate_accumulators(fam, u, reach)
+    got = _cached_grid_values(fam, u, reach)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g[:, g.shape[1] - w.shape[1]:], w)
+
+
+@pytest.mark.parametrize("u", [0.0, 0.7])
+def test_narrow_frame_coef_is_compact(thermal_family, u):
+    """A reach-2 frame is narrower than the Hankel sums it accumulates, so
+    it is built in wider scratch rows; the table keeps a C-contiguous copy
+    that holds no more than its own values."""
+    tab = pulsekit._build_table(thermal_family, u, 2.0)
+    lines = 1 if u == 0.0 else 2          # real lines per row of G_y, G_z
+    assert tab.coef.shape[1] * 4 < 2 * lines * 1921       # 1921 b nodes
+    assert tab.coef.flags.c_contiguous
+    assert tab.coef.base is None or tab.coef.base.nbytes == tab.coef.nbytes
+
+
+def test_check_reach_bounds_frame_without_allocating(thermal_family,
+                                                    monkeypatch,
+                                                    traced_peak):
+    """check_reach turns down a reach whose frame would pass
+    _MAX_FRAME_BYTES, from the shape rules alone: reach 401.7 (at least
+    21 GiB of delayed frame) and 1e300 raise while tracing under 64 kB.  Its size rule is
+    the delayed default table's frame exactly: a limit one byte below
+    that frame rejects reach 16, the frame's own size accepts it."""
+    def rejected(reach):
+        with pytest.raises(ValueError, match="above the limit"):
+            pulsekit.check_reach(reach)
+
+    for reach in (401.7, 1e300):
+        _, peak, _ = traced_peak(rejected, reach)
+        assert peak < 64 * 2**10, peak
+    pulsekit.check_reach(61.0)
+    rejected(62.0)
+    nbytes = thermal_family.table(0.7).coef.nbytes
+    monkeypatch.setattr(pulsekit, "_MAX_FRAME_BYTES", nbytes)
+    pulsekit.check_reach(16.0)
+    monkeypatch.setattr(pulsekit, "_MAX_FRAME_BYTES", nbytes - 1)
+    rejected(16.0)
+
+
 @pytest.mark.parametrize("u", [0.0, 0.7])
 def test_fft_block_leaves_table_unchanged(thermal_family, monkeypatch, u):
-    """_FFT_LINES sets only how many lines each real FFT call takes: five
-    (two rows of a delayed table, whose rows are two lines each), with a
-    short last block, give the same table bit for bit."""
+    """_FFT_LINES sets only how many lines each real FFT call takes, and
+    _GEMM_ROWS how many real lines of P each GEMM product takes: five and
+    seven (two rows and three of a delayed table, whose rows are two lines
+    each), with short last blocks, give the same table bit for bit."""
     want = pulsekit._build_table(thermal_family, u, 2.0)
     want_grid = _grid_values(thermal_family, u, 2.0)
     monkeypatch.setattr(pulsekit, "_FFT_LINES", 5)
+    monkeypatch.setattr(pulsekit, "_GEMM_ROWS", 7)
     got = pulsekit._build_table(thermal_family, u, 2.0)
     got_grid = _grid_values(thermal_family, u, 2.0)
     for g, w in zip(got_grid, want_grid):
@@ -476,7 +535,8 @@ _PREFILTER_CASES = ["default", "delayed", "reach2", "shortest", "power"]
 
 
 @pytest.mark.parametrize("which", _PREFILTER_CASES)
-def test_prefilter_matches_spline_filter(thermal_family, power_family, which):
+def test_prefilter_matches_spline_filter(thermal_family, power_family,
+                                         traced_peak, which):
     """The in-place recursions give spline_filter's mirror-boundary
     coefficients over the whole Z-grid, frame included, to 1e-14 of each
     channel's peak: for a real weight, a complex (delayed) one, a short
@@ -500,13 +560,7 @@ def test_prefilter_matches_spline_filter(thermal_family, power_family, which):
     coef = np.empty(tab.coef.shape)
     grid = coef[1 + pulsekit._PAD:-2, 1:-2].view(complex)
     grid[:, :, 0], grid[:, :, 1] = _stored(tab, ty), _stored(tab, tz)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        pulsekit._prefilter(coef, _z_parity(u))
-        allocated = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, allocated, _ = traced_peak(pulsekit._prefilter, coef, _z_parity(u))
     assert allocated <= 2 * 2**20, allocated / 2**20
 
 
@@ -547,26 +601,31 @@ def test_grid_values_rebuilt_from_coefficients(thermal_family, power_family,
 def _map_coordinates_lookup(tab, Ty, Tz, P, Z):
     """The lookup as it was before the four coefficient channels were fused:
     per-part complex B-spline coefficients of the whole-grid values Ty, Tz
-    read by scipy's map_coordinates (oracle).  A half table is read as its
-    lookup reads it: at |Z| (counted from the column Z = -dZ, so that the
-    coordinate of a point near the axis is as exact as lookup's), and
-    conjugated where Z < 0."""
+    read by scipy's map_coordinates (oracle).  Points are read as lookup
+    reads them, at |Z| counted from the column Z = -dZ on their side of
+    Z = 0, so that the coordinate of a point near the axis is as exact as
+    lookup's: a half table from the side Z >= 0, conjugated where Z < 0,
+    and a delayed table at Z < 0 from its columns in reverse order, which
+    the symmetric B-spline reads as the same spline."""
     Pg, Zg = tab.P_grid, tab.Z_grid
     ok = (P >= 0.0) & (P <= Pg[-1]) & (Z >= Zg[0]) & (Z <= Zg[-1])
     dP = Pg[1] - Pg[0]
     dZ = (Zg[-1] - Zg[0]) / (len(Zg) - 1)
-    if tab._half:
-        first, z = len(Zg) // 2 - 1, np.abs(Z[ok]) / dZ + 1.0
-    else:
-        first, z = 0, (Z[ok] - Zg[0]) / dZ
-    at = np.stack([P[ok] / dP + pulsekit._PAD, z])
+    mid = len(Zg) // 2                                  # the column Z = 0
+    at = np.stack([P[ok] / dP + pulsekit._PAD, np.abs(Z[ok]) / dZ + 1.0])
+    below = np.zeros(len(at[0]), bool) if tab._half else Z[ok] < 0.0
     out = []
     for T, parity in ((Ty, 1.0), (Tz, -1.0)):
         ext = np.concatenate([parity * T[pulsekit._PAD:0:-1], T])
         coef = ndimage.spline_filter(ext, order=3, output=complex, mode="mirror")
         t = np.zeros(P.shape, complex)
-        t[ok] = ndimage.map_coordinates(coef[:, first:], at, order=3,
-                                        mode="mirror", prefilter=False)
+        part = np.empty(len(at[0]), complex)
+        for side, c in ((~below, coef[:, mid - 1:]),
+                        (below, coef[:, mid + 1::-1])):
+            part[side] = ndimage.map_coordinates(c, at[:, side], order=3,
+                                                 mode="mirror",
+                                                 prefilter=False)
+        t[ok] = part
         if tab._half:
             np.conjugate(t, out=t, where=Z < 0.0)
         out.append(t)
@@ -663,18 +722,16 @@ def test_half_table_matches_full_table(thermal_family, power_family, which):
 
 
 @pytest.mark.parametrize("u", [0.0, 0.7])
-def test_build_table_memory(thermal_family, u):
-    """The default build peaks below 38 MB and keeps below 20 MB when real,
-    below 90 and 70 MB when delayed: the one four-channel coefficient
+def test_build_table_memory(thermal_family, traced_peak, u):
+    """The default build peaks below 27 MB and keeps below 20 MB when real,
+    below 48 and 70 MB when delayed: the one four-channel coefficient
     array, 17.4 MB for the real table's Z >= 0 half and 34.8 MB for the
-    delayed table's whole Z-grid."""
-    tracemalloc.start()
-    try:
-        tab = pulsekit._build_table(thermal_family, u, 16.0)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    peak_mb, kept_mb = (90, 70) if u else (38, 20)
+    delayed table's whole Z-grid, and a few MB of block buffers beside it
+    (traced peaks 25.7 and 44.1 MB; with separate G_y and G_z arrays and
+    whole GEMM products they were 35.7 and 68.8 MB)."""
+    tab, peak, retained = traced_peak(pulsekit._build_table, thermal_family,
+                                      u, 16.0)
+    peak_mb, kept_mb = (48, 70) if u else (27, 20)
     columns = tab.Ty.shape[1] if u else tab.Ty.shape[1] // 2 + 1
     assert tab.coef.shape == (tab.Ty.shape[0] + pulsekit._PAD + 3,
                               columns + 3, 4)
@@ -683,34 +740,25 @@ def test_build_table_memory(thermal_family, u):
 
 
 @pytest.mark.parametrize("u", [0.0, 0.7])
-def test_build_table_retains_only_coefficients(thermal_family, u):
+def test_build_table_retains_only_coefficients(thermal_family, traced_peak,
+                                               u):
     """A default build keeps at most 18 MB when real and 36 MB when
     delayed: its 17.4 or 34.8 MB coefficient frame and its two grids, no
     grid values."""
-    tracemalloc.start()
-    try:
-        tab = pulsekit._build_table(thermal_family, u, 16.0)
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    tab, _, retained = traced_peak(pulsekit._build_table, thermal_family,
+                                   u, 16.0)
     kept_mb = 36 if u else 18
     assert tab.coef.nbytes <= retained <= kept_mb * 2**20, retained / 2**20
 
 
-def test_lookup_transient_memory(thermal_family):
+def test_lookup_transient_memory(thermal_family, traced_peak):
     """Reading 2e5 in-range points allocates the two outputs (6.4 MB) and a
     few MB of block temporaries, not per-point copies of the coefficients."""
     tab = thermal_family.table(0.0)
     rng = np.random.default_rng(5)
     P = rng.random(200_000) * 15.0
     Z = (rng.random(200_000) - 0.5) * 30.0
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = tab.lookup(P, Z)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    out, peak, _ = traced_peak(tab.lookup, P, Z)
     assert out[0].shape == P.shape
     assert peak <= 12.5 * 2**20, peak / 2**20
 
@@ -916,19 +964,17 @@ def test_pulse_extent_cumsum_is_scipy_trapezoid(thermal_family, monkeypatch):
     np.testing.assert_array_equal(seen[0], want)
 
 
-def test_pulse_extent_cold_peak_memory(thermal_family, monkeypatch):
+def test_pulse_extent_cold_peak_memory(thermal_family, monkeypatch,
+                                      traced_peak):
     """pulse_extent on an empty memo, the set-up of the Monte Carlo
     estimators (the default table's build, then the radial profile), peaks
-    below 40 MB of traced allocations.  It peaked at 37.0 MB once undelayed
-    tables held Z >= 0 only, and at 54.3 MB with the whole Z-grid."""
+    below 29 MB of traced allocations; it peaks at 27.2 MB.  With separate
+    G_y and G_z arrays in the build and the profile's 3e5 points read at
+    once it peaked at 37.0 MB, and at 54.3 MB when undelayed tables held
+    the whole Z-grid."""
     monkeypatch.setattr(pulsekit, "_memo", OrderedDict())
-    tracemalloc.start()
-    try:
-        pulsekit.pulse_extent(thermal_family)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 40 * 2**20, peak / 2**20
+    _, peak, _ = traced_peak(pulsekit.pulse_extent, thermal_family)
+    assert peak <= 29 * 2**20, peak / 2**20
 
 
 def test_pulse_extent_meters(thermal_family):
