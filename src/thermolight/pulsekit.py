@@ -65,8 +65,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import legder, legval
-from scipy import fft, linalg, special
+from numpy.polynomial.legendre import leggauss, legder, legval
+from scipy import special
 
 from .specfun import ZETA3, PI4_OVER_15
 from .units import PhysicalContext, check_count
@@ -149,41 +149,56 @@ _DEFAULT_REACH = 16.0
 # angles, and from tests/oracles.py's transverse_frames are off by a few ulps.
 _FRAME_TOL = 1e-12
 
-# Node counts whose raw Gauss-Legendre rules are kept.  _legendre_nodes builds
-# leggauss's rule bit for bit from an O(n^2) tridiagonal eigen-solve; cold,
-# the 3000-node rule of transforms_direct's far ring still takes about 0.3 s,
-# as long as the quadrature itself.
+# Node counts whose raw Gauss-Legendre rules are kept.  Above _DENSE_NODES
+# nodes _legendre_nodes builds leggauss's rule bit for bit from an O(n^2)
+# tridiagonal eigen-solve; cold, the 3000-node rule of transforms_direct's far
+# ring still takes about 0.3 s, as long as the quadrature itself.  Up to
+# _DENSE_NODES it calls leggauss.  The threshold lies above every rule the
+# table path builds (48 angular nodes in mixturekit's kernel, 200 in the
+# radial profile's) and below the smallest transforms_direct builds
+# (nx >= 300), so only processes that run transforms_direct load scipy.linalg.
 _NODE_CACHE_SIZE = 32
+_DENSE_NODES = 256
 
 
 @functools.lru_cache(maxsize=_NODE_CACHE_SIZE)
 def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's leggauss(n), with the eigenvalues found in O(n^2).
+    """numpy's leggauss(n), read-only, from one of two solvers that give
+    the same bits.
 
     leggauss takes the eigenvalues of legcompanion's symmetric tridiagonal
     (Jacobi) matrix with eigvalsh, a dense O(n^3) solve (Golub & Welsch,
-    Math. Comp. 23, 1969, 221).  Its LAPACK routine reduces the matrix to
-    tridiagonal form first, which leaves an already tridiagonal matrix
-    unchanged, and then runs the root-free QL iteration dsterf on it; here
-    dsterf gets the diagonal and off-diagonal directly.  The Newton step,
-    weight formula, symmetrization and rescale are leggauss's own, so nodes
-    and weights equal leggauss(n) bit for bit (the tests hold them to it).
+    Math. Comp. 23, 1969, 221).  Up to _DENSE_NODES nodes that is cheap, so
+    leggauss runs as it is and scipy.linalg stays unloaded.  Above, its
+    n x n companion matrix (72 MB at n = 3000) and cubic cost are avoided:
+    eigvalsh's LAPACK routine reduces the matrix to tridiagonal form first,
+    which leaves an already tridiagonal matrix unchanged, and then runs the
+    root-free QL iteration dsterf on it, so here scipy.linalg's dsterf gets
+    the diagonal and off-diagonal directly.  The Newton step, weight
+    formula, symmetrization and rescale are leggauss's own, so on both
+    sides of the threshold nodes and weights equal leggauss(n) bit for bit
+    (the tests hold them to it).
     """
-    c = np.array([0] * n + [1])
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    off = np.arange(1, n) * scl[:-1] * scl[1:]    # as in legcompanion
-    x = linalg.eigvalsh_tridiagonal(np.zeros(n), off, lapack_driver="sterf")
-    # one Newton step, then weights scaled against overflow
-    dy = legval(x, c)
-    df = legval(x, legder(c))
-    x -= dy / df
-    fm = legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2. / w.sum()
+    if n <= _DENSE_NODES:
+        x, w = leggauss(n)
+    else:
+        from scipy import linalg          # only transforms_direct's rules
+        c = np.array([0] * n + [1])
+        scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+        off = np.arange(1, n) * scl[:-1] * scl[1:]    # as in legcompanion
+        x = linalg.eigvalsh_tridiagonal(np.zeros(n), off,
+                                        lapack_driver="sterf")
+        # one Newton step, then weights scaled against overflow
+        dy = legval(x, c)
+        df = legval(x, legder(c))
+        x -= dy / df
+        fm = legval(x, c[1:])
+        fm /= np.abs(fm).max()
+        df /= np.abs(df).max()
+        w = 1 / (fm * df)
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+        w *= 2. / w.sum()
     x.flags.writeable = w.flags.writeable = False      # shared by every call
     return x, w
 
@@ -192,9 +207,9 @@ def _gauss_legendre(n: int, lo: float = -1.0, hi: float = 1.0
                     ) -> tuple[np.ndarray, np.ndarray]:
     """n Gauss-Legendre nodes and weights on [lo, hi], as fresh arrays.
 
-    The rule comes from _legendre_nodes' tridiagonal eigen-solve, and on
-    [-1, 1] it equals leggauss(n) bit for bit, since the map has mid = 0
-    and half = 1.  A count that is not an integer >= 1 raises ValueError.
+    The rule comes from _legendre_nodes, and on [-1, 1] it equals
+    leggauss(n) bit for bit, since the map has mid = 0 and half = 1.  A
+    count that is not an integer >= 1 raises ValueError.
     """
     x, w = _legendre_nodes(check_count(n, "n"))
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -697,7 +712,8 @@ def _weight_rows(family: PulseFamily, a: np.ndarray, b: np.ndarray,
 def _fourier_rows(G: np.ndarray, nfft: int, cols: np.ndarray,
                   phase: np.ndarray, out: np.ndarray) -> None:
     """out[P, Z] = sum_b e^{i b Z} G[P, b] db at the Z of cols, for a real
-    or a complex (delayed) G, by one zero-padded real FFT per real line.
+    or a complex (delayed) G, by one zero-padded real FFT per real line,
+    numpy's rfft (pocketfft, the same bits as scipy.fft's).
 
     A real row is one line; a complex row is two, the Re and Im halves of
     its float view, recombined as Re + i Im.  For a real line x,
@@ -706,20 +722,26 @@ def _fourier_rows(G: np.ndarray, nfft: int, cols: np.ndarray,
     T(P, -Z) is then conj T(P, Z) bit for bit: the phase at -Z is the
     conjugate of the phase at Z, and IEEE complex products commute with
     conjugation, which lets an undelayed table keep Z >= 0 only.  The FFTs
-    run _FFT_LINES lines at a time; each block is finished in a contiguous
-    buffer and then copied into out.  G may be a view with rows apart, such
-    as a block of the sums _grid keeps in the frame's rows, and out any
-    complex (len(G), len(cols)) view, such as one channel of _grid's block
-    buffer.  Lines are transformed one by one, so neither the block sizes
-    nor the strides change a bit of the result.
+    run _FFT_LINES lines at a time into one spectrum array per call; rfft
+    zero-pads each line as it reads it, so no padded copy of G is made.
+    Each block is finished in a contiguous buffer and then copied into out.
+    G may be a view with rows apart, such as a block of the sums _grid keeps
+    in the frame's rows, and out any complex (len(G), len(cols)) view, such
+    as one channel of _grid's block buffer.  Lines are transformed one by
+    one, so neither the block sizes nor the strides change a bit of the
+    result.
     """
     parts = G.view(float).reshape(len(G), G.shape[1], -1)   # (rows, b, 1|2)
     unit = np.array([1.0, 1j])[:parts.shape[2]]
     pos = cols <= nfft // 2                                  # Z >= 0
     bins = np.where(pos, cols, nfft - cols)
     rows = _FFT_LINES // parts.shape[2]
+    spec = np.empty((min(rows, len(G)), nfft // 2 + 1, parts.shape[2]),
+                    complex)
     for lo in range(0, len(G), rows):
-        F = fft.rfft(parts[lo:lo + rows], n=nfft, axis=1).take(bins, axis=1)
+        block = parts[lo:lo + rows]
+        F = np.fft.rfft(block, n=nfft, axis=1, out=spec[:len(block)])
+        F = F.take(bins, axis=1)
         np.conjugate(F, out=F, where=pos[:, None])
         T = F @ unit
         T *= phase

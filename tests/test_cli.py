@@ -21,6 +21,15 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
                           env=_ENV)
 
 
+def _exit_code(argv: list[str]) -> int:
+    """cli.main(argv)'s exit code, or that of the SystemExit argparse raises
+    on arguments it rejects."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def _csv_numbers(path: Path) -> list[float]:
     out = []
     for line in path.read_text().splitlines():
@@ -35,12 +44,14 @@ def _csv_numbers(path: Path) -> list[float]:
 
 
 @pytest.mark.parametrize("module", ["scipy.ndimage", "scipy.integrate",
-                                    "scipy.optimize", "scipy.sparse"])
+                                    "scipy.optimize", "scipy.sparse",
+                                    "scipy.fft", "scipy.linalg"])
 def test_library_import_leaves_out_scipy(module):
     """Importing every thermolight module loads none of these.  The tests
     use scipy.ndimage and scipy.integrate as oracles (scipy.integrate
     brings scipy.optimize and scipy.sparse, about 0.15 s and 19 MB); only
-    mixturekit.solve_gaussian_weights imports scipy.optimize, when called."""
+    mixturekit.solve_gaussian_weights imports scipy.optimize, when called,
+    and pulsekit._legendre_nodes scipy.linalg, for rules above 256 nodes."""
     code = ("import importlib, pkgutil, sys, thermolight\n"
             "for m in pkgutil.iter_modules(thermolight.__path__):\n"
             "    importlib.import_module('thermolight.' + m.name)\n"
@@ -70,9 +81,11 @@ def test_fig1_and_fock_demo_run_without_integrate_or_optimize(tmp_path: Path):
 
 
 def test_table_path_runs_without_integrate_optimize_or_sparse():
-    """The table path normalizes its family in closed form: a pulse extent
-    and both estimators load none of the modules scipy.integrate brings.
-    A subprocess, as pytest's own filterwarnings loads scipy.integrate."""
+    """The table path normalizes its family in closed form, transforms with
+    numpy's FFT and builds its rules with leggauss: a pulse extent and both
+    estimators load none of the modules scipy.integrate brings, nor
+    scipy.fft or scipy.linalg.  A subprocess, as pytest's own
+    filterwarnings loads scipy.integrate."""
     code = ("import sys\n"
             "import numpy as np\n"
             "from thermolight import mcfield, mixturekit, pulsekit\n"
@@ -85,7 +98,8 @@ def test_table_path_runs_without_integrate_optimize_or_sparse():
             "mcfield.estimate_g1_mix(fam, w, om, np.zeros(3), 0.0, 2000, seed=1)\n"
             "mcfield.estimate_g2_mix(fam, w, om, R, 2000, 1)\n"
             "print([m for m in ('scipy.integrate', 'scipy.optimize',\n"
-            "    'scipy.sparse') if m in sys.modules])")
+            "    'scipy.sparse', 'scipy.fft', 'scipy.linalg')\n"
+            "    if m in sys.modules])")
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True,
                         text=True, timeout=300, env=_ENV)
     assert cp.returncode == 0, cp.stderr
@@ -286,18 +300,20 @@ def test_fock_demo_builds_each_density_matrix_once(tmp_path: Path,
     ("scaling", "--config", "[scaling]\nextent_hi = inf\n"),
     ("fock-demo", "--seed", str(2**64)),
 ])
-def test_bad_configuration_exits_two(tmp_path: Path, args):
-    """A --config argument here is the INI text; it is written to a file."""
+def test_bad_configuration_exits_two(tmp_path: Path, capsys, args):
+    """A --config argument here is the INI text; it is written to a file.
+    In-process: an exception that escapes cli.main fails the test, as a
+    traceback from a subprocess would."""
     if "--config" in args:
         at = args.index("--config") + 1
         ini = tmp_path / "bad.ini"
         ini.write_text(args[at])
         args = (*args[:at], str(ini), *args[at + 1:])
-    cp = run_cli(*args, "--out", str(tmp_path / "x"))
-    assert cp.returncode == 2, (args, cp.stdout, cp.stderr)
-    assert "Traceback" not in cp.stderr, cp.stderr
+    code = _exit_code([*args, "--out", str(tmp_path / "x")])
+    out, err = capsys.readouterr()
+    assert code == 2, (args, out, err)
     if args[0] in cli.EXPERIMENTS:
-        assert cp.stderr.count("configuration error:") == 1, cp.stderr
+        assert err.count("configuration error:") == 1, err
 
 
 # Every flag's dest and help text, and each experiment's settings at their

@@ -390,6 +390,14 @@ def test_tail_bound_dominates_far_field(thermal_family):
         > tail_intensity_bound(thermal_family, 32.0)
 
 
+@pytest.mark.parametrize("dist", [-21.0, 0.0, 1e300, math.inf, math.nan])
+def test_tail_bound_rejects_distance_out_of_range(thermal_family, dist):
+    """-21 once returned the bound at +21, 0 and 1e300 raised
+    ZeroDivisionError and OverflowError, nan returned nan."""
+    with pytest.raises(ValueError, match="dist"):
+        tail_intensity_bound(thermal_family, dist)
+
+
 def test_truncation_bias_bound_properties(ctx, thermal_family):
     R = 30.0 * ctx.length_scale
     g1m = g1_zero(ctx)

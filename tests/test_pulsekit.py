@@ -146,11 +146,12 @@ def test_tail_coefficient_frozen(thermal_family):
             np.testing.assert_array_equal(got, ref)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 47, 48, 200, 600, 1200, 1600, 1601,
-                               3000])
+@pytest.mark.parametrize("n", [1, 2, 3, 47, 48, 200, 256, 257, 600, 1200,
+                               1600, 1601, 3000])
 def test_legendre_nodes_equal_leggauss(n):
-    """The tridiagonal build reproduces numpy's dense-eigensolve rule bit for
-    bit, which is what keeps c3 and every quadrature pin where it is."""
+    """Both solvers, leggauss up to 256 nodes and the tridiagonal build
+    above, give numpy's dense-eigensolve rule bit for bit, which is what
+    keeps c3 and every quadrature pin where it is."""
     x, w = pulsekit._legendre_nodes(n)
     want_x, want_w = leggauss(n)
     np.testing.assert_array_equal(x, want_x)
