@@ -283,20 +283,20 @@ def tail_intensity_bound(family: PulseFamily, dist: float) -> float:
 
     The position-space field falls off as 1/|delta|^3 (see
     pulsekit.tail_coefficient); the calibrated coefficient is inflated by
-    _TAIL_SAFETY.  A dist that is not positive, or whose cube is not a
-    finite nonzero float, raises ValueError before c3 is calibrated.
+    _TAIL_SAFETY.  A dist that is not positive and finite raises ValueError
+    before c3 is calibrated, and so does one so large or so small that the
+    bound overflows or the cube underflows to zero.
     """
-    try:
-        with np.errstate(over="ignore", under="ignore"):
-            cube = dist**3
-    except OverflowError:                   # a Python float beyond 5.6e102
-        cube = math.inf
-    if not (dist > 0.0 and 0.0 < cube < math.inf):
-        raise ValueError(f"dist must be positive with a finite, nonzero "
-                         f"cube, got {dist!r}")
+    dist = float(dist)          # Python float arithmetic raises on overflow
+    if not 0.0 < dist < math.inf:
+        raise ValueError(f"dist must be positive and finite, got {dist!r}")
     c3 = tail_coefficient(family)
     pref = abs(family.envelope_prefactor() * 2.0 * math.pi)
-    return (pref * _TAIL_SAFETY * c3 / cube) ** 2
+    try:
+        return (pref * _TAIL_SAFETY * c3 / dist**3) ** 2
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"dist {dist!r} is too large or too small for a "
+                         f"finite bound") from None
 
 
 def g2_truncation_bias_bound(family: PulseFamily, R: float, reach: float,

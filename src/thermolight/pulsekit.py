@@ -713,7 +713,7 @@ def _fourier_rows(G: np.ndarray, nfft: int, cols: np.ndarray,
                   phase: np.ndarray, out: np.ndarray) -> None:
     """out[P, Z] = sum_b e^{i b Z} G[P, b] db at the Z of cols, for a real
     or a complex (delayed) G, by one zero-padded real FFT per real line,
-    numpy's rfft (pocketfft, the same bits as scipy.fft's).
+    numpy's rfft (numpy 2's pocketfft, the same bits as scipy.fft's).
 
     A real row is one line; a complex row is two, the Re and Im halves of
     its float view, recombined as Re + i Im.  For a real line x,
@@ -722,8 +722,9 @@ def _fourier_rows(G: np.ndarray, nfft: int, cols: np.ndarray,
     T(P, -Z) is then conj T(P, Z) bit for bit: the phase at -Z is the
     conjugate of the phase at Z, and IEEE complex products commute with
     conjugation, which lets an undelayed table keep Z >= 0 only.  The FFTs
-    run _FFT_LINES lines at a time into one spectrum array per call; rfft
-    zero-pads each line as it reads it, so no padded copy of G is made.
+    run _FFT_LINES lines at a time; rfft zero-pads each line as it reads
+    it.  A complex block is first copied with its Re and Im lines apart,
+    each contiguous, which rfft reads faster than lines of stride two.
     Each block is finished in a contiguous buffer and then copied into out.
     G may be a view with rows apart, such as a block of the sums _grid keeps
     in the frame's rows, and out any complex (len(G), len(cols)) view, such
@@ -732,18 +733,18 @@ def _fourier_rows(G: np.ndarray, nfft: int, cols: np.ndarray,
     result.
     """
     parts = G.view(float).reshape(len(G), G.shape[1], -1)   # (rows, b, 1|2)
-    unit = np.array([1.0, 1j])[:parts.shape[2]]
+    parts = parts.transpose(0, 2, 1)                         # (rows, 1|2, b)
+    unit = np.array([1.0, 1j])[:parts.shape[1]]
     pos = cols <= nfft // 2                                  # Z >= 0
     bins = np.where(pos, cols, nfft - cols)
-    rows = _FFT_LINES // parts.shape[2]
-    spec = np.empty((min(rows, len(G)), nfft // 2 + 1, parts.shape[2]),
-                    complex)
+    rows = _FFT_LINES // parts.shape[1]
     for lo in range(0, len(G), rows):
         block = parts[lo:lo + rows]
-        F = np.fft.rfft(block, n=nfft, axis=1, out=spec[:len(block)])
-        F = F.take(bins, axis=1)
-        np.conjugate(F, out=F, where=pos[:, None])
-        T = F @ unit
+        if block.shape[1] == 2:
+            block = np.ascontiguousarray(block)
+        F = np.fft.rfft(block, n=nfft, axis=2).take(bins, axis=2)
+        np.conjugate(F, out=F, where=pos)
+        T = unit @ F
         T *= phase
         out[lo:lo + rows] = T
 

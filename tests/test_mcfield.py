@@ -390,10 +390,11 @@ def test_tail_bound_dominates_far_field(thermal_family):
         > tail_intensity_bound(thermal_family, 32.0)
 
 
-@pytest.mark.parametrize("dist", [-21.0, 0.0, 1e300, math.inf, math.nan])
+@pytest.mark.parametrize("dist", [-21.0, 0.0, 1e-60, 1e-200, 1e300, math.inf,
+                                  math.nan])
 def test_tail_bound_rejects_distance_out_of_range(thermal_family, dist):
-    """-21 once returned the bound at +21, 0 and 1e300 raised
-    ZeroDivisionError and OverflowError, nan returned nan."""
+    """-21 once returned the bound at +21, 0 and 1e-200 raised
+    ZeroDivisionError, 1e-60 and 1e300 OverflowError, nan returned nan."""
     with pytest.raises(ValueError, match="dist"):
         tail_intensity_bound(thermal_family, dist)
 
