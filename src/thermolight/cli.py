@@ -510,11 +510,17 @@ def _validate_config(experiment: str, cfg: dict) -> None:
     if experiment == "fig1":
         if cfg["orientation"] not in ("parallel", "perpendicular"):
             raise ConfigError("orientation must be parallel or perpendicular")
-        if cfg["n_points"] < 2 or not cfg["rmax_um"] > 0.0:
-            raise ConfigError("fig1 grid must have >= 2 points, rmax > 0")
+        if cfg["n_points"] < 2:
+            raise ConfigError("fig1 grid must have n_points >= 2")
+        if not 0.0 < cfg["rmax_um"] < math.inf:
+            raise ConfigError(f"rmax_um must be positive and finite, got "
+                              f"{cfg['rmax_um']}")
     if experiment == "gaussian-scan":
         for token in cfg["durations"].split(","):
             _parse_duration(token)
+    tau_max = cfg.get("tau_max_fs", 0.0)        # simcond-thermal only
+    if not math.isfinite(tau_max):
+        raise ConfigError(f"tau_max_fs must be finite, got {tau_max}")
     if experiment == "scaling":
         if cfg["n_omega"] < 2:
             raise ConfigError("the log-log slope needs n_omega >= 2 volumes")

@@ -34,23 +34,25 @@ uniform (P, Z) grid: substituting a = x st, b = x mu turns the P-dependence
 into Hankel transforms over a and the mu-oscillation into a plain Fourier
 transform over b.  The Hankel sums run first, as dense real Bessel matrices
 times the weights, one GEMM per block of a-rows, onto (P, b); then one real
-FFT per row of P and transform (two for a delayed table's complex rows)
-takes b to Z, written straight into the table's coefficient array.  Lookups
-evaluate a cubic B-spline through the grid values; its coefficients come
-from the grid extended across P = 0 with the parity of each transform (J0
-makes T_y even in P, J1 makes T_z odd), through the spline's recursive
-prefilter, run in place there.  The real and imaginary parts of both sit as
-four channels of one real array, so one gather of the 4 x 4 neighbouring
-nodes and one set of spline weights per point give T_y and T_z together.  A
-table keeps only that array.  Without a delay the weight is real, so
-T(P, -Z) = conj T(P, Z): such a table computes and stores only Z >= 0,
-extended across Z = 0 by the parity of each channel (real parts even,
-imaginary parts odd), and a lookup reads |Z| and conjugates where Z < 0.
-The tests check the table against direct 2D Gauss-Legendre quadrature
-(transforms_direct) at listed points, near the axis, at the grid edges,
-and for a delayed table, its grid against the former FFT-then-Hankel
-order, its coefficients against scipy's spline_filter, the lookup against
-scipy's map_coordinates, and a half table against the whole-grid table.
+FFT per row of P, transform and real line of the weight takes b to Z,
+written straight into the table's coefficient array.  Lookups evaluate a
+cubic B-spline through the grid values; its coefficients come from the grid
+extended across P = 0 with the parity of each transform (J0 makes T_y even
+in P, J1 makes T_z odd), through the spline's recursive prefilter, run in
+place there.  The real and imaginary parts of both sit as channels of one
+real array, so one gather of the 4 x 4 neighbouring nodes and one set of
+spline weights per point give T_y and T_z together.  A table keeps only
+that array.  A real weight gives T(P, -Z) = conj T(P, Z), so a table
+computes and stores only Z >= 0, extended across Z = 0 by the parity of
+each channel (real parts even, imaginary parts odd), and a lookup reads |Z|
+and conjugates where Z < 0.  A delay's complex weight is A + i B of two
+real ones; its table holds the channels of both, and a lookup conjugates
+each before it sums them.  The tests check the table against direct 2D
+Gauss-Legendre quadrature (transforms_direct) at listed points, near the
+axis, at the grid edges, and for a delayed table, its grid against the
+former FFT-then-Hankel order, its coefficients against scipy's
+spline_filter, the lookup against scipy's map_coordinates and the former
+whole-grid read, and a delayed table against two real-weight builds.
 
 Gaussian lineshapes appear only on the spectral side, in mixturekit's
 weight fit; no position-space field is built from them.
@@ -79,7 +81,7 @@ _SIXTEEN_PI3 = 16.0 * math.pi**3
 # enter through the SI prefactor alone.  One memo keyed on those values serves
 # every temperature and amplitude.  A default table (545 x 1047 x 4 real
 # B-spline coefficients on Z >= 0, no grid values) retains 17.4 MB (of 2^20
-# bytes) and a delayed one (545 x 2090 x 4, the whole Z range) 34.8 MB,
+# bytes) and a delayed one (545 x 1047 x 8, two real-weight parts) 34.8 MB,
 # measured with tracemalloc, so only the most recently used few are kept.
 _MEMO_SIZE = 8
 _memo: OrderedDict = OrderedDict()
@@ -96,10 +98,10 @@ _memo: OrderedDict = OrderedDict()
 # tap of a lookup: 1 row and column below, 2 above.  Its mirror boundary
 # lies _PAD rows below P = 0, and its effect there has decayed by
 # |_SPLINE_POLE| = 0.268 per row (below 1e-7 of the peak).  Across Z = 0
-# (undelayed tables) the boundary is exact instead: the recursions' start
-# sums each channel's parity extension in closed form, so no pad columns are
-# needed; 8 of them would leave an error of |_SPLINE_POLE|^8 = 2.7e-5 at
-# Z = 0, far above rounding.  Rows of P are _P_STEP apart.
+# the boundary is exact instead: the recursions' start sums each channel's
+# parity extension in closed form, so no pad columns are needed; 8 of them
+# would leave an error of |_SPLINE_POLE|^8 = 2.7e-5 at Z = 0, far above
+# rounding.  Rows of P are _P_STEP apart.
 _ROW_BLOCK = 64
 _GEMM_ROWS = 192
 _FFT_LINES = 8
@@ -111,17 +113,17 @@ _P_STEP = 0.03
 _SPLINE_POLE = math.sqrt(3.0) - 2.0
 _SPLINE_GAIN = 6.0
 
-# Parity in P of the four coefficient channels (Re, Im of T_y, then of T_z):
-# J0 makes T_y even, J1 makes T_z odd.
+# Parity in P of the four coefficient channels of one real weight (Re, Im of
+# T_y, then of T_z): J0 makes T_y even, J1 makes T_z odd.
 _PARITY = np.array([1.0, 1.0, -1.0, -1.0])
 
-# Their parity in Z for a real weight, where T(P, -Z) = conj T(P, Z): real
+# Their parity in Z, since a real weight has T(P, -Z) = conj T(P, Z): real
 # parts even, imaginary parts odd (and zero at Z = 0).
 _Z_PARITY = np.array([1.0, -1.0, 1.0, -1.0])
 
 # lookup reads _LOOKUP_BLOCK points at a time: its gather of 16 nodes x 4
-# channels then holds 2 MB.  The radial profile reads the table
-# _PROFILE_RADII radii (of 100 angles each) at a time.
+# channels then holds 2 MB (4 MB for a delayed table's 8).  The radial
+# profile reads the table _PROFILE_RADII radii (of 100 angles each) at a time.
 _LOOKUP_BLOCK = 4096
 _PROFILE_RADII = 250
 
@@ -286,24 +288,22 @@ class EnvelopeTable:
     lookup evaluates the cubic B-spline through the grid values.  Its
     coefficients are prefiltered over the grid extended across P = 0 by
     _PAD rows, evenly for T_y and oddly for T_z, so they start at
-    P = -_PAD dP.  coef holds them as one real (rows, columns, 4) array with
-    channels (Re c_y, Im c_y, Re c_z, Im c_z), padded with a boundary row
-    and column below and two above so that every tap of an in-range point
-    lies inside it.
-
-    An undelayed table (real weight) has T(P, -Z) = conj T(P, Z), so its
-    coef holds only the columns Z >= 0: the spline is extended across
-    Z = 0 by each channel's parity in Z (_Z_PARITY), and lookup reads |Z|
-    and conjugates where Z < 0.  For the default table that is
-    545 x 1047 x 4 values, 17.4 MB (of 2^20 bytes).  A delayed table
-    (complex weight, no such symmetry) holds every column, with the mirror
-    boundary at both ends of Z: 545 x 2090 x 4, 34.8 MB; lookup reads its
-    Z as the offset from Z = 0 in nodes, as exact near the axis as a half
-    table's |Z|.  coef is C-contiguous and its own: _grid builds a narrow
-    frame in wider scratch rows and keeps a compact copy.  The table
-    stores nothing else of size: no grid values.  Ty and Tz rebuild those from
-    coef on each access, on the full Z_grid.  Tables compare and hash by
-    identity: two builds are distinct tables, whatever their values.
+    P = -_PAD dP.  A real weight has T(P, -Z) = conj T(P, Z), so coef holds
+    only the columns Z >= 0: the spline is extended across Z = 0 by each
+    channel's parity in Z (_Z_PARITY), and lookup reads |Z| and conjugates
+    where Z < 0.  coef is one real (rows, columns, channels) array, padded
+    with a boundary row and column below and two above so that every tap of
+    an in-range point lies inside it.  An undelayed table has the channels
+    (Re c_y, Im c_y, Re c_z, Im c_z), 545 x 1047 x 4 values or 17.4 MB (of
+    2^20 bytes) at the default reach.  A delayed weight W e^{-i x u} is
+    A + i B of the real weights A = Re(W e^{-i x u}), B = Im(W e^{-i x u}):
+    its table holds four channels for each (545 x 1047 x 8, 34.8 MB), and
+    lookup conjugates each by the sign of Z before it forms T = A + i B.
+    coef is C-contiguous and its own: _grid builds a narrow frame in wider
+    scratch rows and keeps a compact copy.  The table stores nothing else of
+    size: no grid values.  Ty and Tz rebuild those from coef on each access,
+    on the full Z_grid.  Tables compare and hash by identity: two builds are
+    distinct tables, whatever their values.
     """
 
     P_grid: np.ndarray
@@ -313,8 +313,7 @@ class EnvelopeTable:
     @property
     def support_radius(self) -> float:
         """Largest |Delta| (dimensionless) the table can evaluate."""
-        return min(float(self.P_grid[-1]), float(self.Z_grid[-1]),
-                   float(-self.Z_grid[0]))
+        return min(float(self.P_grid[-1]), float(self.Z_grid[-1]))
 
     @property
     def Ty(self) -> np.ndarray:
@@ -326,32 +325,30 @@ class EnvelopeTable:
         """T_z at the grid nodes, a fresh (len(P), len(Z)) complex array."""
         return self._nodes(1)
 
-    @property
-    def _half(self) -> bool:
-        """True if coef holds only the columns Z >= 0 (an undelayed table)."""
-        return self.coef.shape[1] < len(self.Z_grid) + 3
-
     def _nodes(self, which: int) -> np.ndarray:
         """The spline at the grid nodes, for T_y (0) or T_z (1): at a node
         the cubic B-spline weighs its coefficient and the two beside it
         (1, 4, 1)/6 along each axis.  It equals the grid value up to the
-        prefilter's rounding.  A half table's columns Z < 0 are the
-        conjugates of those at -Z."""
+        prefilter's rounding.  Each real weight's part takes its columns
+        Z < 0 as the conjugates of those at -Z, and a delayed table's parts
+        are combined only then: T(-Z) = conj A(Z) + i conj B(Z)."""
         n, m = len(self.P_grid), len(self.Z_grid)
         k = self.coef.shape[1] - 3                  # the columns coef holds
-        c = self.coef[_PAD:_PAD + n + 2, :k + 2, 2 * which:2 * which + 2]
+        c = self.coef[_PAD:_PAD + n + 2, :k + 2].reshape(n + 2, k + 2, -1, 4)
+        c = c[..., 2 * which:2 * which + 2]         # (P, Z, part, Re / Im)
         along_p = c[1:-1] * 4.0
         along_p += c[:-2]
         along_p += c[2:]
-        out = np.empty((n, m), complex)
-        t = out.view(float).reshape(n, m, 2)[:, m - k:]
+        out = np.empty((n, m, c.shape[2]), complex)
+        t = out.view(float).reshape(n, m, -1, 2)[:, m - k:]
         np.multiply(along_p[:, 1:-1], 4.0, out=t)
         t += along_p[:, :-2]
         t += along_p[:, 2:]
         t /= 36.0
-        if k < m:
-            np.conjugate(out[:, :m - k:-1], out=out[:, :m - k])
-        return out
+        np.conjugate(out[:, :m - k:-1], out=out[:, :m - k])
+        if c.shape[2] == 1:
+            return out[:, :, 0]
+        return out[:, :, 0] + 1j * out[:, :, 1]         # A + i B
 
     def _inside_z(self, Z: np.ndarray) -> np.ndarray:
         """True where Z lies on the grid's Z range; NaN is outside."""
@@ -365,29 +362,26 @@ class EnvelopeTable:
     def lookup(self, P: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """T_y, T_z at arrays of cylindrical coordinates; zero outside range.
 
-        Per point: the node below it and four cubic B-spline weights per
-        axis, one gather of the 16 neighbouring coefficient rows and one
-        weighted sum over them for all four channels (Unser, Aldroubi &
-        Eden, IEEE Trans. Signal Process. 41, 1993, 821).  A half table is
-        read at |Z|, and both transforms are conjugated where Z is negative
-        (-0.0 included, where the two agree).  A delayed table takes the
-        node below Z from floor(Z / dZ) plus the column of Z = 0, so the
-        coordinate rounds like |Z| / dZ, not like (Z - Z_min) / dZ, which
-        is off by up to 2.3e-13 nodes everywhere.  Points outside the
-        grid, NaN included, read exactly zero.
+        P and Z are broadcast against each other (shapes that do not
+        broadcast raise numpy's ValueError), and both outputs have the
+        broadcast shape.  Per point: the node below it and four cubic
+        B-spline weights per axis, one gather of the 16 neighbouring
+        coefficient rows and one weighted sum over them for every channel
+        (Unser, Aldroubi & Eden, IEEE Trans. Signal Process. 41, 1993, 821).
+        The table is read at |Z|, and each real weight's transforms are
+        conjugated where Z is negative (-0.0 included, where the two agree);
+        a delayed table then combines its parts as A + i B.  Points outside
+        the grid, NaN included, read exactly zero.
         """
-        P = np.asarray(P, float)
-        Z = np.asarray(Z, float)
+        P, Z = np.broadcast_arrays(np.asarray(P, float), np.asarray(Z, float))
         Pg, Zg = self.P_grid, self.Z_grid
         ok = self._inside(P, Z)
         ty = np.zeros(P.shape, complex)
         tz = np.zeros(P.shape, complex)
         dP = Pg[1] - Pg[0]
         dZ = (Zg[-1] - Zg[0]) / (len(Zg) - 1)
-        half = self._half
-        z0 = (len(Zg) - 1) // 2                       # the node Z = 0
-        ncol = self.coef.shape[1]
-        flat = self.coef.reshape(-1, 4)
+        _, ncol, channels = self.coef.shape
+        flat = self.coef.reshape(-1, channels)
         taps = (np.arange(4)[:, None] * ncol + np.arange(4)).ravel()
         P, Z, ok = P.reshape(-1), Z.reshape(-1), ok.reshape(-1)
         ty_flat, tz_flat = ty.reshape(-1), tz.reshape(-1)
@@ -395,32 +389,25 @@ class EnvelopeTable:
             sel = lo + np.flatnonzero(ok[lo:lo + _LOOKUP_BLOCK])
             z = Z[sel]
             wp, i = _bspline_weights(P[sel] / dP + _PAD)
-            if half:
-                wz, j = _bspline_weights(np.abs(z) / dZ)
-            else:
-                # the offset from Z = 0 in nodes, exact at the nodes near
-                # it, clipped at the first node against its rounding there
-                wz, j = _bspline_weights(np.maximum(z / dZ, -z0), z0)
+            wz, j = _bspline_weights(np.abs(z) / dZ)
             w = np.einsum("na,nb->nab", wp, wz).reshape(-1, 1, 16)
             nodes = flat.take((i * ncol + j)[:, None] + taps, axis=0)
-            both = (w @ nodes).view(complex)              # (n, 1, 2)
-            ty_sel, tz_sel = both[:, 0, 0], both[:, 0, 1]
-            if half:
-                # conjugate by the sign of Z: 1-D strided products, several
-                # times faster than a masked np.conjugate on these blocks
-                sign = np.copysign(1.0, z)
-                np.multiply(ty_sel.imag, sign, out=ty_sel.imag)
-                np.multiply(tz_sel.imag, sign, out=tz_sel.imag)
-            ty_flat[sel] = ty_sel
-            tz_flat[sel] = tz_sel
+            both = (w @ nodes).view(complex)[:, 0]     # (n, channels / 2)
+            # conjugate by the sign of Z: 1-D strided products, several
+            # times faster than a masked np.conjugate on these blocks
+            sign = np.copysign(1.0, z)
+            for pair in both.T:
+                np.multiply(pair.imag, sign, out=pair.imag)
+            if channels == 8:
+                both = both[:, :2] + 1j * both[:, 2:]      # A + i B
+            ty_flat[sel] = both[:, 0]
+            tz_flat[sel] = both[:, 1]
         return ty, tz
 
 
-def _bspline_weights(x: np.ndarray, origin: int = 0
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def _bspline_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The four cubic B-spline weights of nodes floor(x) - 1 .. floor(x) + 2
-    at coordinates x, as an (n, 4) array, and the index origin + floor(x)
-    of node floor(x)."""
+    at coordinates x, as an (n, 4) array, and the index floor(x)."""
     f = np.floor(x)
     t = x - f
     s = 1.0 - t
@@ -429,10 +416,7 @@ def _bspline_weights(x: np.ndarray, origin: int = 0
     w[:, 1] = (t * t * (t - 2.0) * 3.0 + 4.0) / 6.0
     w[:, 2] = (s * s * (s - 2.0) * 3.0 + 4.0) / 6.0
     w[:, 3] = t * t * t / 6.0
-    i = f.astype(np.intp)
-    if origin:
-        i += origin
-    return w, i
+    return w, f.astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -492,21 +476,21 @@ def check_reach(reach: float) -> None:
     """Raise ValueError unless a table reaching |Delta| = reach is finite,
     has the _PAD + 1 rows of P its prefilter mirrors across P = 0 (a
     shorter table would be read with shifted B-spline coefficients), and
-    fits _MAX_FRAME_BYTES.  The size is that of a delayed table's frame,
-    the larger kind, from _grid's shape rules and without building
-    anything: 34.8 MB at the default reach, and the limit of 512 MiB is
-    reached near reach 61."""
+    fits _MAX_FRAME_BYTES.  The size is that of a delayed table's frame
+    of 8 channels, the larger kind, from _grid's shape rules and without
+    building anything: 34.8 MB at the default reach, and the limit of
+    512 MiB is reached near reach 61."""
     # np.arange(0, reach + _P_STEP / 2, _P_STEP) in _grid has
     # ceil(lines) rows
     lines = (reach + _P_STEP / 2) / _P_STEP
     if not (math.isfinite(reach) and lines > _PAD):
         raise ValueError(f"reach must be finite and span {_PAD + 1} rows of "
                          f"P, {_P_STEP} apart, got {reach}")
-    # Z columns: the frequencies 2 pi k / (16384 _DB) within reach,
-    # k = -half .. half.  _grid lengthens its FFT only beyond reach 119.7,
-    # where this lower bound on the frame is already 2 GB.
+    # Z >= 0 columns: the frequencies 2 pi k / (16384 _DB) within reach,
+    # k = 0 .. half.  _grid lengthens its FFT only beyond reach 119.7,
+    # where this lower bound on the frame is already 1 GB.
     half = float(np.floor(reach * 16384 * _DB / (2.0 * math.pi)))
-    size = 32.0 * (float(np.ceil(lines)) + _PAD + 3) * (2.0 * half + 4.0)
+    size = 64.0 * (float(np.ceil(lines)) + _PAD + 3) * (half + 4.0)
     if size > _MAX_FRAME_BYTES:
         raise ValueError(f"a table reaching {reach} would hold "
                          f"{size / 2**20:.0f} MiB of coefficients or more, "
@@ -550,13 +534,11 @@ def thermal_radial_weight(x: np.ndarray) -> np.ndarray:
 
 def _build_table(family: PulseFamily, u_delay: float, reach: float
                  ) -> EnvelopeTable:
-    """The envelope table: _grid's values of T_y, T_z, turned into B-spline
-    coefficients in place in their frame by _prefilter.  The table keeps
-    only the coefficients (17.4 MB for the default table).  An undelayed
-    frame starts at Z = 0, across which each channel has its parity in Z;
-    a delayed one starts at the grid's edge, a mirror boundary."""
+    """The envelope table: _grid's values of T_y, T_z on Z >= 0, turned
+    into B-spline coefficients in place in their frame by _prefilter.  The
+    table keeps only the coefficients (17.4 MB for the default table)."""
     Pg, Zg, coef = _grid(family, u_delay, reach)
-    _prefilter(coef, _Z_PARITY if u_delay == 0.0 else 1.0)
+    _prefilter(coef)
     coef.flags.writeable = False                      # shared via the memo
     return EnvelopeTable(P_grid=Pg, Z_grid=Zg, coef=coef)
 
@@ -566,14 +548,14 @@ def _grid(family: PulseFamily, u_delay: float, reach: float
     """Hankel-then-FFT construction of T_y, T_z on a (P, Z) grid.
 
     Returns P_grid, Z_grid and the table's coefficient frame, a C-contiguous
-    real (len(P) + _PAD + 3, columns + 3, 4) array whose rows
-    1 + _PAD .. -3 and columns 1 .. -3 hold T_y and T_z as the complex
-    channel pairs (Re T_y, Im T_y, Re T_z, Im T_z).  Every other entry is
-    left unset for _prefilter to fill.  Z_grid is symmetric about 0 bit for
-    bit.  For an undelayed table the columns are its Z >= 0 half, from
-    Z = 0 on: a real weight makes T(P, -Z) = conj T(P, Z) bit for bit (see
-    _fourier_rows), so the other half is not computed.  A delayed table
-    holds every column of Z_grid.
+    real (len(P) + _PAD + 3, columns + 3, 4 lines) array whose rows
+    1 + _PAD .. -3 and columns 1 .. -3 hold T_y and T_z as complex channel
+    pairs: (Re T_y, Im T_y, Re T_z, Im T_z) per real line of the weight,
+    one line undelayed, and the Re and Im lines of W e^{-i x u} delayed.
+    Every other entry is left unset for _prefilter to fill.  Z_grid is
+    symmetric about 0 bit for bit.  The columns are its Z >= 0 half, from
+    Z = 0 on: a real weight's transforms have T(P, -Z) = conj T(P, Z), so
+    the other half is not computed.
 
     With a = x st and b = x mu on uniform grids (trapezoid in a, plain sum
     in b), T_y(P, Z) = sum_b e^{i b Z} G_y(P, b) with
@@ -581,24 +563,23 @@ def _grid(family: PulseFamily, u_delay: float, reach: float
     Both sums are linear, so their order is free: the Hankel sums run first,
     as one real GEMM per _ROW_BLOCK rows of a and transform (on the complex
     weight's float view for a delayed table, see _weight_rows), accumulating
-    G_y and G_z on the b-grid; then one zero-padded real FFT per row of P
-    and transform, 2 len(P) in all (twice that for a delayed table, whose
-    rows have Re and Im halves), takes them to the frame's Z columns.
-    Summing Fourier-first, a-row by a-row, would take 2 len(a) FFTs and run
-    the GEMM on the wider Z-grid; the tests keep that order as an oracle.
+    G_y and G_z on the b-grid; then one zero-padded real FFT per row of P,
+    transform and line, 2 lines len(P) in all, takes them to the frame's Z
+    columns.  Summing Fourier-first, a-row by a-row, would take 2 len(a)
+    FFTs and run the GEMM on the wider Z-grid; the tests keep that order as
+    an oracle.
 
     Nothing of the size of the frame is allocated beside it.  G_y and G_z
     accumulate inside the frame, side by side in the grid's own rows: a
-    frame row of 4 (columns + 3) floats holds the 2 len(b) floats (twice
-    that when delayed) of both, for every reach above about 14.7.  A
-    narrower frame is built in scratch rows that wide and copied out
-    compact at the end; a wide one needs no copy.  Each GEMM product is
-    added through a buffer of _GEMM_ROWS real lines of P (half as many rows
-    of a delayed table's complex sums), and the FFT stage runs _FFT_LINES
-    rows of P at a time, both channels of a block transformed before its T
-    rows overwrite its G rows.  The tests keep the former
-    order, separate G_y and G_z arrays and whole GEMM products, as an
-    oracle, and hold every frame to it bit for bit.
+    frame row of 4 lines (columns + 3) floats holds the 2 lines len(b)
+    floats of both, for every reach above about 14.7.  A narrower frame is
+    built in scratch rows that wide and copied out compact at the end; a
+    wide one needs no copy.  Each GEMM product is added through a buffer of
+    _GEMM_ROWS real lines of P (half as many rows of a delayed table's
+    complex sums), and the FFT stage runs _FFT_LINES rows of P at a time,
+    both transforms of a block done before its T rows overwrite its G rows.
+    The tests keep the former order, separate G_y and G_z arrays and whole
+    GEMM products, as an oracle, and hold every frame to it bit for bit.
 
     reach sets the largest |Delta| that must be representable.  Against
     transforms_direct (converged to 1e-8 relative), the grid errs by at most
@@ -620,18 +601,17 @@ def _grid(family: PulseFamily, u_delay: float, reach: float
     cols = np.flatnonzero(np.abs(Zk) <= reach)
     cols = cols[np.argsort(Zk[cols])]
     Zg = Zk[cols]
-    if u_delay == 0.0:
-        cols = cols[Zg >= 0.0]
+    cols = cols[Zg >= 0.0]
     phase = np.exp(1j * b[0] * Zk[cols]) * _DB        # shift to start at b[0]
     Pg = np.arange(0.0, reach + _P_STEP / 2, _P_STEP)
 
     # the frame's flat rows, wide enough for G_y and G_z side by side
     # (real lines per row of G: 1, or Re and Im for a delayed table)
     n_p, lines = len(Pg), 1 if u_delay == 0.0 else 2
-    shape = (n_p + _PAD + 3, len(cols) + 3, 4)
+    shape = (n_p + _PAD + 3, len(cols) + 3, 4 * lines)
     width = lines * len(b)
-    flat = np.zeros((shape[0], max(shape[1] * 4, 2 * width)))
-    coef = flat[:, :shape[1] * 4].reshape(shape)
+    flat = np.zeros((shape[0], max(shape[1] * shape[2], 2 * width)))
+    coef = flat[:, :shape[1] * shape[2]].reshape(shape)
     g_rows = flat[1 + _PAD:1 + _PAD + n_p]
     Gy, Gz = g_rows[:, :width], g_rows[:, width:2 * width]
     chunk = _GEMM_ROWS // lines
@@ -651,15 +631,15 @@ def _grid(family: PulseFamily, u_delay: float, reach: float
         del W        # freed before the next block's weights are built
     del prod
 
-    grid = coef[1 + _PAD:-2, 1:-2].view(complex)       # (P, Z, (T_y, T_z))
-    dtype = float if lines == 1 else complex
-    Gy, Gz = Gy.view(dtype), Gz.view(dtype)
+    # (P, Z, line, (T_y, T_z)) as complex channels, line by line
+    grid = coef[1 + _PAD:-2, 1:-2].view(complex).reshape(
+        n_p, len(cols), lines, 2)
     block = np.empty((min(_FFT_LINES, n_p),) + grid.shape[1:], complex)
     for lo in range(0, n_p, _FFT_LINES):
         rows = slice(lo, lo + _FFT_LINES)
         t = block[:len(grid[rows])]
-        _fourier_rows(Gy[rows], nfft, cols, phase, out=t[:, :, 0])
-        _fourier_rows(Gz[rows], nfft, cols, phase, out=t[:, :, 1])
+        _fourier_rows(Gy[rows], nfft, cols, phase, out=t[..., 0])
+        _fourier_rows(Gz[rows], nfft, cols, phase, out=t[..., 1])
         grid[rows] = t
     return Pg, Zg, np.ascontiguousarray(coef)
 
@@ -711,75 +691,65 @@ def _weight_rows(family: PulseFamily, a: np.ndarray, b: np.ndarray,
 
 def _fourier_rows(G: np.ndarray, nfft: int, cols: np.ndarray,
                   phase: np.ndarray, out: np.ndarray) -> None:
-    """out[P, Z] = sum_b e^{i b Z} G[P, b] db at the Z of cols, for a real
-    or a complex (delayed) G, by one zero-padded real FFT per real line,
+    """out[P, Z, l] = sum_b e^{i b Z} G_l[P, b] db at the Z >= 0 of cols,
+    for each real line l of G's rows, by one zero-padded real FFT per line,
     numpy's rfft (numpy 2's pocketfft, the same bits as scipy.fft's).
 
-    A real row is one line; a complex row is two, the Re and Im halves of
-    its float view, recombined as Re + i Im.  For a real line x,
-    sum_b x_b e^{+2 pi i b k / nfft} is the conjugate of rfft bin k at
-    Z >= 0, and rfft bin nfft - k as it stands at Z < 0.  For a real G,
-    T(P, -Z) is then conj T(P, Z) bit for bit: the phase at -Z is the
-    conjugate of the phase at Z, and IEEE complex products commute with
-    conjugation, which lets an undelayed table keep Z >= 0 only.  The FFTs
-    run _FFT_LINES lines at a time; rfft zero-pads each line as it reads
-    it.  A complex block is first copied with its Re and Im lines apart,
-    each contiguous, which rfft reads faster than lines of stride two.
-    Each block is finished in a contiguous buffer and then copied into out.
-    G may be a view with rows apart, such as a block of the sums _grid keeps
-    in the frame's rows, and out any complex (len(G), len(cols)) view, such
-    as one channel of _grid's block buffer.  Lines are transformed one by
-    one, so neither the block sizes nor the strides change a bit of the
-    result.
+    G is real, (rows, lines len(b)), its lines interleaved along b: one
+    line per row, or the Re and Im lines of a delayed table's complex sums
+    (their float view).  out is complex (rows, len(cols), lines).  For a
+    real line x, sum_b x_b e^{+2 pi i b k / nfft} is the conjugate of rfft
+    bin k, and cols are bins k <= nfft / 2.  The FFTs run _FFT_LINES lines
+    at a time; rfft zero-pads each line as it reads it, and a block of two
+    lines per row is first copied with each line contiguous, which rfft
+    reads faster.  G may be a view with rows apart, such as the sums _grid
+    keeps in the frame's rows, and out any view of that shape.  Lines are
+    transformed one by one, so neither the block sizes nor the strides
+    change a bit of the result.
     """
-    parts = G.view(float).reshape(len(G), G.shape[1], -1)   # (rows, b, 1|2)
-    parts = parts.transpose(0, 2, 1)                         # (rows, 1|2, b)
-    unit = np.array([1.0, 1j])[:parts.shape[1]]
-    pos = cols <= nfft // 2                                  # Z >= 0
-    bins = np.where(pos, cols, nfft - cols)
-    rows = _FFT_LINES // parts.shape[1]
+    lines = out.shape[2]
+    parts = G.reshape(len(G), -1, lines).transpose(0, 2, 1)   # (rows, l, b)
+    rows = _FFT_LINES // lines
     for lo in range(0, len(G), rows):
         block = parts[lo:lo + rows]
-        if block.shape[1] == 2:
+        if lines == 2:
             block = np.ascontiguousarray(block)
-        F = np.fft.rfft(block, n=nfft, axis=2).take(bins, axis=2)
-        np.conjugate(F, out=F, where=pos)
-        T = unit @ F
-        T *= phase
-        out[lo:lo + rows] = T
+        F = np.fft.rfft(block, n=nfft, axis=2).take(cols, axis=2)
+        np.conjugate(F, out=F)
+        F *= phase
+        out[lo:lo + rows] = F.transpose(0, 2, 1)
 
 
-def _prefilter(coef: np.ndarray, z_parity: np.ndarray | float) -> None:
+def _prefilter(coef: np.ndarray) -> None:
     """Cubic B-spline coefficients, in place, of the grid values _grid left
-    in the frame coef, each transform extended across P = 0 by _PAD rows of
-    its parity (T_y even, T_z odd), as the channels
-    (Re c_y, Im c_y, Re c_z, Im c_z).  z_parity is the extension across the
-    frame's first column of Z, per channel: 1 for the mirror boundary of a
-    delayed table's full Z range, _Z_PARITY for an undelayed table's Z >= 0
-    half, whose first column is Z = 0.
+    in the frame coef, as the channels (Re c_y, Im c_y, Re c_z, Im c_z) of
+    each real weight, extended across P = 0 by _PAD rows of _PARITY and
+    across the first column, Z = 0, by _Z_PARITY.
 
-    Apart from that parity, the filter is ndimage.spline_filter's with its
-    "mirror" boundary (the tests keep that as the oracle), written out: per
-    axis, the gain _SPLINE_GAIN and one causal and one anticausal recursion
-    with pole _SPLINE_POLE.  Both axes' gains scale the grid rows at once;
-    the _PAD rows below P = 0 take the scaled rows above it, times each
-    channel's parity.  Each recursion then runs in place, one vector step
-    per row of P across every column and channel, then one per column of Z
-    across every row and channel.  No step allocates more than one row.
-    The frame of 1 row and column below and 2 above then takes the mirror
-    boundary too (np.pad's "reflect"), the column below times z_parity: it
-    holds every tap lookup can reach.
+    Apart from the parity in Z, the filter is ndimage.spline_filter's with
+    its "mirror" boundary (the tests keep that as the oracle), written out:
+    per axis, the gain _SPLINE_GAIN and one causal and one anticausal
+    recursion with pole _SPLINE_POLE.  Both axes' gains scale the grid rows
+    at once; the _PAD rows below P = 0 take the scaled rows above it, times
+    each channel's parity.  Each recursion then runs in place, one vector
+    step per row of P across every column and channel, then one per column
+    of Z across every row and channel.  No step allocates more than one
+    row.  The frame of 1 row and column below and 2 above then takes the
+    mirror boundary too (np.pad's "reflect"), the column below times the
+    parity in Z: it holds every tap lookup can reach.
     """
+    parts = coef.shape[2] // 4
+    parity, z_parity = np.tile(_PARITY, parts), np.tile(_Z_PARITY, parts)
     inner = coef[1:-2, 1:-2]
     inner[_PAD:] *= _SPLINE_GAIN ** 2
-    np.multiply(inner[2 * _PAD:_PAD:-1], _PARITY, out=inner[:_PAD])
+    np.multiply(inner[2 * _PAD:_PAD:-1], parity, out=inner[:_PAD])
     _spline_recursions(inner)                                   # along P
     _spline_recursions(np.moveaxis(inner, 1, 0), z_parity)      # along Z
     # mirror about the first and last node: index -1 reads 1, n reads n - 2
     # and n + 1 reads n - 3, as np.pad's "reflect" would fill them
-    for axis, parity in ((0, 1.0), (1, z_parity)):
+    for axis, sign in ((0, 1.0), (1, z_parity)):
         c = np.moveaxis(coef, axis, 0)
-        c[0], c[-2], c[-1] = parity * c[2], c[-4], c[-5]
+        c[0], c[-2], c[-1] = sign * c[2], c[-4], c[-5]
 
 
 def _spline_recursions(lines: np.ndarray,
@@ -1097,9 +1067,10 @@ def _mean_transform_power(table: EnvelopeTable) -> tuple[np.ndarray, np.ndarray]
     That fold holds for an undelayed table only: with a real weight w,
     e^{-i x mu Z} is the conjugate of e^{i x mu Z}, so T(P, -Z) =
     conj(T(P, Z)) and both powers are even in cos(theta); a delay u != 0
-    makes w complex and breaks it.  On the table the fold is exact: an
-    undelayed table stores only Z >= 0 and its lookup reads T(P, -Z) as
-    the conjugate of T(P, Z), so the spline too is symmetric bit for bit.
+    makes w complex and breaks it.  On the table the fold is exact: a
+    table stores only Z >= 0 and an undelayed table's lookup reads
+    T(P, -Z) as the conjugate of T(P, Z), so the spline too is symmetric
+    bit for bit.
 
     The 3000 x 100 points are read _PROFILE_RADII radii at a time into one
     power array, and the rule's weights are applied to the whole array at

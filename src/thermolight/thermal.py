@@ -141,8 +141,9 @@ def g2_equal_time(ctx: PhysicalContext, R: float | np.ndarray,
     at R = 0.
     """
     R = np.asarray(R, dtype=float)
-    if not np.all(R >= 0.0):
-        raise ValueError(f"separation must be nonnegative, got {R}")
+    bad = R[~(R >= 0.0)]
+    if bad.size:
+        raise ValueError(f"separation must be nonnegative, got {bad[0]}")
     if orientation not in ("parallel", "perpendicular"):
         raise ValueError(f"unknown orientation {orientation!r}")
     rho = R / ctx.length_scale

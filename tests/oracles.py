@@ -54,12 +54,14 @@ def weights_masked(family: PulseFamily, a: np.ndarray, b: np.ndarray,
 
 
 def grid_separate_accumulators(family: PulseFamily, u_delay: float,
-                               reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """T_y and T_z on the columns pulsekit._grid's frame holds, summed in
-    its former order: the weights from meshgrid copies and masked divides,
-    one whole (len(P), len(b)) GEMM product per block of _ROW_BLOCK rows
-    of a added to separate G_y and G_z arrays, then every row of each
-    through _fourier_rows.  Complex (len(P), columns) arrays."""
+                               reach: float) -> np.ndarray:
+    """T_y and T_z on the columns Z >= 0 pulsekit._grid's frame holds,
+    summed in its former order: the weights from meshgrid copies and masked
+    divides, one whole (len(P), len(b)) GEMM product per block of
+    _ROW_BLOCK rows of a added to separate G_y and G_z arrays, then every
+    row of each through _fourier_rows.  One complex (len(P), columns,
+    2 lines) array in the frame's channel order: (T_y, T_z) per real line
+    of the weight, the Re and Im lines of a delayed one."""
     da = db = 0.025
     a = np.arange(0.0, pulsekit._X_MAX + da / 2, da)
     b = np.arange(pulsekit._B_FLOOR, pulsekit._X_MAX + db / 2, db)
@@ -72,11 +74,11 @@ def grid_separate_accumulators(family: PulseFamily, u_delay: float,
     Zk = 2.0 * math.pi * np.fft.fftfreq(nfft, d=db)
     cols = np.flatnonzero(np.abs(Zk) <= reach)
     cols = cols[np.argsort(Zk[cols])]
-    if u_delay == 0.0:
-        cols = cols[Zk[cols] >= 0.0]
+    cols = cols[Zk[cols] >= 0.0]
     phase = np.exp(1j * b[0] * Zk[cols]) * db
     Pg = np.arange(0.0, reach + pulsekit._P_STEP / 2, pulsekit._P_STEP)
-    Gy = np.zeros((len(Pg), len(b)), float if u_delay == 0.0 else complex)
+    lines = 1 if u_delay == 0.0 else 2
+    Gy = np.zeros((len(Pg), len(b)), float if lines == 1 else complex)
     Gz = np.zeros_like(Gy)
     for lo in range(0, len(a), pulsekit._ROW_BLOCK):
         ab = a[lo:lo + pulsekit._ROW_BLOCK]
@@ -85,12 +87,53 @@ def grid_separate_accumulators(family: PulseFamily, u_delay: float,
         wb = wa[lo:lo + pulsekit._ROW_BLOCK]
         Gy += ((special.j0(Pa) * wb) @ wmu.view(float)).view(Gy.dtype)
         Gz += ((special.j1(Pa) * wb) @ wst.view(float)).view(Gz.dtype)
-    out = []
-    for G in (Gy, Gz):
-        T = np.empty((len(Pg), len(cols)), complex)
-        pulsekit._fourier_rows(G, nfft, cols, phase, out=T)
-        out.append(T)
-    return tuple(out)
+    out = np.empty((len(Pg), len(cols), 2 * lines), complex)
+    for k, G in enumerate((Gy, Gz)):
+        T = np.empty((len(Pg), len(cols), lines), complex)
+        pulsekit._fourier_rows(G.view(float), nfft, cols, phase, out=T)
+        out[:, :, k::2] = T
+    return out
+
+
+def full_frame_lookup(P_grid: np.ndarray, Z_grid: np.ndarray,
+                      coef: np.ndarray, P: np.ndarray, Z: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """T_y, T_z read from a four-channel coefficient frame that holds the
+    whole Z-grid, with the mirror boundary at both ends of Z (oracle):
+    EnvelopeTable.lookup's read of such a frame, which delayed tables kept
+    before every table stored Z >= 0 only.  The node below Z is
+    floor(Z / dZ) plus the column of Z = 0, so the coordinate rounds like
+    |Z| / dZ, not like (Z - Z_min) / dZ, which is off by up to 2.3e-13
+    nodes everywhere.  Points outside the grid, NaN included, read exactly
+    zero."""
+    P = np.asarray(P, float)
+    Z = np.asarray(Z, float)
+    Pg, Zg = P_grid, Z_grid
+    ok = (P >= 0.0) & (P <= Pg[-1]) & (Z >= Zg[0]) & (Z <= Zg[-1])
+    ty = np.zeros(P.shape, complex)
+    tz = np.zeros(P.shape, complex)
+    dP = Pg[1] - Pg[0]
+    dZ = (Zg[-1] - Zg[0]) / (len(Zg) - 1)
+    z0 = (len(Zg) - 1) // 2                       # the node Z = 0
+    ncol = coef.shape[1]
+    flat = coef.reshape(-1, 4)
+    taps = (np.arange(4)[:, None] * ncol + np.arange(4)).ravel()
+    P, Z, ok = P.reshape(-1), Z.reshape(-1), ok.reshape(-1)
+    ty_flat, tz_flat = ty.reshape(-1), tz.reshape(-1)
+    for lo in range(0, P.size, pulsekit._LOOKUP_BLOCK):
+        sel = lo + np.flatnonzero(ok[lo:lo + pulsekit._LOOKUP_BLOCK])
+        z = Z[sel]
+        wp, i = pulsekit._bspline_weights(P[sel] / dP + pulsekit._PAD)
+        # the offset from Z = 0 in nodes, exact at the nodes near it,
+        # clipped at the first node against its rounding there
+        wz, j = pulsekit._bspline_weights(np.maximum(z / dZ, -z0))
+        j += z0
+        w = np.einsum("na,nb->nab", wp, wz).reshape(-1, 1, 16)
+        nodes = flat.take((i * ncol + j)[:, None] + taps, axis=0)
+        both = (w @ nodes).view(complex)              # (n, 1, 2)
+        ty_flat[sel] = both[:, 0, 0]
+        tz_flat[sel] = both[:, 0, 1]
+    return ty, tz
 
 
 def mu_integral(family: PulseFamily, m_hat, psi: float, r: np.ndarray,

@@ -299,11 +299,16 @@ def test_fock_demo_builds_each_density_matrix_once(tmp_path: Path,
     ("scaling", "--config", "[scaling]\nextent_lo = 100\n"),
     ("scaling", "--config", "[scaling]\nextent_hi = inf\n"),
     ("fock-demo", "--seed", str(2**64)),
+    ("fig1", "--rmax-um", "inf"),
+    ("fig1", "--rmax-um", "nan"),
+    ("simcond-thermal", "--tau-max-fs", "inf"),
+    ("simcond-thermal", "--tau-max-fs", "nan"),
 ])
 def test_bad_configuration_exits_two(tmp_path: Path, capsys, args):
     """A --config argument here is the INI text; it is written to a file.
     In-process: an exception that escapes cli.main fails the test, as a
-    traceback from a subprocess would."""
+    traceback from a subprocess would, and so does a RuntimeWarning.  A
+    range check on a setting names it in its message."""
     if "--config" in args:
         at = args.index("--config") + 1
         ini = tmp_path / "bad.ini"
@@ -314,6 +319,9 @@ def test_bad_configuration_exits_two(tmp_path: Path, capsys, args):
     assert code == 2, (args, out, err)
     if args[0] in cli.EXPERIMENTS:
         assert err.count("configuration error:") == 1, err
+    for flag in ("--rmax-um", "--tau-max-fs"):
+        if flag in args:
+            assert flag[2:].replace("-", "_") in err, err
 
 
 # Every flag's dest and help text, and each experiment's settings at their

@@ -9,8 +9,9 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate, ndimage, special
 
-from oracles import (grid_separate_accumulators, mu_integral, spectral_weight,
-                     transverse_frames, weights_masked)
+from oracles import (full_frame_lookup, grid_separate_accumulators,
+                     mu_integral, spectral_weight, transverse_frames,
+                     weights_masked)
 from thermolight import pulsekit
 from thermolight.units import make_context
 from thermolight.pulsekit import (envelope_batch, transforms_direct,
@@ -50,30 +51,34 @@ def test_table_matches_direct_quadrature(thermal_family):
         assert err < 5e-4, (P, Z, err)
 
 
-def _grid_values(family, u_delay, reach):
+def _frame_values(family, u_delay, reach):
     """T_y and T_z as _grid leaves them in the coefficient frame, before the
-    prefilter, on the whole Z-grid: complex (len(P), len(Z)) arrays.  An
-    undelayed frame holds only Z >= 0; its columns Z < 0 are filled in as
-    the conjugates of those at -Z."""
-    _, Zg, frame = pulsekit._grid(family, u_delay, reach)
-    grid = frame[1 + pulsekit._PAD:-2, 1:-2].view(complex)
-    out = []
-    for T in (grid[:, :, 0], grid[:, :, 1]):
-        if T.shape[1] < len(Zg):
-            T = np.concatenate([T[:, :0:-1].conj(), T], axis=1)
-        out.append(T)
-    return tuple(out)
+    prefilter: one complex (len(P), columns, channels / 2) array on the
+    columns Z >= 0, with (T_y, T_z) for each real line of the weight, one
+    undelayed and the Re and Im lines of W e^{-i x u} delayed."""
+    _, _, frame = pulsekit._grid(family, u_delay, reach)
+    return frame[1 + pulsekit._PAD:-2, 1:-2].view(complex)
 
 
-def _stored(tab, T):
-    """The columns of a whole-grid array T that tab's frame holds: Z >= 0
-    for a half (undelayed) table, every column for a delayed one."""
-    return T[:, len(tab.Z_grid) - (tab.coef.shape[1] - 3):]
+def _mirrored(values):
+    """Frame values extended to the whole Z-grid: each real weight's
+    transforms at -Z are the conjugates of those at Z."""
+    return np.concatenate([values[:, :0:-1].conj(), values], axis=1)
 
 
-def _z_parity(u_delay):
-    """The z_parity argument _build_table passes _prefilter."""
-    return pulsekit._Z_PARITY if u_delay == 0.0 else 1.0
+def _combined(parts):
+    """T_y and T_z from the channels of _mirrored: A + i B for a delayed
+    table's two real-weight parts, views of parts for an undelayed one."""
+    T = parts[:, :, :2]
+    if parts.shape[2] == 4:
+        T = T + 1j * parts[:, :, 2:]
+    return T[:, :, 0], T[:, :, 1]
+
+
+def _z_parity(values):
+    """The parity in Z that _prefilter gives the float channels of frame
+    values: real parts even, imaginary parts odd, for each real weight."""
+    return np.tile(pulsekit._Z_PARITY, values.shape[2] // 2)
 
 
 # The power profile's tables, the second weight the build is checked on,
@@ -92,12 +97,25 @@ def _table_case(thermal_family, power_family, which, delay=0.7):
 
 
 @functools.lru_cache(maxsize=None)
+def _cached_parts(family, u_delay, reach):
+    """_mirrored frame values, computed once per table for the oracle tests
+    below (a few tables, 36 MB at the default reach and 71 MB delayed),
+    read-only."""
+    parts = _mirrored(_frame_values(family, u_delay, reach))
+    parts.flags.writeable = False
+    return parts
+
+
+def _cached_frame_values(family, u_delay, reach):
+    """_frame_values, bit for bit, as a view of the cached parts."""
+    parts = _cached_parts(family, u_delay, reach)
+    return parts[:, parts.shape[1] // 2:]
+
+
 def _cached_grid_values(family, u_delay, reach):
-    """_grid_values, computed once per table for the oracle tests below (a
-    few tables, about 18 MB each at the default reach), read-only."""
-    ty, tz = map(np.ascontiguousarray, _grid_values(family, u_delay, reach))
-    ty.flags.writeable = tz.flags.writeable = False
-    return ty, tz
+    """T_y and T_z on the whole Z-grid, complex (len(P), len(Z)) arrays,
+    from the cached parts."""
+    return _combined(_cached_parts(family, u_delay, reach))
 
 
 def test_table_build_independent_of_temperature_and_amplitude():
@@ -105,10 +123,8 @@ def test_table_build_independent_of_temperature_and_amplitude():
     at any T and alpha share one table."""
     hot = pulsekit.make_thermal_family(make_context(5777.0))
     cold = pulsekit.make_thermal_family(make_context(3000.0), alpha=2.0)
-    a = _grid_values(hot, 0.0, 2.0)
-    b = _grid_values(cold, 0.0, 2.0)
-    np.testing.assert_array_equal(a[0], b[0])
-    np.testing.assert_array_equal(a[1], b[1])
+    np.testing.assert_array_equal(_frame_values(hot, 0.0, 2.0),
+                                  _frame_values(cold, 0.0, 2.0))
 
 
 def test_tables_shared_across_temperature_and_amplitude(thermal_family,
@@ -205,13 +221,16 @@ def test_delayed_table_matches_direct(thermal_family):
         assert max(abs(ty_t[0] - ty_d), abs(tz_t[0] - tz_d)) / peak < 5e-4
 
 
-def test_delayed_lookup_exact_at_nodes_near_axis(thermal_family):
-    """A delayed table reads its Z coordinate as the offset from Z = 0 in
-    nodes, so at the nodes within 40 columns of Z = 0 on the first four
-    rows of P the lookup gives the spline's node values (Ty, Tz) to 2e-15
-    of the peak.  Read as (Z - Z_min) / dZ, the coordinate rounded by up
-    to 2.3e-13 node units and the lookup erred by 1.7e-14 there."""
-    tab = thermal_family.table(0.7)
+@pytest.mark.parametrize("u", [0.0, 0.7])
+def test_delayed_lookup_exact_at_nodes_near_axis(thermal_family, u):
+    """Every table reads its Z coordinate as |Z| / dZ, the offset from
+    Z = 0 in nodes, so at the nodes within 40 columns of Z = 0 on the
+    first four rows of P the lookup gives the spline's node values (Ty, Tz)
+    to 2e-15 of the peak, for a real weight and a complex (delayed) one,
+    whose two real-weight parts are conjugated apart on Z < 0.  Read as
+    (Z - Z_min) / dZ, the coordinate rounded by up to 2.3e-13 node units
+    and the lookup erred by 1.7e-14 there."""
+    tab = thermal_family.table(u)
     z0 = (len(tab.Z_grid) - 1) // 2
     i, j = np.meshgrid(np.arange(4), np.arange(z0 - 40, z0 + 41),
                        indexing="ij")
@@ -220,6 +239,27 @@ def test_delayed_lookup_exact_at_nodes_near_axis(thermal_family):
     peak = max(np.abs(Ty).max(), np.abs(Tz).max())
     worst = max(np.abs(ty - Ty[i, j]).max(), np.abs(tz - Tz[i, j]).max())
     assert worst <= 2e-15 * peak, worst / peak
+
+
+@pytest.mark.parametrize("u", [0.0, 0.7])
+def test_lookup_broadcasts_coordinates(thermal_family, u):
+    """lookup broadcasts P against Z, as numpy would, and reads each point
+    of the broadcast shape; it raised IndexError when the shapes differed.
+    Shapes that do not broadcast raise numpy's ValueError."""
+    tab = thermal_family.table(u, reach=2.0)
+    for P, Z in [(np.array(0.3), np.array([-0.5, 1.2])),
+                 (np.array([[0.1], [1.4]]), np.array([-1.0, 0.0, 0.7])),
+                 (0.5, -0.25)]:
+        shape = np.broadcast_shapes(np.shape(P), np.shape(Z))
+        want = tab.lookup(np.broadcast_to(P, shape).copy(),
+                          np.broadcast_to(Z, shape).copy())
+        got = tab.lookup(P, Z)
+        for g, w in zip(got, want):
+            assert g.shape == shape
+            np.testing.assert_array_equal(g, w)
+            assert np.all(w != 0.0)
+    with pytest.raises(ValueError):
+        tab.lookup(np.zeros(2), np.zeros(3))
 
 
 def _transforms_full_grid(family, P, Z, u_delay=0.0, nx=None, nmu=None):
@@ -411,10 +451,8 @@ def test_grid_equals_separate_accumulators(thermal_family, power_family,
     weight, a complex (delayed) one, a frame narrower than the sums (reach
     2 and the shortest reach), and the power profile."""
     fam, u, reach = _table_case(thermal_family, power_family, which)
-    want = grid_separate_accumulators(fam, u, reach)
-    got = _cached_grid_values(fam, u, reach)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g[:, g.shape[1] - w.shape[1]:], w)
+    np.testing.assert_array_equal(_cached_frame_values(fam, u, reach),
+                                  grid_separate_accumulators(fam, u, reach))
 
 
 @pytest.mark.parametrize("u", [0.0, 0.7])
@@ -424,7 +462,8 @@ def test_narrow_frame_coef_is_compact(thermal_family, u):
     that holds no more than its own values."""
     tab = pulsekit._build_table(thermal_family, u, 2.0)
     lines = 1 if u == 0.0 else 2          # real lines per row of G_y, G_z
-    assert tab.coef.shape[1] * 4 < 2 * lines * 1921       # 1921 b nodes
+    assert tab.coef.shape[2] == 4 * lines
+    assert tab.coef.shape[1] * 4 * lines < 2 * lines * 1921   # 1921 b nodes
     assert tab.coef.flags.c_contiguous
     assert tab.coef.base is None or tab.coef.base.nbytes == tab.coef.nbytes
 
@@ -434,9 +473,10 @@ def test_check_reach_bounds_frame_without_allocating(thermal_family,
                                                     traced_peak):
     """check_reach turns down a reach whose frame would pass
     _MAX_FRAME_BYTES, from the shape rules alone: reach 401.7 (at least
-    21 GiB of delayed frame) and 1e300 raise while tracing under 64 kB.  Its size rule is
-    the delayed default table's frame exactly: a limit one byte below
-    that frame rejects reach 16, the frame's own size accepts it."""
+    21 GiB of delayed frame) and 1e300 raise while tracing under 64 kB.  Its
+    size rule is the delayed default table's eight-channel frame exactly,
+    64 rows (columns + 3) bytes: a limit one byte below that frame rejects
+    reach 16, the frame's own size accepts it."""
     def rejected(reach):
         with pytest.raises(ValueError, match="above the limit"):
             pulsekit.check_reach(reach)
@@ -447,6 +487,7 @@ def test_check_reach_bounds_frame_without_allocating(thermal_family,
     pulsekit.check_reach(61.0)
     rejected(62.0)
     nbytes = thermal_family.table(0.7).coef.nbytes
+    assert nbytes == 64 * 545 * 1047
     monkeypatch.setattr(pulsekit, "_MAX_FRAME_BYTES", nbytes)
     pulsekit.check_reach(16.0)
     monkeypatch.setattr(pulsekit, "_MAX_FRAME_BYTES", nbytes - 1)
@@ -460,47 +501,86 @@ def test_fft_block_leaves_table_unchanged(thermal_family, monkeypatch, u):
     seven (two rows and three of a delayed table, whose rows are two lines
     each), with short last blocks, give the same table bit for bit."""
     want = pulsekit._build_table(thermal_family, u, 2.0)
-    want_grid = _grid_values(thermal_family, u, 2.0)
+    want_grid = _frame_values(thermal_family, u, 2.0)
     monkeypatch.setattr(pulsekit, "_FFT_LINES", 5)
     monkeypatch.setattr(pulsekit, "_GEMM_ROWS", 7)
     got = pulsekit._build_table(thermal_family, u, 2.0)
-    got_grid = _grid_values(thermal_family, u, 2.0)
-    for g, w in zip(got_grid, want_grid):
-        np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(_frame_values(thermal_family, u, 2.0),
+                                  want_grid)
     np.testing.assert_array_equal(got.coef, want.coef)
+
+
+@pytest.mark.parametrize("which", ["thermal", "power"])
+def test_delayed_table_is_sum_of_real_weight_tables(thermal_family,
+                                                    power_family, monkeypatch,
+                                                    which):
+    """A delayed table is T[Re w] + i T[Im w] for its complex weight
+    w = W e^{-i x u}: its channels are, bit for bit, the coefficients of
+    two undelayed builds whose weights are the Re and Im lines of w, and
+    its lookup and node values are theirs combined as A + i B."""
+    fam, u, reach = ((thermal_family, 0.7, 2.0) if which == "thermal"
+                     else (power_family, 1.5, _POWER_REACH))
+    delayed = pulsekit._build_table(fam, u, reach)
+    weight_rows = pulsekit._weight_rows
+    parts = []
+    for line in (0, 1):
+        def one_line(family, a, b, u_delay, line=line):
+            assert u_delay == 0.0
+            return tuple(np.ascontiguousarray(W[:, line::2])
+                         for W in weight_rows(family, a, b, u))
+        monkeypatch.setattr(pulsekit, "_weight_rows", one_line)
+        parts.append(pulsekit._build_table(fam, 0.0, reach))
+    re, im = parts
+    assert delayed.coef.shape == re.coef.shape[:2] + (8,)
+    np.testing.assert_array_equal(delayed.coef[:, :, :4], re.coef)
+    np.testing.assert_array_equal(delayed.coef[:, :, 4:], im.coef)
+
+    rng = np.random.default_rng(30)
+    P = rng.random(20_000) * reach
+    Z = (2.0 * rng.random(20_000) - 1.0) * reach
+    Z[:100], Z[100:200] = 0.0, -0.0
+    for got, a, b in zip(delayed.lookup(P, Z), re.lookup(P, Z),
+                         im.lookup(P, Z)):
+        np.testing.assert_array_equal(got, a + 1j * b)
+    np.testing.assert_array_equal(delayed.Ty, re.Ty + 1j * im.Ty)
+    np.testing.assert_array_equal(delayed.Tz, re.Tz + 1j * im.Tz)
 
 
 @pytest.mark.parametrize("which", ["default", "power"])
 def test_undelayed_grid_is_hermitian(thermal_family, power_family, which):
-    """A real weight gives T(P, -Z) = conj T(P, Z), and the real-FFT fold
-    keeps it bit for bit on the exactly symmetric Z-grid, so an undelayed
-    table loses nothing by keeping Z >= 0 only.  Its first column, Z = 0,
-    has Im T exactly zero, as the odd extension of the imaginary parts
-    across it needs."""
+    """A real weight gives T(P, -Z) = conj T(P, Z) on the exactly symmetric
+    Z-grid, so a table loses nothing by keeping Z >= 0 only, and its lookup
+    reads T(P, -Z) as the conjugate of T(P, Z) bit for bit.  The first
+    column, Z = 0, has Im T exactly zero, as the odd extension of the
+    imaginary parts across it needs; so do both real-weight parts of a
+    delayed table."""
     fam, _, reach = _table_case(thermal_family, power_family, which)
     tab = fam.table(0.0, reach)
     Zg = tab.Z_grid
     np.testing.assert_array_equal(Zg[::-1], -Zg)
     assert tab.coef.shape[1] - 3 == len(Zg) // 2 + 1
-    for T in _cached_grid_values(fam, 0.0, reach):
-        assert np.all(_stored(tab, T)[:, 0].imag == 0.0)
+    assert np.all(_cached_frame_values(fam, 0.0, reach)[:, 0].imag == 0.0)
+    if which == "default":
+        assert np.all(_cached_frame_values(fam, 0.7, reach)[:, 0].imag == 0.0)
 
-    nfft, cols, phase = _z_columns(reach)
-    G = np.random.default_rng(7).standard_normal((5, 1921))
-    out = np.empty((5, len(cols)), complex)
-    pulsekit._fourier_rows(G, nfft, cols, phase, out=out)
-    np.testing.assert_array_equal(out[:, ::-1], out.conj())
+    rng = np.random.default_rng(7)
+    P = rng.random(10_000) * tab.P_grid[-1]
+    Z = rng.random(10_000) * Zg[-1]
+    for above, below in zip(tab.lookup(P, Z), tab.lookup(P, -Z)):
+        np.testing.assert_array_equal(below, above.conj())
 
 
-def _prefilter_ndimage(Ty, Tz):
+def _prefilter_ndimage(parts):
     """_prefilter as it was before its recursions were written out: one
-    scipy spline_filter per channel, in place in the frame (oracle)."""
+    scipy spline_filter per channel, in place in the frame (oracle).  parts
+    are whole-grid complex channels (T_y, T_z) of each real weight."""
     pad = pulsekit._PAD
-    coef = np.empty((Ty.shape[0] + pad + 3, Ty.shape[1] + 3, 4))
+    coef = np.empty((parts.shape[0] + pad + 3, parts.shape[1] + 3,
+                     2 * parts.shape[2]))
     inner = coef[1:-2, 1:-2]
-    channels = ((Ty.real, 1.0), (Ty.imag, 1.0), (Tz.real, -1.0),
-                (Tz.imag, -1.0))
-    for c, (part, parity) in enumerate(channels):
+    for c in range(coef.shape[2]):
+        part = (parts.real, parts.imag)[c % 2][:, :, c // 2]
+        parity = pulsekit._PARITY[c % 4]
         ext = inner[:, :, c]
         ext[:pad] = parity * part[pad:0:-1]
         ext[pad:] = part
@@ -511,16 +591,20 @@ def _prefilter_ndimage(Ty, Tz):
     return coef
 
 
-def _prefilter_copy_in(Ty, Tz, z_parity):
+def _prefilter_copy_in(values, z_parity):
     """_prefilter as it was while tables kept their grid values: both axes'
-    gains applied as Ty and Tz (the columns the frame holds) are copied into
-    a new frame, then the same in-place recursions (oracle)."""
+    gains applied as the complex channels values, (T_y, T_z) of each real
+    weight on the columns the frame holds, are copied into a new frame,
+    then the same in-place recursions, with z_parity across the first
+    column (oracle)."""
     pad = pulsekit._PAD
-    coef = np.empty((Ty.shape[0] + pad + 3, Ty.shape[1] + 3, 4))
+    coef = np.empty((values.shape[0] + pad + 3, values.shape[1] + 3,
+                     2 * values.shape[2]))
     inner = coef[1:-2, 1:-2]
     gain = pulsekit._SPLINE_GAIN ** 2
-    pairs = inner.view(complex)                         # (c_y, c_z)
-    for c, (T, parity) in enumerate(((Ty, 1.0), (Tz, -1.0))):
+    pairs = inner.view(complex)
+    for c in range(values.shape[2]):
+        T, parity = values[:, :, c], (1.0, -1.0)[c % 2]
         np.multiply(T[pad:0:-1], parity * gain, out=pairs[:pad, :, c])
         np.multiply(T, gain, out=pairs[pad:, :, c])
     pulsekit._spline_recursions(inner)
@@ -542,16 +626,16 @@ def test_prefilter_matches_spline_filter(thermal_family, power_family,
     coefficients over the whole Z-grid, frame included, to 1e-14 of each
     channel's peak: for a real weight, a complex (delayed) one, a short
     reach, the shortest lines of P check_reach allows (whose mirror sum
-    keeps every term) and the power profile's table.  An undelayed table's
-    half frame, extended across Z = 0 by parity, holds that frame's columns
-    from Z = -dZ on.  Run in place on a frame, they allocate at most
-    2 MB."""
+    keeps every term) and the power profile's table.  A table's frame on
+    Z >= 0, extended across Z = 0 by parity, holds that frame's columns
+    from Z = -dZ on, for each real weight: the delayed table's channels
+    match the whole-grid frames of its Re and Im parts.  Run in place on a
+    frame, they allocate at most 2 MB."""
     fam, u, reach = _table_case(thermal_family, power_family, which)
     tab = fam.table(u, reach)
     if which == "shortest":
         assert tab.coef.shape[0] - 3 == 2 * pulsekit._PAD + 1
-    ty, tz = _cached_grid_values(fam, u, reach)
-    want = _prefilter_ndimage(ty, tz)
+    want = _prefilter_ndimage(_cached_parts(fam, u, reach))
     want = want[:, want.shape[1] - tab.coef.shape[1]:]
     assert tab.coef.shape == want.shape
     worst = np.abs(tab.coef - want).max(axis=(0, 1))
@@ -559,9 +643,9 @@ def test_prefilter_matches_spline_filter(thermal_family, power_family,
     assert np.all(worst <= 1e-14 * peak), worst / peak
 
     coef = np.empty(tab.coef.shape)
-    grid = coef[1 + pulsekit._PAD:-2, 1:-2].view(complex)
-    grid[:, :, 0], grid[:, :, 1] = _stored(tab, ty), _stored(tab, tz)
-    _, allocated, _ = traced_peak(pulsekit._prefilter, coef, _z_parity(u))
+    coef[1 + pulsekit._PAD:-2, 1:-2].view(complex)[:] = \
+        _cached_frame_values(fam, u, reach)
+    _, allocated, _ = traced_peak(pulsekit._prefilter, coef)
     assert allocated <= 2 * 2**20, allocated / 2**20
 
 
@@ -572,10 +656,9 @@ def test_coefficients_equal_copy_in_prefilter(thermal_family, power_family,
     gives the coefficients of the former copy-in prefilter bit for bit."""
     fam, u, reach = _table_case(thermal_family, power_family, which)
     tab = fam.table(u, reach)
-    ty, tz = _cached_grid_values(fam, u, reach)
+    values = _cached_frame_values(fam, u, reach)
     np.testing.assert_array_equal(
-        tab.coef, _prefilter_copy_in(_stored(tab, ty), _stored(tab, tz),
-                                     _z_parity(u)))
+        tab.coef, _prefilter_copy_in(values, _z_parity(values)))
 
 
 @pytest.mark.parametrize("which", ["default", "delayed", "power"])
@@ -605,16 +688,18 @@ def _map_coordinates_lookup(tab, Ty, Tz, P, Z):
     read by scipy's map_coordinates (oracle).  Points are read as lookup
     reads them, at |Z| counted from the column Z = -dZ on their side of
     Z = 0, so that the coordinate of a point near the axis is as exact as
-    lookup's: a half table from the side Z >= 0, conjugated where Z < 0,
-    and a delayed table at Z < 0 from its columns in reverse order, which
-    the symmetric B-spline reads as the same spline."""
+    lookup's: an undelayed table from the side Z >= 0, conjugated where
+    Z < 0, and a delayed table, whose T has no such symmetry, at Z < 0 from
+    its columns in reverse order, which the symmetric B-spline reads as the
+    same spline."""
+    real = tab.coef.shape[2] == 4
     Pg, Zg = tab.P_grid, tab.Z_grid
     ok = (P >= 0.0) & (P <= Pg[-1]) & (Z >= Zg[0]) & (Z <= Zg[-1])
     dP = Pg[1] - Pg[0]
     dZ = (Zg[-1] - Zg[0]) / (len(Zg) - 1)
     mid = len(Zg) // 2                                  # the column Z = 0
     at = np.stack([P[ok] / dP + pulsekit._PAD, np.abs(Z[ok]) / dZ + 1.0])
-    below = np.zeros(len(at[0]), bool) if tab._half else Z[ok] < 0.0
+    below = np.zeros(len(at[0]), bool) if real else Z[ok] < 0.0
     out = []
     for T, parity in ((Ty, 1.0), (Tz, -1.0)):
         ext = np.concatenate([parity * T[pulsekit._PAD:0:-1], T])
@@ -627,7 +712,7 @@ def _map_coordinates_lookup(tab, Ty, Tz, P, Z):
                                                  mode="mirror",
                                                  prefilter=False)
         t[ok] = part
-        if tab._half:
+        if real:
             np.conjugate(t, out=t, where=Z < 0.0)
         out.append(t)
     return out
@@ -670,29 +755,31 @@ def test_lookup_matches_map_coordinates(thermal_family, power_family, which):
     assert np.all(ty == 0.0) and np.all(tz == 0.0)
 
 
-def _full_table(tab, ty, tz):
-    """tab as a table whose frame holds the whole Z-grid (oracle): the
-    whole-grid values ty, tz through the copy-in prefilter with the mirror
-    boundary at both ends of Z, the frame every table kept before undelayed
-    ones stored Z >= 0 only.  Its lookup takes the full-frame path that
-    delayed tables take."""
-    return pulsekit.EnvelopeTable(tab.P_grid, tab.Z_grid,
-                                  _prefilter_copy_in(ty, tz, 1.0))
+def _full_table(ty, tz):
+    """The coefficient frame of whole-grid values ty, tz through the copy-in
+    prefilter with the mirror boundary at both ends of Z (oracle): the
+    frame every table kept before undelayed ones stored Z >= 0 only, and
+    delayed ones until they stored two real-weight parts on Z >= 0.
+    oracles.full_frame_lookup reads it."""
+    return _prefilter_copy_in(np.stack([ty, tz], axis=2), 1.0)
 
 
-@pytest.mark.parametrize("which", ["default", "power", "reach2", "shortest"])
+@pytest.mark.parametrize("which", ["default", "power", "reach2", "shortest",
+                                   "delayed"])
 def test_half_table_matches_full_table(thermal_family, power_family, which):
-    """An undelayed table keeps only Z >= 0 and reads Z < 0 as conjugates.
-    It reads what the full-frame table reads to 1e-13 of the peak: at 1e5
-    random points with both signs of Z, at Z = +0.0 and -0.0 and within
-    3 dZ of Z = 0, and exact zeros out of range or at NaN.  The default
-    table's coefficients take at most 0.52 of the full frame's 34.8 MB,
-    and a delayed table keeps the whole frame."""
+    """Every table keeps only Z >= 0 and reads Z < 0 as conjugates, of T
+    itself for a real weight and of each real-weight part for a delayed
+    one.  It reads what the full-frame table reads to 1e-13 of the peak:
+    at 1e5 random points with both signs of Z, at Z = +0.0 and -0.0 and
+    within 3 dZ of Z = 0, and exact zeros out of range or at NaN.  The
+    default table's coefficients take at most 0.52 of the full frame's
+    34.8 MB; a delayed table holds eight channels on the same columns."""
     fam, u, reach = _table_case(thermal_family, power_family, which)
     tab = fam.table(u, reach)
     ty, tz = _cached_grid_values(fam, u, reach)
-    full = _full_table(tab, ty, tz)
-    assert tab._half and not full._half
+    full = _full_table(ty, tz)
+    assert tab.coef.shape[1] - 3 == len(tab.Z_grid) // 2 + 1
+    assert full.shape[1] - 3 == len(tab.Z_grid)
     Pmax, Zmax = tab.P_grid[-1], tab.Z_grid[-1]
     dZ = 2.0 * Zmax / (len(tab.Z_grid) - 1)
     rng = np.random.default_rng(26)
@@ -702,7 +789,8 @@ def test_half_table_matches_full_table(thermal_family, power_family, which):
     Z[:1000], Z[1000:2000] = 0.0, -0.0
     Z[2000:12000] = (2.0 * rng.random(10_000) - 1.0) * 3.0 * dZ
     P[12000:12100], Z[12100:12200] = 0.0, -Zmax
-    got, want = tab.lookup(P, Z), full.lookup(P, Z)
+    got = tab.lookup(P, Z)
+    want = full_frame_lookup(tab.P_grid, tab.Z_grid, full, P, Z)
     peak = max(np.abs(ty).max(), np.abs(tz).max())
     worst = max(np.abs(g - w).max() for g, w in zip(got, want))
     assert worst <= 1e-13 * peak, worst / peak
@@ -716,26 +804,25 @@ def test_half_table_matches_full_table(thermal_family, power_family, which):
     assert np.all(ty_out == 0.0) and np.all(tz_out == 0.0)
 
     if which == "default":
-        assert full.coef.shape == (545, 2090, 4)
-        assert tab.coef.nbytes <= 0.52 * full.coef.nbytes
-        delayed = fam.table(0.7, reach)
-        assert delayed.coef.shape == full.coef.shape and not delayed._half
+        assert full.shape == (545, 2090, 4)
+        assert tab.coef.nbytes <= 0.52 * full.nbytes
+    if which == "delayed":
+        assert tab.coef.shape == (545, 1047, 8)
 
 
 @pytest.mark.parametrize("u", [0.0, 0.7])
 def test_build_table_memory(thermal_family, traced_peak, u):
     """The default build peaks below 27 MB and keeps below 20 MB when real,
-    below 48 and 70 MB when delayed: the one four-channel coefficient
-    array, 17.4 MB for the real table's Z >= 0 half and 34.8 MB for the
-    delayed table's whole Z-grid, and a few MB of block buffers beside it
-    (traced peaks 25.7 and 44.1 MB; with separate G_y and G_z arrays and
-    whole GEMM products they were 35.7 and 68.8 MB)."""
+    below 48 and 70 MB when delayed: the one coefficient array on Z >= 0,
+    17.4 MB for the real table's four channels and 34.8 MB for the delayed
+    table's eight, and a few MB of block buffers beside it (traced peaks
+    25.7 and 44.1 MB; with separate G_y and G_z arrays and whole GEMM
+    products they were 35.7 and 68.8 MB)."""
     tab, peak, retained = traced_peak(pulsekit._build_table, thermal_family,
                                       u, 16.0)
     peak_mb, kept_mb = (48, 70) if u else (27, 20)
-    columns = tab.Ty.shape[1] if u else tab.Ty.shape[1] // 2 + 1
     assert tab.coef.shape == (tab.Ty.shape[0] + pulsekit._PAD + 3,
-                              columns + 3, 4)
+                              tab.Ty.shape[1] // 2 + 1 + 3, 8 if u else 4)
     assert peak <= peak_mb * 2**20, peak / 2**20
     assert retained <= kept_mb * 2**20, retained / 2**20
 
@@ -744,8 +831,8 @@ def test_build_table_memory(thermal_family, traced_peak, u):
 def test_build_table_retains_only_coefficients(thermal_family, traced_peak,
                                                u):
     """A default build keeps at most 18 MB when real and 36 MB when
-    delayed: its 17.4 or 34.8 MB coefficient frame and its two grids, no
-    grid values."""
+    delayed: its 17.4 or 34.8 MB coefficient frame (four or eight channels
+    on Z >= 0) and its two grids, no grid values."""
     tab, _, retained = traced_peak(pulsekit._build_table, thermal_family,
                                    u, 16.0)
     kept_mb = 36 if u else 18

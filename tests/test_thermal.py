@@ -139,10 +139,15 @@ def test_g2_curve_matches_pointwise(ctx):
 
 
 def test_nan_separation_rejected(ctx):
-    with pytest.raises(ValueError):
+    """The message names the first bad separation, not the whole array."""
+    with pytest.raises(ValueError, match="got nan$"):
         thermal.g2_equal_time(ctx, float("nan"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got nan$"):
         thermal.g2_equal_time(ctx, np.array([1e-7, float("nan")]))
+    rs = np.linspace(0.0, 2e-6, 500)
+    rs[[7, 300]] = -3e-7, float("nan")
+    with pytest.raises(ValueError, match=r"nonnegative, got -3e-07$"):
+        thermal.g2_equal_time(ctx, rs)
 
 
 @pytest.mark.parametrize("orientation", ["parallel", "perpendicular"])
