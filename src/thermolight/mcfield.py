@@ -5,6 +5,9 @@ factorize into products of classical envelopes and the quantum expectation
 is exactly a classical average over pulse labels: positions uniform in the
 quantization cube, directions isotropic, polarization angle uniform.
 
+Both estimators read the envelopes at t = 0; G1 at a delay comes from the
+closed form, mixturekit.g1_improper.
+
 Draws come from serial counter-based Philox streams keyed by (seed, stream
 index): every stratum has a stream of its own, so results are
 deterministic for a given seed.
@@ -141,12 +144,14 @@ def _draw_shell(n: int, seed: int, stream: int, r: np.ndarray,
 def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
                     r: np.ndarray, tau: float, n: int, seed: int
                     ) -> EstimateWithError:
-    """MC estimate of the mixture first-order function G1_ii(r, r; tau).
+    """MC estimate of the mixture first-order function G1_ii(r, r; 0).
 
-    Averages conj(E_i(r, 0)) * E_i(r, tau) over pulse draws and applies the
-    density scale of the weight kind.  Positions are stratified in radial
-    shells around r: the intensity concentrates as 1/|delta|^6, so uniform
-    cube sampling would spend almost every draw where the product vanishes.
+    Averages |E_i(r, 0)|^2 over pulse draws and applies the density scale
+    of the weight kind.  A finite tau != 0 raises ValueError before any
+    draw or table build, as tables hold t = 0 only: G1 at a delay is
+    mixturekit.g1_improper.  Positions are stratified in radial shells
+    around r: the intensity concentrates as 1/|delta|^6, so uniform cube
+    sampling would spend almost every draw where the product vanishes.
     Draws outside the cube count as zero, so one sampler serves any cube and
     r; only in cubes much smaller than the shells does it waste draws (at a
     side of 2 envelope units its error bar is about twice a uniform one's).
@@ -167,6 +172,9 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     r = np.asarray(r, float)
     if not (math.isfinite(tau) and np.isfinite(r).all()):
         raise ValueError(f"tau and r must be finite, got {tau} and {r}")
+    if tau != 0.0:
+        raise ValueError(f"tau = {tau}: envelope tables hold t = 0 only; "
+                         f"G1 at a delay is mixturekit.g1_improper")
     half = omega ** (1.0 / 3.0) / 2.0
     # the last edge is the support radius, beyond which envelopes read zero
     edges = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, _DEFAULT_REACH]) \
@@ -182,7 +190,7 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
         for lo in range(0, n_k, _G1_ROWS):
             rows = slice(lo, lo + _G1_ROWS)
             x[rows] = _g1_samples(family, SampleBatch(
-                batch.r0[rows], batch.m_hat[rows], batch.n_hat[rows]), r, tau)
+                batch.r0[rows], batch.m_hat[rows], batch.n_hat[rows]), r)
         x[np.any(np.abs(batch.r0) > half, axis=1)] = 0.0
         w_k = 4.0 * math.pi / 3.0 * (edges[k + 1] ** 3 - edges[k] ** 3) / omega
         mean += w_k * x.mean()
@@ -192,13 +200,10 @@ def estimate_g1_mix(family: PulseFamily, weights: WeightSpec, omega: float,
                              std_error=math.sqrt(var) * scale)
 
 
-def _g1_samples(family: PulseFamily, batch: SampleBatch, r: np.ndarray,
-                tau: float) -> np.ndarray:
-    deltas = r[None, :] - batch.r0
-    a = envelope_batch(family, batch.m_hat, batch.n_hat, deltas, 0.0)
-    b = a if tau == 0.0 else envelope_batch(family, batch.m_hat,
-                                            batch.n_hat, deltas, tau)
-    return np.conj(a[:, _COMPONENT]) * b[:, _COMPONENT]
+def _g1_samples(family: PulseFamily, batch: SampleBatch, r: np.ndarray
+                ) -> np.ndarray:
+    a = envelope_batch(family, batch.m_hat, batch.n_hat, r[None, :] - batch.r0)
+    return np.conj(a[:, _COMPONENT]) * a[:, _COMPONENT]
 
 
 def _g2_samples(family: PulseFamily, table: EnvelopeTable,
@@ -259,7 +264,7 @@ def estimate_g2_mix(family: PulseFamily, weights: WeightSpec, omega: float,
     rb = np.array([0.0, 0.0, +R / 2.0])
     if reach is None:
         reach = max(_DEFAULT_REACH, R / (2.0 * ctx.length_scale) + 1.0)
-    table = family.table(0.0, reach=reach)
+    table = family.table(reach)
     edges = np.linspace(-side / 2.0, side / 2.0, n_strata + 1)
     per = _split_counts(n, n_strata)
     means = np.zeros(n_strata)

@@ -334,9 +334,14 @@ def unit_trace_scaling(family: PulseFamily,
     fixed Cartesian component over all pulse orientations at fixed |delta|
     gives one third of the radial total-intensity profile.  The tests check
     it against an explicit orientation quadrature of the per-component
-    position integral (mu_integral in tests/oracles.py).
+    position integral (mu_integral in tests/oracles.py).  Every volume must
+    be positive and finite, and the list increasing, or ValueError is raised
+    before the radial profile is read.
     """
     omegas = np.asarray(omega_list, float)
+    if not np.all((omegas > 0.0) & (omegas < math.inf)):
+        raise ValueError(f"omega_list must hold volumes with 0 < Omega < inf, "
+                         f"got {omega_list!r}")
     if np.any(np.diff(omegas) <= 0.0):
         raise ValueError("omega_list must be increasing")
     ctx = family.ctx

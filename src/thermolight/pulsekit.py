@@ -42,17 +42,16 @@ in P, J1 makes T_z odd), through the spline's recursive prefilter, run in
 place there.  The real and imaginary parts of both sit as channels of one
 real array, so one gather of the 4 x 4 neighbouring nodes and one set of
 spline weights per point give T_y and T_z together.  A table keeps only
-that array.  A real weight gives T(P, -Z) = conj T(P, Z), so a table
+that array.  The weight is real, so T(P, -Z) = conj T(P, Z): a table
 computes and stores only Z >= 0, extended across Z = 0 by the parity of
 each channel (real parts even, imaginary parts odd), and a lookup reads |Z|
-and conjugates where Z < 0.  A delay's complex weight is A + i B of two
-real ones; its table holds the channels of both, and a lookup conjugates
-each before it sums them.  The tests check the table against direct 2D
-Gauss-Legendre quadrature (transforms_direct) at listed points, near the
-axis, at the grid edges, and for a delayed table, its grid against the
-former FFT-then-Hankel order, its coefficients against scipy's
-spline_filter, the lookup against scipy's map_coordinates and the former
-whole-grid read, and a delayed table against two real-weight builds.
+and conjugates where Z < 0.  Tables hold the envelope at t = 0 only; G1 at
+a delay comes from the closed form, mixturekit.g1_improper.  The tests
+check the table against direct 2D Gauss-Legendre quadrature
+(transforms_direct) at listed points, near the axis and at the grid
+edges, its grid against the former FFT-then-Hankel order, its coefficients
+against scipy's spline_filter, and the lookup against scipy's
+map_coordinates and the former whole-grid read.
 
 Gaussian lineshapes appear only on the spectral side, in mixturekit's
 weight fit; no position-space field is built from them.
@@ -81,19 +80,17 @@ _SIXTEEN_PI3 = 16.0 * math.pi**3
 # enter through the SI prefactor alone.  One memo keyed on those values serves
 # every temperature and amplitude.  A default table (545 x 1047 x 4 real
 # B-spline coefficients on Z >= 0, no grid values) retains 17.4 MB (of 2^20
-# bytes) and a delayed one (545 x 1047 x 8, two real-weight parts) 34.8 MB,
-# measured with tracemalloc, so only the most recently used few are kept.
+# bytes, by tracemalloc), so only the most recently used few are kept.
 _MEMO_SIZE = 8
 _memo: OrderedDict = OrderedDict()
 
 # Table layout: the Hankel GEMM runs on _ROW_BLOCK rows of a at a time, and
-# each product is added to the sums through a buffer of _GEMM_ROWS real
-# lines of P (2.8 MB for the default table): a whole product of 534 rows
-# held 8 MB, and 64 lines made a cold default build about 15% slower.  The
-# FFT over b takes _FFT_LINES real lines at a time (rows of P, or the Re and
-# Im halves of a delayed table's rows): their spectra (8193 bins each for
+# each product is added to the sums through a buffer of _GEMM_ROWS rows of
+# P (2.8 MB for the default table): a whole product of 534 rows held 8 MB,
+# and 64 rows made a cold default build about 15% slower.  The FFT over b
+# takes _FFT_LINES rows of P at a time: their spectra (8193 bins each for
 # the default table) then hold 1 MB, which stays in a core's L2 cache; 64
-# lines at a time ran up to a quarter slower.  The B-spline prefilter sees
+# rows at a time ran up to a quarter slower.  The B-spline prefilter sees
 # the grid extended across P = 0 by _PAD rows, in a frame that holds every
 # tap of a lookup: 1 row and column below, 2 above.  Its mirror boundary
 # lies _PAD rows below P = 0, and its effect there has decayed by
@@ -113,16 +110,14 @@ _P_STEP = 0.03
 _SPLINE_POLE = math.sqrt(3.0) - 2.0
 _SPLINE_GAIN = 6.0
 
-# Parity in P of the four coefficient channels of one real weight (Re, Im of
-# T_y, then of T_z): J0 makes T_y even, J1 makes T_z odd.
+# Parity of the four coefficient channels (Re, Im of T_y, then of T_z): in
+# P, J0 makes T_y even and J1 makes T_z odd; in Z, T(P, -Z) = conj T(P, Z)
+# makes real parts even and imaginary parts odd (and zero at Z = 0).
 _PARITY = np.array([1.0, 1.0, -1.0, -1.0])
-
-# Their parity in Z, since a real weight has T(P, -Z) = conj T(P, Z): real
-# parts even, imaginary parts odd (and zero at Z = 0).
 _Z_PARITY = np.array([1.0, -1.0, 1.0, -1.0])
 
 # lookup reads _LOOKUP_BLOCK points at a time: its gather of 16 nodes x 4
-# channels then holds 2 MB (4 MB for a delayed table's 8).  The radial
+# channels then holds 2 MB.  The radial
 # profile reads the table _PROFILE_RADII radii (of 100 angles each) at a time.
 _LOOKUP_BLOCK = 4096
 _PROFILE_RADII = 250
@@ -138,9 +133,9 @@ _B_FLOOR = -8.0
 # The (a, b) grid's steps, a = x st and b = x mu.
 _DA = _DB = 0.025
 
-# The largest coefficient frame check_reach lets a table build: 512 MiB,
-# which a delayed table reaches near reach 61.
-_MAX_FRAME_BYTES = 512 * 2**20
+# The largest coefficient frame check_reach lets a table build: 256 MiB,
+# which a table reaches near reach 61.
+_MAX_FRAME_BYTES = 256 * 2**20
 
 # Largest |Delta| (dimensionless) of the default envelope table.  Envelopes
 # beyond it read as zero, so samplers that skip draws there use it too.
@@ -291,19 +286,15 @@ class EnvelopeTable:
     P = -_PAD dP.  A real weight has T(P, -Z) = conj T(P, Z), so coef holds
     only the columns Z >= 0: the spline is extended across Z = 0 by each
     channel's parity in Z (_Z_PARITY), and lookup reads |Z| and conjugates
-    where Z < 0.  coef is one real (rows, columns, channels) array, padded
-    with a boundary row and column below and two above so that every tap of
-    an in-range point lies inside it.  An undelayed table has the channels
-    (Re c_y, Im c_y, Re c_z, Im c_z), 545 x 1047 x 4 values or 17.4 MB (of
-    2^20 bytes) at the default reach.  A delayed weight W e^{-i x u} is
-    A + i B of the real weights A = Re(W e^{-i x u}), B = Im(W e^{-i x u}):
-    its table holds four channels for each (545 x 1047 x 8, 34.8 MB), and
-    lookup conjugates each by the sign of Z before it forms T = A + i B.
-    coef is C-contiguous and its own: _grid builds a narrow frame in wider
-    scratch rows and keeps a compact copy.  The table stores nothing else of
-    size: no grid values.  Ty and Tz rebuild those from coef on each access,
-    on the full Z_grid.  Tables compare and hash by identity: two builds are
-    distinct tables, whatever their values.
+    where Z < 0.  coef is one real (rows, columns, 4) array of the channels
+    (Re c_y, Im c_y, Re c_z, Im c_z), padded with a boundary row and column
+    below and two above so that every tap of an in-range point lies inside
+    it: 545 x 1047 x 4 values or 17.4 MB (of 2^20 bytes) at the default
+    reach.  coef is C-contiguous and its own: _grid builds a narrow frame
+    in wider scratch rows and keeps a compact copy.  The table stores
+    nothing else of size: no grid values.  Ty and Tz rebuild those from
+    coef on each access, on the full Z_grid.  Tables compare and hash by
+    identity: two builds are distinct tables, whatever their values.
     """
 
     P_grid: np.ndarray
@@ -329,26 +320,22 @@ class EnvelopeTable:
         """The spline at the grid nodes, for T_y (0) or T_z (1): at a node
         the cubic B-spline weighs its coefficient and the two beside it
         (1, 4, 1)/6 along each axis.  It equals the grid value up to the
-        prefilter's rounding.  Each real weight's part takes its columns
-        Z < 0 as the conjugates of those at -Z, and a delayed table's parts
-        are combined only then: T(-Z) = conj A(Z) + i conj B(Z)."""
+        prefilter's rounding.  The columns Z < 0 are the conjugates of
+        those at -Z."""
         n, m = len(self.P_grid), len(self.Z_grid)
         k = self.coef.shape[1] - 3                  # the columns coef holds
-        c = self.coef[_PAD:_PAD + n + 2, :k + 2].reshape(n + 2, k + 2, -1, 4)
-        c = c[..., 2 * which:2 * which + 2]         # (P, Z, part, Re / Im)
-        along_p = c[1:-1] * 4.0
+        c = self.coef[_PAD:_PAD + n + 2, :k + 2, 2 * which:2 * which + 2]
+        along_p = c[1:-1] * 4.0                     # (P, Z, Re / Im)
         along_p += c[:-2]
         along_p += c[2:]
-        out = np.empty((n, m, c.shape[2]), complex)
-        t = out.view(float).reshape(n, m, -1, 2)[:, m - k:]
+        out = np.empty((n, m), complex)
+        t = out.view(float).reshape(n, m, 2)[:, m - k:]
         np.multiply(along_p[:, 1:-1], 4.0, out=t)
         t += along_p[:, :-2]
         t += along_p[:, 2:]
         t /= 36.0
         np.conjugate(out[:, :m - k:-1], out=out[:, :m - k])
-        if c.shape[2] == 1:
-            return out[:, :, 0]
-        return out[:, :, 0] + 1j * out[:, :, 1]         # A + i B
+        return out
 
     def _inside_z(self, Z: np.ndarray) -> np.ndarray:
         """True where Z lies on the grid's Z range; NaN is outside."""
@@ -368,9 +355,8 @@ class EnvelopeTable:
         B-spline weights per axis, one gather of the 16 neighbouring
         coefficient rows and one weighted sum over them for every channel
         (Unser, Aldroubi & Eden, IEEE Trans. Signal Process. 41, 1993, 821).
-        The table is read at |Z|, and each real weight's transforms are
-        conjugated where Z is negative (-0.0 included, where the two agree);
-        a delayed table then combines its parts as A + i B.  Points outside
+        The table is read at |Z|, and the transforms are conjugated where Z
+        is negative (-0.0 included, where the two agree).  Points outside
         the grid, NaN included, read exactly zero.
         """
         P, Z = np.broadcast_arrays(np.asarray(P, float), np.asarray(Z, float))
@@ -380,8 +366,8 @@ class EnvelopeTable:
         tz = np.zeros(P.shape, complex)
         dP = Pg[1] - Pg[0]
         dZ = (Zg[-1] - Zg[0]) / (len(Zg) - 1)
-        _, ncol, channels = self.coef.shape
-        flat = self.coef.reshape(-1, channels)
+        ncol = self.coef.shape[1]
+        flat = self.coef.reshape(-1, 4)
         taps = (np.arange(4)[:, None] * ncol + np.arange(4)).ravel()
         P, Z, ok = P.reshape(-1), Z.reshape(-1), ok.reshape(-1)
         ty_flat, tz_flat = ty.reshape(-1), tz.reshape(-1)
@@ -392,14 +378,12 @@ class EnvelopeTable:
             wz, j = _bspline_weights(np.abs(z) / dZ)
             w = np.einsum("na,nb->nab", wp, wz).reshape(-1, 1, 16)
             nodes = flat.take((i * ncol + j)[:, None] + taps, axis=0)
-            both = (w @ nodes).view(complex)[:, 0]     # (n, channels / 2)
+            both = (w @ nodes).view(complex)[:, 0]     # (n, 2): T_y, T_z
             # conjugate by the sign of Z: 1-D strided products, several
             # times faster than a masked np.conjugate on these blocks
             sign = np.copysign(1.0, z)
             for pair in both.T:
                 np.multiply(pair.imag, sign, out=pair.imag)
-            if channels == 8:
-                both = both[:, :2] + 1j * both[:, 2:]      # A + i B
             ty_flat[sel] = both[:, 0]
             tz_flat[sel] = both[:, 1]
         return ty, tz
@@ -462,24 +446,21 @@ class PulseFamily:
 
     # -- envelope tables ------------------------------------------------
 
-    def table(self, u_delay: float = 0.0, reach: float = _DEFAULT_REACH
-              ) -> EnvelopeTable:
-        """T_y, T_z on a (P, Z) grid reaching |Delta| = reach, at delay u."""
-        if not math.isfinite(u_delay):
-            raise ValueError(f"delay u must be finite, got {u_delay}")
+    def table(self, reach: float = _DEFAULT_REACH) -> EnvelopeTable:
+        """T_y, T_z on a (P, Z) grid reaching |Delta| = reach, at t = 0."""
         check_reach(reach)
-        return _memoized(("table", self.shape, u_delay, reach),
-                         lambda: _build_table(self, u_delay, reach))
+        return _memoized(("table", self.shape, reach),
+                         lambda: _build_table(self, reach))
 
 
 def check_reach(reach: float) -> None:
     """Raise ValueError unless a table reaching |Delta| = reach is finite,
     has the _PAD + 1 rows of P its prefilter mirrors across P = 0 (a
     shorter table would be read with shifted B-spline coefficients), and
-    fits _MAX_FRAME_BYTES.  The size is that of a delayed table's frame
-    of 8 channels, the larger kind, from _grid's shape rules and without
-    building anything: 34.8 MB at the default reach, and the limit of
-    512 MiB is reached near reach 61."""
+    fits _MAX_FRAME_BYTES.  The size is that of the table's frame of 4
+    channels, from _grid's shape rules and without building anything:
+    17.4 MB at the default reach, and the limit of 256 MiB is reached
+    near reach 61."""
     # np.arange(0, reach + _P_STEP / 2, _P_STEP) in _grid has
     # ceil(lines) rows
     lines = (reach + _P_STEP / 2) / _P_STEP
@@ -488,9 +469,9 @@ def check_reach(reach: float) -> None:
                          f"P, {_P_STEP} apart, got {reach}")
     # Z >= 0 columns: the frequencies 2 pi k / (16384 _DB) within reach,
     # k = 0 .. half.  _grid lengthens its FFT only beyond reach 119.7,
-    # where this lower bound on the frame is already 1 GB.
+    # where this lower bound on the frame is already 0.9 GiB.
     half = float(np.floor(reach * 16384 * _DB / (2.0 * math.pi)))
-    size = 64.0 * (float(np.ceil(lines)) + _PAD + 3) * (half + 4.0)
+    size = 32.0 * (float(np.ceil(lines)) + _PAD + 3) * (half + 4.0)
     if size > _MAX_FRAME_BYTES:
         raise ValueError(f"a table reaching {reach} would hold "
                          f"{size / 2**20:.0f} MiB of coefficients or more, "
@@ -532,52 +513,46 @@ def thermal_radial_weight(x: np.ndarray) -> np.ndarray:
 # table construction
 
 
-def _build_table(family: PulseFamily, u_delay: float, reach: float
-                 ) -> EnvelopeTable:
+def _build_table(family: PulseFamily, reach: float) -> EnvelopeTable:
     """The envelope table: _grid's values of T_y, T_z on Z >= 0, turned
     into B-spline coefficients in place in their frame by _prefilter.  The
     table keeps only the coefficients (17.4 MB for the default table)."""
-    Pg, Zg, coef = _grid(family, u_delay, reach)
+    Pg, Zg, coef = _grid(family, reach)
     _prefilter(coef)
     coef.flags.writeable = False                      # shared via the memo
     return EnvelopeTable(P_grid=Pg, Z_grid=Zg, coef=coef)
 
 
-def _grid(family: PulseFamily, u_delay: float, reach: float
+def _grid(family: PulseFamily, reach: float
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hankel-then-FFT construction of T_y, T_z on a (P, Z) grid.
 
     Returns P_grid, Z_grid and the table's coefficient frame, a C-contiguous
-    real (len(P) + _PAD + 3, columns + 3, 4 lines) array whose rows
+    real (len(P) + _PAD + 3, columns + 3, 4) array whose rows
     1 + _PAD .. -3 and columns 1 .. -3 hold T_y and T_z as complex channel
-    pairs: (Re T_y, Im T_y, Re T_z, Im T_z) per real line of the weight,
-    one line undelayed, and the Re and Im lines of W e^{-i x u} delayed.
-    Every other entry is left unset for _prefilter to fill.  Z_grid is
-    symmetric about 0 bit for bit.  The columns are its Z >= 0 half, from
-    Z = 0 on: a real weight's transforms have T(P, -Z) = conj T(P, Z), so
-    the other half is not computed.
+    pairs (Re T_y, Im T_y, Re T_z, Im T_z).  Every other entry is left
+    unset for _prefilter to fill.  Z_grid is symmetric about 0 bit for bit.
+    The columns are its Z >= 0 half, from Z = 0 on: the weight is real, so
+    T(P, -Z) = conj T(P, Z) and the other half is not computed.
 
     With a = x st and b = x mu on uniform grids (trapezoid in a, plain sum
     in b), T_y(P, Z) = sum_b e^{i b Z} G_y(P, b) with
     G_y(P, b) = sum_a J0(P a) w_a W(a, b) mu, and T_z alike with J1 and st.
     Both sums are linear, so their order is free: the Hankel sums run first,
-    as one real GEMM per _ROW_BLOCK rows of a and transform (on the complex
-    weight's float view for a delayed table, see _weight_rows), accumulating
-    G_y and G_z on the b-grid; then one zero-padded real FFT per row of P,
-    transform and line, 2 lines len(P) in all, takes them to the frame's Z
-    columns.  Summing Fourier-first, a-row by a-row, would take 2 len(a)
-    FFTs and run the GEMM on the wider Z-grid; the tests keep that order as
-    an oracle.
+    as one real GEMM per _ROW_BLOCK rows of a and transform, accumulating
+    G_y and G_z on the b-grid; then one zero-padded real FFT per row of P
+    and transform, 2 len(P) in all, takes them to the frame's Z columns.
+    Summing Fourier-first, a-row by a-row, would take 2 len(a) FFTs and run
+    the GEMM on the wider Z-grid; the tests keep that order as an oracle.
 
     Nothing of the size of the frame is allocated beside it.  G_y and G_z
     accumulate inside the frame, side by side in the grid's own rows: a
-    frame row of 4 lines (columns + 3) floats holds the 2 lines len(b)
-    floats of both, for every reach above about 14.7.  A narrower frame is
-    built in scratch rows that wide and copied out compact at the end; a
-    wide one needs no copy.  Each GEMM product is added through a buffer of
-    _GEMM_ROWS real lines of P (half as many rows of a delayed table's
-    complex sums), and the FFT stage runs _FFT_LINES rows of P at a time,
-    both transforms of a block done before its T rows overwrite its G rows.
+    frame row of 4 (columns + 3) floats holds the 2 len(b) floats of both,
+    for every reach above about 14.7.  A narrower frame is built in scratch
+    rows that wide and copied out compact at the end; a wide one needs no
+    copy.  Each GEMM product is added through a buffer of _GEMM_ROWS rows
+    of P, and the FFT stage runs _FFT_LINES rows of P at a time, both
+    transforms of a block done before its T rows overwrite its G rows.
     The tests keep the former order, separate G_y and G_z arrays and whole
     GEMM products, as an oracle, and hold every frame to it bit for bit.
 
@@ -606,34 +581,31 @@ def _grid(family: PulseFamily, u_delay: float, reach: float
     Pg = np.arange(0.0, reach + _P_STEP / 2, _P_STEP)
 
     # the frame's flat rows, wide enough for G_y and G_z side by side
-    # (real lines per row of G: 1, or Re and Im for a delayed table)
-    n_p, lines = len(Pg), 1 if u_delay == 0.0 else 2
-    shape = (n_p + _PAD + 3, len(cols) + 3, 4 * lines)
-    width = lines * len(b)
+    n_p, width = len(Pg), len(b)
+    shape = (n_p + _PAD + 3, len(cols) + 3, 4)
     flat = np.zeros((shape[0], max(shape[1] * shape[2], 2 * width)))
     coef = flat[:, :shape[1] * shape[2]].reshape(shape)
     g_rows = flat[1 + _PAD:1 + _PAD + n_p]
     Gy, Gz = g_rows[:, :width], g_rows[:, width:2 * width]
-    chunk = _GEMM_ROWS // lines
-    prod = np.empty((min(chunk, n_p), width))
+    prod = np.empty((min(_GEMM_ROWS, n_p), width))
     for lo in range(0, len(a), _ROW_BLOCK):
         ab = a[lo:lo + _ROW_BLOCK]
         Pa = np.outer(Pg, ab)
         wb = wa[lo:lo + _ROW_BLOCK]
-        W = _weight_rows(family, ab, b, u_delay)
+        W = _weight_rows(family, ab, b)
         # real Bessel matrix times W as one real GEMM per chunk of P rows
         for k, (bessel, G) in enumerate(((special.j0, Gy), (special.j1, Gz))):
             J = bessel(Pa) * wb
-            for p in range(0, n_p, chunk):
-                m = len(J[p:p + chunk])
-                np.matmul(J[p:p + chunk], W[k], out=prod[:m])
-                G[p:p + chunk] += prod[:m]
+            for p in range(0, n_p, _GEMM_ROWS):
+                rows = slice(p, p + _GEMM_ROWS)
+                m = len(J[rows])
+                np.matmul(J[rows], W[k], out=prod[:m])
+                G[rows] += prod[:m]
         del W        # freed before the next block's weights are built
     del prod
 
-    # (P, Z, line, (T_y, T_z)) as complex channels, line by line
-    grid = coef[1 + _PAD:-2, 1:-2].view(complex).reshape(
-        n_p, len(cols), lines, 2)
+    # (P, Z, (T_y, T_z)) as complex channels
+    grid = coef[1 + _PAD:-2, 1:-2].view(complex)
     block = np.empty((min(_FFT_LINES, n_p),) + grid.shape[1:], complex)
     for lo in range(0, n_p, _FFT_LINES):
         rows = slice(lo, lo + _FFT_LINES)
@@ -644,17 +616,16 @@ def _grid(family: PulseFamily, u_delay: float, reach: float
     return Pg, Zg, np.ascontiguousarray(coef)
 
 
-def _weight_rows(family: PulseFamily, a: np.ndarray, b: np.ndarray,
-                 u_delay: float) -> tuple[np.ndarray, np.ndarray]:
+def _weight_rows(family: PulseFamily, a: np.ndarray, b: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """The Hankel GEMM's right-hand sides W mu and W st on the rows a of
-    the (a, b) grid, as real (len(a), len(b)) arrays, or for a delayed
-    table the (len(a), 2 len(b)) float views of complex ones.
+    the (a, b) grid, as real (len(a), len(b)) arrays.
 
     At x = hypot(a, b), mu = b / x and st = a / x, the weight is
-    W = R(x) upsilon(mu) a / x^2 (the Jacobian of (x, mu) -> (a, b)), times
-    e^{-i x u} with a delay, R(x) = x^{5/2} / sqrt(e^x - 1) as in
-    thermal_radial_weight.  Each element takes the operations of those
-    formulas in their order, on whole blocks by broadcasting and in place.
+    W = R(x) upsilon(mu) a / x^2 (the Jacobian of (x, mu) -> (a, b)), with
+    R(x) = x^{5/2} / sqrt(e^x - 1) as in thermal_radial_weight.  Each
+    element takes the operations of those formulas in their order, on whole
+    blocks by broadcasting and in place.
     The row a = 0 is zero, as a / x^2 is there; every other row has
     x >= a >= _DA, far above thermal_radial_weight's cut at 1e-12, so no
     element is masked.
@@ -672,59 +643,38 @@ def _weight_rows(family: PulseFamily, a: np.ndarray, b: np.ndarray,
         del ups
         W *= np.divide(A, np.multiply(x, x, out=t), out=t)  # the Jacobian
         st = np.divide(A, x, out=t)
-    if u_delay != 0.0:
-        ph = np.multiply(x, -1j)
-        del x
-        ph *= u_delay
-        np.exp(ph, out=ph)
-        ph *= W
-        W = ph                                              # W e^{-i x u}
-        wmu = np.multiply(W, mu, out=np.empty_like(W))
-        del mu
-        wst = np.multiply(W, st, out=W)
-    else:
-        wmu, wst = np.multiply(W, mu, out=mu), np.multiply(W, st, out=st)
+    wmu, wst = np.multiply(W, mu, out=mu), np.multiply(W, st, out=st)
     wmu[a == 0.0] = 0.0
     wst[a == 0.0] = 0.0
-    return wmu.view(float), wst.view(float)
+    return wmu, wst
 
 
 def _fourier_rows(G: np.ndarray, nfft: int, cols: np.ndarray,
                   phase: np.ndarray, out: np.ndarray) -> None:
-    """out[P, Z, l] = sum_b e^{i b Z} G_l[P, b] db at the Z >= 0 of cols,
-    for each real line l of G's rows, by one zero-padded real FFT per line,
-    numpy's rfft (numpy 2's pocketfft, the same bits as scipy.fft's).
+    """out[P, Z] = sum_b e^{i b Z} G[P, b] db at the Z >= 0 of cols, for
+    each row of G, by one zero-padded real FFT per row, numpy's rfft
+    (numpy 2's pocketfft, the same bits as scipy.fft's).
 
-    G is real, (rows, lines len(b)), its lines interleaved along b: one
-    line per row, or the Re and Im lines of a delayed table's complex sums
-    (their float view).  out is complex (rows, len(cols), lines).  For a
-    real line x, sum_b x_b e^{+2 pi i b k / nfft} is the conjugate of rfft
-    bin k, and cols are bins k <= nfft / 2.  The FFTs run _FFT_LINES lines
-    at a time; rfft zero-pads each line as it reads it, and a block of two
-    lines per row is first copied with each line contiguous, which rfft
-    reads faster.  G may be a view with rows apart, such as the sums _grid
-    keeps in the frame's rows, and out any view of that shape.  Lines are
-    transformed one by one, so neither the block sizes nor the strides
-    change a bit of the result.
+    G is real, (rows, len(b)); out is complex (rows, len(cols)).  For a
+    real row x, sum_b x_b e^{+2 pi i b k / nfft} is the conjugate of rfft
+    bin k, and cols are bins k <= nfft / 2.  The FFTs run _FFT_LINES rows
+    at a time; rfft zero-pads each row as it reads it.  G may be a view
+    with rows apart, such as the sums _grid keeps in the frame's rows, and
+    out any view of that shape.  Rows are transformed one by one, so
+    neither the block size nor the strides change a bit of the result.
     """
-    lines = out.shape[2]
-    parts = G.reshape(len(G), -1, lines).transpose(0, 2, 1)   # (rows, l, b)
-    rows = _FFT_LINES // lines
-    for lo in range(0, len(G), rows):
-        block = parts[lo:lo + rows]
-        if lines == 2:
-            block = np.ascontiguousarray(block)
-        F = np.fft.rfft(block, n=nfft, axis=2).take(cols, axis=2)
+    for lo in range(0, len(G), _FFT_LINES):
+        F = np.fft.rfft(G[lo:lo + _FFT_LINES], n=nfft, axis=1)[:, cols]
         np.conjugate(F, out=F)
         F *= phase
-        out[lo:lo + rows] = F.transpose(0, 2, 1)
+        out[lo:lo + _FFT_LINES] = F
 
 
 def _prefilter(coef: np.ndarray) -> None:
     """Cubic B-spline coefficients, in place, of the grid values _grid left
-    in the frame coef, as the channels (Re c_y, Im c_y, Re c_z, Im c_z) of
-    each real weight, extended across P = 0 by _PAD rows of _PARITY and
-    across the first column, Z = 0, by _Z_PARITY.
+    in the frame coef, as the channels (Re c_y, Im c_y, Re c_z, Im c_z),
+    extended across P = 0 by _PAD rows of _PARITY and across the first
+    column, Z = 0, by _Z_PARITY.
 
     Apart from the parity in Z, the filter is ndimage.spline_filter's with
     its "mirror" boundary (the tests keep that as the oracle), written out:
@@ -738,16 +688,14 @@ def _prefilter(coef: np.ndarray) -> None:
     mirror boundary too (np.pad's "reflect"), the column below times the
     parity in Z: it holds every tap lookup can reach.
     """
-    parts = coef.shape[2] // 4
-    parity, z_parity = np.tile(_PARITY, parts), np.tile(_Z_PARITY, parts)
     inner = coef[1:-2, 1:-2]
     inner[_PAD:] *= _SPLINE_GAIN ** 2
-    np.multiply(inner[2 * _PAD:_PAD:-1], parity, out=inner[:_PAD])
+    np.multiply(inner[2 * _PAD:_PAD:-1], _PARITY, out=inner[:_PAD])
     _spline_recursions(inner)                                   # along P
-    _spline_recursions(np.moveaxis(inner, 1, 0), z_parity)      # along Z
+    _spline_recursions(np.moveaxis(inner, 1, 0), _Z_PARITY)     # along Z
     # mirror about the first and last node: index -1 reads 1, n reads n - 2
     # and n + 1 reads n - 3, as np.pad's "reflect" would fill them
-    for axis, sign in ((0, 1.0), (1, z_parity)):
+    for axis, sign in ((0, 1.0), (1, _Z_PARITY)):
         c = np.moveaxis(coef, axis, 0)
         c[0], c[-2], c[-1] = sign * c[2], c[-4], c[-5]
 
@@ -792,14 +740,13 @@ def _spline_recursions(lines: np.ndarray,
 
 
 def transforms_direct(family: PulseFamily, P: float, Z: float,
-                      u_delay: float = 0.0,
                       nx: int | None = None, nmu: int | None = None
                       ) -> tuple[complex, complex]:
     """T_y, T_z by direct 2D Gauss-Legendre quadrature (oracle path).
 
     Node counts scale with the phase x*Z across the radial range so the
     oscillatory far zone stays resolved; doubling them is the convergence
-    check used in the tests.  A P, Z or u_delay that is not finite raises
+    check used in the tests.  A P or Z that is not finite raises
     ValueError before any rule is built.
 
     The full nx x nmu rule is evaluated, folded on the parity of mu: the
@@ -809,7 +756,7 @@ def transforms_direct(family: PulseFamily, P: float, Z: float,
     separable, so everything but the phase and the Bessel arguments folds
     into one weight per node of x and four per node of mu >= 0:
 
-        xa = x-weight * R(x) * e^{-i x u_delay}
+        xa = x-weight * R(x)
         vy_c, vy_s = W mu (upsilon(mu) -+ upsilon(-mu))
         vz_c, vz_s = W st (upsilon(mu) +- upsilon(-mu))
 
@@ -832,7 +779,7 @@ def transforms_direct(family: PulseFamily, P: float, Z: float,
     far rows' c and s come from one complex product with
     (cos, sin)(_X_MAX mu Z), exact up to rounding.
     """
-    for name, value in (("P", P), ("Z", Z), ("u_delay", u_delay)):
+    for name, value in (("P", P), ("Z", Z)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     dist = math.hypot(P, Z)
@@ -847,7 +794,8 @@ def transforms_direct(family: PulseFamily, P: float, Z: float,
     if nmu % 2:
         wmu[0] *= 0.5                       # mu = 0 enters once, half per side
     st = np.sqrt(1.0 - mu**2)
-    xa = xw * thermal_radial_weight(x) * np.exp(-1j * x * u_delay)
+    # complex: a real xa sums the rows of Z = 0 in another order (c3 moves)
+    xa = (xw * thermal_radial_weight(x)).astype(complex)
     up, um = family.upsilon(mu), family.upsilon(-mu)
     even, odd = wmu * (up + um), wmu * (up - um)
     vy_c, vy_s, vz_c, vz_s = mu * odd, mu * even, st * even, st * odd
@@ -902,9 +850,9 @@ def transforms_direct(family: PulseFamily, P: float, Z: float,
 
 
 def envelope_batch(family: PulseFamily, m_hats: np.ndarray, n_hats: np.ndarray,
-                   deltas: np.ndarray, t: float = 0.0,
-                   reach: float = _DEFAULT_REACH) -> np.ndarray:
-    """Classical field envelopes of many pulses at once, at time t.
+                   deltas: np.ndarray, reach: float = _DEFAULT_REACH
+                   ) -> np.ndarray:
+    """Classical field envelopes of many pulses at once, at t = 0.
 
     m_hats, n_hats, deltas: (N, 3) arrays, deltas in meters (already r - r0).
     Returns an (N, 3) complex array of lab-frame field vectors,
@@ -918,7 +866,7 @@ def envelope_batch(family: PulseFamily, m_hats: np.ndarray, n_hats: np.ndarray,
     raises ValueError (the checks of _frame_coordinates).
     """
     at = _frame_coordinates(family, m_hats, n_hats, [deltas])
-    tab = family.table(t / family.ctx.time_scale, reach=reach)
+    tab = family.table(reach)
     return _table_fields(family, tab, at)[0]
 
 
@@ -1055,7 +1003,7 @@ def radial_intensity_profile(family: PulseFamily) -> tuple[np.ndarray, np.ndarra
     SI (V/m)^2.
     """
     grid, power = _memoized(("radial_profile", family.shape),
-                            lambda: _mean_transform_power(family.table(0.0)))
+                            lambda: _mean_transform_power(family.table()))
     return grid, abs(family.envelope_prefactor() * 2.0 * math.pi) ** 2 * power
 
 
@@ -1064,13 +1012,11 @@ def _mean_transform_power(table: EnvelopeTable) -> tuple[np.ndarray, np.ndarray]
 
     The average, half the integral over cos(theta) in [-1, 1], is taken as
     the integral over [0, 1] on the 100 positive nodes of a 200-node rule.
-    That fold holds for an undelayed table only: with a real weight w,
-    e^{-i x mu Z} is the conjugate of e^{i x mu Z}, so T(P, -Z) =
-    conj(T(P, Z)) and both powers are even in cos(theta); a delay u != 0
-    makes w complex and breaks it.  On the table the fold is exact: a
-    table stores only Z >= 0 and an undelayed table's lookup reads
-    T(P, -Z) as the conjugate of T(P, Z), so the spline too is symmetric
-    bit for bit.
+    The fold holds because the weight w is real: e^{-i x mu Z} is the
+    conjugate of e^{i x mu Z}, so T(P, -Z) = conj(T(P, Z)) and both powers
+    are even in cos(theta).  On the table the fold is exact: a table stores
+    only Z >= 0 and its lookup reads T(P, -Z) as the conjugate of T(P, Z),
+    so the spline too is symmetric bit for bit.
 
     The 3000 x 100 points are read _PROFILE_RADII radii at a time into one
     power array, and the rule's weights are applied to the whole array at

@@ -37,6 +37,10 @@ PI4_OVER_15 = math.pi**4 / 15.0
 _M_EXPLICIT = 64
 _M_TERMS = np.arange(1.0, _M_EXPLICIT)
 
+# The largest order bose_moment takes: _moment_at's scaled powers of
+# m + i|u| stay finite at every u for n < 130 (see there).
+_MAX_ORDER = 129
+
 
 class AccuracyError(RuntimeError):
     """Raised when a result cannot be certified to the requested accuracy.
@@ -56,7 +60,7 @@ def bose_moment(n: int, u: float | np.ndarray) -> complex | np.ndarray:
     Parameters
     ----------
     n : int
-        Power of x in the integrand, n >= 1.
+        Power of x in the integrand, an integer 1 <= n <= _MAX_ORDER.
     u : float or array
         Dimensionless conjugate variable (delay in units of beta*hbar).
 
@@ -71,15 +75,20 @@ def bose_moment(n: int, u: float | np.ndarray) -> complex | np.ndarray:
     Raises
     ------
     ValueError
-        If n < 1, or any u is NaN or infinite.
+        If n is not an integer (a bool is not one), n < 1 or
+        n > _MAX_ORDER, or any u is NaN or infinite.
 
     Notes
     -----
     bose_moment(n, -u) = conj(bose_moment(n, u)) holds exactly because the
     series is summed at |u| and conjugated for negative u.
     """
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValueError(f"order n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"order n must be >= 1, got {n}")
+    if n > _MAX_ORDER:
+        raise ValueError(f"order n must be at most {_MAX_ORDER}, got {n}")
     if np.ndim(u) == 0:
         return _moment_at(n, float(u))
     u = np.asarray(u, dtype=float)

@@ -11,7 +11,6 @@ become testable statements instead of numerical coincidences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,18 @@ HBAR = 1.054571817e-34        # J s
 C_LIGHT = 299792458.0         # m / s
 K_BOLTZMANN = 1.380649e-23    # J / K
 EPSILON_0 = 8.8541878128e-12  # F / m
+
+# The library forms powers of beta hbar c up to the fourth (the G1 scale
+# hbar c / (6 pi^2 eps0 (beta hbar c)^4)), and G2 is a product of two G1s,
+# so its SI values carry (beta hbar c)^(-8).  make_context keeps
+# beta hbar c within 10^(+-_SCALE_DECADES) m, so those eighth powers stay
+# within 10^(+-184) and leave over 120 decades of float range to the SI
+# constants, volumes and counts they are multiplied with.  Outside it
+# fig1 returned NaN (T = 1e-40 K) or overflowed (1e40 K).  These are the
+# temperatures hbar c / (k_B 10^(+-_SCALE_DECADES) m), 2.29e-26 to 2.29e20 K.
+_SCALE_DECADES = 23
+T_MIN_K = HBAR * C_LIGHT / K_BOLTZMANN / 10.0**_SCALE_DECADES
+T_MAX_K = HBAR * C_LIGHT / K_BOLTZMANN * 10.0**_SCALE_DECADES
 
 
 @dataclass(frozen=True)
@@ -55,11 +66,15 @@ def make_context(temperature_K: float) -> PhysicalContext:
     Raises
     ------
     ValueError
-        If the temperature is not strictly positive and finite (T = inf
-        would give beta = 0 and zero length and time scales).
+        Unless T_MIN_K <= T <= T_MAX_K (so for NaN and inf too): the
+        temperatures whose beta hbar c keeps every SI value the library
+        forms inside float range.
     """
-    if not 0.0 < temperature_K < math.inf:
-        raise ValueError(f"temperature must be positive and finite, got {temperature_K}")
+    if not T_MIN_K <= temperature_K <= T_MAX_K:
+        raise ValueError(f"temperature T must lie in [{T_MIN_K:.3g}, "
+                         f"{T_MAX_K:.3g}] K, where beta hbar c lies in "
+                         f"[1e-{_SCALE_DECADES}, 1e{_SCALE_DECADES}] m, "
+                         f"got {temperature_K!r}")
     beta = 1.0 / (K_BOLTZMANN * temperature_K)
     return PhysicalContext(temperature_K=float(temperature_K), beta=beta)
 

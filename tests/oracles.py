@@ -36,32 +36,29 @@ def spectral_weight(family: PulseFamily, x: np.ndarray, mu: np.ndarray
     return thermal_radial_weight(x) * family.upsilon(mu)
 
 
-def weights_masked(family: PulseFamily, a: np.ndarray, b: np.ndarray,
-                   u_delay: float) -> tuple[np.ndarray, np.ndarray]:
+def weights_masked(family: PulseFamily, a: np.ndarray, b: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """W mu and W st on the rows a of the (a, b) grid as the table build
     used to form them (oracle of pulsekit._weight_rows): from meshgrid
     copies, with every division masked where x = 0 and the radial weight
-    through thermal_radial_weight's masked gather.  Complex for a delay."""
+    through thermal_radial_weight's masked gather."""
     A, B = np.meshgrid(a, b, indexing="ij")
     X = np.hypot(A, B)
     MU = np.divide(B, X, out=np.zeros_like(B), where=X > 0)
     ST = np.divide(A, X, out=np.zeros_like(A), where=X > 0)
     jac = np.divide(A, X * X, out=np.zeros_like(A), where=X > 0)
     W = spectral_weight(family, X, MU) * jac
-    if u_delay != 0.0:
-        W = W * np.exp(-1j * X * u_delay)
     return W * MU, W * ST
 
 
-def grid_separate_accumulators(family: PulseFamily, u_delay: float,
-                               reach: float) -> np.ndarray:
+def grid_separate_accumulators(family: PulseFamily, reach: float
+                               ) -> np.ndarray:
     """T_y and T_z on the columns Z >= 0 pulsekit._grid's frame holds,
     summed in its former order: the weights from meshgrid copies and masked
     divides, one whole (len(P), len(b)) GEMM product per block of
     _ROW_BLOCK rows of a added to separate G_y and G_z arrays, then every
-    row of each through _fourier_rows.  One complex (len(P), columns,
-    2 lines) array in the frame's channel order: (T_y, T_z) per real line
-    of the weight, the Re and Im lines of a delayed one."""
+    row of each through _fourier_rows.  One complex (len(P), columns, 2)
+    array in the frame's channel order (T_y, T_z)."""
     da = db = 0.025
     a = np.arange(0.0, pulsekit._X_MAX + da / 2, da)
     b = np.arange(pulsekit._B_FLOOR, pulsekit._X_MAX + db / 2, db)
@@ -77,21 +74,18 @@ def grid_separate_accumulators(family: PulseFamily, u_delay: float,
     cols = cols[Zk[cols] >= 0.0]
     phase = np.exp(1j * b[0] * Zk[cols]) * db
     Pg = np.arange(0.0, reach + pulsekit._P_STEP / 2, pulsekit._P_STEP)
-    lines = 1 if u_delay == 0.0 else 2
-    Gy = np.zeros((len(Pg), len(b)), float if lines == 1 else complex)
+    Gy = np.zeros((len(Pg), len(b)))
     Gz = np.zeros_like(Gy)
     for lo in range(0, len(a), pulsekit._ROW_BLOCK):
         ab = a[lo:lo + pulsekit._ROW_BLOCK]
-        wmu, wst = weights_masked(family, ab, b, u_delay)
+        wmu, wst = weights_masked(family, ab, b)
         Pa = np.outer(Pg, ab)
         wb = wa[lo:lo + pulsekit._ROW_BLOCK]
-        Gy += ((special.j0(Pa) * wb) @ wmu.view(float)).view(Gy.dtype)
-        Gz += ((special.j1(Pa) * wb) @ wst.view(float)).view(Gz.dtype)
-    out = np.empty((len(Pg), len(cols), 2 * lines), complex)
+        Gy += (special.j0(Pa) * wb) @ wmu
+        Gz += (special.j1(Pa) * wb) @ wst
+    out = np.empty((len(Pg), len(cols), 2), complex)
     for k, G in enumerate((Gy, Gz)):
-        T = np.empty((len(Pg), len(cols), lines), complex)
-        pulsekit._fourier_rows(G.view(float), nfft, cols, phase, out=T)
-        out[:, :, k::2] = T
+        pulsekit._fourier_rows(G, nfft, cols, phase, out=out[:, :, k])
     return out
 
 
@@ -100,12 +94,11 @@ def full_frame_lookup(P_grid: np.ndarray, Z_grid: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """T_y, T_z read from a four-channel coefficient frame that holds the
     whole Z-grid, with the mirror boundary at both ends of Z (oracle):
-    EnvelopeTable.lookup's read of such a frame, which delayed tables kept
-    before every table stored Z >= 0 only.  The node below Z is
-    floor(Z / dZ) plus the column of Z = 0, so the coordinate rounds like
-    |Z| / dZ, not like (Z - Z_min) / dZ, which is off by up to 2.3e-13
-    nodes everywhere.  Points outside the grid, NaN included, read exactly
-    zero."""
+    EnvelopeTable.lookup's read of such a frame, which tables kept before
+    they stored Z >= 0 only.  The node below Z is floor(Z / dZ) plus the
+    column of Z = 0, so the coordinate rounds like |Z| / dZ, not like
+    (Z - Z_min) / dZ, which is off by up to 2.3e-13 nodes everywhere.
+    Points outside the grid, NaN included, read exactly zero."""
     P = np.asarray(P, float)
     Z = np.asarray(Z, float)
     Pg, Zg = P_grid, Z_grid
@@ -154,7 +147,7 @@ def mu_integral(family: PulseFamily, m_hat, psi: float, r: np.ndarray,
     n_hat = transverse_frames(m_hat, np.array([float(psi)]))
     L = omega ** (1.0 / 3.0) / ctx.length_scale
     rd = np.asarray(r, float) / ctx.length_scale
-    table = family.table(0.0)
+    table = family.table()
     S = table.support_radius * 0.999
 
     axes = []
@@ -196,9 +189,9 @@ def g2_mix_two_envelope_calls(family: PulseFamily, weights: WeightSpec,
                                    z_range=(float(edges[k]),
                                             float(edges[k + 1])))
         ea = envelope_batch(family, batch.m_hat, batch.n_hat,
-                            ra[None, :] - batch.r0, 0.0, reach=reach)
+                            ra[None, :] - batch.r0, reach=reach)
         eb = envelope_batch(family, batch.m_hat, batch.n_hat,
-                            rb[None, :] - batch.r0, 0.0, reach=reach)
+                            rb[None, :] - batch.r0, reach=reach)
         x = np.abs(ea[:, 2]) ** 2 * np.abs(eb[:, 2]) ** 2
         means[k] = float(x.mean())
         variances[k] = float(x.var(ddof=1)) / per[k]

@@ -140,15 +140,23 @@ def test_coherence_time_run_and_determinism(tmp_path: Path):
     assert csv.read_bytes() == (d2 / "coherence-time.csv").read_bytes()
 
 
-def test_fig1_reports_known_deviation(tmp_path: Path):
+def _run_in_process(capsys, *args: str) -> tuple[int, str, str]:
+    """cli.main's exit code for args, with its stdout and stderr."""
+    code = _exit_code(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_fig1_reports_known_deviation(tmp_path: Path, capsys):
     """The ratio curve starts at 2 but is not yet flat at the micron scale,
     so the experiment must report the failed flatness check and exit 1."""
     out = tmp_path / "fig1"
-    cp = run_cli("fig1", "--out", str(out), "--n-points", "60",
-                 "--rmax-um", "1.5")
-    assert cp.returncode == 1, cp.stdout + cp.stderr
-    assert "[FAIL] max_deviation_beyond_0p4um" in cp.stdout
-    assert "[PASS] start_ratio" in cp.stdout
+    code, stdout, stderr = _run_in_process(
+        capsys, "fig1", "--out", str(out), "--n-points", "60",
+        "--rmax-um", "1.5")
+    assert code == 1, stdout + stderr
+    assert "[FAIL] max_deviation_beyond_0p4um" in stdout
+    assert "[PASS] start_ratio" in stdout
 
     csv = out / "fig1.csv"
     lines = [l for l in csv.read_text().splitlines() if not l.startswith("#")]
@@ -171,30 +179,31 @@ def test_fig1_reports_known_deviation(tmp_path: Path):
     assert not missing, missing[:5]
 
 
-def test_gaussian_scan_feasible_subset(tmp_path: Path):
+def test_gaussian_scan_feasible_subset(tmp_path: Path, capsys):
     out = tmp_path / "scan"
-    cp = run_cli("gaussian-scan", "--out", str(out),
-                 "--durations", "1ps,10ps")
-    assert cp.returncode == 0, cp.stdout + cp.stderr
+    code, stdout, stderr = _run_in_process(
+        capsys, "gaussian-scan", "--out", str(out), "--durations", "1ps,10ps")
+    assert code == 0, stdout + stderr
     report = json.loads((out / "report.json").read_text())
     assert report["all_passed"] is True
 
 
-def test_gaussian_scan_short_pulse_infeasible(tmp_path: Path):
+def test_gaussian_scan_short_pulse_infeasible(tmp_path: Path, capsys):
     out = tmp_path / "scan10"
-    cp = run_cli("gaussian-scan", "--out", str(out),
-                 "--durations", "10fs,1ps")
-    assert cp.returncode == 1, cp.stdout + cp.stderr
-    assert "[FAIL] residual_10fs_infeasible" in cp.stdout
+    code, stdout, stderr = _run_in_process(
+        capsys, "gaussian-scan", "--out", str(out), "--durations", "10fs,1ps")
+    assert code == 1, stdout + stderr
+    assert "[FAIL] residual_10fs_infeasible" in stdout
     report = json.loads((out / "report.json").read_text())
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert failed == {"residual_10fs_infeasible"}
 
 
-def test_simcond_thermal_passes(tmp_path: Path):
+def test_simcond_thermal_passes(tmp_path: Path, capsys):
     out = tmp_path / "sim"
-    cp = run_cli("simcond-thermal", "--out", str(out), "--n-tau", "20")
-    assert cp.returncode == 0, cp.stdout + cp.stderr
+    code, stdout, stderr = _run_in_process(
+        capsys, "simcond-thermal", "--out", str(out), "--n-tau", "20")
+    assert code == 0, stdout + stderr
     report = json.loads((out / "report.json").read_text())
     byname = {c["name"]: c for c in report["checks"]}
     assert byname["residual_exp"]["value"] < 1e-6
@@ -202,10 +211,11 @@ def test_simcond_thermal_passes(tmp_path: Path):
     assert (out / "simcond-thermal.svg").exists()
 
 
-def test_fock_demo_passes(tmp_path: Path):
+def test_fock_demo_passes(tmp_path: Path, capsys):
     out = tmp_path / "fock"
-    cp = run_cli("fock-demo", "--out", str(out), "--n-free", "2000")
-    assert cp.returncode == 0, cp.stdout + cp.stderr
+    code, stdout, stderr = _run_in_process(
+        capsys, "fock-demo", "--out", str(out), "--n-free", "2000")
+    assert code == 0, stdout + stderr
     report = json.loads((out / "report.json").read_text())
     assert report["all_passed"] is True
     names = {c["name"] for c in report["checks"]}
@@ -303,12 +313,21 @@ def test_fock_demo_builds_each_density_matrix_once(tmp_path: Path,
     ("fig1", "--rmax-um", "nan"),
     ("simcond-thermal", "--tau-max-fs", "inf"),
     ("simcond-thermal", "--tau-max-fs", "nan"),
+    ("fig1", "--T", "1e-40"),
+    ("coherence-time", "--T", "1e-300"),
+    ("simcond-thermal", "--T", "1e-60"),
+    ("fig1", "--T", "1e40"),
+    ("simcond-thermal", "--T", "1e40"),
+    ("fock-demo", "--T", "1e30"),
+    ("scaling", "--T", "1e-300"),
 ])
 def test_bad_configuration_exits_two(tmp_path: Path, capsys, args):
     """A --config argument here is the INI text; it is written to a file.
     In-process: an exception that escapes cli.main fails the test, as a
     traceback from a subprocess would, and so does a RuntimeWarning.  A
-    range check on a setting names it in its message."""
+    range check on a setting names it in its message.  A temperature
+    outside make_context's range gave NaN checks, an overflow, warnings or
+    LAPACK's text on stderr."""
     if "--config" in args:
         at = args.index("--config") + 1
         ini = tmp_path / "bad.ini"
@@ -322,6 +341,8 @@ def test_bad_configuration_exits_two(tmp_path: Path, capsys, args):
     for flag in ("--rmax-um", "--tau-max-fs"):
         if flag in args:
             assert flag[2:].replace("-", "_") in err, err
+    if "--T" in args:
+        assert "temperature T" in err, err
 
 
 # Every flag's dest and help text, and each experiment's settings at their
@@ -399,26 +420,29 @@ def test_config_layers_merge_in_order(tmp_path: Path):
     assert (cfg["tol_flat"], cfg["rmax_um"]) == (0.02, 2.0)
 
 
-def test_unknown_config_key_exits_two(tmp_path: Path):
+def test_unknown_config_key_exits_two(tmp_path: Path, capsys):
     ini = tmp_path / "bad.ini"
     ini.write_text("[fig1]\nwibble = 3\n")
-    cp = run_cli("fig1", "--config", str(ini), "--out", str(tmp_path / "y"))
-    assert cp.returncode == 2
-    assert "wibble" in cp.stderr
+    code, _, stderr = _run_in_process(
+        capsys, "fig1", "--config", str(ini), "--out", str(tmp_path / "y"))
+    assert code == 2
+    assert "wibble" in stderr
 
 
-def test_zero_tolerance_exits_two(tmp_path: Path):
+def test_zero_tolerance_exits_two(tmp_path: Path, capsys):
     ini = tmp_path / "tol.ini"
     ini.write_text("[fig1]\ntol_start = 0\n")
-    cp = run_cli("fig1", "--config", str(ini), "--out", str(tmp_path / "z"))
-    assert cp.returncode == 2
-    assert "tol_start" in cp.stderr
+    code, _, stderr = _run_in_process(
+        capsys, "fig1", "--config", str(ini), "--out", str(tmp_path / "z"))
+    assert code == 2
+    assert "tol_start" in stderr
 
 
-def test_missing_config_file_exits_two(tmp_path: Path):
-    cp = run_cli("fig1", "--config", str(tmp_path / "nope.ini"),
-                 "--out", str(tmp_path / "w"))
-    assert cp.returncode == 2
+def test_missing_config_file_exits_two(tmp_path: Path, capsys):
+    code, _, _ = _run_in_process(
+        capsys, "fig1", "--config", str(tmp_path / "nope.ini"),
+        "--out", str(tmp_path / "w"))
+    assert code == 2
 
 
 def test_g2_contrast_counts_checked_before_table(tmp_path: Path, monkeypatch):
@@ -518,11 +542,15 @@ def test_numerical_failure_exits_three(tmp_path: Path, monkeypatch):
     assert cli.main(["coherence-time", "--out", str(tmp_path / "n")]) == 3
 
 
-def test_arithmetic_error_exits_three(tmp_path: Path, capsys):
-    """fig1 at T = 1e300 K: beta hbar c to the fourth underflows to zero in
-    thermal's G1 prefactor, and the ZeroDivisionError exits 3 with one line
-    on stderr, not a traceback and not the 1 of a by-design FAIL."""
-    assert cli.main(["fig1", "--T", "1e300", "--out", str(tmp_path / "f")]) == 3
+def test_arithmetic_error_exits_three(tmp_path: Path, monkeypatch, capsys):
+    """A ZeroDivisionError mid-run, such as fig1 raised at T = 1e300 K
+    before make_context refused that temperature, exits 3 with one line on
+    stderr, not a traceback and not the 1 of a by-design FAIL."""
+    def divide(cfg, rep):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setitem(cli._RUNNERS, "fig1", divide)
+    assert cli.main(["fig1", "--out", str(tmp_path / "f")]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     assert err.startswith("numerical accuracy failure:"), err

@@ -50,7 +50,7 @@ def test_g1_transient_memory(ctx, thermal_family, matched_weights,
     draws and one slice's envelopes: it peaks below 8 MB of traced
     allocations (6.1 MB; 10.9 MB when each shell's 25000 envelopes were
     read at once)."""
-    thermal_family.table(0.0)
+    thermal_family.table()
     _, peak, _ = traced_peak(estimate_g1_mix, thermal_family,
                              matched_weights, _cube(ctx, 36.0), np.zeros(3),
                              0.0, 200_000, 78)
@@ -140,8 +140,8 @@ def test_g2_rejects_inputs_it_cannot_estimate(ctx, thermal_family,
 
 @pytest.mark.parametrize("case", [
     "g1-omega-zero", "g1-omega-negative", "g1-omega-nan", "g1-tau-nan",
-    "g1-r-nan", "g2-omega-negative", "g2-R-inf", "g2-reach-zero",
-    "g2-reach-nan", "g2-one-draw-per-stratum", "table-delay-nan",
+    "g1-tau-nonzero", "g1-r-nan", "g2-omega-negative", "g2-R-inf",
+    "g2-reach-zero", "g2-reach-nan", "g2-one-draw-per-stratum",
     "table-reach-nan", "table-reach-zero",
     "table-reach-short", "g2-reach-short", "g1-n-fraction",
     "g2-n-strata-fraction",
@@ -151,7 +151,8 @@ def test_bad_geometry_rejected_before_any_work(ctx, thermal_family,
                                                matched_weights, monkeypatch,
                                                case):
     """Each of these used to raise a stray TypeError, build (and keep) a NaN
-    table or one too short to read, or return a NaN or zero estimate."""
+    table or one too short to read, or return a NaN or zero estimate.  A
+    nonzero tau names the closed form that gives G1 at a delay."""
     def no_work(*args, **kwargs):
         raise AssertionError("drew labels or built a table before checking")
 
@@ -170,6 +171,8 @@ def test_bad_geometry_rejected_before_any_work(ctx, thermal_family,
                                                 1000, 1),
         "g1-tau-nan": lambda: estimate_g1_mix(fam, w, om, origin, nan,
                                               1000, 1),
+        "g1-tau-nonzero": lambda: estimate_g1_mix(fam, w, om, origin, 1e-15,
+                                                  1000, 1),
         "g1-r-nan": lambda: estimate_g1_mix(fam, w, om, np.array(
             [0.0, nan, 0.0]), 0.0, 1000, 1),
         "g2-omega-negative": lambda: estimate_g2_mix(fam, w, -om, 0.0,
@@ -181,11 +184,10 @@ def test_bad_geometry_rejected_before_any_work(ctx, thermal_family,
                                                 reach=nan),
         "g2-one-draw-per-stratum": lambda: estimate_g2_mix(
             fam, w, om, 0.0, 100, 1, n_strata=100),
-        "table-delay-nan": lambda: fam.table(nan),
-        "table-reach-nan": lambda: fam.table(0.0, reach=nan),
-        "table-reach-zero": lambda: fam.table(0.0, reach=0.0),
-        "table-reach-short": lambda: fam.table(0.0, reach=0.2),
-        "table-reach-huge": lambda: fam.table(0.0, reach=401.7),
+        "table-reach-nan": lambda: fam.table(reach=nan),
+        "table-reach-zero": lambda: fam.table(reach=0.0),
+        "table-reach-short": lambda: fam.table(reach=0.2),
+        "table-reach-huge": lambda: fam.table(reach=401.7),
         "g2-reach-short": lambda: estimate_g2_mix(fam, w, om, 0.0, 1000, 1,
                                                   reach=0.2),
         "g1-n-fraction": lambda: estimate_g1_mix(fam, w, om, origin, 0.0,
@@ -202,7 +204,8 @@ def test_bad_geometry_rejected_before_any_work(ctx, thermal_family,
         "draw-seed-fraction": lambda: draw(om, 100, 2.5),
         "draw-seed-negative": lambda: draw(om, 100, -1, stream=3),
     }
-    names = {"g1-n-fraction": "n must be an integer",
+    names = {"g1-tau-nonzero": "mixturekit.g1_improper",
+             "g1-n-fraction": "n must be an integer",
              "g2-n-strata-fraction": "n_strata must be an integer",
              **{c: "seed must be an integer" for c in calls if "seed" in c}}
     with pytest.raises(ValueError, match=names.get(case)):
@@ -269,7 +272,7 @@ def test_g1_halves_when_volume_doubles(ctx, thermal_family):
 
 def test_g1_estimator_matches_label_average(ctx, thermal_family,
                                             matched_weights):
-    """MC versus the deterministic mixture transform over a span of delays.
+    """MC versus the deterministic mixture transform at tau = 0.
 
     The stratified sampler only reaches the envelope table, which holds
     about 99.77% of the pulse intensity, so a small one-sided truncation
@@ -277,11 +280,10 @@ def test_g1_estimator_matches_label_average(ctx, thermal_family,
     """
     om = _cube(ctx, 40.0)
     allowance = 3e-3 * g1_zero(ctx)
-    for tau in np.linspace(0.0, 3e-15, 6):
-        est = estimate_g1_mix(thermal_family, matched_weights, om,
-                              np.zeros(3), float(tau), 40_000, 101)
-        ref = g1_improper(thermal_family, matched_weights, float(tau))
-        assert abs(est.mean - ref) <= 3.0 * est.std_error + allowance, tau
+    est = estimate_g1_mix(thermal_family, matched_weights, om, np.zeros(3),
+                          0.0, 40_000, 101)
+    ref = g1_improper(thermal_family, matched_weights, 0.0)
+    assert abs(est.mean - ref) <= 3.0 * est.std_error + allowance
 
 
 def test_g2_overlap_term_against_moment_quadrature(ctx, thermal_family,
@@ -294,7 +296,7 @@ def test_g2_overlap_term_against_moment_quadrature(ctx, thermal_family,
     turns <|E_z|^4> into an explicit functional of the canonical-frame
     transforms; what remains is a 3D quadrature over the relative geometry.
     """
-    tab = thermal_family.table(0.0)
+    tab = thermal_family.table()
     pref4 = abs(thermal_family.envelope_prefactor() * 2.0 * math.pi) ** 4
     dg = np.linspace(1e-3, 15.98, 600)
     cg, cw = leggauss(96)
@@ -347,7 +349,7 @@ def test_g2_samples_check_rows_they_do_not_read(ctx, thermal_family, row,
     non-finite delta raises, and so does a frame that is not orthonormal
     on a draw that falls out on Z (screened first) or only on P."""
     ls = ctx.length_scale
-    table = thermal_family.table(0.0)
+    table = thermal_family.table()
     ra, rb = np.array([0.0, 0.0, -ls]), np.array([0.0, 0.0, ls])
     m = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, 0.0, 1.0]])
     n = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])

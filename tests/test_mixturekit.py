@@ -82,6 +82,22 @@ def test_amplitude_read_from_family_once(ctx, thermal_family):
     assert abs(split - g0) <= 1e-10 * g0
 
 
+@pytest.mark.parametrize("omegas", [[1e-18, math.nan], [0.0, 1.0],
+                                    [1e-18, math.inf], [-1.0, 1e-18]])
+def test_unit_trace_scaling_rejects_unusable_volumes(thermal_family,
+                                                     monkeypatch, omegas):
+    """Every volume must be positive and finite, checked before the radial
+    profile is read.  NaN passed the increasing-order check and gave a NaN
+    g1 silently; 0, inf and a negative volume warned of a divide by zero
+    or an invalid value."""
+    def no_profile(*args, **kwargs):
+        raise AssertionError("read the radial profile before checking")
+
+    monkeypatch.setattr(pulsekit, "radial_intensity_profile", no_profile)
+    with pytest.raises(ValueError, match="omega_list"):
+        unit_trace_scaling(thermal_family, omegas)
+
+
 def test_simulation_residual_thermal(ctx, thermal_family, matched_weights):
     taus = np.linspace(0.0, 10e-15, 21)
     rep = simulation_residual(thermal_family, matched_weights, taus)

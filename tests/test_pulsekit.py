@@ -41,44 +41,28 @@ def _frames(m_hat, psi, n):
 
 def test_table_matches_direct_quadrature(thermal_family):
     """Interpolated transforms against slow Gauss-Legendre quadrature."""
-    peak = abs(transforms_direct(thermal_family, 0.0, 0.0, 0.0)[0])
+    peak = abs(transforms_direct(thermal_family, 0.0, 0.0)[0])
     pts = [(0.0, 0.5), (1.0, 1.0), (3.0, -2.0), (0.3, 7.0), (9.0, 4.0)]
     for P, Z in pts:
-        tab = thermal_family.table(0.0)
+        tab = thermal_family.table()
         ty_t, tz_t = tab.lookup(np.array([P]), np.array([Z]))
-        ty_d, tz_d = transforms_direct(thermal_family, P, Z, 0.0)
+        ty_d, tz_d = transforms_direct(thermal_family, P, Z)
         err = max(abs(ty_t[0] - ty_d), abs(tz_t[0] - tz_d)) / peak
         assert err < 5e-4, (P, Z, err)
 
 
-def _frame_values(family, u_delay, reach):
+def _frame_values(family, reach):
     """T_y and T_z as _grid leaves them in the coefficient frame, before the
-    prefilter: one complex (len(P), columns, channels / 2) array on the
-    columns Z >= 0, with (T_y, T_z) for each real line of the weight, one
-    undelayed and the Re and Im lines of W e^{-i x u} delayed."""
-    _, _, frame = pulsekit._grid(family, u_delay, reach)
+    prefilter: one complex (len(P), columns, 2) array on the columns
+    Z >= 0."""
+    _, _, frame = pulsekit._grid(family, reach)
     return frame[1 + pulsekit._PAD:-2, 1:-2].view(complex)
 
 
 def _mirrored(values):
-    """Frame values extended to the whole Z-grid: each real weight's
-    transforms at -Z are the conjugates of those at Z."""
+    """Frame values extended to the whole Z-grid: the transforms at -Z are
+    the conjugates of those at Z."""
     return np.concatenate([values[:, :0:-1].conj(), values], axis=1)
-
-
-def _combined(parts):
-    """T_y and T_z from the channels of _mirrored: A + i B for a delayed
-    table's two real-weight parts, views of parts for an undelayed one."""
-    T = parts[:, :, :2]
-    if parts.shape[2] == 4:
-        T = T + 1j * parts[:, :, 2:]
-    return T[:, :, 0], T[:, :, 1]
-
-
-def _z_parity(values):
-    """The parity in Z that _prefilter gives the float channels of frame
-    values: real parts even, imaginary parts odd, for each real weight."""
-    return np.tile(pulsekit._Z_PARITY, values.shape[2] // 2)
 
 
 # The power profile's tables, the second weight the build is checked on,
@@ -87,35 +71,40 @@ def _z_parity(values):
 _POWER_REACH = 4.0
 
 
-def _table_case(thermal_family, power_family, which, delay=0.7):
-    """The family, delay and reach of a table test case."""
+def _table_case(thermal_family, power_family, which):
+    """The family and reach of a table test case."""
     if which == "power":
-        return power_family, 0.0, _POWER_REACH
+        return power_family, _POWER_REACH
     reach = {"reach2": 2.0, "shortest": 0.24}.get(which,
                                                   pulsekit._DEFAULT_REACH)
-    return thermal_family, delay if which == "delayed" else 0.0, reach
+    return thermal_family, reach
+
+
+# u = 0.0, no delay: the one case left of tests that also ran a delayed
+# table, under its former id
+_UNDELAYED = pytest.mark.parametrize("u", [0.0])
 
 
 @functools.lru_cache(maxsize=None)
-def _cached_parts(family, u_delay, reach):
+def _cached_parts(family, reach):
     """_mirrored frame values, computed once per table for the oracle tests
-    below (a few tables, 36 MB at the default reach and 71 MB delayed),
-    read-only."""
-    parts = _mirrored(_frame_values(family, u_delay, reach))
+    below (a few tables, 36 MB at the default reach), read-only."""
+    parts = _mirrored(_frame_values(family, reach))
     parts.flags.writeable = False
     return parts
 
 
-def _cached_frame_values(family, u_delay, reach):
+def _cached_frame_values(family, reach):
     """_frame_values, bit for bit, as a view of the cached parts."""
-    parts = _cached_parts(family, u_delay, reach)
+    parts = _cached_parts(family, reach)
     return parts[:, parts.shape[1] // 2:]
 
 
-def _cached_grid_values(family, u_delay, reach):
+def _cached_grid_values(family, reach):
     """T_y and T_z on the whole Z-grid, complex (len(P), len(Z)) arrays,
     from the cached parts."""
-    return _combined(_cached_parts(family, u_delay, reach))
+    parts = _cached_parts(family, reach)
+    return parts[:, :, 0], parts[:, :, 1]
 
 
 def test_table_build_independent_of_temperature_and_amplitude():
@@ -123,17 +112,17 @@ def test_table_build_independent_of_temperature_and_amplitude():
     at any T and alpha share one table."""
     hot = pulsekit.make_thermal_family(make_context(5777.0))
     cold = pulsekit.make_thermal_family(make_context(3000.0), alpha=2.0)
-    np.testing.assert_array_equal(_frame_values(hot, 0.0, 2.0),
-                                  _frame_values(cold, 0.0, 2.0))
+    np.testing.assert_array_equal(_frame_values(hot, 2.0),
+                                  _frame_values(cold, 2.0))
 
 
 def test_tables_shared_across_temperature_and_amplitude(thermal_family,
                                                         power_family):
     cold = pulsekit.make_thermal_family(make_context(3000.0), alpha=2.0)
-    assert cold.table(0.0) is thermal_family.table(0.0)
+    assert cold.table() is thermal_family.table()
     assert pulsekit.tail_coefficient(cold) \
         == pulsekit.tail_coefficient(thermal_family)
-    assert power_family.table(0.0, reach=2.0) is not cold.table(0.0, reach=2.0)
+    assert power_family.table(reach=2.0) is not cold.table(reach=2.0)
 
 
 def test_tables_compare_and_hash_by_identity():
@@ -193,44 +182,32 @@ def test_invalid_node_count_raises(thermal_family, monkeypatch, name, n):
 
 
 @pytest.mark.parametrize("name, value", [("P", math.nan), ("Z", math.inf),
-                                         ("Z", -math.inf),
-                                         ("u_delay", math.nan)])
+                                         ("Z", -math.inf)])
 def test_non_finite_argument_raises(thermal_family, monkeypatch, name, value):
     def no_rule(count):
         raise AssertionError("a rule was built before the check")
 
     monkeypatch.setattr(pulsekit, "_legendre_nodes", no_rule)
-    args = {"P": 1.0, "Z": 1.0, "u_delay": 0.0, name: value}
+    args = {"P": 1.0, "Z": 1.0, name: value}
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         transforms_direct(thermal_family, **args)
 
 
 def test_table_zero_outside_reach(thermal_family):
-    tab = thermal_family.table(0.0)
+    tab = thermal_family.table()
     ty, tz = tab.lookup(np.array([20.0]), np.array([5.0]))
     assert ty[0] == 0.0 and tz[0] == 0.0
 
 
-def test_delayed_table_matches_direct(thermal_family):
-    u = 1.5
-    tab = thermal_family.table(u)
-    peak = abs(transforms_direct(thermal_family, 0.0, 0.0, 0.0)[0])
-    for P, Z in [(0.5, 1.0), (2.0, 3.0)]:
-        ty_t, tz_t = tab.lookup(np.array([P]), np.array([Z]))
-        ty_d, tz_d = transforms_direct(thermal_family, P, Z, u)
-        assert max(abs(ty_t[0] - ty_d), abs(tz_t[0] - tz_d)) / peak < 5e-4
-
-
-@pytest.mark.parametrize("u", [0.0, 0.7])
+@_UNDELAYED
 def test_delayed_lookup_exact_at_nodes_near_axis(thermal_family, u):
-    """Every table reads its Z coordinate as |Z| / dZ, the offset from
+    """The table reads its Z coordinate as |Z| / dZ, the offset from
     Z = 0 in nodes, so at the nodes within 40 columns of Z = 0 on the
     first four rows of P the lookup gives the spline's node values (Ty, Tz)
-    to 2e-15 of the peak, for a real weight and a complex (delayed) one,
-    whose two real-weight parts are conjugated apart on Z < 0.  Read as
+    to 2e-15 of the peak, on both sides of Z = 0.  Read as
     (Z - Z_min) / dZ, the coordinate rounded by up to 2.3e-13 node units
     and the lookup erred by 1.7e-14 there."""
-    tab = thermal_family.table(u)
+    tab = thermal_family.table()
     z0 = (len(tab.Z_grid) - 1) // 2
     i, j = np.meshgrid(np.arange(4), np.arange(z0 - 40, z0 + 41),
                        indexing="ij")
@@ -241,12 +218,12 @@ def test_delayed_lookup_exact_at_nodes_near_axis(thermal_family, u):
     assert worst <= 2e-15 * peak, worst / peak
 
 
-@pytest.mark.parametrize("u", [0.0, 0.7])
+@_UNDELAYED
 def test_lookup_broadcasts_coordinates(thermal_family, u):
     """lookup broadcasts P against Z, as numpy would, and reads each point
     of the broadcast shape; it raised IndexError when the shapes differed.
     Shapes that do not broadcast raise numpy's ValueError."""
-    tab = thermal_family.table(u, reach=2.0)
+    tab = thermal_family.table(reach=2.0)
     for P, Z in [(np.array(0.3), np.array([-0.5, 1.2])),
                  (np.array([[0.1], [1.4]]), np.array([-1.0, 0.0, 0.7])),
                  (0.5, -0.25)]:
@@ -262,7 +239,7 @@ def test_lookup_broadcasts_coordinates(thermal_family, u):
         tab.lookup(np.zeros(2), np.zeros(3))
 
 
-def _transforms_full_grid(family, P, Z, u_delay=0.0, nx=None, nmu=None):
+def _transforms_full_grid(family, P, Z, nx=None, nmu=None):
     """transforms_direct before its mu-parity fold: the whole nx x nmu grid
     as complex arrays, summed by einsum (slow oracle)."""
     dist = math.hypot(P, Z)
@@ -275,8 +252,6 @@ def _transforms_full_grid(family, P, Z, u_delay=0.0, nx=None, nmu=None):
     st = np.sqrt(1.0 - mg**2)
     wx = spectral_weight(family, x[:, None], mg[None, :])
     ph = np.exp(1j * np.outer(x, mg) * Z)
-    if u_delay != 0.0:
-        ph = ph * np.exp(-1j * x[:, None] * u_delay)
     jy = special.j0(np.outer(x, st) * P)
     jz = special.j1(np.outer(x, st) * P)
     ty = np.einsum("i,j,ij->", xw, mw * mg, wx * jy * ph)
@@ -284,34 +259,29 @@ def _transforms_full_grid(family, P, Z, u_delay=0.0, nx=None, nmu=None):
     return complex(ty), complex(tz)
 
 
-@pytest.mark.parametrize("kind, P, Z, u, nmu", [
-    ("thermal", 3.0, 2.0, 0.0, 1600),
-    ("thermal", 3.0, 2.0, 0.0, 1601),
-    ("thermal", 0.0, 4.0, 0.0, 1600),
-    ("thermal", 0.0, 4.0, 0.0, 1601),
-    ("thermal", 0.0, 4.0, 1.5, 1600),
-    ("thermal", 0.0, 4.0, 1.5, 1601),
-    ("thermal", 5.0, 0.0, 0.0, 1600),
-    ("thermal", 5.0, 0.0, 0.0, 1601),
-    ("thermal", 5.0, 0.0, 1.5, 1600),
-    ("thermal", 5.0, 0.0, 1.5, 1601),
-    ("thermal", 0.0, 0.0, 0.0, 1601),
-    ("thermal", 0.0, 0.0, 1.5, 1600),
-    ("thermal", 2.0, -3.0, 1.5, 1600),
-    ("thermal", 2.0, -3.0, 1.5, 1601),
-    ("thermal", 17.43, 4.5, 0.0, None),
-    ("power", 3.0, 2.0, 0.0, 1601),
-    ("power", 2.0, -3.0, 1.5, 1601),
-    ("power", 1.0, 1.0, 0.0, 1601),
-    ("power", 0.5, -2.0, 0.0, 1601),
-    ("power", 0.0, 2.0, 0.0, 1600),
-    ("power", 0.0, 2.0, 1.5, 1601),
-    ("power", 3.0, 0.0, 0.0, 1601),
-    ("power", 3.0, 0.0, 1.5, 1600),
-    ("power", 0.0, 0.0, 1.5, 1601),
-])
+_FULL_GRID_CASES = [
+    ("thermal", 3.0, 2.0, 1600),
+    ("thermal", 3.0, 2.0, 1601),
+    ("thermal", 0.0, 4.0, 1600),
+    ("thermal", 0.0, 4.0, 1601),
+    ("thermal", 5.0, 0.0, 1600),
+    ("thermal", 5.0, 0.0, 1601),
+    ("thermal", 0.0, 0.0, 1601),
+    ("thermal", 17.43, 4.5, None),
+    ("power", 3.0, 2.0, 1601),
+    ("power", 1.0, 1.0, 1601),
+    ("power", 0.5, -2.0, 1601),
+    ("power", 0.0, 2.0, 1600),
+    ("power", 3.0, 0.0, 1601),
+]
+
+
+# the ids keep the former delay column, u = 0.0
+@pytest.mark.parametrize("kind, P, Z, nmu", _FULL_GRID_CASES,
+                         ids=[f"{k}-{P}-{Z}-0.0-{n}"
+                              for k, P, Z, n in _FULL_GRID_CASES])
 def test_transforms_direct_matches_full_grid(thermal_family, power_family,
-                                             kind, P, Z, u, nmu):
+                                             kind, P, Z, nmu):
     """The mu-parity fold with its folded node weights sums the same nodes
     as the full grid; odd nmu puts a node at mu = 0, which the fold must
     count exactly once.  The default thermal profile is e^{-20} there, so
@@ -320,8 +290,8 @@ def test_transforms_direct_matches_full_grid(thermal_family, power_family,
     the Bessel or the trigonometric factors; (17.43, 4.5) is on the far
     ring of the tail calibration, at default node counts."""
     fam = power_family if kind == "power" else thermal_family
-    folded = transforms_direct(fam, P, Z, u, nmu=nmu)
-    full = _transforms_full_grid(fam, P, Z, u, nmu=nmu)
+    folded = transforms_direct(fam, P, Z, nmu=nmu)
+    full = _transforms_full_grid(fam, P, Z, nmu=nmu)
     if P == 0.0:                          # J1(0) = 0: T_z vanishes on the axis
         assert folded[1] == 0.0 and full[1] == 0.0
         folded, full = folded[:1], full[:1]
@@ -335,21 +305,21 @@ def test_transforms_direct_mirror_rows_match_full_grid(thermal_family, nx):
     mirrors' phases from their partners'.  An odd rule's middle node has
     no partner and must be summed once; 65 and 66 nodes end on a block
     with one near row, without and with a far one."""
-    for P, Z, u in [(3.0, 2.0, 0.0), (2.0, -3.0, 1.5), (0.0, 4.0, 0.0)]:
-        folded = transforms_direct(thermal_family, P, Z, u, nx=nx)
-        full = _transforms_full_grid(thermal_family, P, Z, u, nx=nx)
+    for P, Z in [(3.0, 2.0), (2.0, -3.0), (0.0, 4.0)]:
+        folded = transforms_direct(thermal_family, P, Z, nx=nx)
+        full = _transforms_full_grid(thermal_family, P, Z, nx=nx)
         for got, want in zip(folded, full):
             assert abs(got - want) <= 1e-10 * abs(want), (P, Z, got, want)
 
 
 def _table_error(family, points, reach=pulsekit._DEFAULT_REACH):
     """Largest |table - direct| over (P, Z) points, relative to the peak."""
-    peak = abs(transforms_direct(family, 0.0, 0.0, 0.0)[0])
+    peak = abs(transforms_direct(family, 0.0, 0.0)[0])
     P, Z = np.array(points, float).T
-    ty, tz = family.table(0.0, reach).lookup(P, Z)
+    ty, tz = family.table(reach).lookup(P, Z)
     worst = 0.0
     for i, (p, z) in enumerate(points):
-        ty_d, tz_d = transforms_direct(family, p, z, 0.0)
+        ty_d, tz_d = transforms_direct(family, p, z)
         worst = max(worst, abs(ty[i] - ty_d), abs(tz[i] - tz_d))
     return worst / peak
 
@@ -378,7 +348,7 @@ def test_power_profile_table_against_direct(power_family):
 def test_table_tz_linear_off_axis_nodes(thermal_family):
     """T_z is odd in P, so between the axis and the first grid row it rises
     linearly; an even extension across P = 0 flattens it there."""
-    tab = thermal_family.table(0.0)
+    tab = thermal_family.table()
     dP = tab.P_grid[1] - tab.P_grid[0]
     Z = np.array([-3.0, -0.4, 0.3, 0.5, 2.0])
     _, tz_half = tab.lookup(np.full_like(Z, dP / 2), Z)
@@ -400,7 +370,7 @@ def _z_columns(reach):
     return nfft, cols, np.exp(1j * pulsekit._B_FLOOR * Zk[cols]) * db
 
 
-def _fourier_first_grid(family, u_delay, reach):
+def _fourier_first_grid(family, reach):
     """Ty, Tz summed in the build's former order (oracle): two zero-padded
     FFTs over b per row of a and transform, then the Bessel GEMM over a on
     the Z-columns.  Same grids, same weights; only the order differs."""
@@ -416,7 +386,7 @@ def _fourier_first_grid(family, u_delay, reach):
     Tz = np.zeros_like(Ty)
     for lo in range(0, len(a), pulsekit._ROW_BLOCK):
         ab = a[lo:lo + pulsekit._ROW_BLOCK]
-        wmu, wst = weights_masked(family, ab, b, u_delay)
+        wmu, wst = weights_masked(family, ab, b)
         Hy = np.fft.ifft(wmu, n=nfft, axis=1, norm="forward").take(cols, axis=1) * phase
         Hz = np.fft.ifft(wst, n=nfft, axis=1, norm="forward").take(cols, axis=1) * phase
         Pa = np.outer(Pg, ab)
@@ -426,44 +396,43 @@ def _fourier_first_grid(family, u_delay, reach):
     return Ty, Tz
 
 
-@pytest.mark.parametrize("which", ["default", "delayed", "reach2", "power"])
+@pytest.mark.parametrize("which", ["default", "reach2", "power"])
 def test_table_matches_fourier_first_order(thermal_family, power_family,
                                            which):
     """Hankel-then-FFT sums the same terms as FFT-then-Hankel: the grids
-    agree to 1e-14 of the peak for a real weight, a complex (delayed) one,
-    a short reach and the power profile's table."""
-    fam, u, reach = _table_case(thermal_family, power_family, which)
-    ty, tz = _cached_grid_values(fam, u, reach)
-    want_y, want_z = _fourier_first_grid(fam, u, reach)
+    agree to 1e-14 of the peak for the default table, a short reach and
+    the power profile's table."""
+    fam, reach = _table_case(thermal_family, power_family, which)
+    ty, tz = _cached_grid_values(fam, reach)
+    want_y, want_z = _fourier_first_grid(fam, reach)
     assert ty.shape == want_y.shape and tz.shape == want_z.shape
     peak = max(np.abs(want_y).max(), np.abs(want_z).max())
     worst = max(np.abs(ty - want_y).max(), np.abs(tz - want_z).max())
     assert worst <= 1e-14 * peak, worst / peak
 
 
-@pytest.mark.parametrize("which", ["default", "delayed", "reach2", "power",
+@pytest.mark.parametrize("which", ["default", "reach2", "power",
                                    "shortest"])
 def test_grid_equals_separate_accumulators(thermal_family, power_family,
                                            which):
     """Summing G_y and G_z inside the frame's rows, with the GEMM products
     added chunk by chunk and the FFTs run block by block, gives the grid
-    of separate accumulators and whole products bit for bit: for a real
-    weight, a complex (delayed) one, a frame narrower than the sums (reach
-    2 and the shortest reach), and the power profile."""
-    fam, u, reach = _table_case(thermal_family, power_family, which)
-    np.testing.assert_array_equal(_cached_frame_values(fam, u, reach),
-                                  grid_separate_accumulators(fam, u, reach))
+    of separate accumulators and whole products bit for bit: for the
+    default table, a frame narrower than the sums (reach 2 and the
+    shortest reach), and the power profile."""
+    fam, reach = _table_case(thermal_family, power_family, which)
+    np.testing.assert_array_equal(_cached_frame_values(fam, reach),
+                                  grid_separate_accumulators(fam, reach))
 
 
-@pytest.mark.parametrize("u", [0.0, 0.7])
+@_UNDELAYED
 def test_narrow_frame_coef_is_compact(thermal_family, u):
     """A reach-2 frame is narrower than the Hankel sums it accumulates, so
     it is built in wider scratch rows; the table keeps a C-contiguous copy
     that holds no more than its own values."""
-    tab = pulsekit._build_table(thermal_family, u, 2.0)
-    lines = 1 if u == 0.0 else 2          # real lines per row of G_y, G_z
-    assert tab.coef.shape[2] == 4 * lines
-    assert tab.coef.shape[1] * 4 * lines < 2 * lines * 1921   # 1921 b nodes
+    tab = pulsekit._build_table(thermal_family, 2.0)
+    assert tab.coef.shape[2] == 4
+    assert tab.coef.shape[1] * 4 < 2 * 1921       # 1921 b nodes
     assert tab.coef.flags.c_contiguous
     assert tab.coef.base is None or tab.coef.base.nbytes == tab.coef.nbytes
 
@@ -473,10 +442,10 @@ def test_check_reach_bounds_frame_without_allocating(thermal_family,
                                                     traced_peak):
     """check_reach turns down a reach whose frame would pass
     _MAX_FRAME_BYTES, from the shape rules alone: reach 401.7 (at least
-    21 GiB of delayed frame) and 1e300 raise while tracing under 64 kB.  Its
-    size rule is the delayed default table's eight-channel frame exactly,
-    64 rows (columns + 3) bytes: a limit one byte below that frame rejects
-    reach 16, the frame's own size accepts it."""
+    10 GiB of frame) and 1e300 raise while tracing under 64 kB.  Its size
+    rule is the default table's four-channel frame exactly, 32 rows
+    (columns + 3) bytes: a limit one byte below that frame rejects reach
+    16, the frame's own size accepts it."""
     def rejected(reach):
         with pytest.raises(ValueError, match="above the limit"):
             pulsekit.check_reach(reach)
@@ -486,64 +455,27 @@ def test_check_reach_bounds_frame_without_allocating(thermal_family,
         assert peak < 64 * 2**10, peak
     pulsekit.check_reach(61.0)
     rejected(62.0)
-    nbytes = thermal_family.table(0.7).coef.nbytes
-    assert nbytes == 64 * 545 * 1047
+    nbytes = thermal_family.table().coef.nbytes
+    assert nbytes == 32 * 545 * 1047
     monkeypatch.setattr(pulsekit, "_MAX_FRAME_BYTES", nbytes)
     pulsekit.check_reach(16.0)
     monkeypatch.setattr(pulsekit, "_MAX_FRAME_BYTES", nbytes - 1)
     rejected(16.0)
 
 
-@pytest.mark.parametrize("u", [0.0, 0.7])
+@_UNDELAYED
 def test_fft_block_leaves_table_unchanged(thermal_family, monkeypatch, u):
-    """_FFT_LINES sets only how many lines each real FFT call takes, and
-    _GEMM_ROWS how many real lines of P each GEMM product takes: five and
-    seven (two rows and three of a delayed table, whose rows are two lines
-    each), with short last blocks, give the same table bit for bit."""
-    want = pulsekit._build_table(thermal_family, u, 2.0)
-    want_grid = _frame_values(thermal_family, u, 2.0)
+    """_FFT_LINES sets only how many rows each real FFT call takes, and
+    _GEMM_ROWS how many rows of P each GEMM product takes: five and seven,
+    with short last blocks, give the same table bit for bit."""
+    want = pulsekit._build_table(thermal_family, 2.0)
+    want_grid = _frame_values(thermal_family, 2.0)
     monkeypatch.setattr(pulsekit, "_FFT_LINES", 5)
     monkeypatch.setattr(pulsekit, "_GEMM_ROWS", 7)
-    got = pulsekit._build_table(thermal_family, u, 2.0)
-    np.testing.assert_array_equal(_frame_values(thermal_family, u, 2.0),
+    got = pulsekit._build_table(thermal_family, 2.0)
+    np.testing.assert_array_equal(_frame_values(thermal_family, 2.0),
                                   want_grid)
     np.testing.assert_array_equal(got.coef, want.coef)
-
-
-@pytest.mark.parametrize("which", ["thermal", "power"])
-def test_delayed_table_is_sum_of_real_weight_tables(thermal_family,
-                                                    power_family, monkeypatch,
-                                                    which):
-    """A delayed table is T[Re w] + i T[Im w] for its complex weight
-    w = W e^{-i x u}: its channels are, bit for bit, the coefficients of
-    two undelayed builds whose weights are the Re and Im lines of w, and
-    its lookup and node values are theirs combined as A + i B."""
-    fam, u, reach = ((thermal_family, 0.7, 2.0) if which == "thermal"
-                     else (power_family, 1.5, _POWER_REACH))
-    delayed = pulsekit._build_table(fam, u, reach)
-    weight_rows = pulsekit._weight_rows
-    parts = []
-    for line in (0, 1):
-        def one_line(family, a, b, u_delay, line=line):
-            assert u_delay == 0.0
-            return tuple(np.ascontiguousarray(W[:, line::2])
-                         for W in weight_rows(family, a, b, u))
-        monkeypatch.setattr(pulsekit, "_weight_rows", one_line)
-        parts.append(pulsekit._build_table(fam, 0.0, reach))
-    re, im = parts
-    assert delayed.coef.shape == re.coef.shape[:2] + (8,)
-    np.testing.assert_array_equal(delayed.coef[:, :, :4], re.coef)
-    np.testing.assert_array_equal(delayed.coef[:, :, 4:], im.coef)
-
-    rng = np.random.default_rng(30)
-    P = rng.random(20_000) * reach
-    Z = (2.0 * rng.random(20_000) - 1.0) * reach
-    Z[:100], Z[100:200] = 0.0, -0.0
-    for got, a, b in zip(delayed.lookup(P, Z), re.lookup(P, Z),
-                         im.lookup(P, Z)):
-        np.testing.assert_array_equal(got, a + 1j * b)
-    np.testing.assert_array_equal(delayed.Ty, re.Ty + 1j * im.Ty)
-    np.testing.assert_array_equal(delayed.Tz, re.Tz + 1j * im.Tz)
 
 
 @pytest.mark.parametrize("which", ["default", "power"])
@@ -552,16 +484,13 @@ def test_undelayed_grid_is_hermitian(thermal_family, power_family, which):
     Z-grid, so a table loses nothing by keeping Z >= 0 only, and its lookup
     reads T(P, -Z) as the conjugate of T(P, Z) bit for bit.  The first
     column, Z = 0, has Im T exactly zero, as the odd extension of the
-    imaginary parts across it needs; so do both real-weight parts of a
-    delayed table."""
-    fam, _, reach = _table_case(thermal_family, power_family, which)
-    tab = fam.table(0.0, reach)
+    imaginary parts across it needs."""
+    fam, reach = _table_case(thermal_family, power_family, which)
+    tab = fam.table(reach)
     Zg = tab.Z_grid
     np.testing.assert_array_equal(Zg[::-1], -Zg)
     assert tab.coef.shape[1] - 3 == len(Zg) // 2 + 1
-    assert np.all(_cached_frame_values(fam, 0.0, reach)[:, 0].imag == 0.0)
-    if which == "default":
-        assert np.all(_cached_frame_values(fam, 0.7, reach)[:, 0].imag == 0.0)
+    assert np.all(_cached_frame_values(fam, reach)[:, 0].imag == 0.0)
 
     rng = np.random.default_rng(7)
     P = rng.random(10_000) * tab.P_grid[-1]
@@ -573,14 +502,14 @@ def test_undelayed_grid_is_hermitian(thermal_family, power_family, which):
 def _prefilter_ndimage(parts):
     """_prefilter as it was before its recursions were written out: one
     scipy spline_filter per channel, in place in the frame (oracle).  parts
-    are whole-grid complex channels (T_y, T_z) of each real weight."""
+    are the whole-grid complex channels (T_y, T_z)."""
     pad = pulsekit._PAD
     coef = np.empty((parts.shape[0] + pad + 3, parts.shape[1] + 3,
                      2 * parts.shape[2]))
     inner = coef[1:-2, 1:-2]
     for c in range(coef.shape[2]):
         part = (parts.real, parts.imag)[c % 2][:, :, c // 2]
-        parity = pulsekit._PARITY[c % 4]
+        parity = pulsekit._PARITY[c]
         ext = inner[:, :, c]
         ext[:pad] = parity * part[pad:0:-1]
         ext[pad:] = part
@@ -593,8 +522,8 @@ def _prefilter_ndimage(parts):
 
 def _prefilter_copy_in(values, z_parity):
     """_prefilter as it was while tables kept their grid values: both axes'
-    gains applied as the complex channels values, (T_y, T_z) of each real
-    weight on the columns the frame holds, are copied into a new frame,
+    gains applied as the complex channels values, (T_y, T_z) on the
+    columns the frame holds, are copied into a new frame,
     then the same in-place recursions, with z_parity across the first
     column (oracle)."""
     pad = pulsekit._PAD
@@ -615,7 +544,7 @@ def _prefilter_copy_in(values, z_parity):
     return coef
 
 
-_PREFILTER_CASES = ["default", "delayed", "reach2", "shortest", "power"]
+_PREFILTER_CASES = ["default", "reach2", "shortest", "power"]
 
 
 
@@ -624,18 +553,16 @@ def test_prefilter_matches_spline_filter(thermal_family, power_family,
                                          traced_peak, which):
     """The in-place recursions give spline_filter's mirror-boundary
     coefficients over the whole Z-grid, frame included, to 1e-14 of each
-    channel's peak: for a real weight, a complex (delayed) one, a short
-    reach, the shortest lines of P check_reach allows (whose mirror sum
-    keeps every term) and the power profile's table.  A table's frame on
-    Z >= 0, extended across Z = 0 by parity, holds that frame's columns
-    from Z = -dZ on, for each real weight: the delayed table's channels
-    match the whole-grid frames of its Re and Im parts.  Run in place on a
-    frame, they allocate at most 2 MB."""
-    fam, u, reach = _table_case(thermal_family, power_family, which)
-    tab = fam.table(u, reach)
+    channel's peak: for the default table, a short reach, the shortest
+    lines of P check_reach allows (whose mirror sum keeps every term) and
+    the power profile's table.  A table's frame on Z >= 0, extended across
+    Z = 0 by parity, holds that frame's columns from Z = -dZ on.  Run in
+    place on a frame, they allocate at most 2 MB."""
+    fam, reach = _table_case(thermal_family, power_family, which)
+    tab = fam.table(reach)
     if which == "shortest":
         assert tab.coef.shape[0] - 3 == 2 * pulsekit._PAD + 1
-    want = _prefilter_ndimage(_cached_parts(fam, u, reach))
+    want = _prefilter_ndimage(_cached_parts(fam, reach))
     want = want[:, want.shape[1] - tab.coef.shape[1]:]
     assert tab.coef.shape == want.shape
     worst = np.abs(tab.coef - want).max(axis=(0, 1))
@@ -644,7 +571,7 @@ def test_prefilter_matches_spline_filter(thermal_family, power_family,
 
     coef = np.empty(tab.coef.shape)
     coef[1 + pulsekit._PAD:-2, 1:-2].view(complex)[:] = \
-        _cached_frame_values(fam, u, reach)
+        _cached_frame_values(fam, reach)
     _, allocated, _ = traced_peak(pulsekit._prefilter, coef)
     assert allocated <= 2 * 2**20, allocated / 2**20
 
@@ -654,22 +581,22 @@ def test_coefficients_equal_copy_in_prefilter(thermal_family, power_family,
                                               which):
     """Writing the FFT rows straight into the frame and scaling them there
     gives the coefficients of the former copy-in prefilter bit for bit."""
-    fam, u, reach = _table_case(thermal_family, power_family, which)
-    tab = fam.table(u, reach)
-    values = _cached_frame_values(fam, u, reach)
+    fam, reach = _table_case(thermal_family, power_family, which)
+    tab = fam.table(reach)
+    values = _cached_frame_values(fam, reach)
     np.testing.assert_array_equal(
-        tab.coef, _prefilter_copy_in(values, _z_parity(values)))
+        tab.coef, _prefilter_copy_in(values, pulsekit._Z_PARITY))
 
 
-@pytest.mark.parametrize("which", ["default", "delayed", "power"])
+@pytest.mark.parametrize("which", ["default", "power"])
 def test_grid_values_rebuilt_from_coefficients(thermal_family, power_family,
                                                which):
     """Ty and Tz, rebuilt from coef on each access, are the grid values to
     1e-14 of the peak, in the grid's shape and complex128, so the cell and
     MB counts taken from them stay what they were when tables kept them."""
-    fam, u, reach = _table_case(thermal_family, power_family, which)
-    tab = fam.table(u, reach)
-    want_y, want_z = _cached_grid_values(fam, u, reach)
+    fam, reach = _table_case(thermal_family, power_family, which)
+    tab = fam.table(reach)
+    want_y, want_z = _cached_grid_values(fam, reach)
     ty, tz = tab.Ty, tab.Tz
     assert ty.shape == tz.shape == (len(tab.P_grid), len(tab.Z_grid))
     if reach == pulsekit._DEFAULT_REACH:
@@ -686,46 +613,35 @@ def _map_coordinates_lookup(tab, Ty, Tz, P, Z):
     """The lookup as it was before the four coefficient channels were fused:
     per-part complex B-spline coefficients of the whole-grid values Ty, Tz
     read by scipy's map_coordinates (oracle).  Points are read as lookup
-    reads them, at |Z| counted from the column Z = -dZ on their side of
-    Z = 0, so that the coordinate of a point near the axis is as exact as
-    lookup's: an undelayed table from the side Z >= 0, conjugated where
-    Z < 0, and a delayed table, whose T has no such symmetry, at Z < 0 from
-    its columns in reverse order, which the symmetric B-spline reads as the
-    same spline."""
-    real = tab.coef.shape[2] == 4
+    reads them, at |Z| counted from the column Z = -dZ, so that the
+    coordinate of a point near the axis is as exact as lookup's, from the
+    side Z >= 0 and conjugated where Z < 0."""
     Pg, Zg = tab.P_grid, tab.Z_grid
     ok = (P >= 0.0) & (P <= Pg[-1]) & (Z >= Zg[0]) & (Z <= Zg[-1])
     dP = Pg[1] - Pg[0]
     dZ = (Zg[-1] - Zg[0]) / (len(Zg) - 1)
     mid = len(Zg) // 2                                  # the column Z = 0
     at = np.stack([P[ok] / dP + pulsekit._PAD, np.abs(Z[ok]) / dZ + 1.0])
-    below = np.zeros(len(at[0]), bool) if real else Z[ok] < 0.0
     out = []
     for T, parity in ((Ty, 1.0), (Tz, -1.0)):
         ext = np.concatenate([parity * T[pulsekit._PAD:0:-1], T])
         coef = ndimage.spline_filter(ext, order=3, output=complex, mode="mirror")
         t = np.zeros(P.shape, complex)
-        part = np.empty(len(at[0]), complex)
-        for side, c in ((~below, coef[:, mid - 1:]),
-                        (below, coef[:, mid + 1::-1])):
-            part[side] = ndimage.map_coordinates(c, at[:, side], order=3,
-                                                 mode="mirror",
-                                                 prefilter=False)
-        t[ok] = part
-        if real:
-            np.conjugate(t, out=t, where=Z < 0.0)
+        t[ok] = ndimage.map_coordinates(coef[:, mid - 1:], at, order=3,
+                                        mode="mirror", prefilter=False)
+        np.conjugate(t, out=t, where=Z < 0.0)
         out.append(t)
     return out
 
 
-@pytest.mark.parametrize("which", ["default", "delayed", "power"])
+@pytest.mark.parametrize("which", ["default", "power"])
 def test_lookup_matches_map_coordinates(thermal_family, power_family, which):
     """The fused gather reads the same spline as map_coordinates: at 1e5
-    random points, on the four edges and at the corners of the grid, for a
-    real weight, a complex (delayed) one and the power profile's table."""
-    fam, u, reach = _table_case(thermal_family, power_family, which, delay=1.5)
-    tab = fam.table(u, reach)
-    grid_y, grid_z = _cached_grid_values(fam, u, reach)
+    random points, on the four edges and at the corners of the grid, for
+    the default table and the power profile's table."""
+    fam, reach = _table_case(thermal_family, power_family, which)
+    tab = fam.table(reach)
+    grid_y, grid_z = _cached_grid_values(fam, reach)
     Pmax, Zlo, Zhi = tab.P_grid[-1], tab.Z_grid[0], tab.Z_grid[-1]
     rng = np.random.default_rng(14)
     n = 100_000
@@ -758,25 +674,21 @@ def test_lookup_matches_map_coordinates(thermal_family, power_family, which):
 def _full_table(ty, tz):
     """The coefficient frame of whole-grid values ty, tz through the copy-in
     prefilter with the mirror boundary at both ends of Z (oracle): the
-    frame every table kept before undelayed ones stored Z >= 0 only, and
-    delayed ones until they stored two real-weight parts on Z >= 0.
+    frame every table kept before tables stored Z >= 0 only.
     oracles.full_frame_lookup reads it."""
     return _prefilter_copy_in(np.stack([ty, tz], axis=2), 1.0)
 
 
-@pytest.mark.parametrize("which", ["default", "power", "reach2", "shortest",
-                                   "delayed"])
+@pytest.mark.parametrize("which", ["default", "power", "reach2", "shortest"])
 def test_half_table_matches_full_table(thermal_family, power_family, which):
-    """Every table keeps only Z >= 0 and reads Z < 0 as conjugates, of T
-    itself for a real weight and of each real-weight part for a delayed
-    one.  It reads what the full-frame table reads to 1e-13 of the peak:
-    at 1e5 random points with both signs of Z, at Z = +0.0 and -0.0 and
-    within 3 dZ of Z = 0, and exact zeros out of range or at NaN.  The
-    default table's coefficients take at most 0.52 of the full frame's
-    34.8 MB; a delayed table holds eight channels on the same columns."""
-    fam, u, reach = _table_case(thermal_family, power_family, which)
-    tab = fam.table(u, reach)
-    ty, tz = _cached_grid_values(fam, u, reach)
+    """Every table keeps only Z >= 0 and reads Z < 0 as conjugates.  It
+    reads what the full-frame table reads to 1e-13 of the peak: at 1e5
+    random points with both signs of Z, at Z = +0.0 and -0.0 and within
+    3 dZ of Z = 0, and exact zeros out of range or at NaN.  The default
+    table's coefficients take at most 0.52 of the full frame's 34.8 MB."""
+    fam, reach = _table_case(thermal_family, power_family, which)
+    tab = fam.table(reach)
+    ty, tz = _cached_grid_values(fam, reach)
     full = _full_table(ty, tz)
     assert tab.coef.shape[1] - 3 == len(tab.Z_grid) // 2 + 1
     assert full.shape[1] - 3 == len(tab.Z_grid)
@@ -806,43 +718,36 @@ def test_half_table_matches_full_table(thermal_family, power_family, which):
     if which == "default":
         assert full.shape == (545, 2090, 4)
         assert tab.coef.nbytes <= 0.52 * full.nbytes
-    if which == "delayed":
-        assert tab.coef.shape == (545, 1047, 8)
 
 
-@pytest.mark.parametrize("u", [0.0, 0.7])
+@_UNDELAYED
 def test_build_table_memory(thermal_family, traced_peak, u):
-    """The default build peaks below 27 MB and keeps below 20 MB when real,
-    below 48 and 70 MB when delayed: the one coefficient array on Z >= 0,
-    17.4 MB for the real table's four channels and 34.8 MB for the delayed
-    table's eight, and a few MB of block buffers beside it (traced peaks
-    25.7 and 44.1 MB; with separate G_y and G_z arrays and whole GEMM
-    products they were 35.7 and 68.8 MB)."""
+    """The default build peaks below 27 MB and keeps below 20 MB: the one
+    coefficient array of four channels on Z >= 0, 17.4 MB, and a few MB of
+    block buffers beside it (traced peak 25.7 MB; with separate G_y and G_z
+    arrays and whole GEMM products it was 35.7 MB)."""
     tab, peak, retained = traced_peak(pulsekit._build_table, thermal_family,
-                                      u, 16.0)
-    peak_mb, kept_mb = (48, 70) if u else (27, 20)
+                                      16.0)
     assert tab.coef.shape == (tab.Ty.shape[0] + pulsekit._PAD + 3,
-                              tab.Ty.shape[1] // 2 + 1 + 3, 8 if u else 4)
-    assert peak <= peak_mb * 2**20, peak / 2**20
-    assert retained <= kept_mb * 2**20, retained / 2**20
+                              tab.Ty.shape[1] // 2 + 1 + 3, 4)
+    assert peak <= 27 * 2**20, peak / 2**20
+    assert retained <= 20 * 2**20, retained / 2**20
 
 
-@pytest.mark.parametrize("u", [0.0, 0.7])
+@_UNDELAYED
 def test_build_table_retains_only_coefficients(thermal_family, traced_peak,
                                                u):
-    """A default build keeps at most 18 MB when real and 36 MB when
-    delayed: its 17.4 or 34.8 MB coefficient frame (four or eight channels
-    on Z >= 0) and its two grids, no grid values."""
+    """A default build keeps at most 18 MB: its 17.4 MB coefficient frame
+    (four channels on Z >= 0) and its two grids, no grid values."""
     tab, _, retained = traced_peak(pulsekit._build_table, thermal_family,
-                                   u, 16.0)
-    kept_mb = 36 if u else 18
-    assert tab.coef.nbytes <= retained <= kept_mb * 2**20, retained / 2**20
+                                   16.0)
+    assert tab.coef.nbytes <= retained <= 18 * 2**20, retained / 2**20
 
 
 def test_lookup_transient_memory(thermal_family, traced_peak):
     """Reading 2e5 in-range points allocates the two outputs (6.4 MB) and a
     few MB of block temporaries, not per-point copies of the coefficients."""
-    tab = thermal_family.table(0.0)
+    tab = thermal_family.table()
     rng = np.random.default_rng(5)
     P = rng.random(200_000) * 15.0
     Z = (rng.random(200_000) - 0.5) * 30.0
@@ -854,8 +759,7 @@ def test_lookup_transient_memory(thermal_family, traced_peak):
 def test_table_build_emits_no_warning(thermal_family):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for u in (0.0, 0.7):              # real and complex weights
-            pulsekit._build_table(thermal_family, u, 2.0)
+        pulsekit._build_table(thermal_family, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1058,7 +962,7 @@ def test_pulse_extent_cold_peak_memory(thermal_family, monkeypatch,
     estimators (the default table's build, then the radial profile), peaks
     below 29 MB of traced allocations; it peaks at 27.2 MB.  With separate
     G_y and G_z arrays in the build and the profile's 3e5 points read at
-    once it peaked at 37.0 MB, and at 54.3 MB when undelayed tables held
+    once it peaked at 37.0 MB, and at 54.3 MB when tables held
     the whole Z-grid."""
     monkeypatch.setattr(pulsekit, "_memo", OrderedDict())
     _, peak, _ = traced_peak(pulsekit.pulse_extent, thermal_family)
@@ -1090,8 +994,8 @@ def test_table_captures_nearly_all_intensity(thermal_family, ctx):
 
 def test_radial_profile_fold_matches_full_rule(thermal_family):
     """The profile folded onto cos(theta) > 0 equals the full 200-node rule
-    to rounding: an undelayed table has |T(P, -Z)| = |T(P, Z)|."""
-    tab = thermal_family.table(0.0)
+    to rounding: a table has |T(P, -Z)| = |T(P, Z)|."""
+    tab = thermal_family.table()
     grid, power = pulsekit._mean_transform_power(tab)
     cg, cw = pulsekit._gauss_legendre(200)
     ty, tz = tab.lookup(np.outer(grid, np.sqrt(1.0 - cg**2)), np.outer(grid, cg))

@@ -50,6 +50,25 @@ def test_order_zero_rejected():
         specfun.bose_moment(0, 1.0)
 
 
+@pytest.mark.parametrize("n", [2.0, 1.5, True, np.float64(3.0), 130, 171])
+def test_order_must_be_an_integer_up_to_129(n):
+    """A float order raised a stray TypeError, n >= 171 an OverflowError
+    from the factorial, and True was taken as 1."""
+    with pytest.raises(ValueError, match="order n must be"):
+        specfun.bose_moment(n, 0.5)
+
+
+def test_order_129_against_mpmath():
+    """The largest order taken: n! zeta(n+1, 1+iu) at n = 129."""
+    us = [0.0, 0.5, 3.0, 10.0]
+    got = specfun.bose_moment(129, np.array(us))
+    assert specfun.bose_moment(np.int64(129), 0.5) == got[1]
+    with mpmath.workdps(40):
+        for u, g in zip(us, got):
+            want = complex(mpmath.factorial(129) * mpmath.zeta(130, 1 + 1j * u))
+            assert abs(g - want) <= 1e-13 * abs(want), u
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_nonfinite_delay_rejected(bad):
     with pytest.raises(ValueError, match="finite"):

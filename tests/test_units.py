@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from thermolight import units
 from thermolight.units import check_seed, make_context
 
 
@@ -25,10 +26,22 @@ def test_length_scale_inverse_in_temperature():
     assert math.isclose(a.length_scale, 2.0 * b.length_scale, rel_tol=1e-14)
 
 
-@pytest.mark.parametrize("bad", [0.0, -5.0, np.nan, np.inf])
+@pytest.mark.parametrize("bad", [0.0, -5.0, np.nan, np.inf, 1e-40, 1e40,
+                                 1e-300, np.nextafter(units.T_MIN_K, 0.0),
+                                 np.nextafter(units.T_MAX_K, np.inf)])
 def test_invalid_temperature_rejected(bad):
-    with pytest.raises(ValueError):
+    """Below T_MIN_K or above T_MAX_K, fig1 gave NaN (1e-40 K) or
+    overflowed (1e40 K); the message names T."""
+    with pytest.raises(ValueError, match="temperature T must lie in"):
         make_context(bad)
+
+
+def test_temperature_range_keeps_scales_in_float_range():
+    """make_context takes T from T_MIN_K to T_MAX_K, 1e-20 and 1e20 K
+    included, where beta hbar c runs from 1e23 m down to 1e-23 m."""
+    for T in (units.T_MIN_K, 1e-20, 1e20, units.T_MAX_K):
+        assert 1e-23 * (1 - 1e-15) <= make_context(T).length_scale \
+            <= 1e23 * (1 + 1e-15)
 
 
 def test_check_seed_accepts_integers_in_range():
